@@ -151,31 +151,66 @@ def iapd_step(
     state: IapdState,
     option: str = "option1",
 ) -> IapdState:
-    """One accelerated primal-dual iteration; returns the advanced state."""
+    """One accelerated primal-dual iteration; returns the advanced state.
+
+    The input state is never written to. Each temporary is built in a fresh
+    buffer and updated in place, in the same order of operations as the
+    textbook form, so the result is bit for bit that of the unfused update.
+    A vanished (``ZeroSmooth``) f2 or g2 contributes no gradient evaluation.
+    """
     alpha, beta = params.alpha, params.beta
     t, t_next = state.t, state.t_next
     ratio = (t - 1.0) / t_next
+    K, f2, g2 = problem.K, problem.f2, problem.g2
 
-    xbar = state.x + ratio * (state.x - state.x_prev)
-    ybar = state.y + ratio * (state.y - state.y_prev)
+    # xbar = x + ratio (x - x_prev)
+    xbar = np.subtract(state.x, state.x_prev)
+    xbar *= ratio
+    xbar += state.x
 
-    v_extra = state.v + (t / t_next) * (state.v - state.v_prev)
-    w = problem.f2.grad(xbar) + problem.K.apply_adjoint(v_extra)
+    # w = grad f2(xbar) + K^T (v + (t / t_next) (v - v_prev))
+    v_extra = np.subtract(state.v, state.v_prev)
+    v_extra *= t / t_next
+    v_extra += state.v
+    w = K.apply_adjoint(v_extra)
+    if isinstance(f2, ZeroSmooth):
+        w += 0.0  # as zeros + w: turns -0.0 into +0.0
+    else:
+        w += f2.grad(xbar)
 
     if option == "option1":
-        x_next = problem.f1.prox(alpha, xbar - alpha * w)
-        u_next = x_next + (t_next - 1.0) * (x_next - state.x)
+        w *= alpha
+        x_next = problem.f1.prox(alpha, np.subtract(xbar, w, out=w))
+        # u_next = x_next + (t_next - 1) (x_next - x), reusing the xbar buffer
+        u_next = np.subtract(x_next, state.x, out=xbar)
+        u_next *= t_next - 1.0
+        u_next += x_next
     elif option == "option2":
-        u_next = problem.f1.prox(alpha * t_next, state.u - alpha * t_next * w)
-        x_next = ((t_next - 1.0) * state.x + u_next) / t_next
+        w *= alpha * t_next
+        u_next = problem.f1.prox(alpha * t_next, np.subtract(state.u, w, out=w))
+        x_next = np.multiply(state.x, t_next - 1.0)
+        x_next += u_next
+        x_next /= t_next
     else:
         raise ValueError(f"unknown option {option!r}")
 
+    # v_next = prox_g1(v - dual_step (grad g2(ybar) - K u_next))
     dual_step = beta / t_next
-    v_next = problem.g1.prox(dual_step, state.v - dual_step * (problem.g2.grad(ybar) - problem.K.apply(u_next)))
-    y_next = ((t_next - 1.0) * state.y + v_next) / t_next
+    r = K.apply(u_next)
+    if isinstance(g2, ZeroSmooth):
+        np.subtract(0.0, r, out=r)  # as zeros - r: keeps 0 - 0 = +0.0
+    else:
+        ybar = np.subtract(state.y, state.y_prev)
+        ybar *= ratio
+        ybar += state.y
+        np.subtract(g2.grad(ybar), r, out=r)
+    r *= dual_step
+    v_next = problem.g1.prox(dual_step, np.subtract(state.v, r, out=r))
+    y_next = np.multiply(state.y, t_next - 1.0)
+    y_next += v_next
+    y_next /= t_next
 
-    if not (np.all(np.isfinite(x_next)) and np.all(np.isfinite(y_next)) and np.all(np.isfinite(v_next))):
+    if not (np.isfinite(x_next).all() and np.isfinite(y_next).all() and np.isfinite(v_next).all()):
         raise DivergenceError(f"non-finite iterate at iteration {state.k + 1}")
 
     a = problem.mu_g * beta
@@ -193,10 +228,26 @@ def iapd_step(
     )
 
 
-def _stop_by_gap(opts: SolverOptions, objective, x) -> bool:
+def _gap_reference(opts: SolverOptions, objective) -> float | None:
+    """The reference value a gap-stopped solve compares against; None if it never stops early."""
     if opts.gap_tol is None or opts.reference is None or objective is None:
-        return False
-    return objective(x) - opts.reference.objective_value <= opts.gap_tol
+        return None
+    return opts.reference.objective_value
+
+
+def _observe(i: int, opts: SolverOptions, objective, f_ref: float | None, x) -> tuple[bool, float, bool]:
+    """(row due, objective value, stop) after iteration i with iterate x.
+
+    The objective is evaluated at most once, and only when a row or the gap
+    stop needs it. A row is due at every multiple of the stride, at the last
+    iteration and at the iterate where the gap stop fires.
+    """
+    record = i % opts.observer_stride == 0 or i == opts.max_iters
+    value = math.nan
+    if objective is not None and (record or f_ref is not None):
+        value = float(objective(x))
+    stop = f_ref is not None and value - f_ref <= opts.gap_tol
+    return record or stop, value, stop
 
 
 def solve_iapd(
@@ -220,6 +271,7 @@ def solve_iapd(
         state = init_iapd_state(problem, params)
     name = name or ("iapd-op1" if opts.option == "option1" else "iapd-op2")
 
+    f_ref = _gap_reference(opts, objective)
     rows: list[TraceRow] = []
     start = time.monotonic()
     for i in range(1, opts.max_iters + 1):
@@ -228,12 +280,13 @@ def solve_iapd(
         except DivergenceError as err:
             err.rows = rows
             raise
-        if i % opts.observer_stride == 0 or i == opts.max_iters:
+        record, value, stop = _observe(i, opts, objective, f_ref, state.x)
+        if record:
             row = TraceRow(
                 algorithm=name,
                 k=state.k,
                 t_k=state.t,
-                objective=float(objective(state.x)) if objective else math.nan,
+                objective=value,
                 dx=float(np.linalg.norm(state.x - state.x_prev)),
                 dy=float(np.linalg.norm(state.y - state.y_prev)),
                 elapsed_s=time.monotonic() - start,
@@ -241,7 +294,7 @@ def solve_iapd(
             if observer is not None:
                 observer(row, state)
             rows.append(row)
-        if _stop_by_gap(opts, objective, state.x):
+        if stop:
             break
     return state, rows
 
@@ -258,6 +311,7 @@ def _require_full_prox(problem: SaddleProblem, algorithm: str) -> None:
 
 def _trace_loop(name, opts, iterate, x_of, y_of, t_of, observer, objective):
     """Shared driver: run ``iterate(i)`` max_iters times, recording rows."""
+    f_ref = _gap_reference(opts, objective)
     rows: list[TraceRow] = []
     start = time.monotonic()
     x_prev = x_of()
@@ -265,17 +319,18 @@ def _trace_loop(name, opts, iterate, x_of, y_of, t_of, observer, objective):
     for i in range(1, opts.max_iters + 1):
         iterate(i)
         x = x_of()
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             err = DivergenceError(f"non-finite iterate at iteration {i}")
             err.rows = rows
             raise err
-        if i % opts.observer_stride == 0 or i == opts.max_iters:
+        record, value, stop = _observe(i, opts, objective, f_ref, x)
+        if record:
             y = y_of() if y_of else None
             row = TraceRow(
                 algorithm=name,
                 k=i,
                 t_k=t_of() if t_of else math.nan,
-                objective=float(objective(x)) if objective else math.nan,
+                objective=value,
                 dx=float(np.linalg.norm(x - x_prev)),
                 dy=float(np.linalg.norm(y - y_prev)) if y is not None else math.nan,
                 elapsed_s=time.monotonic() - start,
@@ -286,7 +341,7 @@ def _trace_loop(name, opts, iterate, x_of, y_of, t_of, observer, objective):
         x_prev = x
         if y_of:
             y_prev = y_of()
-        if _stop_by_gap(opts, objective, x):
+        if stop:
             break
     return rows
 

@@ -1,13 +1,14 @@
 """Solver tests: scalar sequence, hand-worked steps, reductions, baselines."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from iapd.bench import generate_l1ls
+from iapd.bench import generate_l1ls, preset_params
 from iapd.linalg import LinearMap
-from iapd.problem import SaddleProblem, StepParams
+from iapd.problem import SaddleProblem, StepParams, compute_reference
 from iapd.proxfuns import (
     L1Norm,
     LeastSquares,
@@ -219,7 +220,7 @@ def test_reduction_equivalence(option, solve_base):
 
     assert len(iapd_iters) == len(base_iters) == 500
     for xa, xb in zip(iapd_iters, base_iters):
-        assert np.linalg.norm(xa - xb) <= 1e-12 * (1.0 + np.linalg.norm(xb))
+        assert np.array_equal(xa, xb)
 
 
 # -- baselines -------------------------------------------------------------
@@ -343,3 +344,87 @@ def test_determinism_bitwise():
                         objective=inst.objective)
     assert np.array_equal(s1.x, s2.x) and np.array_equal(s1.y, s2.y)
     assert [r.objective for r in r1] == [r.objective for r in r2]
+
+
+# -- gap stopping ------------------------------------------------------------
+
+ALL_SOLVERS = ("iapd-op1", "iapd-op2", "fista", "tseng", "pda", "apda")
+GAP_ITERS = 120
+
+
+@pytest.fixture(scope="module")
+def gap_instance():
+    inst = generate_l1ls(20, 30, 0.1, seed=2)
+    ref = compute_reference(inst.problem, 3000, params=preset_params("l1ls", inst.problem.K.norm()),
+                            objective=inst.objective)
+    return inst, ref
+
+
+def run_solver(name, inst, opts, objective):
+    """Trace rows of one solve, and the final state's k for iapd (None for baselines)."""
+    problem = inst.problem
+    knorm = problem.K.norm()
+    if name.startswith("iapd"):
+        option = "option1" if name == "iapd-op1" else "option2"
+        state, rows = solve_iapd(problem, preset_params("l1ls", knorm), replace(opts, option=option),
+                                 objective=objective)
+        return rows, state.k
+    if name in ("fista", "tseng"):
+        solve = solve_fista if name == "fista" else solve_tseng
+        _, rows = solve(problem.f1, LeastSquares(problem.K, inst.b), 1.0 / knorm**2, opts,
+                        x0=np.zeros(problem.primal_dim), objective=objective)
+    elif name == "pda":
+        _, _, rows = solve_pda(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0, opts, objective=objective)
+    else:
+        _, _, rows = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, problem.mu_g, opts, objective=objective)
+    return rows, None
+
+
+def full_gaps(name, inst, ref):
+    """Objective gap after each of GAP_ITERS iterations of an unstopped solve."""
+    rows, _ = run_solver(name, inst, SolverOptions(max_iters=GAP_ITERS), inst.objective)
+    return [row.objective - ref.objective_value for row in rows]
+
+
+def first_new_minimum(gaps, after, skip_stride=None):
+    """First iteration i > after whose gap is below every earlier gap."""
+    for i in range(after + 1, len(gaps) + 1):
+        if skip_stride and i % skip_stride == 0:
+            continue
+        if gaps[i - 1] < min(gaps[: i - 1]):
+            return i
+    raise AssertionError("no new minimum in the trace")
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+def test_gap_stop_evaluates_objective_once_per_iteration(name, gap_instance):
+    inst, ref = gap_instance
+    gaps = full_gaps(name, inst, ref)
+    stop_at = first_new_minimum(gaps, after=30)
+    calls = []
+
+    def objective(x):
+        calls.append(None)
+        return inst.objective(x)
+
+    opts = SolverOptions(max_iters=GAP_ITERS, gap_tol=gaps[stop_at - 1], reference=ref)
+    rows, _ = run_solver(name, inst, opts, objective)
+    assert len(calls) == stop_at
+    assert [row.objective - ref.objective_value for row in rows] == gaps[:stop_at]
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+@pytest.mark.parametrize("after", [1, 9])
+def test_gap_stop_keeps_the_stopping_row(name, after, gap_instance):
+    """With stride 4, a stop between multiples of 4 still records its iterate."""
+    inst, ref = gap_instance
+    gaps = full_gaps(name, inst, ref)
+    stop_at = first_new_minimum(gaps, after=after, skip_stride=4)
+    opts = SolverOptions(max_iters=GAP_ITERS, observer_stride=4, gap_tol=gaps[stop_at - 1], reference=ref)
+    rows, state_k = run_solver(name, inst, opts, inst.objective)
+
+    offset = 1 if name.startswith("iapd") else 0  # iapd numbers its initial state k = 1
+    assert [row.k - offset for row in rows] == list(range(4, stop_at, 4)) + [stop_at]
+    assert rows[-1].objective - ref.objective_value == gaps[stop_at - 1]
+    if state_k is not None:
+        assert rows[-1].k == state_k
