@@ -8,12 +8,11 @@ gradient methods. A benchmark harness generates seeded l1-regularized and
 nonnegative least-squares instances and emits CSV traces.
 """
 
-from .diagnostics import EnergyReport, certify, energy, energy_trace, slope
+from .diagnostics import EnergyReport, certify, energy, slope
 from .linalg import (
     DimensionMismatchError,
     LinearMap,
     MatrixMarketError,
-    as_vector,
     read_matrix_market,
     write_matrix_market,
 )
@@ -40,7 +39,6 @@ from .solvers import (
     IapdState,
     SolverOptions,
     TraceRow,
-    TSequence,
     UnsupportedStructureError,
     iapd_step,
     init_iapd_state,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,13 +18,7 @@ import numpy as np
 
 from . import diagnostics, solvers
 from .linalg import LinearMap
-from .problem import (
-    ReferencePoint,
-    SaddleProblem,
-    StepParams,
-    compute_reference,
-    validate_params,
-)
+from .problem import ReferencePoint, SaddleProblem, StepParams, compute_reference
 from .proxfuns import L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from .solvers import SolverOptions, TraceRow
 
@@ -72,6 +65,8 @@ class ExperimentConfig:
             raise ValueError("m and n must be >= 1")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
+        if self.observer_stride < 1:
+            raise ValueError("observer_stride must be >= 1")
         if not self.algorithms:
             raise ValueError("algorithm set must be nonempty")
         for name in self.algorithms:
@@ -275,7 +270,7 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     effort = cfg.reference_effort if cfg.reference_effort is not None else 10 * cfg.iters
     ref = compute_reference(problem, effort, params=iapd_params, objective=instance.objective)
     f_star = ref.objective_value
-    inflation = 10.0 * ref.accuracy / max(1.0, abs(f_star))
+    inflation = diagnostics._reference_inflation(ref.accuracy, f_star)
 
     opts = SolverOptions(max_iters=cfg.iters, observer_stride=cfg.observer_stride)
     results: dict[str, AlgorithmResult] = {}
@@ -314,11 +309,6 @@ def _run_algorithm(
 
     if name in ("iapd-op1", "iapd-op2"):
         option = "option1" if name == "iapd-op1" else "option2"
-        report = validate_params(problem, iapd_params)
-        if not report.ok:
-            raise ValueError(
-                f"{name}: step parameters rejected: {[str(v) for v in report.violations]}"
-            )
         run_opts = SolverOptions(
             max_iters=opts.max_iters, option=option, observer_stride=opts.observer_stride
         )
@@ -342,10 +332,8 @@ def _run_algorithm(
                   "mu_g": problem.mu_g, "E1": e1}
         return AlgorithmResult(name, rows, final_gap, params, energy_reports=reports)
 
-    def saddle_gap_observer(row: TraceRow, iterates):
-        row.gap_ref = problem.lagrangian(iterates["x"], ref.y_star) - problem.lagrangian(
-            ref.x_star, iterates["y"]
-        )
+    def saddle_gap_observer(row: TraceRow, state):
+        row.gap_ref = problem.lagrangian(state.x, ref.y_star) - problem.lagrangian(ref.x_star, state.y)
 
     if name == "pda":
         alpha, beta, theta = 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,8 +16,6 @@ __all__ = [
     "EnergyReport",
     "InsufficientDataError",
     "energy",
-    "energy_initial_closed_form",
-    "energy_trace",
     "certify",
     "CertificateSummary",
     "SlopeFit",
@@ -106,38 +106,31 @@ def energy(
     )
 
 
-def energy_initial_closed_form(
-    problem: SaddleProblem,
-    params: StepParams,
-    state: IapdState,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> float:
-    """The initial energy in its reduced three-term form (valid at k = 1 only)."""
-    if state.k != 1:
-        raise ValueError("closed form is only valid at the initial state")
-    gap = problem.lagrangian(state.x, y) - problem.lagrangian(x, state.y)
-    dx = state.x - x
-    dy = state.y - y
+def _reference_inflation(accuracy: float, objective_value: float) -> float:
+    """Relative certificate slack for a reference point of the given accuracy."""
+    return 10.0 * accuracy / max(1.0, abs(objective_value))
+
+
+# The fields of a report that :func:`certify` reads.
+_TraceReport = namedtuple(
+    "_TraceReport", "k t_k gap_ref bound_gap dual_dist_sq dual_bound v_dist_sq v_bound dx dy"
+)
+
+
+def _trace_reports(rows, e1: float):
+    """Reports rebuilt one at a time from trace rows, for :func:`certify`.
+
+    A trace row carries the gap but no dual distances, so only the gap and
+    t-lower bounds can be checked; the dual and v fields are NaN, which no
+    comparison flags. A row with t_k = 0 gets no gap bound; the t-lower
+    check flags it.
+    """
+    nan = math.nan
     return (
-        params.t1**2 * gap
-        + float(dx @ dx) / (2.0 * params.alpha)
-        + state.t_next**2 * float(dy @ dy) / (2.0 * params.beta)
+        _TraceReport(r.k, r.t_k, r.gap_ref, e1 / (r.t_k * r.t_k) if r.t_k else math.inf,
+                     nan, nan, nan, nan, r.dx, r.dy)
+        for r in rows
     )
-
-
-def energy_trace(
-    problem: SaddleProblem,
-    params: StepParams,
-    states: list[IapdState],
-    ref: ReferencePoint,
-) -> list[EnergyReport]:
-    """Energy reports for a list of states, with bounds anchored at the first."""
-    if not states:
-        return []
-    first = energy(problem, params, states[0], ref)
-    e1 = first.energy
-    return [first] + [energy(problem, params, st, ref, e1) for st in states[1:]]
 
 
 @dataclass
@@ -165,7 +158,7 @@ class CertificateSummary:
 
 
 def certify(
-    reports: list[EnergyReport],
+    reports: Iterable[EnergyReport],
     t1: float,
     a: float,
     tol: float = 1e-6,
@@ -175,15 +168,16 @@ def certify(
 
     ``a`` is mu_g * beta; ``inflation`` is an extra relative slack for an
     inexact reference point. The displacement scales dx * t_k and
-    dy * t_k^2 are reported as maxima, not pass/fail checks.
+    dy * t_k^2 are reported as maxima, not pass/fail checks. The reports
+    are read once, in order, so a generator of them keeps no trace in
+    memory; any record with the fields read here will do.
     """
-    if not reports:
-        raise ValueError("empty trace")
     slack = 1.0 + tol + inflation
     b = 2.0 * a * t1 / (a + 4.0 * t1) if a > 0 else 0.0
     t_factor = min(0.5, b)
-    summary = CertificateSummary(rows=len(reports))
+    summary = CertificateSummary(rows=0)
     for r in reports:
+        summary.rows += 1
         if r.gap_ref > r.bound_gap * slack:
             summary.gap_violations += 1
             summary.max_gap_excess = max(summary.max_gap_excess, r.gap_ref - r.bound_gap)
@@ -196,6 +190,8 @@ def certify(
             summary.t_lower_violations += 1
         summary.max_dx_t = max(summary.max_dx_t, r.dx * r.t_k)
         summary.max_dy_t2 = max(summary.max_dy_t2, r.dy * r.t_k**2)
+    if not summary.rows:
+        raise ValueError("empty trace")
     return summary
 
 

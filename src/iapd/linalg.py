@@ -1,4 +1,4 @@
-"""Vectors, dense/sparse linear operators, operator-norm estimation, Matrix Market IO."""
+"""Dense/sparse linear operators, operator-norm estimation, Matrix Market IO."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ __all__ = [
     "DimensionMismatchError",
     "MatrixMarketError",
     "LinearMap",
-    "as_vector",
     "read_matrix_market",
     "write_matrix_market",
     "NORM_SAFETY",
@@ -33,18 +32,6 @@ class MatrixMarketError(ValueError):
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
-
-
-def as_vector(data) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array, rejecting NaN/Inf."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size < 1:
-        raise ValueError("vectors must have length >= 1")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector contains non-finite entries")
-    return v
 
 
 class LinearMap:

@@ -1,15 +1,20 @@
 """Accelerated primal-dual solver (Options 1 and 2) plus baseline schemes.
 
-All solvers share the trace-row schema and an optional per-iteration
-observer invoked as ``observer(row, state)``; the observer may fill the
-``gap_ref`` and ``energy`` fields in place before the row is stored.
+Every solver is a stepper (a generator yielding one state per iteration
+with ``k, x, x_prev, y, y_prev, t``) run by the one driver ``_drive``,
+which owns the stride, the gap stop, the clock and the trace rows. The
+optional observer is invoked as ``observer(row, state)`` and reads
+``state.x`` and ``state.y`` (None for primal-only methods); it may fill
+the ``gap_ref`` and ``energy`` fields in place before the row is stored.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -20,8 +25,6 @@ __all__ = [
     "DivergenceError",
     "UnsupportedStructureError",
     "next_t",
-    "nesterov_branch_active",
-    "TSequence",
     "IapdState",
     "SolverOptions",
     "TraceRow",
@@ -49,27 +52,6 @@ class UnsupportedStructureError(ValueError):
 def next_t(t: float, a: float) -> float:
     """min of the Nesterov branch and the strongly-convex branch sqrt(t^2 + a t)."""
     return min(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), math.sqrt(t * t + a * t))
-
-
-def nesterov_branch_active(t: float, a: float) -> bool:
-    """True when the Nesterov branch attains the min at scalar t."""
-    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) <= math.sqrt(t * t + a * t)
-
-
-class TSequence:
-    """The scalar sequence t_1, t_2, ... with growth parameter a = mu_g * beta."""
-
-    def __init__(self, t1: float, a: float):
-        if t1 < 1:
-            raise ValueError("t1 must be >= 1")
-        if a < 0:
-            raise ValueError("a must be nonnegative")
-        self.t = float(t1)
-        self.a = float(a)
-
-    def advance(self) -> float:
-        self.t = next_t(self.t, self.a)
-        return self.t
 
 
 # -- accelerated primal-dual ----------------------------------------------
@@ -228,26 +210,45 @@ def iapd_step(
     )
 
 
-def _gap_reference(opts: SolverOptions, objective) -> float | None:
-    """The reference value a gap-stopped solve compares against; None if it never stops early."""
-    if opts.gap_tol is None or opts.reference is None or objective is None:
-        return None
-    return opts.reference.objective_value
+def _drive(name: str, opts: SolverOptions, states, observer, objective):
+    """Run a stepper for up to ``opts.max_iters`` iterations; return (last state, rows).
 
-
-def _observe(i: int, opts: SolverOptions, objective, f_ref: float | None, x) -> tuple[bool, float, bool]:
-    """(row due, objective value, stop) after iteration i with iterate x.
-
-    The objective is evaluated at most once, and only when a row or the gap
-    stop needs it. A row is due at every multiple of the stride, at the last
-    iteration and at the iterate where the gap stop fires.
+    The objective is evaluated at most once per iteration, and only when a
+    row or the gap stop needs it. A row is due at every multiple of the
+    stride, at the last iteration and at the iterate where the gap stop
+    fires. On divergence the rows so far ride on the error as ``rows``.
     """
-    record = i % opts.observer_stride == 0 or i == opts.max_iters
-    value = math.nan
-    if objective is not None and (record or f_ref is not None):
-        value = float(objective(x))
-    stop = f_ref is not None and value - f_ref <= opts.gap_tol
-    return record or stop, value, stop
+    f_ref = None
+    if opts.gap_tol is not None and opts.reference is not None and objective is not None:
+        f_ref = opts.reference.objective_value
+    rows: list[TraceRow] = []
+    start = time.monotonic()
+    try:
+        for i, state in zip(range(1, opts.max_iters + 1), states):
+            record = i % opts.observer_stride == 0 or i == opts.max_iters
+            value = math.nan
+            if objective is not None and (record or f_ref is not None):
+                value = float(objective(state.x))
+            stop = f_ref is not None and value - f_ref <= opts.gap_tol
+            if record or stop:
+                row = TraceRow(
+                    algorithm=name,
+                    k=state.k,
+                    t_k=state.t,
+                    objective=value,
+                    dx=float(np.linalg.norm(state.x - state.x_prev)),
+                    dy=math.nan if state.y is None else float(np.linalg.norm(state.y - state.y_prev)),
+                    elapsed_s=time.monotonic() - start,
+                )
+                if observer is not None:
+                    observer(row, state)
+                rows.append(row)
+            if stop:
+                break
+    except DivergenceError as err:
+        err.rows = rows
+        raise
+    return state, rows
 
 
 def solve_iapd(
@@ -271,35 +272,19 @@ def solve_iapd(
         state = init_iapd_state(problem, params)
     name = name or ("iapd-op1" if opts.option == "option1" else "iapd-op2")
 
-    f_ref = _gap_reference(opts, objective)
-    rows: list[TraceRow] = []
-    start = time.monotonic()
-    for i in range(1, opts.max_iters + 1):
-        try:
+    def states(state):
+        while True:
             state = iapd_step(problem, params, state, opts.option)
-        except DivergenceError as err:
-            err.rows = rows
-            raise
-        record, value, stop = _observe(i, opts, objective, f_ref, state.x)
-        if record:
-            row = TraceRow(
-                algorithm=name,
-                k=state.k,
-                t_k=state.t,
-                objective=value,
-                dx=float(np.linalg.norm(state.x - state.x_prev)),
-                dy=float(np.linalg.norm(state.y - state.y_prev)),
-                elapsed_s=time.monotonic() - start,
-            )
-            if observer is not None:
-                observer(row, state)
-            rows.append(row)
-        if stop:
-            break
-    return state, rows
+            yield state
+
+    return _drive(name, opts, states(state), observer, objective)
 
 
 # -- baselines -------------------------------------------------------------
+
+# The state a baseline stepper yields; t is NaN for the primal-dual
+# baselines, and y and y_prev are None for the primal-only ones.
+_Iterate = namedtuple("_Iterate", "k x x_prev y y_prev t")
 
 
 def _require_full_prox(problem: SaddleProblem, algorithm: str) -> None:
@@ -309,41 +294,10 @@ def _require_full_prox(problem: SaddleProblem, algorithm: str) -> None:
         )
 
 
-def _trace_loop(name, opts, iterate, x_of, y_of, t_of, observer, objective):
-    """Shared driver: run ``iterate(i)`` max_iters times, recording rows."""
-    f_ref = _gap_reference(opts, objective)
-    rows: list[TraceRow] = []
-    start = time.monotonic()
-    x_prev = x_of()
-    y_prev = y_of() if y_of else None
-    for i in range(1, opts.max_iters + 1):
-        iterate(i)
-        x = x_of()
-        if not np.isfinite(x).all():
-            err = DivergenceError(f"non-finite iterate at iteration {i}")
-            err.rows = rows
-            raise err
-        record, value, stop = _observe(i, opts, objective, f_ref, x)
-        if record:
-            y = y_of() if y_of else None
-            row = TraceRow(
-                algorithm=name,
-                k=i,
-                t_k=t_of() if t_of else math.nan,
-                objective=value,
-                dx=float(np.linalg.norm(x - x_prev)),
-                dy=float(np.linalg.norm(y - y_prev)) if y is not None else math.nan,
-                elapsed_s=time.monotonic() - start,
-            )
-            if observer is not None:
-                observer(row, {"x": x, "y": y})
-            rows.append(row)
-        x_prev = x
-        if y_of:
-            y_prev = y_of()
-        if stop:
-            break
-    return rows
+def _start(problem: SaddleProblem, x0, y0) -> tuple[np.ndarray, np.ndarray]:
+    x = np.zeros(problem.primal_dim) if x0 is None else np.array(x0, dtype=np.float64)
+    y = np.zeros(problem.dual_dim) if y0 is None else np.array(y0, dtype=np.float64)
+    return x, y
 
 
 def solve_pda(
@@ -366,19 +320,20 @@ def solve_pda(
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
     _require_full_prox(problem, "pda")
+    f1, g1, K = problem.f1, problem.g1, problem.K
 
-    x = np.zeros(problem.primal_dim) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    y = np.zeros(problem.dual_dim) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
-    box = {"x": x, "y": y}
+    def states(x, y):
+        for k in count(1):
+            x_new = f1.prox(alpha, x - alpha * K.apply_adjoint(y))
+            xbar = x_new + theta * (x_new - x)
+            y_new = g1.prox(beta, y + beta * K.apply(xbar))
+            if not np.isfinite(x_new).all():
+                raise DivergenceError(f"non-finite iterate at iteration {k}")
+            yield _Iterate(k, x_new, x, y_new, y, math.nan)
+            x, y = x_new, y_new
 
-    def iterate(_i):
-        x_new = problem.f1.prox(alpha, box["x"] - alpha * problem.K.apply_adjoint(box["y"]))
-        xbar = x_new + theta * (x_new - box["x"])
-        box["y"] = problem.g1.prox(beta, box["y"] + beta * problem.K.apply(xbar))
-        box["x"] = x_new
-
-    rows = _trace_loop("pda", opts, iterate, lambda: box["x"], lambda: box["y"], None, observer, objective)
-    return box["x"], box["y"], rows
+    last, rows = _drive("pda", opts, states(*_start(problem, x0, y0)), observer, objective)
+    return last.x, last.y, rows
 
 
 def solve_apda(
@@ -405,22 +360,59 @@ def solve_apda(
         raise ValueError("need tau0 * sigma0 * ||K||^2 <= 1")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
+    f1, g1, K = problem.f1, problem.g1, problem.K
 
-    x = np.zeros(problem.primal_dim) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    y = np.zeros(problem.dual_dim) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
-    box = {"x": x, "y": y, "xbar": x.copy(), "tau": float(tau0), "sigma": float(sigma0)}
+    def states(x, y):
+        xbar, tau, sigma = x, float(tau0), float(sigma0)
+        for k in count(1):
+            y_new = g1.prox(sigma, y + sigma * K.apply(xbar))
+            x_new = f1.prox(tau, x - tau * K.apply_adjoint(y_new))
+            theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * sigma)
+            sigma *= theta
+            tau /= theta
+            xbar = x_new + theta * (x_new - x)
+            if not np.isfinite(x_new).all():
+                raise DivergenceError(f"non-finite iterate at iteration {k}")
+            yield _Iterate(k, x_new, x, y_new, y, math.nan)
+            x, y = x_new, y_new
 
-    def iterate(_i):
-        box["y"] = problem.g1.prox(box["sigma"], box["y"] + box["sigma"] * problem.K.apply(box["xbar"]))
-        x_new = problem.f1.prox(box["tau"], box["x"] - box["tau"] * problem.K.apply_adjoint(box["y"]))
-        theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * box["sigma"])
-        box["sigma"] *= theta
-        box["tau"] /= theta
-        box["xbar"] = x_new + theta * (x_new - box["x"])
-        box["x"] = x_new
+    last, rows = _drive("apda", opts, states(*_start(problem, x0, y0)), observer, objective)
+    return last.x, last.y, rows
 
-    rows = _trace_loop("apda", opts, iterate, lambda: box["x"], lambda: box["y"], None, observer, objective)
-    return box["x"], box["y"], rows
+
+def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, option):
+    """Accelerated proximal gradient for min f1 + f2: FISTA (option1) or Tseng (option2).
+
+    The options differ exactly as iapd's do at K = 0: option1 takes the
+    prox step from the extrapolated point, option2 from the auxiliary
+    sequence u with step alpha t_{k+1} and averages x with it.
+    """
+    if f2.lipschitz <= 0:
+        raise ValueError("f2 must have a positive Lipschitz constant")
+    if alpha > 1.0 / f2.lipschitz:
+        raise ValueError(f"alpha must be <= 1/L = {1.0 / f2.lipschitz:.6g}")
+    if x0 is None:
+        raise ValueError("x0 is required")
+
+    def states(x):
+        x_prev = u = x
+        t, t_next = float(t1), 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t1 * t1))
+        for k in count(1):
+            xbar = x + ((t - 1.0) / t_next) * (x - x_prev)
+            if option == "option1":
+                x_new = f1.prox(alpha, xbar - alpha * f2.grad(xbar))
+            else:
+                step = alpha * t_next
+                u = f1.prox(step, u - step * f2.grad(xbar))
+                x_new = ((t_next - 1.0) * x + u) / t_next
+            x_prev, x = x, x_new
+            t, t_next = t_next, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_next * t_next))
+            if not np.isfinite(x).all():
+                raise DivergenceError(f"non-finite iterate at iteration {k}")
+            yield _Iterate(k, x, x_prev, None, None, t)
+
+    last, rows = _drive(name, opts, states(np.array(x0, dtype=np.float64)), observer, objective)
+    return last.x, rows
 
 
 def solve_fista(
@@ -435,30 +427,7 @@ def solve_fista(
     name: str = "fista",
 ) -> tuple[np.ndarray, list[TraceRow]]:
     """Accelerated proximal gradient for min f1 + f2 (Beck-Teboulle scheme)."""
-    if f2.lipschitz <= 0:
-        raise ValueError("f2 must have a positive Lipschitz constant")
-    if alpha > 1.0 / f2.lipschitz:
-        raise ValueError(f"alpha must be <= 1/L = {1.0 / f2.lipschitz:.6g}")
-    if x0 is None:
-        raise ValueError("x0 is required")
-
-    box = {
-        "x": np.asarray(x0, dtype=np.float64).copy(),
-        "x_prev": np.asarray(x0, dtype=np.float64).copy(),
-        "t": float(t1),
-        "t_next": 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t1 * t1)),
-    }
-
-    def iterate(_i):
-        t, t_next = box["t"], box["t_next"]
-        xbar = box["x"] + ((t - 1.0) / t_next) * (box["x"] - box["x_prev"])
-        box["x_prev"] = box["x"]
-        box["x"] = f1.prox(alpha, xbar - alpha * f2.grad(xbar))
-        box["t"] = t_next
-        box["t_next"] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_next * t_next))
-
-    rows = _trace_loop(name, opts, iterate, lambda: box["x"], None, lambda: box["t"], observer, objective)
-    return box["x"], rows
+    return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, "option1")
 
 
 def solve_tseng(
@@ -473,32 +442,4 @@ def solve_tseng(
     name: str = "tseng",
 ) -> tuple[np.ndarray, list[TraceRow]]:
     """Accelerated proximal gradient with Tseng's auxiliary-sequence update."""
-    if f2.lipschitz <= 0:
-        raise ValueError("f2 must have a positive Lipschitz constant")
-    if alpha > 1.0 / f2.lipschitz:
-        raise ValueError(f"alpha must be <= 1/L = {1.0 / f2.lipschitz:.6g}")
-    if x0 is None:
-        raise ValueError("x0 is required")
-
-    x0 = np.asarray(x0, dtype=np.float64)
-    box = {
-        "x": x0.copy(),
-        "x_prev": x0.copy(),
-        "u": x0.copy(),
-        "t": float(t1),
-        "t_next": 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t1 * t1)),
-    }
-
-    def iterate(_i):
-        t, t_next = box["t"], box["t_next"]
-        xbar = box["x"] + ((t - 1.0) / t_next) * (box["x"] - box["x_prev"])
-        step = alpha * t_next
-        u_next = f1.prox(step, box["u"] - step * f2.grad(xbar))
-        box["x_prev"] = box["x"]
-        box["x"] = ((t_next - 1.0) * box["x"] + u_next) / t_next
-        box["u"] = u_next
-        box["t"] = t_next
-        box["t_next"] = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_next * t_next))
-
-    rows = _trace_loop(name, opts, iterate, lambda: box["x"], None, lambda: box["t"], observer, objective)
-    return box["x"], rows
+    return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, "option2")

@@ -160,7 +160,7 @@ def test_criterion_5_reduction_equivalence():
         solve_iapd(problem, params, SolverOptions(max_iters=500, option=option),
                    observer=lambda row, st: iapd_iters.append(st.x.copy()))
         solve_base(problem.f1, f2, alpha, SolverOptions(max_iters=500),
-                   observer=lambda row, it: base_iters.append(it["x"].copy()),
+                   observer=lambda row, it: base_iters.append(it.x.copy()),
                    x0=np.zeros(n), t1=1.0)
         ok &= len(iapd_iters) == len(base_iters) == 500
         mismatched += sum(not np.array_equal(xa, xb) for xa, xb in zip(iapd_iters, base_iters))

@@ -104,6 +104,12 @@ def test_config_validation():
         ExperimentConfig(experiment="nnls", m=2, n=2, seed=0, iters=1, density=0.0)
 
 
+def test_config_rejects_zero_stride():
+    # Rejected with the other config checks, before any output or reference work.
+    with pytest.raises(ValueError, match="observer_stride"):
+        ExperimentConfig(experiment="l1ls", m=2, n=2, seed=0, iters=1, observer_stride=0)
+
+
 # -- CSV -------------------------------------------------------------------
 
 

@@ -125,6 +125,22 @@ def test_certify_flags_corrupted_trace(tmp_path, capsys):
     assert code == 1
 
 
+def test_certify_flags_zero_t_as_t_lower_violation(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
+                "--out", str(out)]) == 0
+    csv_path = out / "iapd-op1.csv"
+    lines = csv_path.read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[2] = "0"
+    lines[1] = ",".join(parts)
+    csv_path.write_text("\n".join(lines) + "\n")
+    code = run(["certify", "--csv", str(csv_path),
+                "--meta", str(out / "run_meta.json")])
+    assert code == 1
+    assert "gap-bound violations 0, t-lower-bound violations 1" in capsys.readouterr().out
+
+
 def test_certify_requires_energy_metadata(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "fista",

@@ -12,8 +12,6 @@ from iapd.diagnostics import (
     InsufficientDataError,
     certify,
     energy,
-    energy_initial_closed_form,
-    energy_trace,
     slope,
 )
 from iapd.problem import ReferencePoint, StepParams, compute_reference
@@ -30,6 +28,29 @@ def small_setup(seed=17, m=20, n=30):
 def fake_ref(x, y):
     return ReferencePoint(np.asarray(x, dtype=np.float64),
                           np.asarray(y, dtype=np.float64), 0.0, 0.0)
+
+
+def energy_initial_closed_form(problem, params, state, x, y):
+    """Oracle: the initial energy in its reduced three-term form (valid at k = 1 only)."""
+    if state.k != 1:
+        raise ValueError("closed form is only valid at the initial state")
+    gap = problem.lagrangian(state.x, y) - problem.lagrangian(x, state.y)
+    dx = state.x - x
+    dy = state.y - y
+    return (
+        params.t1**2 * gap
+        + float(dx @ dx) / (2.0 * params.alpha)
+        + state.t_next**2 * float(dy @ dy) / (2.0 * params.beta)
+    )
+
+
+def energy_trace(problem, params, states, ref):
+    """Energy reports for a list of states, with bounds anchored at the first."""
+    if not states:
+        return []
+    first = energy(problem, params, states[0], ref)
+    e1 = first.energy
+    return [first] + [energy(problem, params, st, ref, e1) for st in states[1:]]
 
 
 def test_initial_energy_matches_closed_form():

@@ -9,22 +9,9 @@ from iapd.linalg import (
     DimensionMismatchError,
     LinearMap,
     MatrixMarketError,
-    as_vector,
     read_matrix_market,
     write_matrix_market,
 )
-
-
-def test_as_vector_accepts_finite_1d():
-    v = as_vector([1.0, -2.5, 3.0])
-    assert v.dtype == np.float64
-    assert v.shape == (3,)
-
-
-@pytest.mark.parametrize("bad", [[[1.0, 2.0]], [], [1.0, np.nan], [np.inf]])
-def test_as_vector_rejects(bad):
-    with pytest.raises(ValueError):
-        as_vector(bad)
 
 
 def test_apply_identity():

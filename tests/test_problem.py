@@ -239,14 +239,13 @@ def test_compute_reference_rejects_bad_inputs():
 def test_nesterov_branch_locks_in_under_strong_dual_steps():
     # With beta * mu_g > 1 + 1/t1 the strongly convex branch never binds,
     # so the scalar sequence follows the plain Nesterov recursion forever.
-    from iapd.solvers import TSequence, nesterov_branch_active
+    from iapd.solvers import next_t
 
     t1 = 1.0
     a = 1.0 + 1.0 / t1 + 0.5
-    seq = TSequence(t1, a)
-    t_plain = t1
+    t = t_plain = t1
     for _ in range(10_000):
-        assert nesterov_branch_active(seq.t, a)
-        seq.advance()
+        assert 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)) <= math.sqrt(t * t + a * t)
+        t = next_t(t, a)
         t_plain = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_plain * t_plain))
-        assert seq.t == t_plain
+        assert t == t_plain

@@ -20,7 +20,6 @@ from iapd.proxfuns import (
 from iapd.solvers import (
     DivergenceError,
     SolverOptions,
-    TSequence,
     UnsupportedStructureError,
     iapd_step,
     init_iapd_state,
@@ -55,21 +54,13 @@ def test_next_t_examples():
 def test_tsequence_invariants():
     for t1 in (1.0, 1.2, 5.0):
         for a in (0.0, 0.1, 1.0, 10.0):
-            seq = TSequence(t1, a)
-            prev = seq.t
+            prev = t1
             for _ in range(2000):
-                t = seq.advance()
+                t = next_t(prev, a)
                 eps = 1e-12 * max(1.0, t * t)
                 assert t * t - t <= prev * prev + eps
                 assert t * t <= prev * prev + a * prev + eps
                 prev = t
-
-
-def test_tsequence_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        TSequence(0.5, 1.0)
-    with pytest.raises(ValueError):
-        TSequence(1.0, -0.1)
 
 
 # -- accelerated primal-dual steps -----------------------------------------
@@ -212,8 +203,8 @@ def test_reduction_equivalence(option, solve_base):
 
     base_iters = []
 
-    def base_obs(row, iterates):
-        base_iters.append(iterates["x"].copy())
+    def base_obs(row, state):
+        base_iters.append(state.x.copy())
 
     solve_base(problem.f1, f2, alpha, SolverOptions(max_iters=500),
                observer=base_obs, x0=x0, t1=params.t1)
