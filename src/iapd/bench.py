@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,7 @@ class AlgorithmResult:
     certificate: diagnostics.CertificateSummary | None = None
     slope: float | None = None
     skipped: str = ""
+    diverged_at: int | None = None  # set when ``rows`` is the partial trace of a divergence
 
 
 @dataclass
@@ -255,9 +257,11 @@ def _iapd_params(cfg: ExperimentConfig, knorm: float) -> StepParams:
 def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = None) -> BenchResult:
     """Generate (or accept) an instance, compute a reference, run the sweep.
 
-    Writes one CSV per algorithm plus summary.txt, plotdata.tsv and
-    run_meta.json into cfg.out_dir. Returns status 3 if any selected
-    algorithm was skipped or failed.
+    Writes one CSV per algorithm with rows (a diverged algorithm keeps its
+    partial trace) plus summary.txt, plotdata.tsv and run_meta.json into
+    cfg.out_dir, and removes the CSV of any other algorithm left there by an
+    earlier run. Returns status 3 if any selected algorithm was skipped or
+    diverged.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -278,10 +282,12 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
 
     for name in cfg.algorithms:
         try:
-            results[name] = _run_algorithm(name, cfg, instance, ref, iapd_params, opts, knorm)
-        except (ValueError, solvers.UnsupportedStructureError, solvers.DivergenceError) as err:
-            results[name] = AlgorithmResult(name, [], math.nan, {}, skipped=str(err))
+            res = _run_algorithm(name, cfg, instance, ref, iapd_params, opts, knorm)
+        except ValueError as err:  # UnsupportedStructureError included
+            res = AlgorithmResult(name, [], math.nan, {}, skipped=str(err))
+        if res.skipped:
             status = 3
+        results[name] = res
 
     files = []
     for name, res in results.items():
@@ -289,6 +295,8 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
             path = out_dir / f"{name}.csv"
             emit_csv(res.rows, path)
             files.append(path)
+    for name in set(ALGORITHMS).difference(path.stem for path in files):
+        (out_dir / f"{name}.csv").unlink(missing_ok=True)
     files.append(_write_summary(out_dir, cfg, ref, results, knorm, inflation))
     files.append(_write_plotdata(out_dir, results, f_star))
     files.append(_write_meta(out_dir, cfg, ref, results, knorm, iapd_params))
@@ -304,9 +312,19 @@ def _run_algorithm(
     opts: SolverOptions,
     knorm: float,
 ) -> AlgorithmResult:
+    """Run one algorithm; a divergence gives a skipped result that keeps its partial trace."""
     problem = instance.problem
     objective = instance.objective
+    reports = []
 
+    def saddle_gap_observer(row: TraceRow, state):
+        row.gap_ref = problem.lagrangian(state.x, ref.y_star) - problem.lagrangian(ref.x_star, state.y)
+
+    def objective_gap_observer(row: TraceRow, state):
+        # No dual iterate: report the objective gap against the reference.
+        row.gap_ref = row.objective - ref.objective_value
+
+    # Each solve returns a tuple whose last item is the trace rows.
     if name in ("iapd-op1", "iapd-op2"):
         option = "option1" if name == "iapd-op1" else "option2"
         run_opts = SolverOptions(
@@ -315,7 +333,7 @@ def _run_algorithm(
         state0 = solvers.init_iapd_state(problem, iapd_params)
         first = diagnostics.energy(problem, iapd_params, state0, ref)
         e1 = first.energy
-        reports = [first]
+        reports.append(first)
 
         def observer(row: TraceRow, state):
             rep = diagnostics.energy(problem, iapd_params, state, ref, e1)
@@ -323,51 +341,38 @@ def _run_algorithm(
             row.energy = rep.energy
             reports.append(rep)
 
-        _, rows = solvers.solve_iapd(
-            problem, iapd_params, run_opts, observer=observer, state=state0,
-            objective=objective, name=name,
-        )
-        final_gap = rows[-1].objective - ref.objective_value
+        solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts, observer=observer,
+                        state=state0, objective=objective, name=name)
         params = {"alpha": iapd_params.alpha, "beta": iapd_params.beta, "t1": iapd_params.t1,
                   "mu_g": problem.mu_g, "E1": e1}
-        return AlgorithmResult(name, rows, final_gap, params, energy_reports=reports)
-
-    def saddle_gap_observer(row: TraceRow, state):
-        row.gap_ref = problem.lagrangian(state.x, ref.y_star) - problem.lagrangian(ref.x_star, state.y)
-
-    if name == "pda":
+    elif name == "pda":
         alpha, beta, theta = 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0
-        _, _, rows = solvers.solve_pda(
-            problem, alpha, beta, theta, opts,
-            observer=saddle_gap_observer, objective=objective,
-        )
+        solve = partial(solvers.solve_pda, problem, alpha, beta, theta, opts,
+                        observer=saddle_gap_observer, objective=objective)
         params = {"alpha": alpha, "beta": beta, "theta": theta}
     elif name == "apda":
         tau0 = sigma0 = 1.0 / knorm
         gamma = problem.mu_g
-        _, _, rows = solvers.solve_apda(
-            problem, tau0, sigma0, gamma, opts,
-            observer=saddle_gap_observer, objective=objective,
-        )
+        solve = partial(solvers.solve_apda, problem, tau0, sigma0, gamma, opts,
+                        observer=saddle_gap_observer, objective=objective)
         params = {"tau0": tau0, "sigma0": sigma0, "gamma": gamma}
     elif name in ("fista", "tseng"):
         f2 = LeastSquares(problem.K, instance.b)
         alpha = 1.0 / knorm**2
-        solve = solvers.solve_fista if name == "fista" else solvers.solve_tseng
-        _, rows = solve(
-            problem.f1, f2, alpha, opts,
-            x0=np.zeros(problem.primal_dim),
-            objective=objective, name=name,
-        )
+        apg = solvers.solve_fista if name == "fista" else solvers.solve_tseng
+        solve = partial(apg, problem.f1, f2, alpha, opts, observer=objective_gap_observer,
+                        x0=np.zeros(problem.primal_dim), objective=objective, name=name)
         params = {"alpha": alpha}
     else:
         raise ValueError(f"unknown algorithm {name!r}")
 
-    if name in ("fista", "tseng"):
-        # No dual iterate: report the objective gap against the reference.
-        for row in rows:
-            row.gap_ref = row.objective - ref.objective_value
-    return AlgorithmResult(name, rows, rows[-1].objective - ref.objective_value, params)
+    try:
+        rows = solve()[-1]
+    except solvers.DivergenceError as err:
+        return AlgorithmResult(name, err.rows, math.nan, params, energy_reports=reports,
+                               skipped=str(err), diverged_at=err.iteration)
+    return AlgorithmResult(name, rows, rows[-1].objective - ref.objective_value, params,
+                           energy_reports=reports)
 
 
 def _write_summary(out_dir, cfg, ref, results, knorm, inflation) -> Path:
@@ -382,6 +387,9 @@ def _write_summary(out_dir, cfg, ref, results, knorm, inflation) -> Path:
     for name, res in results.items():
         if res.skipped:
             lines.append(f"{name}: SKIPPED ({res.skipped})")
+            if res.diverged_at is not None:
+                lines.append(f"  partial trace: {len(res.rows)} rows kept, "
+                             f"diverged at iteration {res.diverged_at}")
             continue
         lines.append(f"{name}: final objective gap = {res.final_gap:.6g}")
         if res.energy_reports:
@@ -432,6 +440,13 @@ def _write_plotdata(out_dir, results, f_star) -> Path:
     return path
 
 
+def _algorithm_meta(res: AlgorithmResult) -> dict:
+    entry = {"params": res.params, "skipped": res.skipped}
+    if res.diverged_at is not None:
+        entry["partial_trace"] = {"rows": len(res.rows), "diverged_at": res.diverged_at}
+    return entry
+
+
 def _write_meta(out_dir, cfg, ref, results, knorm, iapd_params) -> Path:
     path = out_dir / "run_meta.json"
     meta = {
@@ -445,10 +460,7 @@ def _write_meta(out_dir, cfg, ref, results, knorm, iapd_params) -> Path:
         "norm_estimate": knorm,
         "reference_objective": ref.objective_value,
         "reference_accuracy": ref.accuracy,
-        "algorithms": {
-            name: {"params": res.params, "skipped": res.skipped}
-            for name, res in results.items()
-        },
+        "algorithms": {name: _algorithm_meta(res) for name, res in results.items()},
     }
     path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
     return path

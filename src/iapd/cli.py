@@ -121,8 +121,11 @@ def _cmd_solve(parser, args) -> int:
 
 def _cmd_certify(args) -> int:
     rows = bench.read_csv(args.csv)
+    if not rows:
+        print(f"error: {args.csv} has no rows", file=sys.stderr)
+        return 1
     meta = json.loads(Path(args.meta).read_text(encoding="utf-8"))
-    algo = rows[0].algorithm if rows else ""
+    algo = rows[0].algorithm
     entry = meta.get("algorithms", {}).get(algo)
     if not entry or "E1" not in entry.get("params", {}):
         print(f"error: {args.meta} has no energy metadata for algorithm {algo!r}",

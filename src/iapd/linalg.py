@@ -38,8 +38,10 @@ class LinearMap:
     """Immutable m-by-n linear operator with adjoint and cached norm estimate.
 
     Storage is either a dense row-major float64 array or CSR (via
-    scipy.sparse) with sorted column indices. The operator-norm estimate
-    is computed once by deterministic power iteration and cached.
+    scipy.sparse) with sorted column indices. The adjoint is a transposed
+    view of the same storage (CSC for a CSR map), built once here rather
+    than on every product. The operator-norm estimate is computed once by
+    deterministic power iteration and cached.
     """
 
     def __init__(self, matrix):
@@ -59,6 +61,7 @@ class LinearMap:
         if mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix dimensions must be >= 1")
         self._mat = mat
+        self._adj = mat.T
         self._cached_norm: float | None = None
 
     # -- constructors ------------------------------------------------------
@@ -128,7 +131,7 @@ class LinearMap:
             raise DimensionMismatchError(
                 f"apply_adjoint expects length {self.rows}, got shape {y.shape}"
             )
-        return np.asarray(self._mat.T @ y)
+        return np.asarray(self._adj @ y)
 
     # -- norm estimation ---------------------------------------------------
 

@@ -59,9 +59,15 @@ class L1Norm(ProxFunction):
         return self.weight * float(np.sum(np.abs(x)))
 
     def prox(self, step, z):
+        """Soft thresholding of a 1-D vector z (a 0-d z is not supported)."""
         step = _check_step(step)
         z = np.asarray(z, dtype=np.float64)
-        return np.sign(z) * np.maximum(np.abs(z) - step * self.weight, 0.0)
+        # sign(z) * max(|z| - step weight, 0) into one output buffer; sign(z) stays the first
+        # factor, because a product of two NaNs keeps the first one's sign bit
+        out = np.abs(z)
+        out -= step * self.weight
+        np.maximum(out, 0.0, out=out)
+        return np.multiply(np.sign(z), out, out=out)
 
 
 class NonnegIndicator(ProxFunction):
@@ -92,7 +98,9 @@ class ShiftedQuadratic(ProxFunction):
     def prox(self, step, z):
         step = _check_step(step)
         z = np.asarray(z, dtype=np.float64)
-        return (z - step * self.shift) / (1.0 + step)
+        out = z - step * self.shift
+        out /= 1.0 + step
+        return out
 
     def gradient(self, x):
         return np.asarray(x, dtype=np.float64) + self.shift

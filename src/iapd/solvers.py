@@ -39,7 +39,14 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """A solver produced a non-finite iterate."""
+    """A solver produced a non-finite iterate, the one with index ``iteration``.
+
+    ``_drive`` attaches the trace rows recorded before it as ``rows``.
+    """
+
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message)
+        self.iteration = iteration
 
 
 class UnsupportedStructureError(ValueError):
@@ -192,8 +199,10 @@ def iapd_step(
     y_next += v_next
     y_next /= t_next
 
-    if not (np.isfinite(x_next).all() and np.isfinite(y_next).all() and np.isfinite(v_next).all()):
-        raise DivergenceError(f"non-finite iterate at iteration {state.k + 1}")
+    # y_next = ((t_next - 1) y + v_next) / t_next is non-finite whenever v_next
+    # is, so checking x and y flags exactly the iterates a check of v would.
+    if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
+        raise DivergenceError(f"non-finite iterate at iteration {state.k + 1}", state.k + 1)
 
     a = problem.mu_g * beta
     return IapdState(
@@ -208,6 +217,12 @@ def iapd_step(
         t_next=next_t(t_next, a),
         k=state.k + 1,
     )
+
+
+def _dist(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||_2 of 1-D vectors: np.linalg.norm's own sqrt(d.dot(d)), minus its overhead."""
+    d = a - b
+    return math.sqrt(d.dot(d))
 
 
 def _drive(name: str, opts: SolverOptions, states, observer, objective):
@@ -236,8 +251,8 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
                     k=state.k,
                     t_k=state.t,
                     objective=value,
-                    dx=float(np.linalg.norm(state.x - state.x_prev)),
-                    dy=math.nan if state.y is None else float(np.linalg.norm(state.y - state.y_prev)),
+                    dx=_dist(state.x, state.x_prev),
+                    dy=math.nan if state.y is None else _dist(state.y, state.y_prev),
                     elapsed_s=time.monotonic() - start,
                 )
                 if observer is not None:
@@ -328,7 +343,7 @@ def solve_pda(
             xbar = x_new + theta * (x_new - x)
             y_new = g1.prox(beta, y + beta * K.apply(xbar))
             if not np.isfinite(x_new).all():
-                raise DivergenceError(f"non-finite iterate at iteration {k}")
+                raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
 
@@ -372,7 +387,7 @@ def solve_apda(
             tau /= theta
             xbar = x_new + theta * (x_new - x)
             if not np.isfinite(x_new).all():
-                raise DivergenceError(f"non-finite iterate at iteration {k}")
+                raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
 
@@ -408,7 +423,7 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, option):
             x_prev, x = x, x_new
             t, t_next = t_next, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_next * t_next))
             if not np.isfinite(x).all():
-                raise DivergenceError(f"non-finite iterate at iteration {k}")
+                raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x, x_prev, None, None, t)
 
     last, rows = _drive(name, opts, states(np.array(x0, dtype=np.float64)), observer, objective)

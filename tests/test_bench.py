@@ -1,10 +1,13 @@
 """Instance generators, CSV round trips, and the benchmark driver."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from iapd import solvers
 from iapd.bench import (
     ALGORITHMS,
     CSV_HEADER,
@@ -19,6 +22,8 @@ from iapd.bench import (
 from iapd.problem import validate_params
 from iapd.proxfuns import L1Norm, NonnegIndicator
 from iapd.solvers import TraceRow
+
+from test_baseline_oracle import PoisonedProx
 
 
 def test_l1ls_shapes_and_support():
@@ -261,3 +266,45 @@ def test_run_benchmark_partial_on_infeasible_override(tmp_path):
     # fails fast with a ValueError before running any algorithm
     with pytest.raises(ValueError):
         run_benchmark(cfg)
+
+
+def test_run_benchmark_keeps_partial_trace_of_diverged_algorithm(tmp_path, monkeypatch):
+    cfg = dict(experiment="l1ls", m=20, n=30, seed=5, iters=60,
+               algorithms=("pda", "fista"), reference_effort=1000)
+    clean = run_benchmark(ExperimentConfig(out_dir=tmp_path / "clean", **cfg))
+    solve_pda = solvers.solve_pda
+
+    def poisoned_pda(problem, *args, **kwargs):
+        return solve_pda(replace(problem, f1=PoisonedProx(problem.f1, 20)), *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_pda", poisoned_pda)
+    out = tmp_path / "out"
+    result = run_benchmark(ExperimentConfig(out_dir=out, **cfg))
+
+    assert result.status == 3
+    res = result.results["pda"]
+    assert res.skipped == "non-finite iterate at iteration 20"
+    assert res.diverged_at == 20
+    assert res.params == clean.results["pda"].params
+    rows = read_csv(out / "pda.csv")
+    assert [r.k for r in rows] == list(range(1, 20))
+    want = read_csv(tmp_path / "clean" / "pda.csv")[:19]
+    assert [replace(r, elapsed_s=0.0) for r in rows] == [replace(r, elapsed_s=0.0) for r in want]
+    assert not result.results["fista"].skipped
+    summary = (out / "summary.txt").read_text().splitlines()
+    i = summary.index("pda: SKIPPED (non-finite iterate at iteration 20)")
+    assert summary[i + 1] == "  partial trace: 19 rows kept, diverged at iteration 20"
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["algorithms"]["pda"]["partial_trace"] == {"rows": 19, "diverged_at": 20}
+    assert "partial_trace" not in meta["algorithms"]["fista"]
+
+
+def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):
+    out = tmp_path / "out"
+    common = dict(experiment="l1ls", m=20, n=30, iters=30, reference_effort=300, out_dir=out)
+    run_benchmark(ExperimentConfig(seed=3, algorithms=("iapd-op1", "fista"), **common))
+    assert (out / "iapd-op1.csv").exists()
+    (out / "notes.csv").write_text("kept\n")
+    run_benchmark(ExperimentConfig(seed=4, algorithms=("fista",), **common))
+    assert sorted(p.name for p in out.glob("*.csv")) == ["fista.csv", "notes.csv"]
+    assert json.loads((out / "run_meta.json").read_text())["seed"] == 4

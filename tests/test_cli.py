@@ -149,3 +149,14 @@ def test_certify_requires_energy_metadata(tmp_path, capsys):
                 "--meta", str(out / "run_meta.json")])
     assert code == 1
     assert "no energy metadata" in capsys.readouterr().err
+
+
+def test_certify_reports_a_header_only_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
+                "--out", str(out)]) == 0
+    csv_path = out / "iapd-op1.csv"
+    csv_path.write_text(csv_path.read_text().splitlines()[0] + "\n")
+    code = run(["certify", "--csv", str(csv_path), "--meta", str(out / "run_meta.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {csv_path} has no rows\n"

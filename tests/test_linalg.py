@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iapd.linalg import (
     NORM_SAFETY,
@@ -195,3 +197,52 @@ def test_mm_array_wrong_value_count(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n")
     with pytest.raises(MatrixMarketError):
         read_matrix_market(path)
+
+
+# -- adjoint ----------------------------------------------------------------
+
+
+@st.composite
+def map_and_vectors(draw):
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((m, n)) * (rng.random((m, n)) < draw(st.floats(0.05, 1.0)))
+    sparse = draw(st.booleans())
+    K = LinearMap(sp.csr_array(mat) if sparse else mat)
+    return mat, K, rng.standard_normal(n), rng.standard_normal(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_and_vectors())
+def test_adjoint_identity(case):
+    # <Kx, y> = <x, K^T y>, up to the rounding of two dot products of length m + n
+    mat, K, x, y = case
+    lhs, rhs = float(K.apply(x) @ y), float(x @ K.apply_adjoint(y))
+    scale = float(np.abs(y) @ np.abs(mat) @ np.abs(x))
+    assert abs(lhs - rhs) <= 4.0 * (sum(mat.shape) + 1) * np.finfo(float).eps * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(map_and_vectors())
+def test_sparse_adjoint_is_the_transpose_product(case):
+    mat, _, _, y = case
+    K = LinearMap(sp.csr_array(mat))
+    assert K.apply_adjoint(y).tobytes() == np.asarray(sp.csr_array(mat).T @ y).tobytes()
+
+
+def test_sparse_adjoint_builds_no_transpose_per_call(monkeypatch):
+    rng = np.random.default_rng(5)
+    K = LinearMap(sp.random_array((40, 30), density=0.2, rng=rng, format="csr"))
+    y = rng.standard_normal(40)
+    calls = []
+    original = sp.csr_array.transpose
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_array, "transpose", counting)
+    for _ in range(100):
+        K.apply_adjoint(y)
+    assert len(calls) == 0

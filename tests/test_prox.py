@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iapd.linalg import LinearMap
 from iapd.proxfuns import (
@@ -196,3 +198,69 @@ def test_least_squares_finite_difference_gradient():
 def test_least_squares_dimension_check():
     with pytest.raises(ValueError):
         LeastSquares(LinearMap(np.eye(3)), np.zeros(2))
+
+
+# -- in-place kernels against the textbook forms -----------------------------
+
+# The two prox maps below are the plain one-temporary-per-operation forms the
+# library's single-buffer kernels replace; the kernels must match them byte for
+# byte, NaN payloads and signed zeros included.
+
+
+def oracle_l1_prox(weight, step, z):
+    z = np.asarray(z, dtype=np.float64)
+    return np.sign(z) * np.maximum(np.abs(z) - step * weight, 0.0)
+
+
+def oracle_shifted_quadratic_prox(shift, step, z):
+    z = np.asarray(z, dtype=np.float64)
+    return (z - step * shift) / (1.0 + step)
+
+
+NEG_NAN = float(np.copysign(np.nan, -1.0))
+SPECIALS = [0.0, -0.0, np.nan, NEG_NAN, np.inf, -np.inf, 5e-324, -5e-324,
+            2.2250738585072014e-308, -1e-310, 1.0, -1.0]
+entries = st.one_of(st.sampled_from(SPECIALS), st.floats(width=64))
+steps = st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 1e300]),
+                  st.floats(min_value=5e-324, max_value=1e308))
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), step=steps, weight=st.floats(min_value=0.0, max_value=1e300))
+def test_l1_prox_kernel_matches_textbook_form(data, step, weight):
+    z = np.array(data.draw(st.lists(entries, min_size=1, max_size=40)))
+    before = z.tobytes()
+    with np.errstate(all="ignore"):
+        got = L1Norm(weight).prox(step, z)
+        want = oracle_l1_prox(weight, step, z)
+    assert same_bytes(got, want)
+    assert z.tobytes() == before
+    assert not np.shares_memory(got, z)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), step=steps)
+def test_shifted_quadratic_prox_kernel_matches_textbook_form(data, step):
+    n = data.draw(st.integers(1, 40))
+    z = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    # a scalar shift broadcasts against z, as in the textbook form
+    shift = np.array(data.draw(st.one_of(entries, st.lists(entries, min_size=n, max_size=n))))
+    g = ShiftedQuadratic(shift)
+    before, shift_before = z.tobytes(), g.shift.tobytes()
+    with np.errstate(all="ignore"):
+        got = g.prox(step, z)
+        want = oracle_shifted_quadratic_prox(shift, step, z)
+    assert same_bytes(got, want)
+    assert z.tobytes() == before and g.shift.tobytes() == shift_before
+    assert not np.shares_memory(got, z) and not np.shares_memory(got, g.shift)
+
+
+def test_l1_prox_of_negative_zero_is_positive_zero():
+    # np.sign(-0.0) is +0.0, so z = -0.0 maps to +0.0 (copysign would give -0.0),
+    # while a thresholded negative entry maps to -1 * 0.0 = -0.0
+    got = L1Norm(0.5).prox(1.0, np.array([-0.0, 0.0, -0.25]))
+    assert got.tobytes() == np.array([0.0, 0.0, -0.0]).tobytes()
