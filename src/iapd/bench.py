@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diagnostics, solvers
 from .linalg import LinearMap
-from .problem import ReferencePoint, SaddleProblem, StepParams, compute_reference
+from .problem import ReferencePoint, SaddleProblem, StepParams, _reference_gap, compute_reference
 from .proxfuns import L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from .solvers import SolverOptions, TraceRow
 
@@ -70,9 +70,11 @@ class ExperimentConfig:
             raise ValueError("observer_stride must be >= 1")
         if not self.algorithms:
             raise ValueError("algorithm set must be nonempty")
-        for name in self.algorithms:
+        for i, name in enumerate(self.algorithms):
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
+            if name in self.algorithms[:i]:
+                raise ValueError(f"algorithm {name!r} is listed more than once")
         if self.experiment == "nnls" and not 0 < self.density <= 1:
             raise ValueError("density must lie in (0, 1]")
         if self.lam < 0:
@@ -317,8 +319,14 @@ def _run_algorithm(
     objective = instance.objective
     reports = []
 
-    def saddle_gap_observer(row: TraceRow, state):
-        row.gap_ref = problem.lagrangian(state.x, ref.y_star) - problem.lagrangian(ref.x_star, state.y)
+    def saddle_gap_observer():
+        # The reference-side terms are evaluated once per solve, not once per row.
+        gap_at = _reference_gap(problem, ref.x_star, ref.y_star)
+
+        def observer(row: TraceRow, state):
+            row.gap_ref = gap_at(state.x, state.y)
+
+        return observer
 
     def objective_gap_observer(row: TraceRow, state):
         # No dual iterate: report the objective gap against the reference.
@@ -331,12 +339,13 @@ def _run_algorithm(
             max_iters=opts.max_iters, option=option, observer_stride=opts.observer_stride
         )
         state0 = solvers.init_iapd_state(problem, iapd_params)
-        first = diagnostics.energy(problem, iapd_params, state0, ref)
+        energy_at = diagnostics._energy_at(problem, iapd_params, ref)
+        first = energy_at(state0)
         e1 = first.energy
         reports.append(first)
 
         def observer(row: TraceRow, state):
-            rep = diagnostics.energy(problem, iapd_params, state, ref, e1)
+            rep = energy_at(state, e1)
             row.gap_ref = rep.gap_ref
             row.energy = rep.energy
             reports.append(rep)
@@ -348,13 +357,13 @@ def _run_algorithm(
     elif name == "pda":
         alpha, beta, theta = 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0
         solve = partial(solvers.solve_pda, problem, alpha, beta, theta, opts,
-                        observer=saddle_gap_observer, objective=objective)
+                        observer=saddle_gap_observer(), objective=objective)
         params = {"alpha": alpha, "beta": beta, "theta": theta}
     elif name == "apda":
         tau0 = sigma0 = 1.0 / knorm
         gamma = problem.mu_g
         solve = partial(solvers.solve_apda, problem, tau0, sigma0, gamma, opts,
-                        observer=saddle_gap_observer, objective=objective)
+                        observer=saddle_gap_observer(), objective=objective)
         params = {"tau0": tau0, "sigma0": sigma0, "gamma": gamma}
     elif name in ("fista", "tseng"):
         f2 = LeastSquares(problem.K, instance.b)

@@ -32,9 +32,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _parse_algos(parser: argparse.ArgumentParser, spec: str) -> tuple[str, ...]:
     names = tuple(s for s in (tok.strip() for tok in spec.split(",")) if s)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ALGORITHMS:
             parser.error(f"unknown algorithm {name!r}; choose from {','.join(ALGORITHMS)}")
+        if name in names[:i]:
+            parser.error(f"algorithm {name!r} is listed more than once")
     if not names:
         parser.error("empty algorithm set")
     return names

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ReferencePoint, SaddleProblem, StepParams
+from .problem import ReferencePoint, SaddleProblem, StepParams, _reference_gap
 from .solvers import IapdState
 
 __all__ = [
@@ -59,51 +59,66 @@ def energy(
     """Evaluate the four-term energy at the reference point for one state.
 
     ``e1`` is the initial-state energy used in the certified bounds; when
-    omitted (only sensible at k = 1) the state's own energy is used.
+    omitted (only sensible at k = 1) the state's own energy is used. Each
+    call evaluates the reference-side terms of the gap afresh.
+    """
+    return _energy_at(problem, params, ref)(state, e1)
+
+
+def _energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
+    """The per-solve form of :func:`energy`: a map (state, e1=None) -> EnergyReport.
+
+    The reference-side terms of the gap are evaluated once, here, so each
+    report costs two products with K, not three.
     """
     alpha, beta = params.alpha, params.beta
-    t, t_next = state.t, state.t_next
     xs, ys = ref.x_star, ref.y_star
+    gap_at = _reference_gap(problem, xs, ys)
 
-    gap = problem.lagrangian(state.x, ys) - problem.lagrangian(xs, state.y)
-    i1 = t * t * gap
+    def evaluate(state: IapdState, e1: float | None = None) -> EnergyReport:
+        t, t_next = state.t, state.t_next
 
-    du = state.u - xs
-    i2 = float(du @ du) / (2.0 * alpha)
+        gap = gap_at(state.x, state.y)
+        i1 = t * t * gap
 
-    dv = state.v - ys
-    i3 = (t_next * t_next) * float(dv @ dv) / (2.0 * beta)
+        du = state.u - xs
+        i2 = float(du @ du) / (2.0 * alpha)
 
-    # K is applied to u_k - x* directly, keeping the diagnostic independent
-    # of any product cached inside the solver.
-    dvv = state.v - state.v_prev
-    i4 = -t * float(problem.K.apply(du) @ dvv) + (
-        (t * t - beta * problem.g2.lipschitz) * float(dvv @ dvv) / (2.0 * beta)
-    )
+        dv = state.v - ys
+        i3 = (t_next * t_next) * float(dv @ dv) / (2.0 * beta)
 
-    total = i1 + i2 + i3 + i4
-    if e1 is None:
-        e1 = total
+        # K is applied to u_k - x* directly, keeping the diagnostic independent
+        # of any product cached inside the solver.
+        dvv = state.v - state.v_prev
+        i4 = -t * float(problem.K.apply(du) @ dvv) + (
+            (t * t - beta * problem.g2.lipschitz) * float(dvv @ dvv) / (2.0 * beta)
+        )
 
-    dy_ref = state.y - ys
-    return EnergyReport(
-        k=state.k,
-        t_k=t,
-        t_next=t_next,
-        energy=total,
-        i1=i1,
-        i2=i2,
-        i3=i3,
-        i4=i4,
-        gap_ref=gap,
-        bound_gap=e1 / (t * t),
-        dual_dist_sq=float(dy_ref @ dy_ref),
-        dual_bound=2.0 * e1 / (problem.mu_g * t * t),
-        v_dist_sq=float(dv @ dv),
-        v_bound=2.0 * beta * e1 / (t_next * t_next),
-        dx=float(np.linalg.norm(state.x - state.x_prev)),
-        dy=float(np.linalg.norm(state.y - state.y_prev)),
-    )
+        total = i1 + i2 + i3 + i4
+        if e1 is None:
+            e1 = total
+
+        dy_ref = state.y - ys
+        return EnergyReport(
+            k=state.k,
+            t_k=t,
+            t_next=t_next,
+            energy=total,
+            i1=i1,
+            i2=i2,
+            i3=i3,
+            i4=i4,
+            gap_ref=gap,
+            bound_gap=e1 / (t * t),
+            dual_dist_sq=float(dy_ref @ dy_ref),
+            dual_bound=2.0 * e1 / (problem.mu_g * t * t),
+            v_dist_sq=float(dv @ dv),
+            v_bound=2.0 * beta * e1 / (t_next * t_next),
+            dx=float(np.linalg.norm(state.x - state.x_prev)),
+            dy=float(np.linalg.norm(state.y - state.y_prev)),
+        )
+
+    return evaluate
 
 
 def _reference_inflation(accuracy: float, objective_value: float) -> float:

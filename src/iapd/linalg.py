@@ -5,6 +5,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+# scipy's compiled CSR and CSC matrix-vector kernels. A product ``mat @ x`` of a
+# CSR or CSC array and a 1-D float64 x ends in exactly
+# ``<format>_matvec(m, n, indptr, indices, data, x, np.zeros(m))``, in
+# scipy.sparse._compressed._cs_matrix._matmul_vector; calling the kernel
+# directly skips the ~4 us of Python dispatch in front of it.
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
 __all__ = [
     "DimensionMismatchError",
     "MatrixMarketError",
@@ -38,9 +45,12 @@ class LinearMap:
     """Immutable m-by-n linear operator with adjoint and cached norm estimate.
 
     Storage is either a dense row-major float64 array or CSR (via
-    scipy.sparse) with sorted column indices. The adjoint is a transposed
-    view of the same storage (CSC for a CSR map), built once here rather
-    than on every product. The operator-norm estimate is computed once by
+    scipy.sparse) with sorted column indices. A dense map multiplies by the
+    array and by its transposed view, built once here. A CSR map calls
+    scipy's compiled kernels on its own arrays: ``csr_matvec`` for K x, and
+    ``csc_matvec`` for K^T y, reading the same arrays as the CSC storage of
+    K^T. The products are byte for byte those of ``mat @ x`` and
+    ``mat.T @ y``. The operator-norm estimate is computed once by
     deterministic power iteration and cached.
     """
 
@@ -61,7 +71,14 @@ class LinearMap:
         if mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix dimensions must be >= 1")
         self._mat = mat
-        self._adj = mat.T
+        if self._sparse:
+            # The kernels' leading arguments: the shape each kernel reads, then
+            # the CSR arrays (K's CSR storage, which is K^T's CSC storage).
+            arrays = (mat.indptr, mat.indices, mat.data)
+            self._csr_args = (mat.shape[0], mat.shape[1], *arrays)
+            self._csc_args = (mat.shape[1], mat.shape[0], *arrays)
+        else:
+            self._adj = mat.T
         self._cached_norm: float | None = None
 
     # -- constructors ------------------------------------------------------
@@ -122,6 +139,10 @@ class LinearMap:
             raise DimensionMismatchError(
                 f"apply expects length {self.cols}, got shape {x.shape}"
             )
+        if self._sparse:
+            out = np.zeros(self.rows)
+            csr_matvec(*self._csr_args, x, out)
+            return out
         return np.asarray(self._mat @ x)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -131,6 +152,10 @@ class LinearMap:
             raise DimensionMismatchError(
                 f"apply_adjoint expects length {self.rows}, got shape {y.shape}"
             )
+        if self._sparse:
+            out = np.zeros(self.cols)
+            csc_matvec(*self._csc_args, y, out)
+            return out
         return np.asarray(self._adj @ y)
 
     # -- norm estimation ---------------------------------------------------

@@ -58,19 +58,7 @@ class SaddleProblem:
 
         Infeasible x takes precedence when both occur.
         """
-        fx = self.f1.value(x)
-        if np.isinf(fx):
-            return np.inf
-        gy = self.g1.value(y)
-        if np.isinf(gy):
-            return -np.inf
-        return (
-            fx
-            + self.f2.value(x)
-            + float(self.K.apply(x) @ np.asarray(y, dtype=np.float64))
-            - gy
-            - self.g2.value(y)
-        )
+        return _lagrangian(self, x, y, self.f1.value(x))
 
     def primal_objective(self, x: np.ndarray) -> float:
         """f(x) + g*(Kx), the primal value of the saddle formulation.
@@ -80,6 +68,46 @@ class SaddleProblem:
         if not isinstance(self.g2, ZeroSmooth):
             raise ValueError("primal objective needs a vanished g2")
         return self.f1.value(x) + self.f2.value(x) + self.g1.conjugate(self.K.apply(x))
+
+
+def _lagrangian(problem, x, y, fx, gy=None, f2x=None, kx=None, g2y=None) -> float:
+    """L(x, y) = f1(x) + f2(x) + <Kx, y> - g1(y) - g2(y), with f1(x) = ``fx`` given.
+
+    The other terms are evaluated here unless given, and only when the
+    infeasibility tests before them have passed: +inf for infeasible x,
+    then -inf for infeasible y.
+    """
+    if np.isinf(fx):
+        return np.inf
+    if gy is None:
+        gy = problem.g1.value(y)
+    if np.isinf(gy):
+        return -np.inf
+    if f2x is None:
+        f2x = problem.f2.value(x)
+    if kx is None:
+        kx = problem.K.apply(x)
+    if g2y is None:
+        g2y = problem.g2.value(y)
+    return fx + f2x + float(kx @ np.asarray(y, dtype=np.float64)) - gy - g2y
+
+
+def _reference_gap(problem: SaddleProblem, x_star: np.ndarray, y_star: np.ndarray):
+    """The map (x, y) -> L(x, y*) - L(x*, y), for one fixed reference (x*, y*).
+
+    f1(x*), f2(x*), K x*, g1(y*) and g2(y*) are evaluated once, here, so
+    one gap costs one product K x; each value is bit for bit
+    ``lagrangian(x, y_star) - lagrangian(x_star, y)``.
+    """
+    f1, f2, g1, g2 = problem.f1, problem.f2, problem.g1, problem.g2
+    fxs, gys = f1.value(x_star), g1.value(y_star)
+    f2xs, kxs, g2ys = f2.value(x_star), problem.K.apply(x_star), g2.value(y_star)
+
+    def gap(x, y) -> float:
+        return (_lagrangian(problem, x, y_star, f1.value(x), gy=gys, g2y=g2ys)
+                - _lagrangian(problem, x_star, y, fxs, f2x=f2xs, kx=kxs))
+
+    return gap
 
 
 @dataclass(frozen=True)

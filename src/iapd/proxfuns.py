@@ -56,7 +56,7 @@ class L1Norm(ProxFunction):
         self.weight = float(weight)
 
     def value(self, x) -> float:
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * float(np.abs(x).sum())
 
     def prox(self, step, z):
         """Soft thresholding of a 1-D vector z (a 0-d z is not supported)."""
@@ -74,7 +74,7 @@ class NonnegIndicator(ProxFunction):
     """Indicator of the nonnegative orthant; prox is the projection."""
 
     def value(self, x) -> float:
-        if np.min(x) < 0:
+        if np.asarray(x).min() < 0:
             return np.inf
         return 0.0
 

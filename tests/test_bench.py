@@ -19,6 +19,7 @@ from iapd.bench import (
     read_csv,
     run_benchmark,
 )
+from iapd.linalg import LinearMap
 from iapd.problem import validate_params
 from iapd.proxfuns import L1Norm, NonnegIndicator
 from iapd.solvers import TraceRow
@@ -113,6 +114,13 @@ def test_config_rejects_zero_stride():
     # Rejected with the other config checks, before any output or reference work.
     with pytest.raises(ValueError, match="observer_stride"):
         ExperimentConfig(experiment="l1ls", m=2, n=2, seed=0, iters=1, observer_stride=0)
+
+
+def test_config_rejects_a_repeated_algorithm():
+    # A repeated name used to be solved once per repetition, with one result kept.
+    with pytest.raises(ValueError, match="'fista' is listed more than once"):
+        ExperimentConfig(experiment="l1ls", m=2, n=2, seed=0, iters=1,
+                         algorithms=("fista", "pda", "fista"))
 
 
 # -- CSV -------------------------------------------------------------------
@@ -308,3 +316,22 @@ def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):
     run_benchmark(ExperimentConfig(seed=4, algorithms=("fista",), **common))
     assert sorted(p.name for p in out.glob("*.csv")) == ["fista.csv", "notes.csv"]
     assert json.loads((out / "run_meta.json").read_text())["seed"] == 4
+
+
+@pytest.mark.parametrize("name, per_iteration", [("iapd-op1", 4), ("iapd-op2", 4),
+                                                 ("pda", 3), ("apda", 3)])
+def test_certified_rows_take_one_product_per_gap(name, per_iteration, tmp_path, monkeypatch):
+    """K x* is taken once per solve, so an iteration with a certified row costs:
+    the step's one forward product, the objective's K x, the gap's K x and,
+    for an energy row, K (u - x*)."""
+    calls = []
+    original = LinearMap.apply
+    monkeypatch.setattr(LinearMap, "apply", lambda self, v: calls.append(1) or original(self, v))
+    counts = []
+    for iters in (20, 40):
+        calls.clear()
+        run_benchmark(ExperimentConfig(experiment="nnls", m=30, n=20, seed=4, iters=iters,
+                                       density=0.3, algorithms=(name,), reference_effort=200,
+                                       out_dir=tmp_path / str(iters)))
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 20 * per_iteration

@@ -21,6 +21,14 @@ def test_unknown_algorithm_is_usage_error(capsys):
     assert err.value.code == 2
 
 
+def test_repeated_algorithm_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["bench", "l1ls", *BENCH_SMALL, "--algos", "fista,fista", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "'fista' is listed more than once" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run([])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from iapd import diagnostics
 from iapd.bench import generate_l1ls
 from iapd.diagnostics import (
     EnergyReport,
@@ -14,6 +15,7 @@ from iapd.diagnostics import (
     energy,
     slope,
 )
+from iapd.linalg import LinearMap
 from iapd.problem import ReferencePoint, StepParams, compute_reference
 from iapd.solvers import iapd_step, init_iapd_state
 
@@ -180,3 +182,29 @@ def test_energy_trace_empty_and_anchoring():
     for r in reports:
         assert r.bound_gap == pytest.approx(e1 / r.t_k**2, rel=1e-12)
         assert r.dual_bound == pytest.approx(2.0 * e1 / r.t_k**2, rel=1e-12)
+
+
+def test_energy_row_takes_two_products(monkeypatch):
+    """The per-solve evaluator takes K x* once; a row then costs K x and K (u - x*)."""
+    inst, params = small_setup()
+    problem = inst.problem
+    ref = compute_reference(problem, 300, params=params)
+    states = [init_iapd_state(problem, params)]
+    for _ in range(5):
+        states.append(iapd_step(problem, params, states[-1], "option1"))
+    energy_at = diagnostics._energy_at(problem, params, ref)
+    e1 = energy_at(states[0]).energy
+
+    calls = []
+    original = LinearMap.apply
+    monkeypatch.setattr(LinearMap, "apply", lambda self, v: calls.append(1) or original(self, v))
+    reports = [energy_at(st, e1) for st in states[1:]]
+    assert len(calls) == 2 * 5
+    monkeypatch.undo()
+
+    def fields(rep):
+        return [np.float64(v).tobytes() for v in dataclasses.astuple(rep)]
+
+    # the public one-shot form gives the same reports, bit for bit
+    assert [fields(r) for r in reports] == [fields(energy(problem, params, st, ref, e1))
+                                            for st in states[1:]]

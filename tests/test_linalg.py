@@ -246,3 +246,67 @@ def test_sparse_adjoint_builds_no_transpose_per_call(monkeypatch):
     for _ in range(100):
         K.apply_adjoint(y)
     assert len(calls) == 0
+
+
+# -- sparse products at kernel cost ------------------------------------------------
+
+
+@st.composite
+def raw_csr_and_vectors(draw):
+    """A CSR array built from raw arrays, and the vectors to multiply it by.
+
+    Rows and columns may be empty, nnz may be 0, a row may hold the same
+    column twice or its columns out of order, and the index arrays are int32
+    or int64. Each vector is float64, a strided float64 view, or float32.
+    """
+    m, n = draw(st.integers(1, 25)), draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, draw(st.integers(0, 2 * n)) + 1, size=m)
+    counts[rng.random(m) < 0.3] = 0
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index_dtype)
+    indices = rng.integers(0, n, size=int(indptr[-1])).astype(index_dtype)
+    data = rng.standard_normal(indices.size)
+    mat = sp.csr_array((data, indices, indptr), shape=(m, n))
+
+    def vector(size):
+        kind = draw(st.sampled_from(["float64", "strided", "float32"]))
+        v = rng.standard_normal(2 * size)
+        return {"float64": v[:size], "strided": v[::2], "float32": v[:size].astype(np.float32)}[kind]
+
+    return mat, vector(n), vector(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_csr_and_vectors())
+def test_sparse_products_are_the_scipy_products(case):
+    mat, x, y = case
+    K = LinearMap(mat.copy())
+    # the map sorts its column indices; the reference is the same sort of the same arrays
+    ref = mat.copy()
+    ref.sort_indices()
+    assert K.apply(x).tobytes() == np.asarray(ref @ x).tobytes()
+    assert K.apply_adjoint(y).tobytes() == np.asarray(ref.T @ y).tobytes()
+    assert K.apply(x).dtype == K.apply_adjoint(y).dtype == np.float64
+    with pytest.raises(DimensionMismatchError):
+        K.apply(np.zeros(mat.shape[1] + 1))
+    with pytest.raises(DimensionMismatchError):
+        K.apply_adjoint(np.zeros(mat.shape[0] + 1))
+
+
+def test_sparse_products_skip_scipy_dispatch(monkeypatch):
+    rng = np.random.default_rng(6)
+    K = LinearMap(sp.random_array((40, 30), density=0.2, rng=rng, format="csr"))
+    x, y = rng.standard_normal(30), rng.standard_normal(40)
+    calls = []
+    original = sp._base._spbase._matmul_dispatch
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(sp._base._spbase, "_matmul_dispatch", counting)
+    for _ in range(50):
+        K.apply(x)
+        K.apply_adjoint(y)
+    assert len(calls) == 0

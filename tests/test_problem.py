@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iapd.linalg import LinearMap
 from iapd.problem import (
     SaddleProblem,
     StepParams,
+    _reference_gap,
     compute_reference,
     default_step_params,
     validate_params,
 )
 from iapd.proxfuns import (
     L1Norm,
+    LeastSquares,
     NonnegIndicator,
     ShiftedQuadratic,
     SmoothFunction,
@@ -249,3 +254,79 @@ def test_nesterov_branch_locks_in_under_strong_dual_steps():
         t = next_t(t, a)
         t_plain = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_plain * t_plain))
         assert t == t_plain
+
+
+# -- the per-solve gap ----------------------------------------------------------
+
+
+def oracle_lagrangian(problem, x, y):
+    """SaddleProblem.lagrangian as one expression, with its +inf/-inf precedence."""
+    fx = problem.f1.value(x)
+    if np.isinf(fx):
+        return np.inf
+    gy = problem.g1.value(y)
+    if np.isinf(gy):
+        return -np.inf
+    return (
+        fx
+        + problem.f2.value(x)
+        + float(problem.K.apply(x) @ np.asarray(y, dtype=np.float64))
+        - gy
+        - problem.g2.value(y)
+    )
+
+
+# Mostly ordinary entries; the rest make x infeasible under NonnegIndicator,
+# f1 or g1 infinite, or a term NaN.
+gap_entries = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]))
+
+
+@st.composite
+def saddle_and_points(draw):
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.5)
+    K = LinearMap(sp.csr_array(mat) if draw(st.booleans()) else mat)
+    f1 = draw(st.sampled_from([L1Norm(0.3), NonnegIndicator(), ZeroProx()]))
+    f2 = ZeroSmooth() if draw(st.booleans()) else LeastSquares(
+        LinearMap(rng.standard_normal((3, n))), rng.standard_normal(3))
+    g2 = ZeroSmooth() if draw(st.booleans()) else LeastSquares(
+        LinearMap(rng.standard_normal((2, m))), rng.standard_normal(2))
+    problem = SaddleProblem(f1=f1, f2=f2, g1=ShiftedQuadratic(rng.standard_normal(m)), g2=g2, K=K)
+
+    def point(size):
+        if draw(st.booleans()):
+            return rng.standard_normal(size)
+        return np.array(draw(st.lists(gap_entries, min_size=size, max_size=size)))
+
+    return problem, point(n), point(m), point(n), point(m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(saddle_and_points())
+def test_reference_gap_is_the_difference_of_two_lagrangians(case):
+    problem, x_star, y_star, x, y = case
+    with np.errstate(all="ignore"):
+        gap_at = _reference_gap(problem, x_star, y_star)
+        got = gap_at(x, y)
+        want = oracle_lagrangian(problem, x, y_star) - oracle_lagrangian(problem, x_star, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.float64(gap_at(x, y)).tobytes() == np.float64(got).tobytes()
+        for a, b in ((x, y_star), (x_star, y)):
+            assert (np.float64(problem.lagrangian(a, b)).tobytes()
+                    == np.float64(oracle_lagrangian(problem, a, b)).tobytes())
+
+
+def test_reference_gap_takes_one_product_per_call(monkeypatch):
+    problem = SaddleProblem(f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic(np.ones(4)),
+                            g2=ZeroSmooth(), K=LinearMap(np.arange(12.0).reshape(4, 3)))
+    gap_at = _reference_gap(problem, np.ones(3), np.zeros(4))
+    calls = []
+    original = LinearMap.apply
+    monkeypatch.setattr(LinearMap, "apply", lambda self, v: calls.append(1) or original(self, v))
+    for k in range(10):
+        gap_at(np.full(3, float(k)), np.ones(4))
+    assert len(calls) == 10
+    # an infeasible x is +inf before its product is taken
+    assert gap_at(np.array([-1.0, 0.0, 0.0]), np.ones(4)) == np.inf
+    assert len(calls) == 10

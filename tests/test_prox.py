@@ -264,3 +264,36 @@ def test_l1_prox_of_negative_zero_is_positive_zero():
     # while a thresholded negative entry maps to -1 * 0.0 = -0.0
     got = L1Norm(0.5).prox(1.0, np.array([-0.0, 0.0, -0.25]))
     assert got.tobytes() == np.array([0.0, 0.0, -0.0]).tobytes()
+
+
+# -- value() against the plain forms -------------------------------------------------
+
+# The forms the library's value() methods replaced: the same reductions, called
+# through numpy's module-level wrappers.
+
+
+def oracle_l1_value(weight, x):
+    return weight * float(np.sum(np.abs(x)))
+
+
+def oracle_nonneg_value(x):
+    if np.min(x) < 0:
+        return np.inf
+    return 0.0
+
+
+def float_bytes(v):
+    return type(v), np.float64(v).tobytes()
+
+
+values_input = st.lists(entries, min_size=1, max_size=40).flatmap(
+    lambda xs: st.sampled_from([xs, np.array(xs), np.array(xs)[::-1]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=values_input, weight=st.one_of(st.sampled_from([0.0, 1.0, 1e300]),
+                                        st.floats(min_value=0.0)))
+def test_value_kernels_match_their_plain_forms(x, weight):
+    with np.errstate(all="ignore"):
+        assert float_bytes(L1Norm(weight).value(x)) == float_bytes(oracle_l1_value(weight, x))
+        assert float_bytes(NonnegIndicator().value(x)) == float_bytes(oracle_nonneg_value(x))

@@ -1,6 +1,7 @@
 """Solver tests: scalar sequence, hand-worked steps, reductions, baselines."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -351,23 +352,25 @@ def gap_instance():
     return inst, ref
 
 
-def run_solver(name, inst, opts, objective):
+def run_solver(name, inst, opts, objective, observer=None):
     """Trace rows of one solve, and the final state's k for iapd (None for baselines)."""
     problem = inst.problem
     knorm = problem.K.norm()
     if name.startswith("iapd"):
         option = "option1" if name == "iapd-op1" else "option2"
         state, rows = solve_iapd(problem, preset_params("l1ls", knorm), replace(opts, option=option),
-                                 objective=objective)
+                                 observer=observer, objective=objective)
         return rows, state.k
     if name in ("fista", "tseng"):
         solve = solve_fista if name == "fista" else solve_tseng
         _, rows = solve(problem.f1, LeastSquares(problem.K, inst.b), 1.0 / knorm**2, opts,
-                        x0=np.zeros(problem.primal_dim), objective=objective)
+                        observer=observer, x0=np.zeros(problem.primal_dim), objective=objective)
     elif name == "pda":
-        _, _, rows = solve_pda(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0, opts, objective=objective)
+        _, _, rows = solve_pda(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0, opts,
+                               observer=observer, objective=objective)
     else:
-        _, _, rows = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, problem.mu_g, opts, objective=objective)
+        _, _, rows = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, problem.mu_g, opts,
+                                observer=observer, objective=objective)
     return rows, None
 
 
@@ -419,3 +422,39 @@ def test_gap_stop_keeps_the_stopping_row(name, after, gap_instance):
     assert rows[-1].objective - ref.objective_value == gaps[stop_at - 1]
     if state_k is not None:
         assert rows[-1].k == state_k
+
+
+# -- the solver clock ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+def test_elapsed_is_solver_time_only(name, gap_instance):
+    """The clock pauses while the objective and the observer run."""
+    inst, _ = gap_instance
+
+    def objective(x):
+        time.sleep(0.005)
+        return inst.objective(x)
+
+    def observer(row, state):
+        time.sleep(0.005)
+
+    rows, _ = run_solver(name, inst, SolverOptions(max_iters=10), objective, observer)
+    elapsed = [row.elapsed_s for row in rows]
+    # 10 objective and 9 observer sleeps of 5 ms came before the 10th row's clock reading
+    assert elapsed[9] < 0.03
+    assert elapsed == sorted(elapsed)
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+def test_throughput_loop_reads_the_clock_once_per_row(name, gap_instance, monkeypatch):
+    """Without an objective or an observer, the clock is read at the start and per row."""
+    inst, _ = gap_instance
+    calls = []
+    for clock in ("monotonic", "monotonic_ns", "perf_counter", "perf_counter_ns"):
+        original = getattr(time, clock)
+        monkeypatch.setattr(time, clock, lambda f=original: calls.append(None) or f())
+    rows, _ = run_solver(name, inst, SolverOptions(max_iters=60, observer_stride=7), None)
+    monkeypatch.undo()
+    assert len(rows) == 9  # k = 7, 14, ..., 56 and the last iteration
+    assert len(calls) == 1 + len(rows)
