@@ -8,7 +8,7 @@ gradient methods. A benchmark harness generates seeded l1-regularized and
 nonnegative least-squares instances and emits CSV traces.
 """
 
-from .diagnostics import EnergyReport, certify, energy, slope
+from .diagnostics import EnergyReport, certify, energy_at, slope
 from .linalg import (
     DimensionMismatchError,
     LinearMap,

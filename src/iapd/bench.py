@@ -109,6 +109,7 @@ def generate_l1ls(m: int, n: int, lam: float, seed: int) -> GeneratedInstance:
     planted[support] = rng.uniform(-10.0, 10.0, size=support.size)
     noise = rng.normal(0.0, math.sqrt(0.1), size=m)
     b = K @ planted + noise
+    K.flags.writeable = False  # hand K over: LinearMap keeps it without a copy
     problem = SaddleProblem(
         f1=L1Norm(lam),
         f2=ZeroSmooth(),
@@ -132,17 +133,17 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
     dense = np.where(mask, rng.uniform(0.0, 0.1, size=(m, n)), 0.0)
     import scipy.sparse as sp
 
-    K = sp.csr_array(sp.coo_array(dense))
+    K = LinearMap(sp.coo_array(dense))
     planted = np.zeros(n)
     support = rng.choice(n, size=round(0.05 * n), replace=False)
     planted[support] = rng.uniform(0.0, 100.0, size=support.size)
-    b = K @ planted
+    b = K.apply(planted)
     problem = SaddleProblem(
         f1=NonnegIndicator(),
         f2=ZeroSmooth(),
         g1=ShiftedQuadratic(b),
         g2=ZeroSmooth(),
-        K=LinearMap(K),
+        K=K,
     )
     return GeneratedInstance(problem, b, planted, name=f"nnls-m{m}-n{n}-s{density}-seed{seed}")
 
@@ -238,7 +239,6 @@ class BenchResult:
     out_dir: Path
     reference: ReferencePoint
     results: dict[str, AlgorithmResult]
-    files: list[Path] = field(default_factory=list)
 
 
 def _make_instance(cfg: ExperimentConfig) -> GeneratedInstance:
@@ -291,18 +291,17 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
             status = 3
         results[name] = res
 
-    files = []
+    written = []
     for name, res in results.items():
         if res.rows:
-            path = out_dir / f"{name}.csv"
-            emit_csv(res.rows, path)
-            files.append(path)
-    for name in set(ALGORITHMS).difference(path.stem for path in files):
+            emit_csv(res.rows, out_dir / f"{name}.csv")
+            written.append(name)
+    for name in set(ALGORITHMS).difference(written):
         (out_dir / f"{name}.csv").unlink(missing_ok=True)
-    files.append(_write_summary(out_dir, cfg, ref, results, knorm, inflation))
-    files.append(_write_plotdata(out_dir, results, f_star))
-    files.append(_write_meta(out_dir, cfg, ref, results, knorm, iapd_params))
-    return BenchResult(status, out_dir, ref, results, files)
+    _write_summary(out_dir, cfg, ref, results, knorm, inflation)
+    _write_plotdata(out_dir, results, f_star)
+    _write_meta(out_dir, cfg, ref, results, knorm, iapd_params)
+    return BenchResult(status, out_dir, ref, results)
 
 
 def _run_algorithm(
@@ -339,7 +338,7 @@ def _run_algorithm(
             max_iters=opts.max_iters, option=option, observer_stride=opts.observer_stride
         )
         state0 = solvers.init_iapd_state(problem, iapd_params)
-        energy_at = diagnostics._energy_at(problem, iapd_params, ref)
+        energy_at = diagnostics.energy_at(problem, iapd_params, ref)
         first = energy_at(state0)
         e1 = first.energy
         reports.append(first)
@@ -384,7 +383,7 @@ def _run_algorithm(
                            energy_reports=reports)
 
 
-def _write_summary(out_dir, cfg, ref, results, knorm, inflation) -> Path:
+def _write_summary(out_dir, cfg, ref, results, knorm, inflation) -> None:
     path = out_dir / "summary.txt"
     lines = [
         f"experiment: {cfg.experiment}  m={cfg.m} n={cfg.n} seed={cfg.seed} iters={cfg.iters}",
@@ -424,10 +423,9 @@ def _write_summary(out_dir, cfg, ref, results, knorm, inflation) -> Path:
                     f"({fit.n_used} rows, {fit.n_excluded} excluded)"
                 )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
 
 
-def _write_plotdata(out_dir, results, f_star) -> Path:
+def _write_plotdata(out_dir, results, f_star) -> None:
     """Wide tab-separated table: per algorithm, objective gap and elapsed time."""
     path = out_dir / "plotdata.tsv"
     active = [(n, r) for n, r in results.items() if r.rows]
@@ -446,7 +444,6 @@ def _write_plotdata(out_dir, results, f_star) -> Path:
                 cells += ["", "", ""]
         out.append("\t".join(cells))
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
-    return path
 
 
 def _algorithm_meta(res: AlgorithmResult) -> dict:
@@ -456,7 +453,7 @@ def _algorithm_meta(res: AlgorithmResult) -> dict:
     return entry
 
 
-def _write_meta(out_dir, cfg, ref, results, knorm, iapd_params) -> Path:
+def _write_meta(out_dir, cfg, ref, results, knorm, iapd_params) -> None:
     path = out_dir / "run_meta.json"
     meta = {
         "experiment": cfg.experiment,
@@ -472,4 +469,3 @@ def _write_meta(out_dir, cfg, ref, results, knorm, iapd_params) -> Path:
         "algorithms": {name: _algorithm_meta(res) for name, res in results.items()},
     }
     path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    return path

@@ -121,23 +121,35 @@ def _cmd_solve(parser, args) -> int:
     return result.status
 
 
+def _meta_number(obj: dict, key: str, where: str):
+    """A numeric field of run_meta.json; a missing or non-numeric one raises ValueError."""
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        what = "a non-numeric field" if key in obj else "no field"
+        raise ValueError(f"{where} has {what} {key!r}")
+    return value
+
+
 def _cmd_certify(args) -> int:
     rows = bench.read_csv(args.csv)
     if not rows:
-        print(f"error: {args.csv} has no rows", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.csv} has no rows")
     meta = json.loads(Path(args.meta).read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise ValueError(f"{args.meta} holds a JSON {type(meta).__name__}, not an object")
     algo = rows[0].algorithm
-    entry = meta.get("algorithms", {}).get(algo)
-    if not entry or "E1" not in entry.get("params", {}):
-        print(f"error: {args.meta} has no energy metadata for algorithm {algo!r}",
-              file=sys.stderr)
-        return 1
-    params = entry["params"]
-    inflation = diagnostics._reference_inflation(meta["reference_accuracy"],
-                                                 meta["reference_objective"])
-    cert = diagnostics.certify(diagnostics._trace_reports(rows, params["E1"]), params["t1"],
-                               params["mu_g"] * params["beta"], tol=args.tol, inflation=inflation)
+    algos = meta.get("algorithms")
+    entry = algos.get(algo) if isinstance(algos, dict) else None
+    params = entry.get("params") if isinstance(entry, dict) else None
+    if not isinstance(params, dict) or "E1" not in params:
+        raise ValueError(f"{args.meta} has no energy metadata for algorithm {algo!r}")
+    where = f"{args.meta} params of {algo!r}"
+    e1, t1, mu_g, beta = (_meta_number(params, k, where) for k in ("E1", "t1", "mu_g", "beta"))
+    accuracy, objective = (_meta_number(meta, k, args.meta)
+                           for k in ("reference_accuracy", "reference_objective"))
+    inflation = diagnostics._reference_inflation(accuracy, objective)
+    cert = diagnostics.certify(diagnostics._trace_reports(rows, e1), t1, mu_g * beta,
+                               tol=args.tol, inflation=inflation)
     print(f"{algo}: {len(rows)} rows, gap-bound violations {cert.gap_violations}, "
           f"t-lower-bound violations {cert.t_lower_violations}")
     print("dual-distance and v-distance bounds: not checked (the trace CSV has no columns for them)")

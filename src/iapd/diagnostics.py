@@ -15,7 +15,7 @@ from .solvers import IapdState
 __all__ = [
     "EnergyReport",
     "InsufficientDataError",
-    "energy",
+    "energy_at",
     "certify",
     "CertificateSummary",
     "SlopeFit",
@@ -49,26 +49,12 @@ class EnergyReport:
     dy: float
 
 
-def energy(
-    problem: SaddleProblem,
-    params: StepParams,
-    state: IapdState,
-    ref: ReferencePoint,
-    e1: float | None = None,
-) -> EnergyReport:
-    """Evaluate the four-term energy at the reference point for one state.
+def energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
+    """The four-term energy at the reference point, as a map (state, e1=None) -> EnergyReport.
 
     ``e1`` is the initial-state energy used in the certified bounds; when
-    omitted (only sensible at k = 1) the state's own energy is used. Each
-    call evaluates the reference-side terms of the gap afresh.
-    """
-    return _energy_at(problem, params, ref)(state, e1)
-
-
-def _energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
-    """The per-solve form of :func:`energy`: a map (state, e1=None) -> EnergyReport.
-
-    The reference-side terms of the gap are evaluated once, here, so each
+    omitted (only sensible at k = 1) the state's own energy is used. The
+    reference-side terms of the gap are evaluated once, here, so each
     report costs two products with K, not three.
     """
     alpha, beta = params.alpha, params.beta

@@ -45,24 +45,38 @@ class LinearMap:
     """Immutable m-by-n linear operator with adjoint and cached norm estimate.
 
     Storage is either a dense row-major float64 array or CSR (via
-    scipy.sparse) with sorted column indices. A dense map multiplies by the
-    array and by its transposed view, built once here. A CSR map calls
-    scipy's compiled kernels on its own arrays: ``csr_matvec`` for K x, and
-    ``csc_matvec`` for K^T y, reading the same arrays as the CSC storage of
-    K^T. The products are byte for byte those of ``mat @ x`` and
+    scipy.sparse) with sorted column indices. The map owns what it stores and
+    sets every stored array read-only, so no later write by the caller can
+    change the operator behind its finiteness check and its cached norm. A
+    sparse input is copied. A dense input is kept without a copy only when it
+    is a C-contiguous float64 ndarray that is read-only and owns its data: the
+    caller hands it over. Any other dense input is copied. A dense map
+    multiplies by the array and by its transposed view, built once here. A
+    CSR map calls scipy's compiled kernels on its own arrays: ``csr_matvec``
+    for K x, and ``csc_matvec`` for K^T y, reading the same arrays as the CSC
+    storage of K^T. The products are byte for byte those of ``mat @ x`` and
     ``mat.T @ y``. The operator-norm estimate is computed once by
     deterministic power iteration and cached.
     """
 
     def __init__(self, matrix):
         if sp.issparse(matrix):
-            mat = sp.csr_array(matrix, dtype=np.float64)
+            mat = sp.csr_array(matrix, dtype=np.float64, copy=True)
             mat.sort_indices()
             if mat.nnz and not np.all(np.isfinite(mat.data)):
                 raise ValueError("matrix contains non-finite entries")
             self._sparse = True
+            stored = (mat.indptr, mat.indices, mat.data)
         else:
-            mat = np.ascontiguousarray(matrix, dtype=np.float64)
+            handed_over = (
+                type(matrix) is np.ndarray
+                and matrix.dtype == np.float64
+                and matrix.flags.c_contiguous
+                and matrix.flags.owndata
+                and not matrix.flags.writeable
+            )
+            mat = matrix if handed_over else np.array(matrix, dtype=np.float64, order="C")
+            stored = (mat,)
             if mat.ndim != 2:
                 raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
             if not np.all(np.isfinite(mat)):
@@ -70,13 +84,14 @@ class LinearMap:
             self._sparse = False
         if mat.shape[0] < 1 or mat.shape[1] < 1:
             raise ValueError("matrix dimensions must be >= 1")
+        for arr in stored:
+            arr.flags.writeable = False
         self._mat = mat
         if self._sparse:
             # The kernels' leading arguments: the shape each kernel reads, then
             # the CSR arrays (K's CSR storage, which is K^T's CSC storage).
-            arrays = (mat.indptr, mat.indices, mat.data)
-            self._csr_args = (mat.shape[0], mat.shape[1], *arrays)
-            self._csc_args = (mat.shape[1], mat.shape[0], *arrays)
+            self._csr_args = (mat.shape[0], mat.shape[1], *stored)
+            self._csc_args = (mat.shape[1], mat.shape[0], *stored)
         else:
             self._adj = mat.T
         self._cached_norm: float | None = None
@@ -84,20 +99,12 @@ class LinearMap:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "LinearMap":
-        return cls(np.eye(n))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "LinearMap":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
     def from_coo(cls, rows: int, cols: int, ii, jj, vv) -> "LinearMap":
         coo = sp.coo_array(
             (np.asarray(vv, dtype=np.float64), (np.asarray(ii), np.asarray(jj))),
             shape=(rows, cols),
         )
-        return cls(coo.tocsr())
+        return cls(coo)
 
     # -- basic queries -----------------------------------------------------
 

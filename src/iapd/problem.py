@@ -133,7 +133,6 @@ class ParamViolation:
 class ParamReport:
     ok: bool
     violations: tuple[ParamViolation, ...] = ()
-    norm_estimate: float = 0.0
 
 
 def validate_params(problem: SaddleProblem, params: StepParams) -> ParamReport:
@@ -167,7 +166,7 @@ def validate_params(problem: SaddleProblem, params: StepParams) -> ParamReport:
             violations.append(
                 ParamViolation("alpha*beta*||K||^2 < (1-alpha*L_f2)(1-beta*L_g2/t1^2)", lhs, rhs)
             )
-    return ParamReport(not violations, tuple(violations), knorm)
+    return ParamReport(not violations, tuple(violations))
 
 
 def default_step_params(problem: SaddleProblem, t1: float = 5.0) -> StepParams:

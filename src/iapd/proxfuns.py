@@ -102,9 +102,6 @@ class ShiftedQuadratic(ProxFunction):
         out /= 1.0 + step
         return out
 
-    def gradient(self, x):
-        return np.asarray(x, dtype=np.float64) + self.shift
-
     def conjugate(self, z) -> float:
         # sup_y <z,y> - 0.5||y + b||^2 attained at y = z - b.
         z = np.asarray(z, dtype=np.float64)

@@ -149,7 +149,7 @@ def test_criterion_5_reduction_equivalence():
     alpha = 0.9 / f2.lipschitz
     problem = SaddleProblem(
         f1=L1Norm(0.05), f2=f2, g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.zeros(1, n),
+        g2=ZeroSmooth(), K=LinearMap(np.zeros((1, n))),
     )
     params = StepParams(alpha=alpha, beta=3.0, t1=1.0)
 

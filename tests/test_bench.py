@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -305,6 +306,19 @@ def test_run_benchmark_keeps_partial_trace_of_diverged_algorithm(tmp_path, monke
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["algorithms"]["pda"]["partial_trace"] == {"rows": 19, "diverged_at": 20}
     assert "partial_trace" not in meta["algorithms"]["fista"]
+
+
+def test_generate_l1ls_keeps_one_copy_of_k():
+    """The generator hands K over to LinearMap, so the peak holds K about once, not twice."""
+    m, n = 400, 800
+    tracemalloc.start()
+    try:
+        inst = generate_l1ls(m, n, 0.1, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inst.problem.K.shape == (m, n)
+    assert peak <= 1.5 * (8 * m * n)
 
 
 def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):

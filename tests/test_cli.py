@@ -168,3 +168,36 @@ def test_certify_reports_a_header_only_csv(tmp_path, capsys):
     code = run(["certify", "--csv", str(csv_path), "--meta", str(out / "run_meta.json")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {csv_path} has no rows\n"
+
+
+def _drop_reference_accuracy(meta):
+    del meta["reference_accuracy"]
+    return meta
+
+
+def _drop_t1(meta):
+    del meta["algorithms"]["iapd-op1"]["params"]["t1"]
+    return meta
+
+
+def _text_beta(meta):
+    meta["algorithms"]["iapd-op1"]["params"]["beta"] = "0.5"
+    return meta
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_drop_reference_accuracy, "has no field 'reference_accuracy'"),
+    (_drop_t1, "params of 'iapd-op1' has no field 't1'"),
+    (_text_beta, "params of 'iapd-op1' has a non-numeric field 'beta'"),
+    (lambda meta: [meta], "holds a JSON list, not an object"),
+])
+def test_certify_reports_a_malformed_meta(doctor, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
+                "--out", str(out)]) == 0
+    meta_path = out / "run_meta.json"
+    meta_path.write_text(json.dumps(doctor(json.loads(meta_path.read_text()))))
+    capsys.readouterr()
+    code = run(["certify", "--csv", str(out / "iapd-op1.csv"), "--meta", str(meta_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {meta_path} {message}\n"

@@ -6,13 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from iapd import diagnostics
 from iapd.bench import generate_l1ls
 from iapd.diagnostics import (
     EnergyReport,
     InsufficientDataError,
     certify,
-    energy,
+    energy_at,
     slope,
 )
 from iapd.linalg import LinearMap
@@ -50,9 +49,10 @@ def energy_trace(problem, params, states, ref):
     """Energy reports for a list of states, with bounds anchored at the first."""
     if not states:
         return []
-    first = energy(problem, params, states[0], ref)
+    evaluate = energy_at(problem, params, ref)
+    first = evaluate(states[0])
     e1 = first.energy
-    return [first] + [energy(problem, params, st, ref, e1) for st in states[1:]]
+    return [first] + [evaluate(st, e1) for st in states[1:]]
 
 
 def test_initial_energy_matches_closed_form():
@@ -63,7 +63,7 @@ def test_initial_energy_matches_closed_form():
     for _ in range(10):
         x = rng.standard_normal(30)
         y = rng.standard_normal(20)
-        rep = energy(inst.problem, params, state, fake_ref(x, y))
+        rep = energy_at(inst.problem, params, fake_ref(x, y))(state)
         closed = energy_initial_closed_form(inst.problem, params, state, x, y)
         assert rep.energy == pytest.approx(closed, rel=1e-12, abs=1e-12)
         assert rep.i4 == 0.0  # v_1 = v_0 makes the cross term vanish
@@ -72,7 +72,7 @@ def test_initial_energy_matches_closed_form():
 def test_initial_energy_at_own_iterate_is_zero():
     inst, params = small_setup()
     state = init_iapd_state(inst.problem, params)
-    rep = energy(inst.problem, params, state, fake_ref(state.x, state.y))
+    rep = energy_at(inst.problem, params, fake_ref(state.x, state.y))(state)
     assert rep.energy == 0.0
 
 
@@ -192,19 +192,12 @@ def test_energy_row_takes_two_products(monkeypatch):
     states = [init_iapd_state(problem, params)]
     for _ in range(5):
         states.append(iapd_step(problem, params, states[-1], "option1"))
-    energy_at = diagnostics._energy_at(problem, params, ref)
-    e1 = energy_at(states[0]).energy
+    evaluate = energy_at(problem, params, ref)
+    e1 = evaluate(states[0]).energy
 
     calls = []
     original = LinearMap.apply
     monkeypatch.setattr(LinearMap, "apply", lambda self, v: calls.append(1) or original(self, v))
-    reports = [energy_at(st, e1) for st in states[1:]]
+    for st in states[1:]:
+        evaluate(st, e1)
     assert len(calls) == 2 * 5
-    monkeypatch.undo()
-
-    def fields(rep):
-        return [np.float64(v).tobytes() for v in dataclasses.astuple(rep)]
-
-    # the public one-shot form gives the same reports, bit for bit
-    assert [fields(r) for r in reports] == [fields(energy(problem, params, st, ref, e1))
-                                            for st in states[1:]]

@@ -17,7 +17,7 @@ from iapd.linalg import (
 
 
 def test_apply_identity():
-    K = LinearMap.identity(2)
+    K = LinearMap(np.eye(2))
     assert np.array_equal(K.apply(np.array([3.0, -1.0])), np.array([3.0, -1.0]))
 
 
@@ -27,7 +27,7 @@ def test_apply_adjoint_small_dense():
 
 
 def test_apply_dimension_mismatch():
-    K = LinearMap.zeros(3, 2)
+    K = LinearMap(np.zeros((3, 2)))
     with pytest.raises(DimensionMismatchError):
         K.apply(np.zeros(3))
     with pytest.raises(DimensionMismatchError):
@@ -63,7 +63,7 @@ def test_adjoint_identity_random_pairs():
 
 
 def test_norm_identity_carries_safety_factor():
-    est = LinearMap.identity(5).norm()
+    est = LinearMap(np.eye(5)).norm()
     assert est == pytest.approx(NORM_SAFETY)
     assert 1.0 <= est <= 1.002
 
@@ -74,7 +74,7 @@ def test_norm_diagonal():
 
 
 def test_norm_zero_map():
-    assert LinearMap.zeros(4, 6).norm() == 0.0
+    assert LinearMap(np.zeros((4, 6))).norm() == 0.0
 
 
 def test_norm_matches_svd():
@@ -310,3 +310,86 @@ def test_sparse_products_skip_scipy_dispatch(monkeypatch):
         K.apply(x)
         K.apply_adjoint(y)
     assert len(calls) == 0
+
+
+# -- ownership -----------------------------------------------------------------
+
+
+def _unsorted_csr(dense):
+    """CSR of ``dense`` with each row's column indices in descending order."""
+    csr = sp.csr_array(dense)
+    indices, data = csr.indices.copy(), csr.data.copy()
+    for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:]):
+        indices[lo:hi], data[lo:hi] = indices[lo:hi][::-1], data[lo:hi][::-1]
+    return sp.csr_array((data, indices, csr.indptr.copy()), shape=dense.shape)
+
+
+def _caller_input(kind, dense):
+    """The input of ``kind`` holding ``dense``, and a function that overwrites its storage."""
+    if kind == "c-order":
+        A = dense.copy()
+        return A, lambda: A.fill(1e3)
+    if kind == "f-order":
+        A = np.asfortranarray(dense)
+        return A, lambda: A.fill(1e3)
+    if kind == "strided":
+        base = np.zeros((dense.shape[0], 2 * dense.shape[1]))
+        base[:, ::2] = dense
+        return base[:, ::2], lambda: base.fill(1e3)
+    if kind == "nested-list":
+        A = dense.tolist()
+
+        def scribble():
+            for row in A:
+                row[:] = [1e3] * len(row)
+
+        return A, scribble
+    if kind == "handed-over":
+        A = dense.copy()
+        A.flags.writeable = False
+
+        def scribble():
+            with pytest.raises(ValueError):
+                A[0, 0] = 1e3
+
+        return A, scribble
+    A = _unsorted_csr(dense) if kind == "csr-unsorted" else sp.coo_array(dense)
+
+    def scribble():
+        A.data.fill(1e3)
+        for index in (A.indices,) if kind == "csr-unsorted" else A.coords:
+            index.fill(0)
+
+    return A, scribble
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["c-order", "f-order", "strided", "nested-list", "handed-over",
+                     "csr-unsorted", "coo"]),
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_map_owns_its_arrays(kind, m, n, seed):
+    """A write to the caller's arrays after LinearMap(A) leaves the map as it was."""
+    rng = np.random.default_rng(seed)
+    dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
+    A, scribble = _caller_input(kind, dense)
+    caller_indices = A.indices.copy() if kind == "csr-unsorted" else None
+    K = LinearMap(A)
+    sparse = kind in ("csr-unsorted", "coo")
+    want = LinearMap(sp.csr_array(dense) if sparse else dense.copy())
+
+    if caller_indices is not None:
+        assert np.array_equal(A.indices, caller_indices)
+    stored = (K._mat.indptr, K._mat.indices, K._mat.data) if sparse else (K._mat,)
+    assert not any(arr.flags.writeable for arr in stored)
+    if kind == "handed-over":
+        assert np.shares_memory(K._mat, A)
+
+    scribble()
+    x, y = rng.standard_normal(n), rng.standard_normal(m)
+    assert K.apply(x).tobytes() == want.apply(x).tobytes()
+    assert K.apply_adjoint(y).tobytes() == want.apply_adjoint(y).tobytes()
+    assert K.norm() == want.norm()

@@ -34,7 +34,7 @@ def scalar_problem(f1=None, shift=0.0):
         f2=ZeroSmooth(),
         g1=ShiftedQuadratic([shift]),
         g2=ZeroSmooth(),
-        K=LinearMap.identity(1),
+        K=LinearMap(np.eye(1)),
     )
 
 
@@ -52,7 +52,7 @@ def test_requires_strongly_convex_g1():
     with pytest.raises(ValueError):
         SaddleProblem(
             f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ZeroProx(), g2=ZeroSmooth(),
-            K=LinearMap.identity(2),
+            K=LinearMap(np.eye(2)),
         )
 
 
@@ -60,14 +60,14 @@ def test_shift_length_must_match_rows():
     with pytest.raises(ValueError):
         SaddleProblem(
             f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic([1.0, 2.0]),
-            g2=ZeroSmooth(), K=LinearMap.identity(3),
+            g2=ZeroSmooth(), K=LinearMap(np.eye(3)),
         )
 
 
 def test_dims_and_mu():
     p = SaddleProblem(
         f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic(np.zeros(3)),
-        g2=ZeroSmooth(), K=LinearMap.zeros(3, 5),
+        g2=ZeroSmooth(), K=LinearMap(np.zeros((3, 5))),
     )
     assert (p.primal_dim, p.dual_dim, p.mu_g) == (5, 3, 1.0)
 
@@ -89,7 +89,7 @@ def test_lagrangian_zero_like_parts_vanish():
 def test_lagrangian_infeasible_primal_dominates():
     p = SaddleProblem(
         f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     assert p.lagrangian(np.array([-1.0]), np.array([0.0])) == np.inf
 
@@ -132,7 +132,7 @@ def test_validate_params_rejects_coupling_violation():
 def test_validate_params_rejects_smooth_violation():
     p = SaddleProblem(
         f1=L1Norm(0.1), f2=TenLipschitz(), g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     report = validate_params(p, StepParams(alpha=0.2, beta=0.01))
     assert not report.ok
@@ -165,12 +165,12 @@ def test_default_step_params_feasible_across_structures():
     assert validate_params(dense, default_step_params(dense)).ok
     smooth = SaddleProblem(
         f1=L1Norm(0.1), f2=TenLipschitz(), g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     assert validate_params(smooth, default_step_params(smooth)).ok
     decoupled = SaddleProblem(
         f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.zeros(1, 4),
+        g2=ZeroSmooth(), K=LinearMap(np.zeros((1, 4))),
     )
     assert validate_params(decoupled, default_step_params(decoupled)).ok
 
@@ -183,7 +183,7 @@ def test_compute_reference_scalar_nnls():
     # objective over x >= 0 is 0.5 x^2 - 2 x: x* = 2, y* = x* - 2 = 0.
     p = SaddleProblem(
         f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     ref = compute_reference(p, 20000)
     assert ref.x_star[0] == pytest.approx(2.0, abs=1e-5)
@@ -195,7 +195,7 @@ def test_compute_reference_scalar_nnls():
 def test_compute_reference_decoupled_l1_gives_zero():
     p = SaddleProblem(
         f1=L1Norm(0.5), f2=ZeroSmooth(), g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.zeros(1, 3),
+        g2=ZeroSmooth(), K=LinearMap(np.zeros((1, 3))),
     )
     ref = compute_reference(p, 50)
     assert np.array_equal(ref.x_star, np.zeros(3))

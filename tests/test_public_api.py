@@ -1,0 +1,40 @@
+"""The package's public names: every ``__all__`` entry exists, and the package
+root re-exports only names its modules declare public.
+
+Tools that walk ``__all__`` (a tracer that wraps each public function, for
+one) call ``getattr`` on every entry, so a stale entry breaks them.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import iapd
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(iapd.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_all_entry_resolves(name):
+    module = importlib.import_module(f"iapd.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
+
+
+def _root_imports():
+    """(module, name) for every ``from .module import name`` in iapd/__init__.py."""
+    tree = ast.parse(Path(iapd.__file__).read_text(encoding="utf-8"))
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
+def test_root_imports_only_declared_public_names():
+    imports = _root_imports()
+    assert imports
+    undeclared = [(mod, attr) for mod, attr in imports
+                  if attr not in importlib.import_module(f"iapd.{mod}").__all__]
+    assert undeclared == []

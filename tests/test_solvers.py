@@ -36,7 +36,7 @@ from iapd.solvers import (
 def scalar_bilinear(alpha=0.5, beta=0.5, t1=1.0, shift=0.0):
     problem = SaddleProblem(
         f1=ZeroProx(), f2=ZeroSmooth(), g1=ShiftedQuadratic([shift]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     return problem, StepParams(alpha=alpha, beta=beta, t1=t1)
 
@@ -181,7 +181,7 @@ def decoupled_problem(n=30, seed=13, t1=1.0):
     beta = 3.0  # beta * mu_g > 1 + 1/t1 keeps the Nesterov branch active
     problem = SaddleProblem(
         f1=L1Norm(0.05), f2=f2, g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.zeros(1, n),
+        g2=ZeroSmooth(), K=LinearMap(np.zeros((1, n))),
     )
     return problem, StepParams(alpha=alpha, beta=beta, t1=t1), f2, alpha
 
@@ -265,7 +265,7 @@ def test_fista_rejects_bad_inputs():
 def test_pda_requires_full_prox():
     problem = SaddleProblem(
         f1=L1Norm(0.1), f2=Quad(), g1=ShiftedQuadratic([0.0]),
-        g2=ZeroSmooth(), K=LinearMap.zeros(1, 1),
+        g2=ZeroSmooth(), K=LinearMap(np.zeros((1, 1))),
     )
     with pytest.raises(UnsupportedStructureError):
         solve_pda(problem, 0.1, 0.1, 1.0, SolverOptions(max_iters=1))
@@ -286,7 +286,7 @@ def test_pda_converges_on_scalar_problem():
     # objective is 0.5 x^2 - 2 x: x* = 2, y* = x* - 2 = 0.
     problem = SaddleProblem(
         f1=ZeroProx(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     x, y, _ = solve_pda(problem, 0.4, 0.4, 1.0, SolverOptions(max_iters=4000))
     assert x[0] == pytest.approx(2.0, abs=1e-6)
@@ -296,7 +296,7 @@ def test_pda_converges_on_scalar_problem():
 def test_apda_converges_and_validates():
     problem = SaddleProblem(
         f1=ZeroProx(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     knorm = problem.K.norm()
     tau0 = sigma0 = 1.0 / knorm
@@ -315,7 +315,7 @@ def test_apda_gamma_zero_matches_fixed_steps():
     # gamma = 0 freezes theta at 1, so the scheme reduces to fixed steps.
     problem = SaddleProblem(
         f1=ZeroProx(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
-        g2=ZeroSmooth(), K=LinearMap.identity(1),
+        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
     knorm = problem.K.norm()
     xa, ya, _ = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, 0.0,
