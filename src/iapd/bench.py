@@ -9,6 +9,7 @@ and traces (timing columns excepted).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -72,7 +73,7 @@ class ExperimentConfig:
             raise ValueError("algorithm set must be nonempty")
         for i, name in enumerate(self.algorithms):
             if name not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}")
+                raise ValueError(f"unknown algorithm {name!r}; choose from {','.join(ALGORITHMS)}")
             if name in self.algorithms[:i]:
                 raise ValueError(f"algorithm {name!r} is listed more than once")
         if self.experiment == "nnls" and not 0 < self.density <= 1:
@@ -227,8 +228,8 @@ class AlgorithmResult:
     final_gap: float
     params: dict
     energy_reports: list = field(default_factory=list)
-    certificate: diagnostics.CertificateSummary | None = None
-    slope: float | None = None
+    certificate: diagnostics.CertificateSummary | None = None  # iapd only, set after the solve
+    slope: diagnostics.SlopeFit | None = None  # iapd only, when the trace reaches k > 100
     skipped: str = ""
     diverged_at: int | None = None  # set when ``rows`` is the partial trace of a divergence
 
@@ -276,7 +277,6 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     effort = cfg.reference_effort if cfg.reference_effort is not None else 10 * cfg.iters
     ref = compute_reference(problem, effort, params=iapd_params, objective=instance.objective)
     f_star = ref.objective_value
-    inflation = diagnostics._reference_inflation(ref.accuracy, f_star)
 
     opts = SolverOptions(max_iters=cfg.iters, observer_stride=cfg.observer_stride)
     results: dict[str, AlgorithmResult] = {}
@@ -298,9 +298,9 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
             written.append(name)
     for name in set(ALGORITHMS).difference(written):
         (out_dir / f"{name}.csv").unlink(missing_ok=True)
-    _write_summary(out_dir, cfg, ref, results, knorm, inflation)
+    _write_summary(out_dir, cfg, ref, results, knorm)
     _write_plotdata(out_dir, results, f_star)
-    _write_meta(out_dir, cfg, ref, results, knorm, iapd_params)
+    _write_meta(out_dir, cfg, ref, results, knorm)
     return BenchResult(status, out_dir, ref, results)
 
 
@@ -313,7 +313,10 @@ def _run_algorithm(
     opts: SolverOptions,
     knorm: float,
 ) -> AlgorithmResult:
-    """Run one algorithm; a divergence gives a skipped result that keeps its partial trace."""
+    """Run one algorithm; a divergence gives a skipped result that keeps its partial trace.
+
+    An iapd result that completes is certified, and its rate slope fitted, here.
+    """
     problem = instance.problem
     objective = instance.objective
     reports = []
@@ -339,12 +342,10 @@ def _run_algorithm(
         )
         state0 = solvers.init_iapd_state(problem, iapd_params)
         energy_at = diagnostics.energy_at(problem, iapd_params, ref)
-        first = energy_at(state0)
-        e1 = first.energy
-        reports.append(first)
+        reports.append(energy_at(state0))
 
         def observer(row: TraceRow, state):
-            rep = energy_at(state, e1)
+            rep = energy_at(state)
             row.gap_ref = rep.gap_ref
             row.energy = rep.energy
             reports.append(rep)
@@ -352,7 +353,7 @@ def _run_algorithm(
         solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts, observer=observer,
                         state=state0, objective=objective, name=name)
         params = {"alpha": iapd_params.alpha, "beta": iapd_params.beta, "t1": iapd_params.t1,
-                  "mu_g": problem.mu_g, "E1": e1}
+                  "mu_g": problem.mu_g, "E1": reports[0].energy}
     elif name == "pda":
         alpha, beta, theta = 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0
         solve = partial(solvers.solve_pda, problem, alpha, beta, theta, opts,
@@ -379,11 +380,20 @@ def _run_algorithm(
     except solvers.DivergenceError as err:
         return AlgorithmResult(name, err.rows, math.nan, params, energy_reports=reports,
                                skipped=str(err), diverged_at=err.iteration)
-    return AlgorithmResult(name, rows, rows[-1].objective - ref.objective_value, params,
-                           energy_reports=reports)
+    res = AlgorithmResult(name, rows, rows[-1].objective - ref.objective_value, params,
+                          energy_reports=reports)
+    if reports:
+        inflation = diagnostics._reference_inflation(ref.accuracy, ref.objective_value)
+        res.certificate = diagnostics.certify(reports, params["E1"], params["t1"],
+                                              params["mu_g"], params["beta"], inflation=inflation)
+        k_max = min(1000, reports[-1].k)
+        if k_max > 100:
+            with contextlib.suppress(diagnostics.InsufficientDataError):
+                res.slope = diagnostics.slope(reports, 100, k_max)
+    return res
 
 
-def _write_summary(out_dir, cfg, ref, results, knorm, inflation) -> None:
+def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
     path = out_dir / "summary.txt"
     lines = [
         f"experiment: {cfg.experiment}  m={cfg.m} n={cfg.n} seed={cfg.seed} iters={cfg.iters}",
@@ -400,28 +410,18 @@ def _write_summary(out_dir, cfg, ref, results, knorm, inflation) -> None:
                              f"diverged at iteration {res.diverged_at}")
             continue
         lines.append(f"{name}: final objective gap = {res.final_gap:.6g}")
-        if res.energy_reports:
-            a = res.params["mu_g"] * res.params["beta"]
-            cert = diagnostics.certify(
-                res.energy_reports, res.params["t1"], a, inflation=inflation
-            )
-            res.certificate = cert
+        cert, fit = res.certificate, res.slope
+        if cert is not None:
             lines.append(
                 f"  certificates: gap={cert.gap_violations} dual={cert.dual_violations} "
                 f"v={cert.v_violations} t-lower={cert.t_lower_violations} "
                 f"(rows={cert.rows})"
             )
-            k_max = min(1000, max(r.k for r in res.energy_reports))
-            try:
-                fit = diagnostics.slope(res.energy_reports, 100, k_max) if k_max > 100 else None
-            except diagnostics.InsufficientDataError:
-                fit = None
-            if fit is not None:
-                res.slope = fit.slope
-                lines.append(
-                    f"  log-log gap slope on [100, {k_max}]: {fit.slope:.4f} "
-                    f"({fit.n_used} rows, {fit.n_excluded} excluded)"
-                )
+        if fit is not None:
+            lines.append(
+                f"  log-log gap slope on [{fit.k_min}, {fit.k_max}]: {fit.slope:.4f} "
+                f"({fit.n_used} rows, {fit.n_excluded} excluded)"
+            )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -453,7 +453,7 @@ def _algorithm_meta(res: AlgorithmResult) -> dict:
     return entry
 
 
-def _write_meta(out_dir, cfg, ref, results, knorm, iapd_params) -> None:
+def _write_meta(out_dir, cfg, ref, results, knorm) -> None:
     path = out_dir / "run_meta.json"
     meta = {
         "experiment": cfg.experiment,

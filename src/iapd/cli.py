@@ -30,16 +30,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=None, help="override dual step")
 
 
-def _parse_algos(parser: argparse.ArgumentParser, spec: str) -> tuple[str, ...]:
-    names = tuple(s for s in (tok.strip() for tok in spec.split(",")) if s)
-    for i, name in enumerate(names):
-        if name not in ALGORITHMS:
-            parser.error(f"unknown algorithm {name!r}; choose from {','.join(ALGORITHMS)}")
-        if name in names[:i]:
-            parser.error(f"algorithm {name!r} is listed more than once")
-    if not names:
-        parser.error("empty algorithm set")
-    return names
+def _config(parser: argparse.ArgumentParser, args, **fields) -> ExperimentConfig:
+    """The run's config from the flags; a value the config rejects is a usage error."""
+    algos = tuple(s for s in (tok.strip() for tok in args.algos.split(",")) if s)
+    try:
+        return ExperimentConfig(
+            seed=args.seed, iters=args.iters, lam=args.lam, algorithms=algos, out_dir=args.out,
+            t1=args.t1, alpha=args.alpha, beta=args.beta, observer_stride=args.stride, **fields,
+        )
+    except ValueError as err:
+        parser.error(str(err))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,22 +81,17 @@ def _report(result: bench.BenchResult) -> None:
 
 
 def _cmd_bench(parser, args) -> int:
-    algos = _parse_algos(parser, args.algos)
     m = args.m if args.m is not None else (200 if args.experiment == "l1ls" else 400)
     n = args.n if args.n is not None else (400 if args.experiment == "l1ls" else 200)
-    cfg = ExperimentConfig(
-        experiment=args.experiment, m=m, n=n, seed=args.seed, iters=args.iters,
-        lam=args.lam, density=args.density, algorithms=algos, out_dir=args.out,
-        t1=args.t1, alpha=args.alpha, beta=args.beta, observer_stride=args.stride,
-    )
+    cfg = _config(parser, args, experiment=args.experiment, m=m, n=n, density=args.density)
     result = bench.run_benchmark(cfg)
     _report(result)
     return result.status
 
 
 def _cmd_solve(parser, args) -> int:
-    algos = _parse_algos(parser, args.algos)
     K = read_matrix_market(args.matrix)
+    cfg = _config(parser, args, experiment=args.problem, m=K.rows, n=K.cols)
     rhs_map = read_matrix_market(args.rhs)
     if rhs_map.cols != 1:
         print(f"error: rhs must be a column vector, got shape {rhs_map.shape}", file=sys.stderr)
@@ -111,11 +106,6 @@ def _cmd_solve(parser, args) -> int:
     problem = SaddleProblem(f1=f1, f2=ZeroSmooth(), g1=ShiftedQuadratic(b),
                             g2=ZeroSmooth(), K=K)
     instance = GeneratedInstance(problem, b, planted=b * 0.0, name=f"user-{args.problem}")
-    cfg = ExperimentConfig(
-        experiment=args.problem, m=K.rows, n=K.cols, seed=args.seed, iters=args.iters,
-        lam=args.lam, algorithms=algos, out_dir=args.out,
-        t1=args.t1, alpha=args.alpha, beta=args.beta, observer_stride=args.stride,
-    )
     result = bench.run_benchmark(cfg, instance=instance)
     _report(result)
     return result.status
@@ -148,7 +138,7 @@ def _cmd_certify(args) -> int:
     accuracy, objective = (_meta_number(meta, k, args.meta)
                            for k in ("reference_accuracy", "reference_objective"))
     inflation = diagnostics._reference_inflation(accuracy, objective)
-    cert = diagnostics.certify(diagnostics._trace_reports(rows, e1), t1, mu_g * beta,
+    cert = diagnostics.certify(diagnostics._trace_reports(rows), e1, t1, mu_g, beta,
                                tol=args.tol, inflation=inflation)
     print(f"{algo}: {len(rows)} rows, gap-bound violations {cert.gap_violations}, "
           f"t-lower-bound violations {cert.t_lower_violations}")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-iteration energy terms and certificate quantities at the reference point."""
+    """Per-iteration energy terms and distances to the reference point."""
 
     k: int
     t_k: float
@@ -40,28 +39,22 @@ class EnergyReport:
     i3: float
     i4: float
     gap_ref: float
-    bound_gap: float
     dual_dist_sq: float
-    dual_bound: float
     v_dist_sq: float
-    v_bound: float
-    dx: float
-    dy: float
 
 
 def energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
-    """The four-term energy at the reference point, as a map (state, e1=None) -> EnergyReport.
+    """The four-term energy at the reference point, as a map state -> EnergyReport.
 
-    ``e1`` is the initial-state energy used in the certified bounds; when
-    omitted (only sensible at k = 1) the state's own energy is used. The
-    reference-side terms of the gap are evaluated once, here, so each
-    report costs two products with K, not three.
+    The reference-side terms of the gap are evaluated once, here, so each
+    report costs two products with K, not three. The report holds
+    measurements only; :func:`certify` derives the bounds.
     """
     alpha, beta = params.alpha, params.beta
     xs, ys = ref.x_star, ref.y_star
     gap_at = _reference_gap(problem, xs, ys)
 
-    def evaluate(state: IapdState, e1: float | None = None) -> EnergyReport:
+    def evaluate(state: IapdState) -> EnergyReport:
         t, t_next = state.t, state.t_next
 
         gap = gap_at(state.x, state.y)
@@ -80,28 +73,19 @@ def energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
             (t * t - beta * problem.g2.lipschitz) * float(dvv @ dvv) / (2.0 * beta)
         )
 
-        total = i1 + i2 + i3 + i4
-        if e1 is None:
-            e1 = total
-
         dy_ref = state.y - ys
         return EnergyReport(
             k=state.k,
             t_k=t,
             t_next=t_next,
-            energy=total,
+            energy=i1 + i2 + i3 + i4,
             i1=i1,
             i2=i2,
             i3=i3,
             i4=i4,
             gap_ref=gap,
-            bound_gap=e1 / (t * t),
             dual_dist_sq=float(dy_ref @ dy_ref),
-            dual_bound=2.0 * e1 / (problem.mu_g * t * t),
             v_dist_sq=float(dv @ dv),
-            v_bound=2.0 * beta * e1 / (t_next * t_next),
-            dx=float(np.linalg.norm(state.x - state.x_prev)),
-            dy=float(np.linalg.norm(state.y - state.y_prev)),
         )
 
     return evaluate
@@ -112,31 +96,23 @@ def _reference_inflation(accuracy: float, objective_value: float) -> float:
     return 10.0 * accuracy / max(1.0, abs(objective_value))
 
 
-# The fields of a report that :func:`certify` reads.
-_TraceReport = namedtuple(
-    "_TraceReport", "k t_k gap_ref bound_gap dual_dist_sq dual_bound v_dist_sq v_bound dx dy"
-)
+def _trace_reports(rows):
+    """Trace rows as reports, one at a time, for :func:`certify`.
 
-
-def _trace_reports(rows, e1: float):
-    """Reports rebuilt one at a time from trace rows, for :func:`certify`.
-
-    A trace row carries the gap but no dual distances, so only the gap and
-    t-lower bounds can be checked; the dual and v fields are NaN, which no
-    comparison flags. A row with t_k = 0 gets no gap bound; the t-lower
-    check flags it.
+    A trace row carries the gap but no distances and no t_{k+1}, so those
+    fields are NaN, which no bound check flags: only the gap and t-lower
+    bounds are checked.
     """
     nan = math.nan
     return (
-        _TraceReport(r.k, r.t_k, r.gap_ref, e1 / (r.t_k * r.t_k) if r.t_k else math.inf,
-                     nan, nan, nan, nan, r.dx, r.dy)
+        EnergyReport(r.k, r.t_k, nan, r.energy, nan, nan, nan, nan, r.gap_ref, nan, nan)
         for r in rows
     )
 
 
 @dataclass
 class CertificateSummary:
-    """Violation counts for the proven bounds plus windowed residual scales."""
+    """Violation counts for the proven bounds."""
 
     rows: int
     gap_violations: int = 0
@@ -144,8 +120,6 @@ class CertificateSummary:
     v_violations: int = 0
     t_lower_violations: int = 0
     max_gap_excess: float = 0.0
-    max_dx_t: float = 0.0
-    max_dy_t2: float = 0.0
     violating_k: list[int] = field(default_factory=list)
 
     @property
@@ -158,39 +132,50 @@ class CertificateSummary:
         )
 
 
+def _bound(numerator: float, denominator: float) -> float:
+    """numerator / denominator; a zero denominator gives no bound (inf)."""
+    return numerator / denominator if denominator else math.inf
+
+
 def certify(
     reports: Iterable[EnergyReport],
+    e1: float,
     t1: float,
-    a: float,
+    mu_g: float,
+    beta: float,
     tol: float = 1e-6,
     inflation: float = 0.0,
 ) -> CertificateSummary:
-    """Check the certified bounds along a trace of energy reports.
+    """Check the theorem's bounds along a trace of energy reports.
 
-    ``a`` is mu_g * beta; ``inflation`` is an extra relative slack for an
-    inexact reference point. The displacement scales dx * t_k and
-    dy * t_k^2 are reported as maxima, not pass/fail checks. The reports
-    are read once, in order, so a generator of them keeps no trace in
-    memory; any record with the fields read here will do.
+    With E_1 the initial energy, each row must satisfy
+    t_k^2 gap <= E_1, ||y_k - y*||^2 <= 2 E_1 / (mu_g t_k^2),
+    ||v_k - y*||^2 <= 2 beta E_1 / t_{k+1}^2 and t_k >= min(1/2, b) (k + 1)
+    with b = 2 a t_1 / (a + 4 t_1), a = mu_g beta. Each bound is relaxed by
+    the relative slack ``tol + inflation``; ``inflation`` covers an inexact
+    reference point. A row with t_k = 0 gets no gap or dual bound, and a NaN
+    measurement is never flagged. The reports are read once, in order, so a
+    generator of them keeps no trace in memory.
     """
     slack = 1.0 + tol + inflation
+    a = mu_g * beta
     b = 2.0 * a * t1 / (a + 4.0 * t1) if a > 0 else 0.0
     t_factor = min(0.5, b)
     summary = CertificateSummary(rows=0)
     for r in reports:
         summary.rows += 1
-        if r.gap_ref > r.bound_gap * slack:
+        t, t_next = r.t_k, r.t_next
+        bound_gap = _bound(e1, t * t)
+        if r.gap_ref > bound_gap * slack:
             summary.gap_violations += 1
-            summary.max_gap_excess = max(summary.max_gap_excess, r.gap_ref - r.bound_gap)
+            summary.max_gap_excess = max(summary.max_gap_excess, r.gap_ref - bound_gap)
             summary.violating_k.append(r.k)
-        if r.dual_dist_sq > r.dual_bound * slack:
+        if r.dual_dist_sq > _bound(2.0 * e1, mu_g * t * t) * slack:
             summary.dual_violations += 1
-        if r.v_dist_sq > r.v_bound * slack:
+        if r.v_dist_sq > _bound(2.0 * beta * e1, t_next * t_next) * slack:
             summary.v_violations += 1
-        if r.t_k < t_factor * (r.k + 1) * (1.0 - 1e-12):
+        if t < t_factor * (r.k + 1) * (1.0 - 1e-12):
             summary.t_lower_violations += 1
-        summary.max_dx_t = max(summary.max_dx_t, r.dx * r.t_k)
-        summary.max_dy_t2 = max(summary.max_dy_t2, r.dy * r.t_k**2)
     if not summary.rows:
         raise ValueError("empty trace")
     return summary
@@ -202,6 +187,8 @@ class SlopeFit:
     intercept: float
     n_used: int
     n_excluded: int
+    k_min: int
+    k_max: int
 
 
 def slope(reports: list[EnergyReport], k_min: int, k_max: int) -> SlopeFit:
@@ -228,4 +215,4 @@ def slope(reports: list[EnergyReport], k_min: int, k_max: int) -> SlopeFit:
     logk = np.log(np.asarray(ks, dtype=np.float64))
     logg = np.log(np.asarray(gaps, dtype=np.float64))
     coef = np.polyfit(logk, logg, 1)
-    return SlopeFit(float(coef[0]), float(coef[1]), len(ks), excluded)
+    return SlopeFit(float(coef[0]), float(coef[1]), len(ks), excluded, k_min, k_max)

@@ -25,6 +25,10 @@ __all__ = [
 # step-size inequalities checked with the estimate remain valid for the
 # true spectral norm.
 NORM_SAFETY = 1.001
+# Power iteration stops once the estimate moves by at most this relative
+# amount between iterations, or after this many iterations.
+_NORM_TOL = 1e-10
+_NORM_MAX_ITERS = 50_000
 
 
 class DimensionMismatchError(ValueError):
@@ -167,7 +171,7 @@ class LinearMap:
 
     # -- norm estimation ---------------------------------------------------
 
-    def norm(self, tol: float = 1e-10, max_iters: int = 50_000) -> float:
+    def norm(self) -> float:
         """Safety-factored spectral-norm estimate via power iteration on K^T K.
 
         Starts from the normalized all-ones vector (no RNG, so repeated
@@ -175,13 +179,9 @@ class LinearMap:
         """
         if self._cached_norm is not None:
             return self._cached_norm
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        if max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         q = np.full(self.cols, 1.0 / np.sqrt(self.cols))
         sigma = 0.0
-        for _ in range(max_iters):
+        for _ in range(_NORM_MAX_ITERS):
             w = self.apply_adjoint(self.apply(q))
             wnorm = float(np.linalg.norm(w))
             if wnorm == 0.0:
@@ -189,7 +189,7 @@ class LinearMap:
                 break
             sigma_new = float(np.sqrt(wnorm))
             q = w / wnorm
-            if abs(sigma_new - sigma) <= tol * max(sigma_new, 1.0):
+            if abs(sigma_new - sigma) <= _NORM_TOL * max(sigma_new, 1.0):
                 sigma = sigma_new
                 break
             sigma = sigma_new

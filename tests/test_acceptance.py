@@ -111,9 +111,9 @@ def test_criterion_3_gap_certificate(desk_runs):
         infl = inflation_of(run)
         for name in ("iapd-op1", "iapd-op2"):
             res = run.results[name]
-            a = res.params["mu_g"] * res.params["beta"]
-            cert = diagnostics.certify(res.energy_reports, res.params["t1"], a,
-                                       inflation=infl)
+            p = res.params
+            cert = diagnostics.certify(res.energy_reports, p["E1"], p["t1"], p["mu_g"],
+                                       p["beta"], inflation=infl)
             ok &= cert.gap_violations == 0
             details.append(f"{exp}/{name} gap-violations={cert.gap_violations}")
     verdict(3, ok, "gap_ref * t_k^2 <= E_1 at every iteration: " + ", ".join(details))
@@ -126,9 +126,9 @@ def test_criterion_4_dual_certificates(desk_runs):
         infl = inflation_of(run)
         for name in ("iapd-op1", "iapd-op2"):
             res = run.results[name]
-            a = res.params["mu_g"] * res.params["beta"]
-            cert = diagnostics.certify(res.energy_reports, res.params["t1"], a,
-                                       inflation=infl)
+            p = res.params
+            cert = diagnostics.certify(res.energy_reports, p["E1"], p["t1"], p["mu_g"],
+                                       p["beta"], inflation=infl)
             ok &= cert.dual_violations == 0 and cert.v_violations == 0
             details.append(
                 f"{exp}/{name} y-violations={cert.dual_violations} "

@@ -29,6 +29,22 @@ def test_repeated_algorithm_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["l1ls", "--iters", "0"], "iters must be >= 1"),
+    (["l1ls", "--stride", "0"], "observer_stride must be >= 1"),
+    (["l1ls", "--m", "0"], "m and n must be >= 1"),
+    (["nnls", "--density", "2"], "density must lie in (0, 1]"),
+    (["l1ls", "--lambda", "-1"], "lambda must be nonnegative"),
+])
+def test_rejected_flag_value_is_usage_error(flags, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run(["bench", *flags, "--out", str(out)])
+    assert err.value.code == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         run([])

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from iapd.bench import generate_l1ls
+from iapd.bench import ExperimentConfig, generate_l1ls, read_csv, run_benchmark
 from iapd.diagnostics import (
     EnergyReport,
     InsufficientDataError,
+    _reference_inflation,
+    _trace_reports,
     certify,
     energy_at,
     slope,
@@ -46,13 +48,14 @@ def energy_initial_closed_form(problem, params, state, x, y):
 
 
 def energy_trace(problem, params, states, ref):
-    """Energy reports for a list of states, with bounds anchored at the first."""
-    if not states:
-        return []
+    """Energy reports for a list of states; the first one's energy is E_1."""
     evaluate = energy_at(problem, params, ref)
-    first = evaluate(states[0])
-    e1 = first.energy
-    return [first] + [evaluate(st, e1) for st in states[1:]]
+    return [evaluate(st) for st in states]
+
+
+def certify_run(problem, params, reports, **kw):
+    """certify() with the run's constants, anchored at the first report's energy."""
+    return certify(reports, reports[0].energy, params.t1, problem.mu_g, params.beta, **kw)
 
 
 def test_initial_energy_matches_closed_form():
@@ -106,44 +109,98 @@ def test_energy_monotone_on_small_instance():
 
 def test_certificates_hold_on_small_instance():
     inst, params, ref, reports = run_reports()
-    a = inst.problem.mu_g * params.beta
     inflation = 10.0 * ref.accuracy / max(1.0, abs(ref.objective_value))
-    summary = certify(reports, params.t1, a, inflation=inflation)
+    summary = certify_run(inst.problem, params, reports, inflation=inflation)
     assert summary.ok
     assert summary.rows == len(reports)
-    assert summary.max_dx_t >= 0.0 and summary.max_dy_t2 >= 0.0
 
 
 def test_certify_flags_corrupted_t_sequence():
     inst, params, ref, reports = run_reports(iters=100)
-    a = inst.problem.mu_g * params.beta
     bad = [dataclasses.replace(r, t_k=0.05 * r.k) for r in reports]
-    summary = certify(bad, params.t1, a, inflation=1.0)
+    summary = certify_run(inst.problem, params, bad, inflation=1.0)
     assert summary.t_lower_violations > 0
     assert not summary.ok
 
 
 def test_certify_flags_inflated_gap():
     inst, params, ref, reports = run_reports(iters=100)
-    a = inst.problem.mu_g * params.beta
-    bad = [dataclasses.replace(r, gap_ref=r.bound_gap * 10.0) for r in reports[1:]]
-    summary = certify(bad, params.t1, a)
+    e1 = reports[0].energy
+    bad = [dataclasses.replace(r, gap_ref=e1 / r.t_k**2 * 10.0) for r in reports[1:]]
+    summary = certify(bad, e1, params.t1, inst.problem.mu_g, params.beta)
     assert summary.gap_violations == len(bad)
     assert summary.violating_k == [r.k for r in bad]
 
 
 def test_certify_rejects_empty():
     with pytest.raises(ValueError):
-        certify([], 1.0, 1.0)
+        certify([], 1.0, 1.0, 1.0, 1.0)
+
+
+def report(k=1, t_k=1.0, t_next=1.0, gap_ref=0.0, dual_dist_sq=0.0, v_dist_sq=0.0):
+    return EnergyReport(k=k, t_k=t_k, t_next=t_next, energy=0.0, i1=0.0, i2=0.0, i3=0.0,
+                        i4=0.0, gap_ref=gap_ref, dual_dist_sq=dual_dist_sq, v_dist_sq=v_dist_sq)
+
+
+@pytest.mark.parametrize("field", ["gap_ref", "dual_dist_sq", "v_dist_sq"])
+def test_certify_bounds_are_exact_at_their_slack(field):
+    """Each bound of the theorem, times the slack, passes; the next float above it fails."""
+    e1, t1, mu_g, beta, tol, inflation = 3.7, 1.9, 0.6, 1.3, 1e-6, 0.01
+    t_k, t_next = 2.9, 3.4
+    bound = {
+        "gap_ref": e1 / (t_k * t_k),
+        "dual_dist_sq": 2.0 * e1 / (mu_g * t_k * t_k),
+        "v_dist_sq": 2.0 * beta * e1 / (t_next * t_next),
+    }[field]
+    at_bound = bound * (1.0 + tol + inflation)
+    counts = []
+    for value in (at_bound, np.nextafter(at_bound, math.inf)):
+        cert = certify([report(t_k=t_k, t_next=t_next, **{field: value})],
+                       e1, t1, mu_g, beta, tol=tol, inflation=inflation)
+        counts.append((cert.gap_violations, cert.dual_violations, cert.v_violations,
+                       cert.t_lower_violations))
+    flagged = {"gap_ref": (1, 0, 0, 0), "dual_dist_sq": (0, 1, 0, 0), "v_dist_sq": (0, 0, 1, 0)}
+    assert counts == [(0, 0, 0, 0), flagged[field]]
+
+
+def test_certify_sets_no_gap_or_dual_bound_at_zero_t():
+    """t_k = 0 (and a zero t_{k+1}) gives no bound to check, not a ZeroDivisionError."""
+    cert = certify([report(t_k=0.0, t_next=0.0, gap_ref=1e300, dual_dist_sq=1e300,
+                           v_dist_sq=1e300)], 1.0, 1.0, 1.0, 1.0)
+    assert (cert.gap_violations, cert.dual_violations, cert.v_violations) == (0, 0, 0)
+    assert cert.t_lower_violations == 1
+
+
+def test_certificate_paths_agree(tmp_path):
+    """certify() over a run's energy reports and over its trace CSV flags the same rows."""
+    cfg = ExperimentConfig("l1ls", 20, 30, seed=3, iters=60, algorithms=("iapd-op1",),
+                           out_dir=tmp_path)
+    result = run_benchmark(cfg)
+    res = result.results["iapd-op1"]
+    p = res.params
+    ref = result.reference
+    inflation = _reference_inflation(ref.accuracy, ref.objective_value)
+    rows = read_csv(tmp_path / "iapd-op1.csv")
+
+    def verdicts(reports):
+        cert = certify(reports, p["E1"], p["t1"], p["mu_g"], p["beta"], inflation=inflation)
+        return cert.gap_violations, cert.violating_k, cert.t_lower_violations
+
+    clean = verdicts(res.energy_reports)
+    assert clean == verdicts(_trace_reports(rows)) == (0, [], 0)
+
+    doctored_k = (5, 20, 41)
+
+    def past_bound(r):
+        return 2.0 * p["E1"] / r.t_k**2 if r.k in doctored_k else r.gap_ref
+
+    reports = [dataclasses.replace(r, gap_ref=past_bound(r)) for r in res.energy_reports]
+    rows = [dataclasses.replace(r, gap_ref=past_bound(r)) for r in rows]
+    assert verdicts(reports) == verdicts(_trace_reports(rows)) == (3, list(doctored_k), 0)
 
 
 def synthetic_reports(gaps):
-    return [
-        EnergyReport(k=k, t_k=1.0, t_next=1.0, energy=0.0, i1=0.0, i2=0.0,
-                     i3=0.0, i4=0.0, gap_ref=g, bound_gap=0.0, dual_dist_sq=0.0,
-                     dual_bound=0.0, v_dist_sq=0.0, v_bound=0.0, dx=0.0, dy=0.0)
-        for k, g in enumerate(gaps, start=1)
-    ]
+    return [report(k=k, gap_ref=g) for k, g in enumerate(gaps, start=1)]
 
 
 def test_slope_recovers_synthetic_rates():
@@ -177,11 +234,12 @@ def test_slope_insufficient_data():
 def test_energy_trace_empty_and_anchoring():
     inst, params = small_setup()
     assert energy_trace(inst.problem, params, [], fake_ref(np.zeros(30), np.zeros(20))) == []
-    _, _, _, reports = run_reports(iters=50)
-    e1 = reports[0].energy
-    for r in reports:
-        assert r.bound_gap == pytest.approx(e1 / r.t_k**2, rel=1e-12)
-        assert r.dual_bound == pytest.approx(2.0 * e1 / r.t_k**2, rel=1e-12)
+    # Anchored at its own energy, the first row is inside its gap bound:
+    # E_1 = t_1^2 gap + two nonnegative terms, and the cross term is zero at k = 1.
+    inst, params, _, reports = run_reports(iters=50)
+    first = reports[0]
+    assert first.i4 == 0.0 and first.i2 >= 0.0 and first.i3 >= 0.0
+    assert certify_run(inst.problem, params, [first], tol=0.0).gap_violations == 0
 
 
 def test_energy_row_takes_two_products(monkeypatch):
@@ -193,11 +251,10 @@ def test_energy_row_takes_two_products(monkeypatch):
     for _ in range(5):
         states.append(iapd_step(problem, params, states[-1], "option1"))
     evaluate = energy_at(problem, params, ref)
-    e1 = evaluate(states[0]).energy
 
     calls = []
     original = LinearMap.apply
     monkeypatch.setattr(LinearMap, "apply", lambda self, v: calls.append(1) or original(self, v))
     for st in states[1:]:
-        evaluate(st, e1)
+        evaluate(st)
     assert len(calls) == 2 * 5
