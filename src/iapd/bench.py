@@ -95,6 +95,15 @@ class GeneratedInstance:
         return self.problem.f1.value(x) + 0.5 * float(r @ r)
 
 
+def _saddle_form(experiment: str, K: LinearMap, b: np.ndarray, lam: float = 0.0) -> SaddleProblem:
+    """The saddle form of min_x f1(x) + 0.5 ||Kx - b||^2: g1(y) = 0.5 ||y + b||^2, f2 = g2 = 0.
+
+    f1 is lam ||x||_1 for l1ls and the indicator of x >= 0 for nnls.
+    """
+    f1 = L1Norm(lam) if experiment == "l1ls" else NonnegIndicator()
+    return SaddleProblem(f1=f1, f2=ZeroSmooth(), g1=ShiftedQuadratic(b), g2=ZeroSmooth(), K=K)
+
+
 def generate_l1ls(m: int, n: int, lam: float, seed: int) -> GeneratedInstance:
     """Dense Gaussian sensing with a mostly-dense planted vector and noise.
 
@@ -111,13 +120,7 @@ def generate_l1ls(m: int, n: int, lam: float, seed: int) -> GeneratedInstance:
     noise = rng.normal(0.0, math.sqrt(0.1), size=m)
     b = K @ planted + noise
     K.flags.writeable = False  # hand K over: LinearMap keeps it without a copy
-    problem = SaddleProblem(
-        f1=L1Norm(lam),
-        f2=ZeroSmooth(),
-        g1=ShiftedQuadratic(b),
-        g2=ZeroSmooth(),
-        K=LinearMap(K),
-    )
+    problem = _saddle_form("l1ls", LinearMap(K), b, lam)
     return GeneratedInstance(problem, b, planted, name=f"l1ls-m{m}-n{n}-seed{seed}")
 
 
@@ -139,13 +142,7 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
     support = rng.choice(n, size=round(0.05 * n), replace=False)
     planted[support] = rng.uniform(0.0, 100.0, size=support.size)
     b = K.apply(planted)
-    problem = SaddleProblem(
-        f1=NonnegIndicator(),
-        f2=ZeroSmooth(),
-        g1=ShiftedQuadratic(b),
-        g2=ZeroSmooth(),
-        K=K,
-    )
+    problem = _saddle_form("nnls", K, b)
     return GeneratedInstance(problem, b, planted, name=f"nnls-m{m}-n{n}-s{density}-seed{seed}")
 
 
@@ -191,33 +188,36 @@ def emit_csv(rows: list[TraceRow], path) -> None:
 
 
 def read_csv(path) -> list[TraceRow]:
-    """Parse a trace CSV back into rows (empty cells become NaN)."""
+    """Parse a trace CSV back into rows (empty cells become NaN).
+
+    A malformed row raises ValueError naming its line in the file and the
+    column at fault.
+    """
 
     def num(tok: str) -> float:
         return float(tok) if tok else math.nan
 
+    columns = CSV_HEADER.split(",")
+    readers = [(int, "an integer")] + [(num, "a number")] * (len(columns) - 2)
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            if len(parts) != 9:
-                raise ValueError(f"bad row {line!r}")
-            rows.append(
-                TraceRow(
-                    algorithm=parts[0],
-                    k=int(parts[1]),
-                    t_k=num(parts[2]),
-                    objective=num(parts[3]),
-                    gap_ref=num(parts[4]),
-                    dx=num(parts[5]),
-                    dy=num(parts[6]),
-                    energy=num(parts[7]),
-                    elapsed_s=num(parts[8]),
-                )
-            )
+            if len(parts) != len(columns):
+                column = columns[min(len(parts), len(columns) - 1)]
+                raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
+                                 f"{len(parts)} fields, the header {len(columns)}")
+            cells = [parts[0]]
+            for column, (read, kind), tok in zip(columns[1:], readers, parts[1:]):
+                try:
+                    cells.append(read(tok))
+                except ValueError:
+                    raise ValueError(f"{path} line {lineno}, column {column!r}: "
+                                     f"{tok!r} is not {kind}") from None
+            rows.append(TraceRow(*cells))
     return rows
 
 
@@ -340,9 +340,8 @@ def _run_algorithm(
         run_opts = SolverOptions(
             max_iters=opts.max_iters, option=option, observer_stride=opts.observer_stride
         )
-        state0 = solvers.init_iapd_state(problem, iapd_params)
         energy_at = diagnostics.energy_at(problem, iapd_params, ref)
-        reports.append(energy_at(state0))
+        reports.append(energy_at(solvers.init_iapd_state(problem, iapd_params)))
 
         def observer(row: TraceRow, state):
             rep = energy_at(state)
@@ -351,7 +350,7 @@ def _run_algorithm(
             reports.append(rep)
 
         solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts, observer=observer,
-                        state=state0, objective=objective, name=name)
+                        objective=objective)
         params = {"alpha": iapd_params.alpha, "beta": iapd_params.beta, "t1": iapd_params.t1,
                   "mu_g": problem.mu_g, "E1": reports[0].energy}
     elif name == "pda":
@@ -370,7 +369,7 @@ def _run_algorithm(
         alpha = 1.0 / knorm**2
         apg = solvers.solve_fista if name == "fista" else solvers.solve_tseng
         solve = partial(apg, problem.f1, f2, alpha, opts, observer=objective_gap_observer,
-                        x0=np.zeros(problem.primal_dim), objective=objective, name=name)
+                        x0=np.zeros(problem.primal_dim), objective=objective)
         params = {"alpha": alpha}
     else:
         raise ValueError(f"unknown algorithm {name!r}")

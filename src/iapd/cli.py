@@ -14,8 +14,6 @@ from pathlib import Path
 from . import bench, diagnostics
 from .bench import ALGORITHMS, ExperimentConfig, GeneratedInstance
 from .linalg import MatrixMarketError, read_matrix_market
-from .problem import SaddleProblem
-from .proxfuns import L1Norm, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -102,9 +100,7 @@ def _cmd_solve(parser, args) -> int:
               file=sys.stderr)
         return 1
 
-    f1 = L1Norm(args.lam) if args.problem == "l1ls" else NonnegIndicator()
-    problem = SaddleProblem(f1=f1, f2=ZeroSmooth(), g1=ShiftedQuadratic(b),
-                            g2=ZeroSmooth(), K=K)
+    problem = bench._saddle_form(args.problem, K, b, args.lam)
     instance = GeneratedInstance(problem, b, planted=b * 0.0, name=f"user-{args.problem}")
     result = bench.run_benchmark(cfg, instance=instance)
     _report(result)

@@ -12,8 +12,6 @@ from .proxfuns import ProxFunction, ShiftedQuadratic, SmoothFunction, ZeroSmooth
 __all__ = [
     "SaddleProblem",
     "StepParams",
-    "ParamViolation",
-    "ParamReport",
     "ReferencePoint",
     "validate_params",
     "default_step_params",
@@ -119,54 +117,36 @@ class StepParams:
     t1: float = 1.0
 
 
-@dataclass(frozen=True)
-class ParamViolation:
-    condition: str
-    lhs: float
-    rhs: float
-
-    def __str__(self) -> str:
-        return f"{self.condition}: {self.lhs:.6g} >= {self.rhs:.6g}"
-
-
-@dataclass(frozen=True)
-class ParamReport:
-    ok: bool
-    violations: tuple[ParamViolation, ...] = ()
-
-
-def validate_params(problem: SaddleProblem, params: StepParams) -> ParamReport:
+def validate_params(problem: SaddleProblem, params: StepParams) -> None:
     """Check the strict step-size inequalities with the safety-factored norm.
 
-    Returns a structured report; violations are not raised. The smooth-part
-    conditions are vacuous when the corresponding Lipschitz constant is 0.
+    Raises ValueError naming every failed inequality with its values. The
+    smooth-part conditions are vacuous when the Lipschitz constant is 0.
     """
-    violations = []
+    failed = []
     alpha, beta, t1 = params.alpha, params.beta, params.t1
     if not alpha > 0:
-        violations.append(ParamViolation("alpha > 0", alpha, 0.0))
+        failed.append(f"alpha > 0 (got {alpha:.6g})")
     if not beta > 0:
-        violations.append(ParamViolation("beta > 0", beta, 0.0))
+        failed.append(f"beta > 0 (got {beta:.6g})")
     if not t1 >= 1:
-        violations.append(ParamViolation("t1 >= 1", t1, 1.0))
-    if violations:
-        return ParamReport(False, tuple(violations))
-
-    lf2 = problem.f2.lipschitz
-    lg2 = problem.g2.lipschitz
-    knorm = problem.K.norm()
-    if lf2 > 0 and not alpha < 1.0 / lf2:
-        violations.append(ParamViolation("alpha < 1/L_f2", alpha, 1.0 / lf2))
-    if lg2 > 0 and not beta < t1**2 / lg2:
-        violations.append(ParamViolation("beta < t1^2/L_g2", beta, t1**2 / lg2))
-    if not violations:
-        lhs = alpha * beta * knorm**2
-        rhs = (1.0 - alpha * lf2) * (1.0 - beta * lg2 / t1**2)
-        if not lhs < rhs:
-            violations.append(
-                ParamViolation("alpha*beta*||K||^2 < (1-alpha*L_f2)(1-beta*L_g2/t1^2)", lhs, rhs)
-            )
-    return ParamReport(not violations, tuple(violations))
+        failed.append(f"t1 >= 1 (got {t1:.6g})")
+    if not failed:
+        lf2 = problem.f2.lipschitz
+        lg2 = problem.g2.lipschitz
+        knorm = problem.K.norm()
+        if lf2 > 0 and not alpha < 1.0 / lf2:
+            failed.append(f"alpha < 1/L_f2 (got {alpha:.6g} vs {1.0 / lf2:.6g})")
+        if lg2 > 0 and not beta < t1**2 / lg2:
+            failed.append(f"beta < t1^2/L_g2 (got {beta:.6g} vs {t1**2 / lg2:.6g})")
+        if not failed:
+            lhs = alpha * beta * knorm**2
+            rhs = (1.0 - alpha * lf2) * (1.0 - beta * lg2 / t1**2)
+            if not lhs < rhs:
+                failed.append("alpha*beta*||K||^2 < (1-alpha*L_f2)(1-beta*L_g2/t1^2) "
+                              f"(got {lhs:.6g} vs {rhs:.6g})")
+    if failed:
+        raise ValueError("invalid step parameters: " + "; ".join(f"need {f}" for f in failed))
 
 
 def default_step_params(problem: SaddleProblem, t1: float = 5.0) -> StepParams:
@@ -201,9 +181,7 @@ def default_step_params(problem: SaddleProblem, t1: float = 5.0) -> StepParams:
             alpha *= np.sqrt(scale)
             beta *= np.sqrt(scale)
     params = StepParams(float(alpha), float(beta), t1)
-    report = validate_params(problem, params)
-    if not report.ok:
-        raise RuntimeError(f"internal: default parameters infeasible: {report.violations}")
+    validate_params(problem, params)
     return params
 
 
@@ -228,6 +206,8 @@ def compute_reference(
     ``effort`` is the iteration budget (use ~10x the benchmark budget). The
     reported accuracy is the Lagrangian gap between the final iterate and a
     checkpoint taken at 90% of the budget, so callers can scale tolerances.
+    The iterations run through :func:`solvers.solve_iapd` (option 1), whose
+    trace rows fall only at the checkpoint and at the end.
     """
     from . import solvers
 
@@ -235,21 +215,19 @@ def compute_reference(
         raise ValueError("effort must be >= 1")
     if params is None:
         params = default_step_params(problem)
-    report = validate_params(problem, params)
-    if not report.ok:
-        raise ValueError(f"invalid reference parameters: {[str(v) for v in report.violations]}")
 
     checkpoint_at = max(1, (9 * effort) // 10)
-    state = solvers.init_iapd_state(problem, params)
-    check = None
-    for _ in range(effort):
-        state = solvers.iapd_step(problem, params, state, "option1")
-        if state.k - 1 == checkpoint_at:
-            check = (state.x.copy(), state.y.copy())
-    if check is None:
-        check = (state.x, state.y)
+    kept = []
 
-    gap = problem.lagrangian(state.x, check[1]) - problem.lagrangian(check[0], state.y)
+    def keep_checkpoint(row, state):
+        # No copy: iapd_step never writes its input state.
+        if state.k - 1 == checkpoint_at:
+            kept.append(state)
+
+    opts = solvers.SolverOptions(max_iters=effort, observer_stride=checkpoint_at)
+    state, _ = solvers.solve_iapd(problem, params, opts, keep_checkpoint)
+    (check,) = kept
+    gap = problem.lagrangian(state.x, check.y) - problem.lagrangian(check.x, state.y)
     if objective is not None:
         value = float(objective(state.x))
     else:

@@ -279,28 +279,23 @@ def solve_iapd(
     params: StepParams,
     opts: SolverOptions,
     observer=None,
-    state: IapdState | None = None,
     objective=None,
-    name: str | None = None,
 ) -> tuple[IapdState, list[TraceRow]]:
-    """Iterate the accelerated primal-dual scheme under the given options.
+    """Iterate the accelerated primal-dual scheme from ``init_iapd_state``.
 
+    The trace rows are named ``iapd-op1`` or ``iapd-op2`` after the option.
     Raises ValueError for infeasible parameters. On divergence the partial
     trace is attached to the raised :class:`DivergenceError` as ``rows``.
     """
-    report = validate_params(problem, params)
-    if not report.ok:
-        raise ValueError(f"invalid step parameters: {[str(v) for v in report.violations]}")
-    if state is None:
-        state = init_iapd_state(problem, params)
-    name = name or ("iapd-op1" if opts.option == "option1" else "iapd-op2")
+    validate_params(problem, params)
+    name = "iapd-op1" if opts.option == "option1" else "iapd-op2"
 
     def states(state):
         while True:
             state = iapd_step(problem, params, state, opts.option)
             yield state
 
-    return _drive(name, opts, states(state), observer, objective)
+    return _drive(name, opts, states(init_iapd_state(problem, params)), observer, objective)
 
 
 # -- baselines -------------------------------------------------------------
@@ -350,7 +345,7 @@ def solve_pda(
             x_new = f1.prox(alpha, x - alpha * K.apply_adjoint(y))
             xbar = x_new + theta * (x_new - x)
             y_new = g1.prox(beta, y + beta * K.apply(xbar))
-            if not np.isfinite(x_new).all():
+            if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
                 raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
@@ -394,7 +389,7 @@ def solve_apda(
             sigma *= theta
             tau /= theta
             xbar = x_new + theta * (x_new - x)
-            if not np.isfinite(x_new).all():
+            if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
                 raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
@@ -403,7 +398,7 @@ def solve_apda(
     return last.x, last.y, rows
 
 
-def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, option):
+def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, option):
     """Accelerated proximal gradient for min f1 + f2: FISTA (option1) or Tseng (option2).
 
     The options differ exactly as iapd's do at K = 0: option1 takes the
@@ -434,6 +429,7 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, option):
                 raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x, x_prev, None, None, t)
 
+    name = "fista" if option == "option1" else "tseng"
     last, rows = _drive(name, opts, states(np.array(x0, dtype=np.float64)), observer, objective)
     return last.x, rows
 
@@ -447,10 +443,9 @@ def solve_fista(
     x0: np.ndarray | None = None,
     t1: float = 1.0,
     objective=None,
-    name: str = "fista",
 ) -> tuple[np.ndarray, list[TraceRow]]:
     """Accelerated proximal gradient for min f1 + f2 (Beck-Teboulle scheme)."""
-    return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, "option1")
+    return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, "option1")
 
 
 def solve_tseng(
@@ -462,7 +457,6 @@ def solve_tseng(
     x0: np.ndarray | None = None,
     t1: float = 1.0,
     objective=None,
-    name: str = "tseng",
 ) -> tuple[np.ndarray, list[TraceRow]]:
     """Accelerated proximal gradient with Tseng's auxiliary-sequence update."""
-    return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, name, "option2")
+    return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, "option2")

@@ -2,8 +2,10 @@
 
 The functions below the "reference copy" banner are the earlier solvers
 verbatim: ``solve_iapd`` with its own loop, and the four baselines keeping
-their state in a mutable dict driven by ``_trace_loop``. The library runs
-all six through one driver and one stepper per method; these tests hold
+their state in a mutable dict driven by ``_trace_loop``. Two lines moved
+with the library: ``validate_params`` raises, and ``_trace_loop`` counts a
+non-finite dual iterate as divergence, as iapd, pda and apda do. The
+library runs all six through one driver and one stepper per method; these tests hold
 it to the copy on random instances, strides, gap stops and divergences.
 Every field of every trace row except ``elapsed_s`` must match, and so
 must the returned iterates and what the observer is shown.
@@ -82,9 +84,7 @@ def solve_iapd(
     Raises ValueError for infeasible parameters. On divergence the partial
     trace is attached to the raised :class:`DivergenceError` as ``rows``.
     """
-    report = validate_params(problem, params)
-    if not report.ok:
-        raise ValueError(f"invalid step parameters: {[str(v) for v in report.violations]}")
+    validate_params(problem, params)
     if state is None:
         state = init_iapd_state(problem, params)
     name = name or ("iapd-op1" if opts.option == "option1" else "iapd-op2")
@@ -135,7 +135,7 @@ def _trace_loop(name, opts, iterate, x_of, y_of, t_of, observer, objective):
     for i in range(1, opts.max_iters + 1):
         iterate(i)
         x = x_of()
-        if not np.isfinite(x).all():
+        if not (np.isfinite(x).all() and (y_of is None or np.isfinite(y_of()).all())):
             err = DivergenceError(f"non-finite iterate at iteration {i}")
             err.rows = rows
             raise err

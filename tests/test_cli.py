@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from iapd.bench import CSV_HEADER, generate_l1ls, preset_params
 from iapd.cli import main
 from iapd.linalg import LinearMap, write_matrix_market
 
@@ -217,3 +218,32 @@ def test_certify_reports_a_malformed_meta(doctor, message, tmp_path, capsys):
     code = run(["certify", "--csv", str(out / "iapd-op1.csv"), "--meta", str(meta_path)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {meta_path} {message}\n"
+
+
+def test_infeasible_step_flags_state_the_inequality(tmp_path, capsys):
+    knorm = generate_l1ls(20, 30, 0.1, seed=3).problem.K.norm()
+    beta = preset_params("l1ls", knorm).beta
+    coupling = (r"alpha*beta*||K||^2 < (1-alpha*L_f2)(1-beta*L_g2/t1^2) "
+                f"(got {100.0 * beta * knorm**2:.6g} vs 1)")
+    for flags, need in ((["--t1", "0.5"], "t1 >= 1 (got 0.5)"), (["--alpha", "100"], coupling)):
+        code = run(["bench", "l1ls", *BENCH_SMALL, *flags, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: invalid step parameters: need {need}\n"
+
+
+GOOD_ROW = "iapd-op1,{k},5,110.5,0.25,0.5,0.125,2,0.001"
+
+
+@pytest.mark.parametrize("rows, where", [
+    ([GOOD_ROW.format(k=2), GOOD_ROW.format(k=3).replace(",5,", ",abc,")],
+     "line 3, column 't_k': 'abc' is not a number"),
+    ([GOOD_ROW.format(k=2.5)], "line 2, column 'k': '2.5' is not an integer"),
+    ([GOOD_ROW.format(k=2), GOOD_ROW.format(k=3), GOOD_ROW.format(k=4).rsplit(",", 1)[0]],
+     "line 4, column 'elapsed_s': the row has 8 fields, the header 9"),
+])
+def test_certify_names_the_line_and_column_of_a_bad_cell(rows, where, tmp_path, capsys):
+    csv_path = tmp_path / "iapd-op1.csv"
+    csv_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    code = run(["certify", "--csv", str(csv_path), "--meta", str(tmp_path / "run_meta.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {csv_path} {where}\n"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iapd.linalg import LinearMap
 from iapd.problem import (
+    ReferencePoint,
     SaddleProblem,
     StepParams,
     _reference_gap,
@@ -26,6 +27,7 @@ from iapd.proxfuns import (
     ZeroProx,
     ZeroSmooth,
 )
+from iapd.solvers import iapd_step, init_iapd_state
 
 
 def scalar_problem(f1=None, shift=0.0):
@@ -117,16 +119,14 @@ def test_validate_params_accepts_strict_choice():
     p = scalar_problem()
     knorm = p.K.norm()
     params = StepParams(alpha=0.98 / (2.0 * knorm), beta=2.0 / knorm, t1=5.0)
-    report = validate_params(p, params)
-    assert report.ok and not report.violations
+    assert validate_params(p, params) is None
 
 
 def test_validate_params_rejects_coupling_violation():
     p = scalar_problem()
     knorm = p.K.norm()
-    report = validate_params(p, StepParams(alpha=2.0 / knorm, beta=2.0 / knorm))
-    assert not report.ok
-    assert any("K" in v.condition for v in report.violations)
+    with pytest.raises(ValueError, match=r"need alpha\*beta\*\|\|K\|\|\^2 < .* \(got 4 vs 1\)"):
+        validate_params(p, StepParams(alpha=2.0 / knorm, beta=2.0 / knorm))
 
 
 def test_validate_params_rejects_smooth_violation():
@@ -134,16 +134,22 @@ def test_validate_params_rejects_smooth_violation():
         f1=L1Norm(0.1), f2=TenLipschitz(), g1=ShiftedQuadratic([0.0]),
         g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
-    report = validate_params(p, StepParams(alpha=0.2, beta=0.01))
-    assert not report.ok
-    assert any("1/L_f2" in v.condition for v in report.violations)
+    with pytest.raises(ValueError, match=r"need alpha < 1/L_f2 \(got 0\.2 vs 0\.1\)"):
+        validate_params(p, StepParams(alpha=0.2, beta=0.01))
 
 
 def test_validate_params_rejects_nonpositive_and_bad_t1():
     p = scalar_problem()
-    assert not validate_params(p, StepParams(alpha=-1.0, beta=1.0)).ok
-    assert not validate_params(p, StepParams(alpha=0.1, beta=0.0)).ok
-    assert not validate_params(p, StepParams(alpha=0.1, beta=0.1, t1=0.5)).ok
+    with pytest.raises(ValueError, match=r"^invalid step parameters: need alpha > 0 \(got -1\)$"):
+        validate_params(p, StepParams(alpha=-1.0, beta=1.0))
+    with pytest.raises(ValueError, match=r"^invalid step parameters: need beta > 0 \(got 0\)$"):
+        validate_params(p, StepParams(alpha=0.1, beta=0.0))
+    with pytest.raises(ValueError, match=r"^invalid step parameters: need t1 >= 1 \(got 0\.5\)$"):
+        validate_params(p, StepParams(alpha=0.1, beta=0.1, t1=0.5))
+    # every failed inequality is named
+    with pytest.raises(ValueError, match=r"need alpha > 0 \(got -1\); need beta > 0 \(got 0\); "
+                                         r"need t1 >= 1 \(got 0\.5\)$"):
+        validate_params(p, StepParams(alpha=-1.0, beta=0.0, t1=0.5))
 
 
 def test_validate_params_monotone_in_alpha():
@@ -151,9 +157,9 @@ def test_validate_params_monotone_in_alpha():
     p = scalar_problem()
     knorm = p.K.norm()
     base = StepParams(alpha=0.98 / (2.0 * knorm), beta=2.0 / knorm, t1=5.0)
-    assert validate_params(p, base).ok
+    validate_params(p, base)
     for scale in (0.5, 0.1, 1e-3):
-        assert validate_params(p, StepParams(base.alpha * scale, base.beta, base.t1)).ok
+        validate_params(p, StepParams(base.alpha * scale, base.beta, base.t1))
 
 
 def test_default_step_params_feasible_across_structures():
@@ -162,17 +168,17 @@ def test_default_step_params_feasible_across_structures():
         f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic(rng.standard_normal(6)),
         g2=ZeroSmooth(), K=LinearMap(rng.standard_normal((6, 9))),
     )
-    assert validate_params(dense, default_step_params(dense)).ok
+    validate_params(dense, default_step_params(dense))
     smooth = SaddleProblem(
         f1=L1Norm(0.1), f2=TenLipschitz(), g1=ShiftedQuadratic([0.0]),
         g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
-    assert validate_params(smooth, default_step_params(smooth)).ok
+    validate_params(smooth, default_step_params(smooth))
     decoupled = SaddleProblem(
         f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic([0.0]),
         g2=ZeroSmooth(), K=LinearMap(np.zeros((1, 4))),
     )
-    assert validate_params(decoupled, default_step_params(decoupled)).ok
+    validate_params(decoupled, default_step_params(decoupled))
 
 
 # -- reference points ------------------------------------------------------
@@ -239,6 +245,68 @@ def test_compute_reference_rejects_bad_inputs():
         compute_reference(p, 0)
     with pytest.raises(ValueError):
         compute_reference(p, 10, params=StepParams(alpha=-1.0, beta=1.0))
+
+
+def oracle_compute_reference(problem, effort, params=None, objective=None):
+    """compute_reference as its own loop over iapd_step, before it ran through solve_iapd."""
+    if effort < 1:
+        raise ValueError("effort must be >= 1")
+    if params is None:
+        params = default_step_params(problem)
+    validate_params(problem, params)
+
+    checkpoint_at = max(1, (9 * effort) // 10)
+    state = init_iapd_state(problem, params)
+    check = None
+    for _ in range(effort):
+        state = iapd_step(problem, params, state, "option1")
+        if state.k - 1 == checkpoint_at:
+            check = (state.x.copy(), state.y.copy())
+    if check is None:
+        check = (state.x, state.y)
+
+    gap = problem.lagrangian(state.x, check[1]) - problem.lagrangian(check[0], state.y)
+    if objective is not None:
+        value = float(objective(state.x))
+    else:
+        try:
+            value = problem.primal_objective(state.x)
+        except (ValueError, NotImplementedError):
+            value = problem.lagrangian(state.x, state.y)
+    return ReferencePoint(state.x, state.y, value, abs(float(gap)))
+
+
+@st.composite
+def reference_cases(draw):
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.7)
+    K = LinearMap(sp.csr_array(mat) if draw(st.booleans()) else mat)
+    f1 = draw(st.sampled_from([L1Norm(0.3), NonnegIndicator(), ZeroProx()]))
+    f2 = ZeroSmooth() if draw(st.booleans()) else LeastSquares(
+        LinearMap(rng.standard_normal((3, n))), rng.standard_normal(3))
+    g2 = ZeroSmooth() if draw(st.booleans()) else LeastSquares(
+        LinearMap(rng.standard_normal((2, m))), rng.standard_normal(2))
+    problem = SaddleProblem(f1=f1, f2=f2, g1=ShiftedQuadratic(rng.standard_normal(m)), g2=g2, K=K)
+    t1 = draw(st.sampled_from([None, 1.0, 1.5, 5.0]))
+    params = None if t1 is None else default_step_params(problem, t1=t1)
+    objective = None
+    if draw(st.booleans()):
+        def objective(x):
+            return problem.f1.value(x) + 0.5 * float(x @ x)
+    return problem, draw(st.integers(1, 60)), params, objective
+
+
+@settings(max_examples=100, deadline=None)
+@given(reference_cases())
+def test_compute_reference_matches_its_hand_loop(case):
+    problem, effort, params, objective = case
+    got = compute_reference(problem, effort, params=params, objective=objective)
+    want = oracle_compute_reference(problem, effort, params=params, objective=objective)
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.y_star.tobytes() == want.y_star.tobytes()
+    assert np.float64(got.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
+    assert np.float64(got.accuracy).tobytes() == np.float64(want.accuracy).tobytes()
 
 
 def test_nesterov_branch_locks_in_under_strong_dual_steps():

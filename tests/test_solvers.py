@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from iapd.bench import generate_l1ls, preset_params
 from iapd.linalg import LinearMap
@@ -324,6 +325,38 @@ def test_apda_gamma_zero_matches_fixed_steps():
                           SolverOptions(max_iters=50))
     assert xa[0] == pytest.approx(xp[0], rel=1e-12)
     assert ya[0] == pytest.approx(yp[0], rel=1e-12)
+
+
+def test_pda_counts_a_non_finite_dual_iterate_as_divergence():
+    # Steps of 5/||K|| each break the fixed-step condition, and y overflows
+    # one iteration before x does.
+    inst = generate_l1ls(20, 40, 0.1, seed=3)
+    knorm = inst.problem.K.norm()
+    ys = []
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        solve_pda(inst.problem, 5.0 / knorm, 5.0 / knorm, 1.0, SolverOptions(max_iters=100_000),
+                  observer=lambda row, state: ys.append(state.y.copy()))
+    assert err.value.iteration == 264
+    assert str(err.value) == "non-finite iterate at iteration 264"
+    assert [row.k for row in err.value.rows] == list(range(1, 264))
+    assert len(ys) == 263 and all(np.isfinite(y).all() for y in ys)
+
+
+class NanDual(ShiftedQuadratic):
+    """A dual prox that returns NaN."""
+
+    def prox(self, step, z):
+        return np.full_like(super().prox(step, z), math.nan)
+
+
+@pytest.mark.parametrize("solve", [solve_pda, solve_apda])
+def test_nan_dual_prox_diverges_though_x_stays_finite(solve):
+    # K = 0 with no stored entries: K^T y is 0 even for a NaN y, so x never sees it.
+    problem = SaddleProblem(f1=ZeroProx(), f2=ZeroSmooth(), g1=NanDual(np.ones(2)),
+                            g2=ZeroSmooth(), K=LinearMap(sp.csr_array((2, 3))))
+    with pytest.raises(DivergenceError) as err:
+        solve(problem, 1.0, 1.0, 1.0, SolverOptions(max_iters=5))
+    assert err.value.iteration == 1 and err.value.rows == []
 
 
 def test_determinism_bitwise():
