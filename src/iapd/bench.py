@@ -12,8 +12,9 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,9 @@ __all__ = [
 
 ALGORITHMS = ("iapd-op1", "iapd-op2", "pda", "apda", "fista", "tseng")
 
-CSV_HEADER = "algorithm,k,t_k,objective,gap_ref,dx,dy,energy,elapsed_s"
+_COLUMNS = tuple(f.name for f in fields(TraceRow))
+CSV_HEADER = ",".join(_COLUMNS)
+_float_cells = attrgetter(*_COLUMNS[2:])  # every column after algorithm and k
 
 
 @dataclass
@@ -78,6 +81,8 @@ class ExperimentConfig:
                 raise ValueError(f"algorithm {name!r} is listed more than once")
         if self.experiment == "nnls" and not 0 < self.density <= 1:
             raise ValueError("density must lie in (0, 1]")
+        if not math.isfinite(self.lam):
+            raise ValueError("lambda must be finite")
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
 
@@ -169,22 +174,7 @@ def emit_csv(rows: list[TraceRow], path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        r.algorithm,
-                        str(r.k),
-                        _fmt(r.t_k),
-                        _fmt(r.objective),
-                        _fmt(r.gap_ref),
-                        _fmt(r.dx),
-                        _fmt(r.dy),
-                        _fmt(r.energy),
-                        _fmt(r.elapsed_s),
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(",".join([r.algorithm, str(r.k), *map(_fmt, _float_cells(r))]) + "\n")
 
 
 def read_csv(path) -> list[TraceRow]:
@@ -197,8 +187,7 @@ def read_csv(path) -> list[TraceRow]:
     def num(tok: str) -> float:
         return float(tok) if tok else math.nan
 
-    columns = CSV_HEADER.split(",")
-    readers = [(int, "an integer")] + [(num, "a number")] * (len(columns) - 2)
+    readers = [(int, "an integer")] + [(num, "a number")] * (len(_COLUMNS) - 2)
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -206,12 +195,12 @@ def read_csv(path) -> list[TraceRow]:
             raise ValueError(f"unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split(",")
-            if len(parts) != len(columns):
-                column = columns[min(len(parts), len(columns) - 1)]
+            if len(parts) != len(_COLUMNS):
+                column = _COLUMNS[min(len(parts), len(_COLUMNS) - 1)]
                 raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
-                                 f"{len(parts)} fields, the header {len(columns)}")
+                                 f"{len(parts)} fields, the header {len(_COLUMNS)}")
             cells = [parts[0]]
-            for column, (read, kind), tok in zip(columns[1:], readers, parts[1:]):
+            for column, (read, kind), tok in zip(_COLUMNS[1:], readers, parts[1:]):
                 try:
                     cells.append(read(tok))
                 except ValueError:
@@ -263,11 +252,10 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     Writes one CSV per algorithm with rows (a diverged algorithm keeps its
     partial trace) plus summary.txt, plotdata.tsv and run_meta.json into
     cfg.out_dir, and removes the CSV of any other algorithm left there by an
-    earlier run. Returns status 3 if any selected algorithm was skipped or
-    diverged.
+    earlier run. The directory is created only once the sweep is done, so a
+    run that fails before it writes nothing. Returns status 3 if any
+    selected algorithm was skipped or diverged.
     """
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if instance is None:
         instance = _make_instance(cfg)
     problem = instance.problem
@@ -291,6 +279,8 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
             status = 3
         results[name] = res
 
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, res in results.items():
         if res.rows:
@@ -336,10 +326,7 @@ def _run_algorithm(
 
     # Each solve returns a tuple whose last item is the trace rows.
     if name in ("iapd-op1", "iapd-op2"):
-        option = "option1" if name == "iapd-op1" else "option2"
-        run_opts = SolverOptions(
-            max_iters=opts.max_iters, option=option, observer_stride=opts.observer_stride
-        )
+        run_opts = replace(opts, option="option1" if name == "iapd-op1" else "option2")
         energy_at = diagnostics.energy_at(problem, iapd_params, ref)
         reports.append(energy_at(solvers.init_iapd_state(problem, iapd_params)))
 

@@ -100,16 +100,6 @@ class LinearMap:
             self._adj = mat.T
         self._cached_norm: float | None = None
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_coo(cls, rows: int, cols: int, ii, jj, vv) -> "LinearMap":
-        coo = sp.coo_array(
-            (np.asarray(vv, dtype=np.float64), (np.asarray(ii), np.asarray(jj))),
-            shape=(rows, cols),
-        )
-        return cls(coo)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -281,7 +271,7 @@ def read_matrix_market(path) -> LinearMap:
                 raise MatrixMarketError(f"index ({i}, {j}) out of range", lineno)
             ii[k], jj[k] = i - 1, j - 1
             vv[k] = _parse_real(parts[2], lineno)
-        return LinearMap.from_coo(m, n, ii, jj, vv)
+        return LinearMap(sp.coo_array((vv, (ii, jj)), shape=(m, n)))
 
     values = []
     for lineno, text in data_lines:

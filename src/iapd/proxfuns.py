@@ -51,9 +51,9 @@ class L1Norm(ProxFunction):
     """weight * ||x||_1; prox is componentwise soft thresholding."""
 
     def __init__(self, weight: float):
-        if weight < 0:
-            raise ValueError("l1 weight must be nonnegative")
         self.weight = float(weight)
+        if not 0 <= self.weight < np.inf:
+            raise ValueError(f"l1 weight must be finite and nonnegative, got {self.weight}")
 
     def value(self, x) -> float:
         return self.weight * float(np.abs(x).sum())

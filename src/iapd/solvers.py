@@ -56,9 +56,14 @@ class UnsupportedStructureError(ValueError):
 # -- extrapolation scalar sequence ----------------------------------------
 
 
+def _nesterov_t(t: float) -> float:
+    """The Nesterov update (1 + sqrt(1 + 4 t^2)) / 2, shared by iapd, FISTA and Tseng."""
+    return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+
+
 def next_t(t: float, a: float) -> float:
     """min of the Nesterov branch and the strongly-convex branch sqrt(t^2 + a t)."""
-    return min(0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), math.sqrt(t * t + a * t))
+    return min(_nesterov_t(t), math.sqrt(t * t + a * t))
 
 
 # -- accelerated primal-dual ----------------------------------------------
@@ -312,12 +317,6 @@ def _require_full_prox(problem: SaddleProblem, algorithm: str) -> None:
         )
 
 
-def _start(problem: SaddleProblem, x0, y0) -> tuple[np.ndarray, np.ndarray]:
-    x = np.zeros(problem.primal_dim) if x0 is None else np.array(x0, dtype=np.float64)
-    y = np.zeros(problem.dual_dim) if y0 is None else np.array(y0, dtype=np.float64)
-    return x, y
-
-
 def solve_pda(
     problem: SaddleProblem,
     alpha: float,
@@ -325,13 +324,11 @@ def solve_pda(
     theta: float,
     opts: SolverOptions,
     observer=None,
-    x0: np.ndarray | None = None,
-    y0: np.ndarray | None = None,
     objective=None,
 ) -> tuple[np.ndarray, np.ndarray, list[TraceRow]]:
     """Fixed-step primal-dual iteration with extrapolation parameter theta.
 
-    theta = 0 gives the plain alternating (Arrow-Hurwicz) ordering.
+    theta = 0 gives the plain alternating (Arrow-Hurwicz) ordering. Starts from x = y = 0.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
@@ -340,7 +337,8 @@ def solve_pda(
     _require_full_prox(problem, "pda")
     f1, g1, K = problem.f1, problem.g1, problem.K
 
-    def states(x, y):
+    def states():
+        x, y = np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)
         for k in count(1):
             x_new = f1.prox(alpha, x - alpha * K.apply_adjoint(y))
             xbar = x_new + theta * (x_new - x)
@@ -350,7 +348,7 @@ def solve_pda(
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
 
-    last, rows = _drive("pda", opts, states(*_start(problem, x0, y0)), observer, objective)
+    last, rows = _drive("pda", opts, states(), observer, objective)
     return last.x, last.y, rows
 
 
@@ -361,14 +359,12 @@ def solve_apda(
     gamma: float,
     opts: SolverOptions,
     observer=None,
-    x0: np.ndarray | None = None,
-    y0: np.ndarray | None = None,
     objective=None,
 ) -> tuple[np.ndarray, np.ndarray, list[TraceRow]]:
     """Adaptive-step primal-dual baseline exploiting dual strong convexity.
 
     Steps follow theta_k = 1/sqrt(1 + 2 gamma sigma_k), sigma <- theta sigma,
-    tau <- tau/theta; gamma = 0 freezes the scheme to fixed-step form.
+    tau <- tau/theta; gamma = 0 freezes the scheme to fixed-step form. Starts from x = y = 0.
     """
     _require_full_prox(problem, "apda")
     knorm = problem.K.norm()
@@ -380,7 +376,8 @@ def solve_apda(
         raise ValueError("gamma must be nonnegative")
     f1, g1, K = problem.f1, problem.g1, problem.K
 
-    def states(x, y):
+    def states():
+        x, y = np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)
         xbar, tau, sigma = x, float(tau0), float(sigma0)
         for k in count(1):
             y_new = g1.prox(sigma, y + sigma * K.apply(xbar))
@@ -394,7 +391,7 @@ def solve_apda(
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
 
-    last, rows = _drive("apda", opts, states(*_start(problem, x0, y0)), observer, objective)
+    last, rows = _drive("apda", opts, states(), observer, objective)
     return last.x, last.y, rows
 
 
@@ -409,12 +406,10 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, option):
         raise ValueError("f2 must have a positive Lipschitz constant")
     if alpha > 1.0 / f2.lipschitz:
         raise ValueError(f"alpha must be <= 1/L = {1.0 / f2.lipschitz:.6g}")
-    if x0 is None:
-        raise ValueError("x0 is required")
 
     def states(x):
         x_prev = u = x
-        t, t_next = float(t1), 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t1 * t1))
+        t, t_next = float(t1), _nesterov_t(t1)
         for k in count(1):
             xbar = x + ((t - 1.0) / t_next) * (x - x_prev)
             if option == "option1":
@@ -424,7 +419,7 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, option):
                 u = f1.prox(step, u - step * f2.grad(xbar))
                 x_new = ((t_next - 1.0) * x + u) / t_next
             x_prev, x = x, x_new
-            t, t_next = t_next, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_next * t_next))
+            t, t_next = t_next, _nesterov_t(t_next)
             if not np.isfinite(x).all():
                 raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x, x_prev, None, None, t)
@@ -440,7 +435,8 @@ def solve_fista(
     alpha: float,
     opts: SolverOptions,
     observer=None,
-    x0: np.ndarray | None = None,
+    *,
+    x0: np.ndarray,
     t1: float = 1.0,
     objective=None,
 ) -> tuple[np.ndarray, list[TraceRow]]:
@@ -454,7 +450,8 @@ def solve_tseng(
     alpha: float,
     opts: SolverOptions,
     observer=None,
-    x0: np.ndarray | None = None,
+    *,
+    x0: np.ndarray,
     t1: float = 1.0,
     objective=None,
 ) -> tuple[np.ndarray, list[TraceRow]]:

@@ -61,7 +61,9 @@ def test_criterion_1_t_sequence_certificate():
     import time
 
     sqrt = math.sqrt
-    start = time.monotonic()
+    # CPU time of this process: the bound is on the check's own work, which
+    # wall time would also charge for other processes sharing the machine.
+    start = time.process_time()
     worst_rel = 0.0
     ok = True
     for t1 in (1.0, 1.2, 5.0):
@@ -83,7 +85,7 @@ def test_criterion_1_t_sequence_certificate():
                        and np.all(ts >= lower * (1.0 - 1e-15)))
             worst_rel = max(worst_rel, float(np.max(r1 / np.maximum(ts[1:] ** 2, 1.0))),
                             float(np.max(r2 / np.maximum(ts[1:] ** 2, 1.0))))
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     verdict(1, ok and elapsed < 1.0,
             f"12 (t1, a) settings x 1e5 terms, worst relative residual "
             f"{worst_rel:.2e}, {elapsed:.2f}s")

@@ -36,6 +36,8 @@ def test_repeated_algorithm_is_usage_error(tmp_path, capsys):
     (["l1ls", "--m", "0"], "m and n must be >= 1"),
     (["nnls", "--density", "2"], "density must lie in (0, 1]"),
     (["l1ls", "--lambda", "-1"], "lambda must be nonnegative"),
+    (["l1ls", "--lambda", "nan"], "lambda must be finite"),
+    (["l1ls", "--lambda", "inf"], "lambda must be finite"),
 ])
 def test_rejected_flag_value_is_usage_error(flags, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -229,6 +231,7 @@ def test_infeasible_step_flags_state_the_inequality(tmp_path, capsys):
         code = run(["bench", "l1ls", *BENCH_SMALL, *flags, "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: invalid step parameters: need {need}\n"
+        assert not (tmp_path / "out").exists()
 
 
 GOOD_ROW = "iapd-op1,{k},5,110.5,0.25,0.5,0.125,2,0.001"

@@ -94,7 +94,7 @@ def test_norm_is_cached_and_deterministic():
 
 
 def test_from_coo_and_triples_sorted():
-    K = LinearMap.from_coo(3, 3, [2, 0, 0], [0, 2, 1], [5.0, 7.0, 9.0])
+    K = LinearMap(sp.coo_array(([5.0, 7.0, 9.0], ([2, 0, 0], [0, 2, 1])), shape=(3, 3)))
     ii, jj, vv = K.triples()
     assert list(ii) == [0, 0, 2]
     assert list(jj) == [1, 2, 0]

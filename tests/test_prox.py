@@ -1,5 +1,7 @@
 """Proximal and smooth building-block tests with optimality-condition oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,8 +42,9 @@ def test_l1_zero_weight_prox_is_identity():
 
 
 def test_l1_negative_weight_rejected():
-    with pytest.raises(ValueError):
-        L1Norm(-0.1)
+    for weight in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            L1Norm(weight)
 
 
 def test_nonneg_value_and_projection():
@@ -293,7 +296,7 @@ values_input = st.lists(entries, min_size=1, max_size=40).flatmap(
 
 @settings(max_examples=400, deadline=None)
 @given(x=values_input, weight=st.one_of(st.sampled_from([0.0, 1.0, 1e300]),
-                                        st.floats(min_value=0.0)))
+                                        st.floats(min_value=0.0, allow_infinity=False)))
 def test_value_kernels_match_their_plain_forms(x, weight):
     with np.errstate(all="ignore"):
         assert float_bytes(L1Norm(weight).value(x)) == float_bytes(oracle_l1_value(weight, x))

@@ -3,6 +3,10 @@ root re-exports only names its modules declare public.
 
 Tools that walk ``__all__`` (a tracer that wraps each public function, for
 one) call ``getattr`` on every entry, so a stale entry breaks them.
+
+The source also keeps one owner per loop: ``solve_iapd`` is the only caller
+of ``iapd_step``, and in ``solvers.py`` only the driver ``_drive`` builds
+trace rows.
 """
 
 import ast
@@ -38,3 +42,30 @@ def test_root_imports_only_declared_public_names():
     undeclared = [(mod, attr) for mod, attr in imports
                   if attr not in importlib.import_module(f"iapd.{mod}").__all__]
     assert undeclared == []
+
+
+SRC = Path(iapd.__file__).parent
+
+
+def _callers(path: Path, callee: str) -> set[str]:
+    """Top-level definitions in ``path`` that call ``callee`` by name or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_only_solve_iapd_calls_iapd_step():
+    callers = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+               for owner in _callers(path, "iapd_step")}
+    assert callers == {("solvers.py", "solve_iapd")}
+
+
+def test_only_the_driver_builds_trace_rows():
+    assert _callers(SRC / "solvers.py", "TraceRow") == {"_drive"}

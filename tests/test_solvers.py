@@ -256,7 +256,7 @@ def test_fista_rejects_bad_inputs():
     with pytest.raises(ValueError):
         solve_fista(ZeroProx(), Quad(), 2.0, SolverOptions(max_iters=1),
                     x0=np.zeros(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         solve_fista(ZeroProx(), Quad(), 1.0, SolverOptions(max_iters=1))
     with pytest.raises(ValueError):
         solve_fista(ZeroProx(), ZeroSmooth(), 1.0, SolverOptions(max_iters=1),
