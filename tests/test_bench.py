@@ -21,8 +21,8 @@ from iapd.bench import (
     run_benchmark,
 )
 from iapd.linalg import LinearMap
-from iapd.problem import validate_params
-from iapd.proxfuns import L1Norm, NonnegIndicator
+from iapd.problem import SaddleProblem, validate_params
+from iapd.proxfuns import L1Norm, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from iapd.solvers import TraceRow
 
 from test_baseline_oracle import PoisonedProx
@@ -95,6 +95,20 @@ def test_presets_feasible_on_their_families():
     validate_params(nn.problem, params)
     with pytest.raises(ValueError):
         preset_params("other", 1.0)
+
+
+def test_l1ls_presets_converge_on_a_map_whose_top_direction_avoids_ones():
+    # ||K|| = sqrt(8), and the all-ones vector lies in the singular space of
+    # sqrt(2). With ||K|| taken as sqrt(2) the presets still pass
+    # validate_params, and iapd diverges at k = 393. The solution of
+    # min 0.1 ||x||_1 + 0.5 ||Kx - b||^2 is (0.7, 0.2).
+    K = LinearMap(np.array([[2.0, -2.0], [1.0, 1.0]]))
+    prob = SaddleProblem(f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic(np.ones(2)),
+                         g2=ZeroSmooth(), K=K)
+    params = preset_params("l1ls", K.norm())
+    validate_params(prob, params)
+    state, _ = solvers.solve_iapd(prob, params, solvers.SolverOptions(max_iters=2000))
+    assert np.allclose(state.x, [0.7, 0.2], atol=1e-5)
 
 
 def test_config_validation():
