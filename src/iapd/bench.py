@@ -95,7 +95,7 @@ class GeneratedInstance:
     name: str = ""
 
     def objective(self, x: np.ndarray) -> float:
-        """The composite value f(x) + 0.5 ||Kx - b||^2 used for plots."""
+        """The composite value f(x) + 0.5 ||Kx - b||^2: the trace's objective column."""
         r = self.problem.K.apply(x) - self.b
         return self.problem.f1.value(x) + 0.5 * float(r @ r)
 
@@ -250,8 +250,8 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     """Generate (or accept) an instance, compute a reference, run the sweep.
 
     Writes one CSV per algorithm with rows (a diverged algorithm keeps its
-    partial trace) plus summary.txt, plotdata.tsv and run_meta.json into
-    cfg.out_dir, and removes the CSV of any other algorithm left there by an
+    partial trace) plus summary.txt and run_meta.json into cfg.out_dir,
+    and removes the CSV of any other algorithm left there by an
     earlier run. The directory is created only once the sweep is done, so a
     run that fails before it writes nothing. Returns status 3 if any
     selected algorithm was skipped or diverged.
@@ -264,7 +264,6 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     iapd_params = _iapd_params(cfg, knorm)
     effort = cfg.reference_effort if cfg.reference_effort is not None else 10 * cfg.iters
     ref = compute_reference(problem, effort, params=iapd_params, objective=instance.objective)
-    f_star = ref.objective_value
 
     opts = SolverOptions(max_iters=cfg.iters, observer_stride=cfg.observer_stride)
     results: dict[str, AlgorithmResult] = {}
@@ -289,7 +288,6 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     for name in set(ALGORITHMS).difference(written):
         (out_dir / f"{name}.csv").unlink(missing_ok=True)
     _write_summary(out_dir, cfg, ref, results, knorm)
-    _write_plotdata(out_dir, results, f_star)
     _write_meta(out_dir, cfg, ref, results, knorm)
     return BenchResult(status, out_dir, ref, results)
 
@@ -341,16 +339,15 @@ def _run_algorithm(
         params = {"alpha": iapd_params.alpha, "beta": iapd_params.beta, "t1": iapd_params.t1,
                   "mu_g": problem.mu_g, "E1": reports[0].energy}
     elif name == "pda":
-        alpha, beta, theta = 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0
-        solve = partial(solvers.solve_pda, problem, alpha, beta, theta, opts,
+        alpha, beta = 1.0 / (20.0 * knorm), 20.0 / knorm
+        solve = partial(solvers.solve_pda, problem, alpha, beta, opts,
                         observer=saddle_gap_observer(), objective=objective)
-        params = {"alpha": alpha, "beta": beta, "theta": theta}
+        params = {"alpha": alpha, "beta": beta, "theta": 1.0}
     elif name == "apda":
         tau0 = sigma0 = 1.0 / knorm
-        gamma = problem.mu_g
-        solve = partial(solvers.solve_apda, problem, tau0, sigma0, gamma, opts,
+        solve = partial(solvers.solve_apda, problem, tau0, sigma0, opts,
                         observer=saddle_gap_observer(), objective=objective)
-        params = {"tau0": tau0, "sigma0": sigma0, "gamma": gamma}
+        params = {"tau0": tau0, "sigma0": sigma0, "gamma": problem.mu_g}
     elif name in ("fista", "tseng"):
         f2 = LeastSquares(problem.K, instance.b)
         alpha = 1.0 / knorm**2
@@ -409,27 +406,6 @@ def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
                 f"({fit.n_used} rows, {fit.n_excluded} excluded)"
             )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_plotdata(out_dir, results, f_star) -> None:
-    """Wide tab-separated table: per algorithm, objective gap and elapsed time."""
-    path = out_dir / "plotdata.tsv"
-    active = [(n, r) for n, r in results.items() if r.rows]
-    length = max((len(r.rows) for _, r in active), default=0)
-    header = ["row"]
-    for name, _ in active:
-        header += [f"{name}_k", f"{name}_gap", f"{name}_elapsed_s"]
-    out = ["\t".join(header)]
-    for i in range(length):
-        cells = [str(i + 1)]
-        for _, res in active:
-            if i < len(res.rows):
-                row = res.rows[i]
-                cells += [str(row.k), _fmt(row.objective - f_star), _fmt(row.elapsed_s)]
-            else:
-                cells += ["", "", ""]
-        out.append("\t".join(cells))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def _algorithm_meta(res: AlgorithmResult) -> dict:

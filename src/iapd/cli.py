@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="re-check certificates from a trace CSV")
     p_cert.add_argument("--csv", required=True, help="per-algorithm trace CSV")
     p_cert.add_argument("--meta", required=True, help="run_meta.json from the same run")
-    p_cert.add_argument("--tol", type=float, default=1e-6)
+    p_cert.add_argument("--tol", type=float, default=1e-6,
+                        help="relative slack of each bound, in [0, inf)")
     return parser
 
 
@@ -108,15 +110,19 @@ def _cmd_solve(parser, args) -> int:
 
 
 def _meta_number(obj: dict, key: str, where: str):
-    """A numeric field of run_meta.json; a missing or non-numeric one raises ValueError."""
+    """A numeric field of run_meta.json; a missing, non-numeric or non-finite one raises ValueError."""
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         what = "a non-numeric field" if key in obj else "no field"
         raise ValueError(f"{where} has {what} {key!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{where} has a non-finite field {key!r} ({value})")
     return value
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(parser, args) -> int:
+    if not 0 <= args.tol < math.inf:
+        parser.error(f"--tol must be finite and >= 0, got {args.tol}")
     rows = bench.read_csv(args.csv)
     if not rows:
         raise ValueError(f"{args.csv} has no rows")
@@ -151,7 +157,7 @@ def main(argv=None) -> int:
         if args.command == "solve":
             return _cmd_solve(parser, args)
         if args.command == "certify":
-            return _cmd_certify(args)
+            return _cmd_certify(parser, args)
     except (MatrixMarketError, OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -155,8 +155,16 @@ def certify(
     the relative slack ``tol + inflation``; ``inflation`` covers an inexact
     reference point. A row with t_k = 0 gets no gap or dual bound, and a NaN
     measurement is never flagged. The reports are read once, in order, so a
-    generator of them keeps no trace in memory.
+    generator of them keeps no trace in memory. A non-finite constant or
+    ``inflation``, or a ``tol`` outside [0, inf), raises ValueError: a NaN
+    or infinite slack would flag no row at all.
     """
+    constants = {"e1": e1, "t1": t1, "mu_g": mu_g, "beta": beta, "inflation": inflation}
+    for name, value in constants.items():
+        if not math.isfinite(value):
+            raise ValueError(f"certify needs a finite {name}, got {value}")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"certify needs a tol in [0, inf), got {tol}")
     slack = 1.0 + tol + inflation
     a = mu_g * beta
     b = 2.0 * a * t1 / (a + 4.0 * t1) if a > 0 else 0.0

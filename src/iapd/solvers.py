@@ -100,6 +100,10 @@ class SolverOptions:
             raise ValueError("observer_stride must be >= 1")
         if self.option not in ("option1", "option2"):
             raise ValueError(f"unknown option {self.option!r}")
+        if (self.gap_tol is None) != (self.reference is None):
+            raise ValueError("the gap stop needs both gap_tol and reference")
+        if self.gap_tol is not None and not math.isfinite(self.gap_tol):
+            raise ValueError(f"gap_tol must be finite, got {self.gap_tol}")
 
 
 @dataclass
@@ -238,10 +242,12 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     stride, at the last iteration and at the iterate where the gap stop
     fires. A row's ``elapsed_s`` is solver time: the clock is paused while
     the objective and the observer run. On divergence the rows so far ride
-    on the error as ``rows``.
+    on the error as ``rows``. A gap stop without an objective raises ValueError.
     """
     f_ref = None
-    if opts.gap_tol is not None and opts.reference is not None and objective is not None:
+    if opts.gap_tol is not None:
+        if objective is None:
+            raise ValueError("the gap stop needs an objective")
         f_ref = opts.reference.objective_value
     rows: list[TraceRow] = []
     clock = time.monotonic_ns
@@ -321,19 +327,16 @@ def solve_pda(
     problem: SaddleProblem,
     alpha: float,
     beta: float,
-    theta: float,
     opts: SolverOptions,
     observer=None,
     objective=None,
 ) -> tuple[np.ndarray, np.ndarray, list[TraceRow]]:
-    """Fixed-step primal-dual iteration with extrapolation parameter theta.
+    """Fixed-step primal-dual iteration (Chambolle-Pock) with extrapolation theta = 1.
 
-    theta = 0 gives the plain alternating (Arrow-Hurwicz) ordering. Starts from x = y = 0.
+    Starts from x = y = 0.
     """
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    if not 0 <= theta <= 1:
-        raise ValueError("theta must lie in [0, 1]")
     _require_full_prox(problem, "pda")
     f1, g1, K = problem.f1, problem.g1, problem.K
 
@@ -341,7 +344,7 @@ def solve_pda(
         x, y = np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)
         for k in count(1):
             x_new = f1.prox(alpha, x - alpha * K.apply_adjoint(y))
-            xbar = x_new + theta * (x_new - x)
+            xbar = x_new + (x_new - x)
             y_new = g1.prox(beta, y + beta * K.apply(xbar))
             if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
                 raise DivergenceError(f"non-finite iterate at iteration {k}", k)
@@ -356,7 +359,6 @@ def solve_apda(
     problem: SaddleProblem,
     tau0: float,
     sigma0: float,
-    gamma: float,
     opts: SolverOptions,
     observer=None,
     objective=None,
@@ -364,7 +366,7 @@ def solve_apda(
     """Adaptive-step primal-dual baseline exploiting dual strong convexity.
 
     Steps follow theta_k = 1/sqrt(1 + 2 gamma sigma_k), sigma <- theta sigma,
-    tau <- tau/theta; gamma = 0 freezes the scheme to fixed-step form. Starts from x = y = 0.
+    tau <- tau/theta, with gamma = ``problem.mu_g``. Starts from x = y = 0.
     """
     _require_full_prox(problem, "apda")
     knorm = problem.K.norm()
@@ -372,9 +374,7 @@ def solve_apda(
         raise ValueError("tau0 and sigma0 must be positive")
     if tau0 * sigma0 * knorm**2 > 1.0 + 1e-12:
         raise ValueError("need tau0 * sigma0 * ||K||^2 <= 1")
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    f1, g1, K = problem.f1, problem.g1, problem.K
+    f1, g1, K, gamma = problem.f1, problem.g1, problem.K, problem.mu_g
 
     def states():
         x, y = np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)

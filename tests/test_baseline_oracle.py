@@ -4,7 +4,8 @@ The functions below the "reference copy" banner are the earlier solvers
 verbatim: ``solve_iapd`` with its own loop, and the four baselines keeping
 their state in a mutable dict driven by ``_trace_loop``. Two lines moved
 with the library: ``validate_params`` raises, and ``_trace_loop`` counts a
-non-finite dual iterate as divergence, as iapd, pda and apda do. The
+non-finite dual iterate as divergence, as iapd, pda and apda do. The copy
+ignores a gap stop without an objective, which the library refuses. The
 library runs all six through one driver and one stepper per method; these tests hold
 it to the copy on random instances, strides, gap stops and divergences.
 Every field of every trace row except ``elapsed_s`` must match, and so
@@ -361,8 +362,12 @@ class Recorder:
         self.seen.append((x.copy(), None if y is None else y.copy()))
 
 
-def run(library: bool, name, problem, f2, opts, observer, objective, t1, theta):
-    """Returned arrays and rows of one solve, by the library or by the reference copy."""
+def run(library: bool, name, problem, f2, opts, observer, objective, t1):
+    """Returned arrays and rows of one solve, by the library or by the reference copy.
+
+    The copies of pda and apda still take theta and gamma; the library fixes
+    them at 1 and mu_g, so the copies are called with exactly those.
+    """
     knorm = problem.K.norm()
     if name.startswith("iapd"):
         solve = solvers.solve_iapd if library else solve_iapd
@@ -372,12 +377,14 @@ def run(library: bool, name, problem, f2, opts, observer, objective, t1, theta):
         return (state.x, state.x_prev, state.y, state.y_prev, state.u, state.v, state.v_prev), rows
     if name == "pda":
         solve = solvers.solve_pda if library else solve_pda
-        x, y, rows = solve(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, theta, opts,
+        theta = () if library else (1.0,)
+        x, y, rows = solve(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, *theta, opts,
                            observer=observer, objective=objective)
         return (x, y), rows
     if name == "apda":
         solve = solvers.solve_apda if library else solve_apda
-        x, y, rows = solve(problem, 1.0 / knorm, 1.0 / knorm, problem.mu_g * theta, opts,
+        gamma = () if library else (problem.mu_g,)
+        x, y, rows = solve(problem, 1.0 / knorm, 1.0 / knorm, *gamma, opts,
                            observer=observer, objective=objective)
         return (x, y), rows
     if name == "fista":
@@ -389,9 +396,9 @@ def run(library: bool, name, problem, f2, opts, observer, objective, t1, theta):
     return (x,), rows
 
 
-def outcome(library, name, problem, f2, opts, observer, objective, t1, theta):
+def outcome(library, name, problem, f2, opts, observer, objective, t1):
     try:
-        return run(library, name, problem, f2, opts, observer, objective, t1, theta), None
+        return run(library, name, problem, f2, opts, observer, objective, t1), None
     except DivergenceError as err:
         return (None, err.rows), str(err)
 
@@ -426,7 +433,6 @@ def cases(draw):
         with_objective=draw(st.booleans()),
         with_observer=draw(st.booleans()),
         t1=draw(st.sampled_from([1.0, 1.5, 5.0])),
-        theta=draw(st.sampled_from([0.0, 0.5, 1.0])),
     )
 
 
@@ -448,9 +454,14 @@ def test_driver_matches_reference_copy(case):
         # Stop where an unstopped, unpoisoned run first reaches its gap_stop-th objective value.
         clean = replace(problem, f1=problem.f1.inner, g1=problem.g1.inner)
         _, full = run(True, name, clean, f2, replace(opts, observer_stride=1), None, objective,
-                      case["t1"], case["theta"])
+                      case["t1"])
         opts = replace(opts, gap_tol=full[case["gap_stop"] - 1].objective,
                        reference=ReferencePoint(None, None, 0.0, 0.0))
+        if not case["with_objective"]:
+            # The copy ignores a gap stop it cannot evaluate; the library refuses it.
+            with pytest.raises(ValueError, match="the gap stop needs an objective"):
+                run(True, name, problem, f2, opts, None, None, case["t1"])
+            return
     objective = objective if case["with_objective"] else None
 
     results = []
@@ -459,7 +470,7 @@ def test_driver_matches_reference_copy(case):
         observer = Recorder() if case["with_observer"] else None
         with np.errstate(all="ignore"):
             got, message = outcome(library, name, problem, f2, opts, observer, objective,
-                                   case["t1"], case["theta"])
+                                   case["t1"])
         results.append((got, message, observer))
 
     (want_arrays, want_rows), want_msg, want_obs = results[0]
@@ -483,11 +494,11 @@ def test_divergence_names_the_iteration_and_keeps_the_rows(name):
     inst = generate_l1ls(20, 30, 0.1, seed=2)
     f2 = LeastSquares(inst.problem.K, inst.b)
     opts = SolverOptions(max_iters=40, observer_stride=3)
-    _, clean = run(True, name, inst.problem, f2, opts, None, inst.objective, 5.0, 1.0)
+    _, clean = run(True, name, inst.problem, f2, opts, None, inst.objective, 5.0)
     poisoned = replace(inst.problem, f1=PoisonedProx(inst.problem.f1, 17))
 
     with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
-        run(True, name, poisoned, f2, opts, None, inst.objective, 5.0, 1.0)
+        run(True, name, poisoned, f2, opts, None, inst.objective, 5.0)
 
     offset = 1 if name.startswith("iapd") else 0  # iapd numbers its initial state k = 1
     assert str(err.value) == f"non-finite iterate at iteration {17 + offset}"

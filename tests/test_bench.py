@@ -218,9 +218,9 @@ def test_run_benchmark_end_to_end(tmp_path):
         res = result.results[name]
         assert not res.skipped
         assert len(res.rows) == 60
-        assert (tmp_path / "out" / f"{name}.csv").exists()
-    for fname in ("summary.txt", "plotdata.tsv", "run_meta.json"):
-        assert (tmp_path / "out" / fname).exists()
+    # The run directory holds exactly one trace per algorithm, the summary and the metadata.
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        [f"{name}.csv" for name in ALGORITHMS] + ["summary.txt", "run_meta.json"])
     # energy metadata present for the accelerated primal-dual runs
     assert "E1" in result.results["iapd-op1"].params
     assert result.results["iapd-op1"].certificate.ok

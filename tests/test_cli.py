@@ -152,6 +152,29 @@ def test_certify_flags_corrupted_trace(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+def test_certify_rejects_a_tolerance_that_passes_every_row(tol, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
+                "--out", str(out)]) == 0
+    csv_path = out / "iapd-op1.csv"
+    lines = csv_path.read_text().splitlines()
+    doctored = [lines[0]]
+    for line in lines[1:]:
+        parts = line.split(",")
+        parts[4] = "1e6"  # gap_ref, far past every bound
+        doctored.append(",".join(parts))
+    csv_path.write_text("\n".join(doctored) + "\n")
+    argv = ["certify", "--csv", str(csv_path), "--meta", str(out / "run_meta.json")]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert "gap-bound violations 50," in capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        run([*argv, "--tol", tol])
+    assert err.value.code == 2
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_certify_flags_zero_t_as_t_lower_violation(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
@@ -204,10 +227,22 @@ def _text_beta(meta):
     return meta
 
 
+def _nan_reference_accuracy(meta):
+    meta["reference_accuracy"] = float("nan")
+    return meta
+
+
+def _inf_e1(meta):
+    meta["algorithms"]["iapd-op1"]["params"]["E1"] = float("inf")
+    return meta
+
+
 @pytest.mark.parametrize("doctor, message", [
     (_drop_reference_accuracy, "has no field 'reference_accuracy'"),
     (_drop_t1, "params of 'iapd-op1' has no field 't1'"),
     (_text_beta, "params of 'iapd-op1' has a non-numeric field 'beta'"),
+    (_nan_reference_accuracy, "has a non-finite field 'reference_accuracy' (nan)"),
+    (_inf_e1, "params of 'iapd-op1' has a non-finite field 'E1' (inf)"),
     (lambda meta: [meta], "holds a JSON list, not an object"),
 ])
 def test_certify_reports_a_malformed_meta(doctor, message, tmp_path, capsys):
@@ -227,7 +262,8 @@ def test_infeasible_step_flags_state_the_inequality(tmp_path, capsys):
     beta = preset_params("l1ls", knorm).beta
     coupling = (r"alpha*beta*||K||^2 < (1-alpha*L_f2)(1-beta*L_g2/t1^2) "
                 f"(got {100.0 * beta * knorm**2:.6g} vs 1)")
-    for flags, need in ((["--t1", "0.5"], "t1 >= 1 (got 0.5)"), (["--alpha", "100"], coupling)):
+    for flags, need in ((["--t1", "0.5"], "t1 >= 1 (got 0.5)"), (["--t1", "inf"], "a finite t1 (got inf)"),
+                        (["--alpha", "100"], coupling)):
         code = run(["bench", "l1ls", *BENCH_SMALL, *flags, "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: invalid step parameters: need {need}\n"

@@ -137,6 +137,19 @@ def test_certify_rejects_empty():
         certify([], 1.0, 1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("constant, value", [
+    ("e1", math.nan), ("e1", math.inf), ("t1", math.inf), ("mu_g", math.nan),
+    ("beta", math.inf), ("inflation", math.nan), ("tol", math.nan), ("tol", math.inf),
+    ("tol", -1e-6),
+])
+def test_certify_rejects_a_constant_that_passes_every_row(constant, value):
+    # No run has such a constant, and a NaN one would pass a row of any size unflagged.
+    kw = dict(e1=1.0, t1=1.0, mu_g=1.0, beta=1.0, tol=1e-6, inflation=0.0)
+    kw[constant] = value
+    with pytest.raises(ValueError, match=f"certify needs a .*{constant}"):
+        certify([report(gap_ref=1e300)], **kw)
+
+
 def report(k=1, t_k=1.0, t_next=1.0, gap_ref=0.0, dual_dist_sq=0.0, v_dist_sq=0.0):
     return EnergyReport(k=k, t_k=t_k, t_next=t_next, energy=0.0, i1=0.0, i2=0.0, i3=0.0,
                         i4=0.0, gap_ref=gap_ref, dual_dist_sq=dual_dist_sq, v_dist_sq=v_dist_sq)
@@ -246,7 +259,7 @@ def test_energy_row_takes_two_products(monkeypatch):
     """The per-solve evaluator takes K x* once; a row then costs K x and K (u - x*)."""
     inst, params = small_setup()
     problem = inst.problem
-    ref = compute_reference(problem, 300, params=params)
+    ref = compute_reference(problem, 300, params=params, objective=inst.objective)
     states = [init_iapd_state(problem, params)]
     for _ in range(5):
         states.append(iapd_step(problem, params, states[-1], "option1"))

@@ -191,7 +191,7 @@ def test_compute_reference_scalar_nnls():
         f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
         g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
-    ref = compute_reference(p, 20000)
+    ref = compute_reference(p, 20000, params=default_step_params(p), objective=p.primal_objective)
     assert ref.x_star[0] == pytest.approx(2.0, abs=1e-5)
     assert ref.y_star[0] == pytest.approx(0.0, abs=1e-5)
     assert ref.objective_value == pytest.approx(-2.0, abs=1e-9)
@@ -203,7 +203,7 @@ def test_compute_reference_decoupled_l1_gives_zero():
         f1=L1Norm(0.5), f2=ZeroSmooth(), g1=ShiftedQuadratic([0.0]),
         g2=ZeroSmooth(), K=LinearMap(np.zeros((1, 3))),
     )
-    ref = compute_reference(p, 50)
+    ref = compute_reference(p, 50, params=default_step_params(p), objective=p.primal_objective)
     assert np.array_equal(ref.x_star, np.zeros(3))
 
 
@@ -213,7 +213,8 @@ def test_compute_reference_agrees_with_independent_solver():
     from iapd.solvers import SolverOptions, solve_fista
 
     inst = generate_l1ls(30, 60, 0.1, seed=5)
-    ref = compute_reference(inst.problem, 8000, objective=inst.objective)
+    ref = compute_reference(inst.problem, 8000, params=default_step_params(inst.problem),
+                            objective=inst.objective)
     f2 = LeastSquares(inst.problem.K, inst.b)
     x, _ = solve_fista(
         inst.problem.f1, f2, 1.0 / f2.lipschitz,
@@ -228,7 +229,7 @@ def test_reference_satisfies_saddle_inequalities_on_probes():
 
     inst = generate_l1ls(25, 40, 0.1, seed=9)
     p = inst.problem
-    ref = compute_reference(p, 6000)
+    ref = compute_reference(p, 6000, params=default_step_params(p), objective=inst.objective)
     mid = p.lagrangian(ref.x_star, ref.y_star)
     rng = np.random.default_rng(1)
     tol = 1e-6 * (1.0 + abs(mid))
@@ -242,17 +243,16 @@ def test_reference_satisfies_saddle_inequalities_on_probes():
 def test_compute_reference_rejects_bad_inputs():
     p = scalar_problem()
     with pytest.raises(ValueError):
-        compute_reference(p, 0)
+        compute_reference(p, 0, params=default_step_params(p), objective=p.primal_objective)
     with pytest.raises(ValueError):
-        compute_reference(p, 10, params=StepParams(alpha=-1.0, beta=1.0))
+        compute_reference(p, 10, params=StepParams(alpha=-1.0, beta=1.0),
+                          objective=p.primal_objective)
 
 
-def oracle_compute_reference(problem, effort, params=None, objective=None):
+def oracle_compute_reference(problem, effort, params, objective):
     """compute_reference as its own loop over iapd_step, before it ran through solve_iapd."""
     if effort < 1:
         raise ValueError("effort must be >= 1")
-    if params is None:
-        params = default_step_params(problem)
     validate_params(problem, params)
 
     checkpoint_at = max(1, (9 * effort) // 10)
@@ -266,14 +266,7 @@ def oracle_compute_reference(problem, effort, params=None, objective=None):
         check = (state.x, state.y)
 
     gap = problem.lagrangian(state.x, check[1]) - problem.lagrangian(check[0], state.y)
-    if objective is not None:
-        value = float(objective(state.x))
-    else:
-        try:
-            value = problem.primal_objective(state.x)
-        except (ValueError, NotImplementedError):
-            value = problem.lagrangian(state.x, state.y)
-    return ReferencePoint(state.x, state.y, value, abs(float(gap)))
+    return ReferencePoint(state.x, state.y, float(objective(state.x)), abs(float(gap)))
 
 
 @st.composite
@@ -288,12 +281,11 @@ def reference_cases(draw):
     g2 = ZeroSmooth() if draw(st.booleans()) else LeastSquares(
         LinearMap(rng.standard_normal((2, m))), rng.standard_normal(2))
     problem = SaddleProblem(f1=f1, f2=f2, g1=ShiftedQuadratic(rng.standard_normal(m)), g2=g2, K=K)
-    t1 = draw(st.sampled_from([None, 1.0, 1.5, 5.0]))
-    params = None if t1 is None else default_step_params(problem, t1=t1)
-    objective = None
-    if draw(st.booleans()):
-        def objective(x):
-            return problem.f1.value(x) + 0.5 * float(x @ x)
+    params = default_step_params(problem, t1=draw(st.sampled_from([1.0, 1.5, 5.0])))
+
+    def objective(x):
+        return problem.f1.value(x) + 0.5 * float(x @ x)
+
     return problem, draw(st.integers(1, 60)), params, objective
 
 

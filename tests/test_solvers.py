@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from iapd.bench import generate_l1ls, preset_params
 from iapd.linalg import LinearMap
-from iapd.problem import SaddleProblem, StepParams, compute_reference
+from iapd.problem import ReferencePoint, SaddleProblem, StepParams, compute_reference
 from iapd.proxfuns import (
     L1Norm,
     LeastSquares,
@@ -269,17 +269,15 @@ def test_pda_requires_full_prox():
         g2=ZeroSmooth(), K=LinearMap(np.zeros((1, 1))),
     )
     with pytest.raises(UnsupportedStructureError):
-        solve_pda(problem, 0.1, 0.1, 1.0, SolverOptions(max_iters=1))
+        solve_pda(problem, 0.1, 0.1, SolverOptions(max_iters=1))
     with pytest.raises(UnsupportedStructureError):
-        solve_apda(problem, 0.1, 0.1, 1.0, SolverOptions(max_iters=1))
+        solve_apda(problem, 0.1, 0.1, SolverOptions(max_iters=1))
 
 
 def test_pda_parameter_checks():
     problem, _ = scalar_bilinear()
     with pytest.raises(ValueError):
-        solve_pda(problem, -0.1, 0.1, 1.0, SolverOptions(max_iters=1))
-    with pytest.raises(ValueError):
-        solve_pda(problem, 0.1, 0.1, 1.5, SolverOptions(max_iters=1))
+        solve_pda(problem, -0.1, 0.1, SolverOptions(max_iters=1))
 
 
 def test_pda_converges_on_scalar_problem():
@@ -289,7 +287,7 @@ def test_pda_converges_on_scalar_problem():
         f1=ZeroProx(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
         g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
-    x, y, _ = solve_pda(problem, 0.4, 0.4, 1.0, SolverOptions(max_iters=4000))
+    x, y, _ = solve_pda(problem, 0.4, 0.4, SolverOptions(max_iters=4000))
     assert x[0] == pytest.approx(2.0, abs=1e-6)
     assert y[0] == pytest.approx(0.0, abs=1e-6)
 
@@ -301,30 +299,12 @@ def test_apda_converges_and_validates():
     )
     knorm = problem.K.norm()
     tau0 = sigma0 = 1.0 / knorm
-    x, y, _ = solve_apda(problem, tau0, sigma0, problem.mu_g,
-                         SolverOptions(max_iters=3000))
+    x, y, _ = solve_apda(problem, tau0, sigma0, SolverOptions(max_iters=3000))
     assert x[0] == pytest.approx(2.0, abs=1e-8)
     assert y[0] == pytest.approx(0.0, abs=1e-8)
 
     with pytest.raises(ValueError):
-        solve_apda(problem, 2.0 / knorm, 2.0 / knorm, 1.0, SolverOptions(max_iters=1))
-    with pytest.raises(ValueError):
-        solve_apda(problem, tau0, sigma0, -1.0, SolverOptions(max_iters=1))
-
-
-def test_apda_gamma_zero_matches_fixed_steps():
-    # gamma = 0 freezes theta at 1, so the scheme reduces to fixed steps.
-    problem = SaddleProblem(
-        f1=ZeroProx(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
-        g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
-    )
-    knorm = problem.K.norm()
-    xa, ya, _ = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, 0.0,
-                           SolverOptions(max_iters=50))
-    xp, yp, _ = solve_pda(problem, 1.0 / knorm, 1.0 / knorm, 1.0,
-                          SolverOptions(max_iters=50))
-    assert xa[0] == pytest.approx(xp[0], rel=1e-12)
-    assert ya[0] == pytest.approx(yp[0], rel=1e-12)
+        solve_apda(problem, 2.0 / knorm, 2.0 / knorm, SolverOptions(max_iters=1))
 
 
 def test_pda_counts_a_non_finite_dual_iterate_as_divergence():
@@ -334,7 +314,7 @@ def test_pda_counts_a_non_finite_dual_iterate_as_divergence():
     knorm = inst.problem.K.norm()
     ys = []
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        solve_pda(inst.problem, 5.0 / knorm, 5.0 / knorm, 1.0, SolverOptions(max_iters=100_000),
+        solve_pda(inst.problem, 5.0 / knorm, 5.0 / knorm, SolverOptions(max_iters=100_000),
                   observer=lambda row, state: ys.append(state.y.copy()))
     assert err.value.iteration == 264
     assert str(err.value) == "non-finite iterate at iteration 264"
@@ -355,7 +335,7 @@ def test_nan_dual_prox_diverges_though_x_stays_finite(solve):
     problem = SaddleProblem(f1=ZeroProx(), f2=ZeroSmooth(), g1=NanDual(np.ones(2)),
                             g2=ZeroSmooth(), K=LinearMap(sp.csr_array((2, 3))))
     with pytest.raises(DivergenceError) as err:
-        solve(problem, 1.0, 1.0, 1.0, SolverOptions(max_iters=5))
+        solve(problem, 1.0, 1.0, SolverOptions(max_iters=5))
     assert err.value.iteration == 1 and err.value.rows == []
 
 
@@ -399,10 +379,10 @@ def run_solver(name, inst, opts, objective, observer=None):
         _, rows = solve(problem.f1, LeastSquares(problem.K, inst.b), 1.0 / knorm**2, opts,
                         observer=observer, x0=np.zeros(problem.primal_dim), objective=objective)
     elif name == "pda":
-        _, _, rows = solve_pda(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, 1.0, opts,
+        _, _, rows = solve_pda(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, opts,
                                observer=observer, objective=objective)
     else:
-        _, _, rows = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, problem.mu_g, opts,
+        _, _, rows = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, opts,
                                 observer=observer, objective=objective)
     return rows, None
 
@@ -455,6 +435,29 @@ def test_gap_stop_keeps_the_stopping_row(name, after, gap_instance):
     assert rows[-1].objective - ref.objective_value == gaps[stop_at - 1]
     if state_k is not None:
         assert rows[-1].k == state_k
+
+
+NO_REF = ReferencePoint(None, None, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(gap_tol=1e-3), "needs both gap_tol and reference"),
+    (dict(reference=NO_REF), "needs both gap_tol and reference"),
+    (dict(gap_tol=math.nan, reference=NO_REF), "gap_tol must be finite"),
+    (dict(gap_tol=math.inf, reference=NO_REF), "gap_tol must be finite"),
+])
+def test_gap_stop_options_come_together_and_finite(fields, message):
+    # Either half alone, or a tolerance no gap can meet, would run to max_iters unstopped.
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(max_iters=10, **fields)
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+def test_gap_stop_without_objective_raises(name, gap_instance):
+    inst, ref = gap_instance
+    opts = SolverOptions(max_iters=GAP_ITERS, gap_tol=1e-3, reference=ref)
+    with pytest.raises(ValueError, match="the gap stop needs an objective"):
+        run_solver(name, inst, opts, None)
 
 
 # -- the solver clock ------------------------------------------------------------
