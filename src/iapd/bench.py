@@ -72,6 +72,8 @@ class ExperimentConfig:
             raise ValueError("iters must be >= 1")
         if self.observer_stride < 1:
             raise ValueError("observer_stride must be >= 1")
+        if self.reference_effort is not None and self.reference_effort < 1:
+            raise ValueError("reference_effort must be >= 1")
         if not self.algorithms:
             raise ValueError("algorithm set must be nonempty")
         for i, name in enumerate(self.algorithms):
@@ -378,11 +380,13 @@ def _run_algorithm(
 
 def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
     path = out_dir / "summary.txt"
+    kind = "certified duality gap" if ref.certified else "checkpoint gap, uncertified"
     lines = [
         f"experiment: {cfg.experiment}  m={cfg.m} n={cfg.n} seed={cfg.seed} iters={cfg.iters}",
         f"norm estimate (safety-factored): {knorm:.12g}",
         f"reference objective: {ref.objective_value:.17g}",
-        f"reference accuracy (checkpoint gap): {ref.accuracy:.6g}",
+        f"reference accuracy ({kind}): {ref.accuracy:.6g}",
+        f"reference iterations: {ref.iterations}",
         "",
     ]
     for name, res in results.items():
@@ -400,6 +404,9 @@ def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
                 f"v={cert.v_violations} t-lower={cert.t_lower_violations} "
                 f"(rows={cert.rows})"
             )
+            k = _first_violation(cert)
+            lines.append(f"  first gap-bound violation: {'none' if k is None else f'k={k}'}, "
+                         f"max gap excess {cert.max_gap_excess:.6g}")
         if fit is not None:
             lines.append(
                 f"  log-log gap slope on [{fit.k_min}, {fit.k_max}]: {fit.slope:.4f} "
@@ -408,8 +415,15 @@ def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _first_violation(cert: diagnostics.CertificateSummary) -> int | None:
+    return cert.violating_k[0] if cert.violating_k else None
+
+
 def _algorithm_meta(res: AlgorithmResult) -> dict:
     entry = {"params": res.params, "skipped": res.skipped}
+    if res.certificate is not None:
+        entry["certificate"] = {"first_gap_violation_k": _first_violation(res.certificate),
+                                "max_gap_excess": res.certificate.max_gap_excess}
     if res.diverged_at is not None:
         entry["partial_trace"] = {"rows": len(res.rows), "diverged_at": res.diverged_at}
     return entry
@@ -428,6 +442,8 @@ def _write_meta(out_dir, cfg, ref, results, knorm) -> None:
         "norm_estimate": knorm,
         "reference_objective": ref.objective_value,
         "reference_accuracy": ref.accuracy,
+        "reference_certified": ref.certified,
+        "reference_iterations": ref.iterations,
         "algorithms": {name: _algorithm_meta(res) for name, res in results.items()},
     }
     path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")

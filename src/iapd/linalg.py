@@ -127,6 +127,12 @@ class LinearMap:
         order = np.lexsort((coo.col, coo.row))
         return coo.row[order], coo.col[order], coo.data[order]
 
+    def columns(self, index: np.ndarray) -> np.ndarray:
+        """The columns K[:, index] as a dense m-by-len(index) array; a CSR map slices first."""
+        if self._sparse:
+            return self._mat[:, index].toarray()
+        return self._mat[:, index]
+
     # -- operator action ---------------------------------------------------
 
     def apply(self, x: np.ndarray) -> np.ndarray:

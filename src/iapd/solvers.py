@@ -6,6 +6,8 @@ which owns the stride, the gap stop, the clock and the trace rows. The
 optional observer is invoked as ``observer(row, state)`` and reads
 ``state.x`` and ``state.y`` (None for primal-only methods); it may fill
 the ``gap_ref`` and ``energy`` fields in place before the row is stored.
+An observer that returns a truthy value ends the solve after that row: the
+row is kept, and the solver returns that row's iterate.
 """
 
 from __future__ import annotations
@@ -243,6 +245,7 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     fires. A row's ``elapsed_s`` is solver time: the clock is paused while
     the objective and the observer run. On divergence the rows so far ride
     on the error as ``rows``. A gap stop without an objective raises ValueError.
+    A truthy return from the observer ends the run after its row is stored.
     """
     f_ref = None
     if opts.gap_tol is not None:
@@ -274,7 +277,7 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
                 )
                 if observer is not None:
                     pause = clock()
-                    observer(row, state)
+                    stop = observer(row, state) or stop
                     paused += clock() - pause
                 rows.append(row)
             if stop:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iapd import solvers
+from iapd import diagnostics, solvers
 from iapd.bench import (
     ALGORITHMS,
     CSV_HEADER,
@@ -131,6 +131,13 @@ def test_config_rejects_zero_stride():
         ExperimentConfig(experiment="l1ls", m=2, n=2, seed=0, iters=1, observer_stride=0)
 
 
+@pytest.mark.parametrize("effort", [0, -3])
+def test_config_rejects_a_reference_effort_below_one(effort):
+    # It used to pass here and fail in compute_reference, after the norm estimate.
+    with pytest.raises(ValueError, match="reference_effort must be >= 1"):
+        ExperimentConfig(experiment="l1ls", m=20, n=30, seed=1, iters=10, reference_effort=effort)
+
+
 def test_config_rejects_a_repeated_algorithm():
     # A repeated name used to be solved once per repetition, with one result kept.
     with pytest.raises(ValueError, match="'fista' is listed more than once"):
@@ -241,6 +248,53 @@ def test_run_benchmark_traces_deterministic(tmp_path):
         for a, b in zip(rows1, rows2):
             assert (a.k, a.t_k, a.objective, a.gap_ref, a.dx, a.dy) == \
                    (b.k, b.t_k, b.objective, b.gap_ref, b.dx, b.dy)
+    for name in ("summary.txt", "run_meta.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("effort, certified", [(3000, True), (1, False)])
+def test_run_directory_states_the_reference_kind(effort, certified, tmp_path):
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(experiment="l1ls", m=20, n=30, seed=5, iters=30,
+                           algorithms=("fista",), out_dir=out, reference_effort=effort)
+    ref = run_benchmark(cfg).reference
+    assert ref.certified is certified
+    kind = "certified duality gap" if certified else "checkpoint gap, uncertified"
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[3] == f"reference accuracy ({kind}): {ref.accuracy:.6g}"
+    assert summary[4] == f"reference iterations: {ref.iterations}"
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["reference_certified"] is certified
+    assert meta["reference_iterations"] == ref.iterations
+    assert ref.iterations == (600 if certified else 1)  # certified at the second tenth
+
+
+def test_run_directory_names_the_first_gap_bound_violation(tmp_path, monkeypatch):
+    """With E1 shrunk a billion-fold, the gap bound fails; both files name where first."""
+    certify = diagnostics.certify
+    monkeypatch.setattr(diagnostics, "certify",
+                        lambda reports, e1, *args, **kw: certify(reports, e1 * 1e-9, *args, **kw))
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(experiment="l1ls", m=20, n=30, seed=5, iters=30,
+                           algorithms=("iapd-op1", "iapd-op2"), out_dir=out, reference_effort=300)
+    result = run_benchmark(cfg)
+    summary = (out / "summary.txt").read_text()
+    meta = json.loads((out / "run_meta.json").read_text())
+    for name in cfg.algorithms:
+        cert = result.results[name].certificate
+        assert cert.gap_violations > 0
+        line = (f"  first gap-bound violation: k={cert.violating_k[0]}, "
+                f"max gap excess {cert.max_gap_excess:.6g}")
+        assert f"{name}: final objective gap" in summary and line in summary
+        assert meta["algorithms"][name]["certificate"] == {
+            "first_gap_violation_k": cert.violating_k[0], "max_gap_excess": cert.max_gap_excess}
+    monkeypatch.undo()
+    run_benchmark(cfg)
+    summary = (out / "summary.txt").read_text()
+    assert "first gap-bound violation: none, max gap excess 0\n" in summary
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["algorithms"]["iapd-op1"]["certificate"] == {
+        "first_gap_violation_k": None, "max_gap_excess": 0.0}
 
 
 def test_run_benchmark_partial_when_structure_unsupported(tmp_path):

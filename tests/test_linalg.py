@@ -498,3 +498,14 @@ def test_map_owns_its_arrays(kind, m, n, seed):
     assert K.apply(x).tobytes() == want.apply(x).tobytes()
     assert K.apply_adjoint(y).tobytes() == want.apply_adjoint(y).tobytes()
     assert K.norm() == want.norm()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_columns_are_the_dense_columns(sparse):
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((6, 9)) * (rng.random((6, 9)) < 0.5)
+    K = LinearMap(sp.csr_array(mat) if sparse else mat)
+    index = np.array([7, 0, 3])
+    cols = K.columns(index)
+    assert isinstance(cols, np.ndarray) and cols.shape == (6, 3)
+    assert np.array_equal(cols, mat[:, index])

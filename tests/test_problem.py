@@ -289,16 +289,131 @@ def reference_cases(draw):
     return problem, draw(st.integers(1, 60)), params, objective
 
 
-@settings(max_examples=100, deadline=None)
-@given(reference_cases())
-def test_compute_reference_matches_its_hand_loop(case):
-    problem, effort, params, objective = case
-    got = compute_reference(problem, effort, params=params, objective=objective)
-    want = oracle_compute_reference(problem, effort, params=params, objective=objective)
+def assert_same_reference(got, want):
     assert got.x_star.tobytes() == want.x_star.tobytes()
     assert got.y_star.tobytes() == want.y_star.tobytes()
     assert np.float64(got.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
     assert np.float64(got.accuracy).tobytes() == np.float64(want.accuracy).tobytes()
+    assert not got.certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(reference_cases())
+def test_compute_reference_matches_its_hand_loop(case):
+    """An uncertified reference is the hand loop's, bit for bit.
+
+    A certified one ends at a support polish the hand loop never takes; the
+    certified-reference property below checks those draws instead.
+    """
+    problem, effort, params, objective = case
+    got = compute_reference(problem, effort, params=params, objective=objective)
+    if got.certified:
+        return
+    want = oracle_compute_reference(problem, effort, params=params, objective=objective)
+    assert_same_reference(got, want)
+    assert got.iterations == effort
+
+
+@st.composite
+def least_squares_cases(draw):
+    """Small l1ls and nnls saddle forms: dense or CSR, nonnegative or signed K."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signed = draw(st.booleans())
+    mat = rng.standard_normal((m, n)) if signed else rng.uniform(0.0, 1.0, (m, n))
+    mat *= rng.random((m, n)) < draw(st.sampled_from([0.5, 1.0]))
+    planted = rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.5)
+    if signed:
+        planted *= rng.choice([-1.0, 1.0], n)
+    b = mat @ planted + draw(st.sampled_from([0.0, 0.1])) * rng.standard_normal(m)
+    if draw(st.booleans()):
+        f1 = L1Norm(draw(st.floats(0.01, 1.0)))
+    else:
+        f1 = NonnegIndicator()
+    K = LinearMap(sp.csr_array(mat) if draw(st.booleans()) else mat)
+    problem = SaddleProblem(f1=f1, f2=ZeroSmooth(), g1=ShiftedQuadratic(b), g2=ZeroSmooth(), K=K)
+    params = default_step_params(problem, t1=draw(st.sampled_from([1.0, 5.0])))
+
+    def objective(x):
+        r = mat @ x - b
+        return problem.f1.value(x) + 0.5 * float(r @ r)
+
+    return problem, mat, b, draw(st.sampled_from([200, 1000, 3000])), params, objective
+
+
+def lbfgs_l1ls(mat, b, lam):
+    """min 0.5 ||A (p - q) - b||^2 + lam 1^T (p + q) over p, q >= 0, by L-BFGS-B."""
+    from scipy.optimize import minimize
+
+    n = mat.shape[1]
+
+    def fun(pq):
+        r = mat @ (pq[:n] - pq[n:]) - b
+        g = mat.T @ r
+        return 0.5 * float(r @ r) + lam * pq.sum(), np.concatenate([g + lam, lam - g])
+
+    res = minimize(fun, np.zeros(2 * n), jac=True, method="L-BFGS-B", bounds=[(0, None)] * (2 * n),
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+    return res.x[:n] - res.x[n:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(least_squares_cases())
+def test_certified_reference_is_a_duality_gap_no_optimum_beats(case):
+    """Recomputed in plain numpy: the gap P(x) - D(y_hat) of the Gap Safe dual point.
+
+    P(x) = f1(x) + 0.5 ||Ax - b||^2 - 0.5 ||b||^2 is the saddle form's primal
+    and D(y) = -0.5 ||y + b||^2 its dual on the dual-feasible set.
+    """
+    from scipy.optimize import nnls
+
+    problem, mat, b, effort, params, objective = case
+    ref = compute_reference(problem, effort, params=params, objective=objective)
+    if not ref.certified:
+        return
+    x, r = ref.x_star, mat @ ref.x_star - b
+    scale = 1.0 + float(np.abs(b) @ np.abs(b)) + float(np.abs(mat).sum() * np.abs(x).sum())
+    assert np.allclose(ref.y_star, r, rtol=0.0, atol=1e-12 * scale)
+    z = mat.T @ r
+    if isinstance(problem.f1, L1Norm):
+        lam = problem.f1.weight
+        y_hat = r * min(1.0, lam / np.abs(z).max()) if np.abs(z).max() > 0 else r
+        assert np.abs(mat.T @ y_hat).max() <= lam + 1e-12 * scale
+        other = lbfgs_l1ls(mat, b, lam)
+    else:
+        assert (x >= 0).all()
+        short = z < 0
+        shift = np.max(-z[short] / mat.T.sum(axis=1)[short]) if short.any() else 0.0
+        y_hat = r + shift
+        assert (mat.T @ y_hat >= -1e-12 * scale).all()
+        other = nnls(mat, b)[0]
+    terms = [problem.f1.value(x), 0.5 * float(r @ r), -0.5 * float(b @ b),
+             0.5 * float((y_hat + b) @ (y_hat + b))]
+    rounding = 1e-14 * sum(map(abs, terms))
+    assert ref.accuracy == pytest.approx(abs(sum(terms)), rel=0.0, abs=rounding)
+    assert ref.objective_value == objective(x)
+    assert 0 < ref.iterations <= effort
+    assert objective(other) >= ref.objective_value - ref.accuracy - 1e-12 * scale
+
+
+def test_signed_nnls_stays_uncertified_and_matches_the_hand_loop():
+    """Every column of K sums below zero, so no shift along 1 makes K^T y >= 0.
+
+    The polish finds the optimum on the full support, but rounding leaves
+    some (K^T r)_j < 0 that only such a shift could lift: the reference is
+    the plain iapd one.
+    """
+    rng = np.random.default_rng(4)
+    mat = rng.standard_normal((30, 12))
+    mat -= mat.mean(axis=0) + 0.1
+    b = mat @ rng.uniform(1.0, 5.0, 12) + 0.1 * rng.standard_normal(30)
+    problem = SaddleProblem(f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic(b),
+                            g2=ZeroSmooth(), K=LinearMap(mat))
+    params = default_step_params(problem)
+    got = compute_reference(problem, 3000, params, problem.primal_objective)
+    assert_same_reference(got, oracle_compute_reference(problem, 3000, params,
+                                                        problem.primal_objective))
+    assert got.iterations == 3000
 
 
 def test_nesterov_branch_locks_in_under_strong_dual_steps():
@@ -390,3 +505,29 @@ def test_reference_gap_takes_one_product_per_call(monkeypatch):
     # an infeasible x is +inf before its product is taken
     assert gap_at(np.array([-1.0, 0.0, 0.0]), np.ones(4)) == np.inf
     assert len(calls) == 10
+
+
+@pytest.mark.parametrize("family, seed, iterations", [("l1ls", 7, 6000), ("nnls", 11, 2000)])
+def test_default_benches_get_a_certified_reference(family, seed, iterations):
+    from iapd.bench import generate_l1ls, generate_nnls, preset_params
+
+    if family == "l1ls":
+        inst = generate_l1ls(200, 400, 0.1, seed)
+    else:
+        inst = generate_nnls(400, 200, 0.1, seed)
+    p = inst.problem
+    ref = compute_reference(p, 20000, params=preset_params(family, p.K.norm()),
+                            objective=inst.objective)
+    assert ref.certified and ref.iterations == iterations
+    assert ref.accuracy <= 1e-9
+
+
+def test_large_l1ls_reference_at_effort_400_is_the_plain_iapd_one():
+    """The support exceeds the 1000 rows at every tenth, so no polish is tried."""
+    from iapd.bench import generate_l1ls, preset_params
+
+    inst = generate_l1ls(1000, 2000, 0.1, 101)
+    p = inst.problem
+    params = preset_params("l1ls", p.K.norm())
+    got = compute_reference(p, 400, params=params, objective=inst.objective)
+    assert_same_reference(got, oracle_compute_reference(p, 400, params, inst.objective))

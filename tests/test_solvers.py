@@ -365,26 +365,37 @@ def gap_instance():
     return inst, ref
 
 
-def run_solver(name, inst, opts, objective, observer=None):
-    """Trace rows of one solve, and the final state's k for iapd (None for baselines)."""
+def solve_one(name, inst, opts, objective, observer=None):
+    """Trace rows of one solve and what it returns as (x, y, k).
+
+    y is None for fista and tseng, and k (the final state's) is None for
+    every baseline.
+    """
     problem = inst.problem
     knorm = problem.K.norm()
     if name.startswith("iapd"):
         option = "option1" if name == "iapd-op1" else "option2"
         state, rows = solve_iapd(problem, preset_params("l1ls", knorm), replace(opts, option=option),
                                  observer=observer, objective=objective)
-        return rows, state.k
+        return rows, (state.x, state.y, state.k)
     if name in ("fista", "tseng"):
         solve = solve_fista if name == "fista" else solve_tseng
-        _, rows = solve(problem.f1, LeastSquares(problem.K, inst.b), 1.0 / knorm**2, opts,
+        x, rows = solve(problem.f1, LeastSquares(problem.K, inst.b), 1.0 / knorm**2, opts,
                         observer=observer, x0=np.zeros(problem.primal_dim), objective=objective)
-    elif name == "pda":
-        _, _, rows = solve_pda(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, opts,
+        return rows, (x, None, None)
+    if name == "pda":
+        x, y, rows = solve_pda(problem, 1.0 / (20.0 * knorm), 20.0 / knorm, opts,
                                observer=observer, objective=objective)
     else:
-        _, _, rows = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, opts,
+        x, y, rows = solve_apda(problem, 1.0 / knorm, 1.0 / knorm, opts,
                                 observer=observer, objective=objective)
-    return rows, None
+    return rows, (x, y, None)
+
+
+def run_solver(name, inst, opts, objective, observer=None):
+    """Trace rows of one solve, and the final state's k for iapd (None for baselines)."""
+    rows, (_, _, k) = solve_one(name, inst, opts, objective, observer)
+    return rows, k
 
 
 def full_gaps(name, inst, ref):
@@ -494,3 +505,46 @@ def test_throughput_loop_reads_the_clock_once_per_row(name, gap_instance, monkey
     monkeypatch.undo()
     assert len(rows) == 9  # k = 7, 14, ..., 56 and the last iteration
     assert len(calls) == 1 + len(rows)
+
+
+# -- observer stop ------------------------------------------------------------
+
+
+def without_clock(rows):
+    return [replace(row, elapsed_s=0.0) for row in rows]
+
+
+def same_bytes(a, b):
+    return (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+@pytest.mark.parametrize("j", [1, 4])
+def test_observer_returning_true_ends_the_solve_at_its_row(name, j, gap_instance):
+    inst, _ = gap_instance
+    opts = SolverOptions(max_iters=40, observer_stride=3)
+    seen = []
+
+    def observer(row, state):
+        seen.append((state.x.copy(), None if state.y is None else state.y.copy()))
+        return len(seen) == j
+
+    rows, (x, y, k) = solve_one(name, inst, opts, inst.objective, observer)
+    full, _ = solve_one(name, inst, opts, inst.objective)
+    assert len(seen) == j
+    assert without_clock(rows) == without_clock(full[:j])
+    assert same_bytes(x, seen[-1][0]) and same_bytes(y, seen[-1][1])
+    if k is not None:
+        assert k == rows[-1].k
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+@pytest.mark.parametrize("answer", [None, False])
+def test_observer_returning_none_or_false_changes_nothing(name, answer, gap_instance):
+    inst, _ = gap_instance
+    opts = SolverOptions(max_iters=40, observer_stride=3)
+    rows, got = solve_one(name, inst, opts, inst.objective, lambda row, state: answer)
+    full, want = solve_one(name, inst, opts, inst.objective)
+    assert len(rows) == 14  # k = 3, 6, ..., 39 and the last iteration
+    assert without_clock(rows) == without_clock(full)
+    assert all(same_bytes(a, b) for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
