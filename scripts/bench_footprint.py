@@ -1,0 +1,130 @@
+"""Time and size fresh processes: ``import iapd``, both default benches and a large set-up.
+
+    python scripts/bench_footprint.py --label NAME [--baseline LABEL] [--out BENCH_footprint.json]
+
+Run from anywhere; every case is a new interpreter that imports ``iapd`` from
+the ``src/`` directory of the checkout that holds this script, with one BLAS
+thread. The cases are ``import iapd``, ``iapd bench l1ls --seed 7``, ``iapd
+bench nnls --seed 11`` and the l1ls-large set-up, ``generate_l1ls(1000, 2000,
+0.1, 101)`` followed by ``K.norm()``. They run in turn, REPEATS rounds of all
+four, so that a change in machine load falls on every case alike. For each
+case the run records the median and interquartile range of the wall time
+from spawn to exit, and the median, smallest and largest peak resident set
+(``ru_maxrss`` of that child, from ``os.wait4``). Linux starts a spawned
+child's ``ru_maxrss`` at the peak RSS of its parent, so this process loads
+no numpy until the children are done; its own peak, about 14 MB, stays
+below every case's. With ``--baseline``, each case also gets the relative
+change of both medians against that earlier run of the file. The result is
+stored under ``runs[NAME]`` of the output file, next to the runs already
+there, with an environment block and the git revision.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+
+REPEATS = 7
+# name: interpreter arguments; "{out}" becomes a fresh output directory
+CASES = {
+    "import iapd": ["-c", "import iapd"],
+    "iapd bench l1ls --seed 7": ["-m", "iapd.cli", "bench", "l1ls", "--seed", "7",
+                                 "--out", "{out}"],
+    "iapd bench nnls --seed 11": ["-m", "iapd.cli", "bench", "nnls", "--seed", "11",
+                                  "--out", "{out}"],
+    "l1ls-large set-up": ["-c", "from iapd import bench; "
+                                "bench.generate_l1ls(1000, 2000, 0.1, 101).problem.K.norm()"],
+}
+
+
+def run_once(args: list[str], env: dict, stderr: Path) -> tuple[float, float]:
+    """(wall seconds, peak RSS in MB) of one child; a nonzero exit raises RuntimeError."""
+    quiet = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
+             (os.POSIX_SPAWN_OPEN, 2, str(stderr), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)]
+    start = time.perf_counter()
+    pid = os.posix_spawn(sys.executable, [sys.executable, *args], env, file_actions=quiet)
+    _, status, usage = os.wait4(pid, 0)
+    wall = time.perf_counter() - start
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"{args} exited {code}:\n{stderr.read_text()}")
+    return wall, usage.ru_maxrss / 1024.0  # kB on Linux
+
+
+def summarize(walls: list[float], peaks: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(walls, n=4)
+    return {
+        "runs": len(walls),
+        "wall_s_median": median,
+        "wall_s_iqr": q3 - q1,
+        "peak_rss_mb_median": statistics.median(peaks),
+        "peak_rss_mb_min": min(peaks),
+        "peak_rss_mb_max": max(peaks),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--baseline", help="label of an earlier run to compare against")
+    parser.add_argument("--out", type=Path, default=Path("BENCH_footprint.json"))
+    args = parser.parse_args()
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    base = doc.get("runs", {}).get(args.baseline, {}).get("cases") if args.baseline else None
+    if args.baseline and base is None:
+        parser.error(f"{args.out} has no run {args.baseline!r}")
+
+    threads = {var: "1" for var in THREAD_VARS}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **threads)
+    samples = {name: ([], []) for name in CASES}
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        for _ in range(REPEATS):
+            for name, argv in CASES.items():
+                out = tempfile.mkdtemp(dir=scratch)
+                wall, peak = run_once([a.replace("{out}", out) for a in argv], env,
+                                      scratch / "stderr.txt")
+                samples[name][0].append(wall)
+                samples[name][1].append(peak)
+
+    cases = {}
+    for name, (walls, peaks) in samples.items():
+        row = cases[name] = {"argv": CASES[name], **summarize(walls, peaks)}
+        if base is not None:
+            for key in ("wall_s_median", "peak_rss_mb_median"):
+                row[f"{key}_change"] = row[key] / base[name][key] - 1.0
+        print(f"{name}: {row['wall_s_median']:.3f} s (IQR {row['wall_s_iqr']:.3f} s), "
+              f"peak RSS {row['peak_rss_mb_median']:.1f} MB "
+              f"({row['peak_rss_mb_min']:.1f}-{row['peak_rss_mb_max']:.1f})")
+
+    # Imported only now: they load numpy, and Linux starts the ru_maxrss of a
+    # spawned child at the peak RSS of the process that spawned it.
+    from bench_norm import revision
+    from envinfo import environment
+
+    run = {
+        "revision": revision(),
+        "baseline": args.baseline,
+        "environment": environment(threads),
+        "cases": cases,
+    }
+    doc.setdefault("script", "scripts/bench_footprint.py")
+    doc.setdefault("runs", {})[args.label] = run
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

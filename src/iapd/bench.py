@@ -98,8 +98,12 @@ class GeneratedInstance:
 
     def objective(self, x: np.ndarray) -> float:
         """The composite value f(x) + 0.5 ||Kx - b||^2: the trace's objective column."""
-        r = self.problem.K.apply(x) - self.b
-        return self.problem.f1.value(x) + 0.5 * float(r @ r)
+        return self._objective(self.problem.f1.value(x), self.problem.K.apply(x))
+
+    def _objective(self, fx: float, kx: np.ndarray) -> float:
+        """The objective from f(x) and K x."""
+        r = kx - self.b
+        return fx + 0.5 * float(r @ r)
 
 
 def _saddle_form(experiment: str, K: LinearMap, b: np.ndarray, lam: float = 0.0) -> SaddleProblem:
@@ -154,7 +158,14 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
 
 
 def preset_params(experiment: str, knorm: float) -> StepParams:
-    """Accelerated-solver presets: steps proportional to 1/||K|| per family."""
+    """Accelerated-solver presets: steps proportional to 1/||K|| per family.
+
+    A zero norm, as of a K without a nonzero entry, raises ValueError before
+    any step is derived from it, here or by the baselines after it.
+    """
+    if not knorm > 0:
+        raise ValueError(f"||K|| = {knorm:g}: no step size can be derived from a zero "
+                         "operator norm")
     if experiment == "l1ls":
         return StepParams(alpha=0.98 / (2.0 * knorm), beta=2.0 / knorm, t1=5.0)
     if experiment == "nnls":
@@ -308,15 +319,26 @@ def _run_algorithm(
     An iapd result that completes is certified, and its rate slope fitted, here.
     """
     problem = instance.problem
-    objective = instance.objective
     reports = []
+    # A row's objective and its gap share one f1(x) and one K x: _drive
+    # evaluates the objective on the iterate just before the observer reads it.
+    last = []  # [x, f1(x), K x] of the latest objective evaluation
+
+    def objective(x):
+        fx, kx = problem.f1.value(x), problem.K.apply(x)
+        last[:] = x, fx, kx
+        return instance._objective(fx, kx)
+
+    def terms(x):
+        """(f1(x), K x) if the objective was just evaluated at x, else (None, None)."""
+        return last[1:] if last and last[0] is x else (None, None)
 
     def saddle_gap_observer():
         # The reference-side terms are evaluated once per solve, not once per row.
         gap_at = _reference_gap(problem, ref.x_star, ref.y_star)
 
         def observer(row: TraceRow, state):
-            row.gap_ref = gap_at(state.x, state.y)
+            row.gap_ref = gap_at(state.x, state.y, *terms(state.x))
 
         return observer
 
@@ -331,7 +353,7 @@ def _run_algorithm(
         reports.append(energy_at(solvers.init_iapd_state(problem, iapd_params)))
 
         def observer(row: TraceRow, state):
-            rep = energy_at(state)
+            rep = energy_at(state, *terms(state.x))
             row.gap_ref = rep.gap_ref
             row.energy = rep.energy
             reports.append(rep)
@@ -404,9 +426,10 @@ def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
                 f"v={cert.v_violations} t-lower={cert.t_lower_violations} "
                 f"(rows={cert.rows})"
             )
-            k = _first_violation(cert)
-            lines.append(f"  first gap-bound violation: {'none' if k is None else f'k={k}'}, "
+            lines.append(f"  first gap-bound violation: {_at(cert.first_k.get('gap'))}, "
                          f"max gap excess {cert.max_gap_excess:.6g}")
+            lines.append("  first dual, v and t-lower violations: "
+                         + ", ".join(_at(cert.first_k.get(b)) for b in _OTHER_BOUNDS))
         if fit is not None:
             lines.append(
                 f"  log-log gap slope on [{fit.k_min}, {fit.k_max}]: {fit.slope:.4f} "
@@ -415,15 +438,23 @@ def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _first_violation(cert: diagnostics.CertificateSummary) -> int | None:
-    return cert.violating_k[0] if cert.violating_k else None
+# The bounds other than the gap bound, as keyed in ``CertificateSummary.first_k``.
+_OTHER_BOUNDS = ("dual", "v", "t_lower")
+
+
+def _at(k: int | None) -> str:
+    return "none" if k is None else f"k={k}"
 
 
 def _algorithm_meta(res: AlgorithmResult) -> dict:
     entry = {"params": res.params, "skipped": res.skipped}
-    if res.certificate is not None:
-        entry["certificate"] = {"first_gap_violation_k": _first_violation(res.certificate),
-                                "max_gap_excess": res.certificate.max_gap_excess}
+    cert = res.certificate
+    if cert is not None:
+        entry["certificate"] = {
+            "first_gap_violation_k": cert.first_k.get("gap"),
+            "max_gap_excess": cert.max_gap_excess,
+            **{f"first_{b}_violation_k": cert.first_k.get(b) for b in _OTHER_BOUNDS},
+        }
     if res.diverged_at is not None:
         entry["partial_trace"] = {"rows": len(res.rows), "diverged_at": res.diverged_at}
     return entry

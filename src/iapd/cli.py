@@ -144,6 +144,8 @@ def _cmd_certify(parser, args) -> int:
                                tol=args.tol, inflation=inflation)
     print(f"{algo}: {len(rows)} rows, gap-bound violations {cert.gap_violations}, "
           f"t-lower-bound violations {cert.t_lower_violations}")
+    print(f"first violating k: gap bound {cert.first_k.get('gap', 'none')}, "
+          f"t-lower bound {cert.first_k.get('t_lower', 'none')}")
     print("dual-distance and v-distance bounds: not checked (the trace CSV has no columns for them)")
     return 0 if cert.ok else 1
 

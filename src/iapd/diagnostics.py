@@ -47,17 +47,18 @@ def energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
     """The four-term energy at the reference point, as a map state -> EnergyReport.
 
     The reference-side terms of the gap are evaluated once, here, so each
-    report costs two products with K, not three. The report holds
-    measurements only; :func:`certify` derives the bounds.
+    report costs two products with K, not three, and one when the caller
+    passes ``fx = f1(state.x)`` and ``kx = K state.x`` it already holds. The
+    report holds measurements only; :func:`certify` derives the bounds.
     """
     alpha, beta = params.alpha, params.beta
     xs, ys = ref.x_star, ref.y_star
     gap_at = _reference_gap(problem, xs, ys)
 
-    def evaluate(state: IapdState) -> EnergyReport:
+    def evaluate(state: IapdState, fx=None, kx=None) -> EnergyReport:
         t, t_next = state.t, state.t_next
 
-        gap = gap_at(state.x, state.y)
+        gap = gap_at(state.x, state.y, fx, kx)
         i1 = t * t * gap
 
         du = state.u - xs
@@ -112,7 +113,12 @@ def _trace_reports(rows):
 
 @dataclass
 class CertificateSummary:
-    """Violation counts for the proven bounds."""
+    """Violation counts for the proven bounds, and where each bound first failed.
+
+    ``violating_k`` lists every k that breaks the gap bound. ``first_k`` maps
+    each bound that fails on some row ("gap", "dual", "v" or "t_lower") to the
+    first such k; a bound that holds on every row has no key.
+    """
 
     rows: int
     gap_violations: int = 0
@@ -121,6 +127,7 @@ class CertificateSummary:
     t_lower_violations: int = 0
     max_gap_excess: float = 0.0
     violating_k: list[int] = field(default_factory=list)
+    first_k: dict[str, int] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -170,6 +177,7 @@ def certify(
     b = 2.0 * a * t1 / (a + 4.0 * t1) if a > 0 else 0.0
     t_factor = min(0.5, b)
     summary = CertificateSummary(rows=0)
+    first = summary.first_k
     for r in reports:
         summary.rows += 1
         t, t_next = r.t_k, r.t_next
@@ -178,12 +186,16 @@ def certify(
             summary.gap_violations += 1
             summary.max_gap_excess = max(summary.max_gap_excess, r.gap_ref - bound_gap)
             summary.violating_k.append(r.k)
+            first.setdefault("gap", r.k)
         if r.dual_dist_sq > _bound(2.0 * e1, mu_g * t * t) * slack:
             summary.dual_violations += 1
+            first.setdefault("dual", r.k)
         if r.v_dist_sq > _bound(2.0 * beta * e1, t_next * t_next) * slack:
             summary.v_violations += 1
+            first.setdefault("v", r.k)
         if t < t_factor * (r.k + 1) * (1.0 - 1e-12):
             summary.t_lower_violations += 1
+            first.setdefault("t_lower", r.k)
     if not summary.rows:
         raise ValueError("empty trace")
     return summary

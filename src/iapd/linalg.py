@@ -1,16 +1,16 @@
-"""Dense/sparse linear operators, operator-norm estimation, Matrix Market IO."""
+"""Dense/sparse linear operators, operator-norm estimation, Matrix Market IO.
+
+scipy.sparse is imported only for a sparse input or a coordinate-format
+file, so a dense run never loads it and never pays the time and resident
+memory of its import chain.
+"""
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse as sp
+import sys
+from functools import partial
 
-# scipy's compiled CSR and CSC matrix-vector kernels. A product ``mat @ x`` of a
-# CSR or CSC array and a 1-D float64 x ends in exactly
-# ``<format>_matvec(m, n, indptr, indices, data, x, np.zeros(m))``, in
-# scipy.sparse._compressed._cs_matrix._matmul_vector; calling the kernel
-# directly skips the ~4 us of Python dispatch in front of it.
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
@@ -55,12 +55,16 @@ class LinearMap:
     CSR map calls scipy's compiled kernels on its own arrays: ``csr_matvec``
     for K x, and ``csc_matvec`` for K^T y, reading the same arrays as the CSC
     storage of K^T. The products are byte for byte those of ``mat @ x`` and
-    ``mat.T @ y``. The operator-norm estimate is computed once by
-    deterministic Lanczos and cached.
+    ``mat.T @ y``. A sparse input is recognized without importing
+    scipy.sparse, and the kernels are imported only when a CSR map is built.
+    The operator-norm estimate is computed once by deterministic Lanczos and
+    cached.
     """
 
     def __init__(self, matrix):
-        if sp.issparse(matrix):
+        # A scipy sparse object cannot exist unless scipy.sparse is loaded.
+        sp = sys.modules.get("scipy.sparse")
+        if sp is not None and sp.issparse(matrix):
             mat = sp.csr_array(matrix, dtype=np.float64, copy=True)
             mat.sort_indices()
             if mat.nnz and not np.all(np.isfinite(mat.data)):
@@ -88,10 +92,17 @@ class LinearMap:
             arr.flags.writeable = False
         self._mat = mat
         if self._sparse:
-            # The kernels' leading arguments: the shape each kernel reads, then
-            # the CSR arrays (K's CSR storage, which is K^T's CSC storage).
-            self._csr_args = (mat.shape[0], mat.shape[1], *stored)
-            self._csc_args = (mat.shape[1], mat.shape[0], *stored)
+            # scipy's compiled CSR and CSC matrix-vector kernels. A product
+            # ``mat @ x`` of a CSR or CSC array and a 1-D float64 x ends in exactly
+            # ``<format>_matvec(m, n, indptr, indices, data, x, np.zeros(m))``, in
+            # scipy.sparse._compressed._cs_matrix._matmul_vector; calling the
+            # kernel directly skips the ~4 us of Python dispatch in front of it.
+            from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+
+            # Each kernel is bound to the shape it reads and the CSR arrays
+            # (K's CSR storage, which is K^T's CSC storage).
+            self._forward = partial(csr_matvec, mat.shape[0], mat.shape[1], *stored)
+            self._backward = partial(csc_matvec, mat.shape[1], mat.shape[0], *stored)
         else:
             self._adj = mat.T
         self._cached_norm: float | None = None
@@ -144,7 +155,7 @@ class LinearMap:
             )
         if self._sparse:
             out = np.zeros(self.rows)
-            csr_matvec(*self._csr_args, x, out)
+            self._forward(x, out)
             return out
         return np.asarray(self._mat @ x)
 
@@ -157,7 +168,7 @@ class LinearMap:
             )
         if self._sparse:
             out = np.zeros(self.cols)
-            csc_matvec(*self._csc_args, y, out)
+            self._backward(y, out)
             return out
         return np.asarray(self._adj @ y)
 
@@ -300,6 +311,8 @@ def read_matrix_market(path) -> LinearMap:
                 raise MatrixMarketError(f"index ({i}, {j}) out of range", lineno)
             ii[k], jj[k] = i - 1, j - 1
             vv[k] = _parse_real(parts[2], lineno)
+        import scipy.sparse as sp
+
         return LinearMap(sp.coo_array((vv, (ii, jj)), shape=(m, n)))
 
     values = []

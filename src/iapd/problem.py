@@ -93,18 +93,20 @@ def _lagrangian(problem, x, y, fx, gy=None, f2x=None, kx=None, g2y=None) -> floa
 
 
 def _reference_gap(problem: SaddleProblem, x_star: np.ndarray, y_star: np.ndarray):
-    """The map (x, y) -> L(x, y*) - L(x*, y), for one fixed reference (x*, y*).
+    """The map (x, y[, fx, kx]) -> L(x, y*) - L(x*, y), for one fixed reference (x*, y*).
 
     f1(x*), f2(x*), K x*, g1(y*) and g2(y*) are evaluated once, here, so
-    one gap costs one product K x; each value is bit for bit
-    ``lagrangian(x, y_star) - lagrangian(x_star, y)``.
+    one gap costs one product K x, and none when the caller passes
+    ``fx = f1(x)`` and ``kx = K x`` it already holds; each value is bit for
+    bit ``lagrangian(x, y_star) - lagrangian(x_star, y)``.
     """
     f1, f2, g1, g2 = problem.f1, problem.f2, problem.g1, problem.g2
     fxs, gys = f1.value(x_star), g1.value(y_star)
     f2xs, kxs, g2ys = f2.value(x_star), problem.K.apply(x_star), g2.value(y_star)
 
-    def gap(x, y) -> float:
-        return (_lagrangian(problem, x, y_star, f1.value(x), gy=gys, g2y=g2ys)
+    def gap(x, y, fx=None, kx=None) -> float:
+        fx = f1.value(x) if fx is None else fx
+        return (_lagrangian(problem, x, y_star, fx, gy=gys, g2y=g2ys, kx=kx)
                 - _lagrangian(problem, x_star, y, fxs, f2x=f2xs, kx=kxs))
 
     return gap

@@ -21,11 +21,12 @@ from iapd.bench import (
     run_benchmark,
 )
 from iapd.linalg import LinearMap
-from iapd.problem import SaddleProblem, validate_params
+from iapd.problem import SaddleProblem, StepParams, validate_params
 from iapd.proxfuns import L1Norm, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from iapd.solvers import TraceRow
 
 from test_baseline_oracle import PoisonedProx
+from test_cli import strip_elapsed
 
 
 def test_l1ls_shapes_and_support():
@@ -287,14 +288,82 @@ def test_run_directory_names_the_first_gap_bound_violation(tmp_path, monkeypatch
                 f"max gap excess {cert.max_gap_excess:.6g}")
         assert f"{name}: final objective gap" in summary and line in summary
         assert meta["algorithms"][name]["certificate"] == {
-            "first_gap_violation_k": cert.violating_k[0], "max_gap_excess": cert.max_gap_excess}
+            "first_gap_violation_k": cert.violating_k[0], "max_gap_excess": cert.max_gap_excess,
+            "first_dual_violation_k": cert.first_k["dual"],
+            "first_v_violation_k": cert.first_k["v"],
+            "first_t_lower_violation_k": None}
     monkeypatch.undo()
     run_benchmark(cfg)
     summary = (out / "summary.txt").read_text()
     assert "first gap-bound violation: none, max gap excess 0\n" in summary
+    assert "first dual, v and t-lower violations: none, none, none\n" in summary
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["algorithms"]["iapd-op1"]["certificate"] == {
-        "first_gap_violation_k": None, "max_gap_excess": 0.0}
+        "first_gap_violation_k": None, "max_gap_excess": 0.0, "first_dual_violation_k": None,
+        "first_v_violation_k": None, "first_t_lower_violation_k": None}
+
+
+def test_run_directory_names_the_first_violation_of_every_bound(tmp_path, monkeypatch):
+    """Each bound, forced to fail first at its own k, is named at that k in both files;
+    the CSVs do not change, and a second identical run gives the same bytes."""
+    doctor = {4: {"gap_ref": 1e12}, 6: {"dual_dist_sq": 1e12}, 8: {"v_dist_sq": 1e12},
+              10: {"t_k": 1e-3}}
+    certify = diagnostics.certify
+    monkeypatch.setattr(diagnostics, "certify", lambda reports, *args, **kw: certify(
+        [replace(r, **doctor.get(r.k, {})) for r in reports], *args, **kw))
+    cfg = dict(experiment="l1ls", m=20, n=30, seed=5, iters=30,
+               algorithms=("iapd-op1", "iapd-op2"), reference_effort=300)
+    runs = [run_benchmark(ExperimentConfig(out_dir=tmp_path / side, **cfg)) for side in "ab"]
+    for name in cfg["algorithms"]:
+        cert = runs[0].results[name].certificate
+        assert cert.first_k == {"gap": 4, "dual": 6, "v": 8, "t_lower": 10}
+        assert cert.violating_k == [4]
+    summary = (tmp_path / "a" / "summary.txt").read_text()
+    assert summary.count("  first dual, v and t-lower violations: k=6, k=8, k=10\n") == 2
+    assert summary.count("  first gap-bound violation: k=4, max gap excess ") == 2
+    meta = json.loads((tmp_path / "a" / "run_meta.json").read_text())
+    for name in cfg["algorithms"]:
+        entry = meta["algorithms"][name]["certificate"]
+        assert {key: entry[key] for key in entry if key != "max_gap_excess"} == {
+            "first_gap_violation_k": 4, "first_dual_violation_k": 6, "first_v_violation_k": 8,
+            "first_t_lower_violation_k": 10}
+    for file in ("summary.txt", "run_meta.json"):
+        assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+    monkeypatch.undo()
+    run_benchmark(ExperimentConfig(out_dir=tmp_path / "plain", **cfg))
+    for name in cfg["algorithms"]:
+        assert (strip_elapsed(tmp_path / "a" / f"{name}.csv")
+                == strip_elapsed(tmp_path / "plain" / f"{name}.csv"))
+
+
+@pytest.mark.parametrize("experiment", ["l1ls", "nnls"])
+@pytest.mark.parametrize("name", ["iapd-op1", "iapd-op2", "pda", "apda"])
+def test_trace_rows_hold_the_objective_and_lagrangian_gap_of_their_iterate(name, experiment,
+                                                                           tmp_path):
+    """The objective and gap_ref cells equal, bit for bit, ``objective(x)`` and
+    L(x, y*) - L(x*, y) computed afresh at each row's iterate, though the bench
+    evaluates K x once for both."""
+    cfg = ExperimentConfig(experiment, 24, 16, seed=6, iters=30, density=0.4,
+                           algorithms=(name,), out_dir=tmp_path, reference_effort=300)
+    inst = generate_l1ls(24, 16, 0.1, 6) if experiment == "l1ls" else generate_nnls(24, 16, 0.4, 6)
+    result = run_benchmark(cfg, instance=inst)
+    ref, params, problem = result.reference, result.results[name].params, inst.problem
+    expected = []
+
+    def observer(row, state):
+        expected.append((inst.objective(state.x), problem.lagrangian(state.x, ref.y_star)
+                         - problem.lagrangian(ref.x_star, state.y)))
+
+    opts = solvers.SolverOptions(max_iters=30)
+    if name.startswith("iapd"):
+        step = StepParams(params["alpha"], params["beta"], params["t1"])
+        solvers.solve_iapd(problem, step, replace(opts, option="option" + name[-1]), observer)
+    elif name == "pda":
+        solvers.solve_pda(problem, params["alpha"], params["beta"], opts, observer)
+    else:
+        solvers.solve_apda(problem, params["tau0"], params["sigma0"], opts, observer)
+    rows = read_csv(tmp_path / f"{name}.csv")
+    assert [(r.objective, r.gap_ref) for r in rows] == expected
 
 
 def test_run_benchmark_partial_when_structure_unsupported(tmp_path):
@@ -400,12 +469,12 @@ def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):
     assert json.loads((out / "run_meta.json").read_text())["seed"] == 4
 
 
-@pytest.mark.parametrize("name, per_iteration", [("iapd-op1", 4), ("iapd-op2", 4),
-                                                 ("pda", 3), ("apda", 3)])
+@pytest.mark.parametrize("name, per_iteration", [("iapd-op1", 3), ("iapd-op2", 3),
+                                                 ("pda", 2), ("apda", 2)])
 def test_certified_rows_take_one_product_per_gap(name, per_iteration, tmp_path, monkeypatch):
-    """K x* is taken once per solve, so an iteration with a certified row costs:
-    the step's one forward product, the objective's K x, the gap's K x and,
-    for an energy row, K (u - x*)."""
+    """K x* is taken once per solve, and the gap reuses the objective's K x, so an
+    iteration with a certified row costs: the step's one forward product, the
+    objective's K x and, for an energy row, K (u - x*)."""
     calls = []
     original = LinearMap.apply
     monkeypatch.setattr(LinearMap, "apply", lambda self, v: calls.append(1) or original(self, v))

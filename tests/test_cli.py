@@ -191,6 +191,42 @@ def test_certify_flags_zero_t_as_t_lower_violation(tmp_path, capsys):
     assert "gap-bound violations 0, t-lower-bound violations 1" in capsys.readouterr().out
 
 
+def test_certify_prints_the_first_violating_k(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
+                "--out", str(out)]) == 0
+    csv_path = out / "iapd-op1.csv"
+    lines = csv_path.read_text().splitlines()
+    for k, column, value in ((7, 4, "1e6"), (9, 4, "1e6"), (3, 2, "0")):  # gap_ref, t_k
+        parts = lines[k - 1].split(",")  # the first row is k = 2
+        assert parts[1] == str(k)
+        parts[column] = value
+        lines[k - 1] = ",".join(parts)
+    csv_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["certify", "--csv", str(csv_path), "--meta", str(out / "run_meta.json")]) == 1
+    printed = capsys.readouterr().out
+    assert "gap-bound violations 2, t-lower-bound violations 1" in printed
+    assert "first violating k: gap bound 7, t-lower bound 3\n" in printed
+
+
+@pytest.mark.parametrize("flags, files", [
+    (["bench", "nnls", "--m", "1", "--n", "1", "--iters", "3"], False),
+    (["solve", "--iters", "3"], True),
+], ids=["bench-nnls-1x1", "solve-empty-coordinate-file"])
+def test_an_all_zero_k_is_a_runtime_error(flags, files, tmp_path, capsys):
+    """A K without a nonzero entry has ||K|| = 0, from which no step can be derived."""
+    if files:
+        (tmp_path / "K.mtx").write_text("%%MatrixMarket matrix coordinate real general\n3 2 0\n")
+        write_matrix_market(LinearMap(np.ones((3, 1))), tmp_path / "b.mtx")
+        flags = [*flags, "--matrix", str(tmp_path / "K.mtx"), "--rhs", str(tmp_path / "b.mtx")]
+    out = tmp_path / "out"
+    assert run([*flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: ||K|| = 0: no step size can be derived from a "
+                                       "zero operator norm\n")
+    assert not out.exists()
+
+
 def test_certify_requires_energy_metadata(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "fista",

@@ -176,6 +176,18 @@ def test_certify_bounds_are_exact_at_their_slack(field):
     assert counts == [(0, 0, 0, 0), flagged[field]]
 
 
+def test_certify_keeps_the_first_violating_k_of_each_bound():
+    """A bound that fails on two rows keeps the earlier k; one that never fails has no key."""
+    rows = [report(k=k, t_k=float(k)) for k in range(1, 7)]
+    for k, field in ((2, "v_dist_sq"), (3, "dual_dist_sq"), (5, "dual_dist_sq"), (5, "v_dist_sq")):
+        rows[k - 1] = dataclasses.replace(rows[k - 1], **{field: 1e300})
+    rows[3] = dataclasses.replace(rows[3], t_k=0.0)  # k = 4: no gap or dual bound, t-lower fails
+    cert = certify(rows, 1.0, 1.0, 1.0, 1.0)
+    assert cert.first_k == {"v": 2, "dual": 3, "t_lower": 4}
+    assert (cert.dual_violations, cert.v_violations, cert.t_lower_violations) == (2, 2, 1)
+    assert cert.violating_k == []
+
+
 def test_certify_sets_no_gap_or_dual_bound_at_zero_t():
     """t_k = 0 (and a zero t_{k+1}) gives no bound to check, not a ZeroDivisionError."""
     cert = certify([report(t_k=0.0, t_next=0.0, gap_ref=1e300, dual_dist_sq=1e300,

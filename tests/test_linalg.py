@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -196,6 +197,69 @@ def test_norm_loads_no_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def _fresh_process(code: str) -> str:
+    """The standard output of ``code`` run by a new interpreter on this test's path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env, check=True, timeout=120).stdout
+
+
+def test_a_dense_run_loads_no_scipy_sparse(tmp_path):
+    """A dense bench run, ``iapd certify`` on it and ``iapd solve`` on array-format files
+    never import scipy.sparse, whose import chain a dense run does not need."""
+    out = _fresh_process(f"""
+        import contextlib, io, sys
+        import numpy as np
+        import iapd
+        from iapd import bench, cli
+        from iapd.linalg import LinearMap, write_matrix_market
+        out = {str(tmp_path)!r}
+        rng = np.random.default_rng(5)
+        write_matrix_market(LinearMap(rng.standard_normal((12, 8))), out + "/K.mtx")
+        write_matrix_market(LinearMap(rng.standard_normal((12, 1))), out + "/b.mtx")
+        with contextlib.redirect_stdout(io.StringIO()):
+            bench.run_benchmark(bench.ExperimentConfig("l1ls", 20, 30, seed=3, iters=40,
+                                                       out_dir=out + "/bench"))
+            codes = [cli.main(["certify", "--csv", out + "/bench/iapd-op1.csv",
+                               "--meta", out + "/bench/run_meta.json"]),
+                     cli.main(["solve", "--matrix", out + "/K.mtx", "--rhs", out + "/b.mtx",
+                               "--iters", "40", "--out", out + "/solve"])]
+        print(codes, "scipy.sparse" in sys.modules)
+    """)
+    assert out == "[0, 0] False\n"
+    assert (tmp_path / "solve" / "iapd-op1.csv").exists()
+
+
+@pytest.mark.parametrize("build", [
+    "import scipy.sparse as sp; K = LinearMap(sp.csr_array(A))",
+    "K = generate_nnls(30, 20, 0.3, seed=4).problem.K",
+    "K = read_matrix_market(path)",
+], ids=["csr-input", "generate-nnls", "coordinate-file"])
+def test_each_sparse_path_loads_scipy_sparse_itself(build, tmp_path):
+    """In a process that has not imported scipy.sparse, a CSR input, the nnls generator
+    and a coordinate-file read each give a sparse map with scipy's products, byte for byte."""
+    rng = np.random.default_rng(8)
+    A = np.where(rng.random((30, 20)) < 0.3, rng.standard_normal((30, 20)), 0.0)
+    write_matrix_market(LinearMap(sp.csr_array(A)), tmp_path / "K.mtx")
+    np.save(tmp_path / "A.npy", A)
+    out = _fresh_process(f"""
+        import sys
+        import numpy as np
+        from iapd.bench import generate_nnls
+        from iapd.linalg import LinearMap, read_matrix_market
+        loaded_before = "scipy.sparse" in sys.modules
+        path, A = {str(tmp_path / "K.mtx")!r}, np.load({str(tmp_path / "A.npy")!r})
+        {build}
+        import scipy.sparse as sp
+        mat = sp.csr_array(K.to_dense())
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal(K.cols), rng.standard_normal(K.rows)
+        print(loaded_before, K.is_sparse, K.apply(x).tobytes() == (mat @ x).tobytes(),
+              K.apply_adjoint(y).tobytes() == (mat.T @ y).tobytes())
+    """)
+    assert out == "False True True True\n"
 
 
 def test_from_coo_and_triples_sorted():
