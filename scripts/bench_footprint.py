@@ -14,15 +14,13 @@ from spawn to exit, and the median, smallest and largest peak resident set
 child's ``ru_maxrss`` at the peak RSS of its parent, so this process loads
 no numpy until the children are done; its own peak, about 14 MB, stays
 below every case's. With ``--baseline``, each case also gets the relative
-change of both medians against that earlier run of the file. The result is
-stored under ``runs[NAME]`` of the output file, next to the runs already
-there, with an environment block and the git revision.
+change of both medians against that earlier run of the file. ``runfile``
+sets up the output file; the run is stored under ``runs[NAME]`` with an
+environment block and the git revision.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import statistics
 import sys
@@ -30,10 +28,7 @@ import tempfile
 import time
 from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "scripts")]
+from runfile import ROOT, THREAD_VARS, open_runs, revision, save_run
 
 REPEATS = 7
 # name: interpreter arguments; "{out}" becomes a fresh output directory
@@ -75,17 +70,7 @@ def summarize(walls: list[float], peaks: list[float]) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--baseline", help="label of an earlier run to compare against")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_footprint.json"))
-    args = parser.parse_args()
-
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    base = doc.get("runs", {}).get(args.baseline, {}).get("cases") if args.baseline else None
-    if args.baseline and base is None:
-        parser.error(f"{args.out} has no run {args.baseline!r}")
-
+    args, runs, base = open_runs(__doc__, "BENCH_footprint.json")
     threads = {var: "1" for var in THREAD_VARS}
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **threads)
     samples = {name: ([], []) for name in CASES}
@@ -109,9 +94,8 @@ def main() -> int:
               f"peak RSS {row['peak_rss_mb_median']:.1f} MB "
               f"({row['peak_rss_mb_min']:.1f}-{row['peak_rss_mb_max']:.1f})")
 
-    # Imported only now: they load numpy, and Linux starts the ru_maxrss of a
+    # Imported only now: it loads numpy, and Linux starts the ru_maxrss of a
     # spawned child at the peak RSS of the process that spawned it.
-    from bench_norm import revision
     from envinfo import environment
 
     run = {
@@ -120,9 +104,7 @@ def main() -> int:
         "environment": environment(threads),
         "cases": cases,
     }
-    doc.setdefault("script", "scripts/bench_footprint.py")
-    doc.setdefault("runs", {})[args.label] = run
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    save_run(args, runs, "scripts/bench_footprint.py", run)
     return 0
 
 

@@ -2,42 +2,30 @@
 
     python scripts/bench_norm.py --label NAME [--out BENCH_norm.json]
 
-Run from anywhere; ``iapd`` is imported from the ``src/`` directory of the
-checkout that holds this script. BLAS runs on one thread unless the thread
-variables are already set. For each shape the run records the products
-one ``norm()`` makes (its ``apply`` and ``apply_adjoint`` calls; one of each
-is one product with K^T K or K K^T), the median and interquartile range of
+Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
+the output file. For each shape the run records the products one
+``norm()`` makes (its ``apply`` and ``apply_adjoint`` calls; one of each is
+one product with K^T K or K K^T), the median and interquartile range of
 ``norm()`` over fresh maps, and the relative error of ``norm() /
 NORM_SAFETY`` against the largest singular value from ``np.linalg.svd``.
-The result is stored under ``runs[NAME]`` of the output file, next to the
-runs already there, with an environment block.
+The run is stored under ``runs[NAME]`` with an environment block.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import os
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ.setdefault(_var, "1")  # before numpy loads BLAS
+from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+import numpy as np
+import scipy.sparse as sp
 
-import numpy as np  # noqa: E402
-import scipy.sparse as sp  # noqa: E402
-
-from envinfo import environment  # noqa: E402
-from iapd import bench  # noqa: E402
-from iapd.linalg import NORM_SAFETY, LinearMap  # noqa: E402
+from envinfo import environment
+from iapd import bench
+from iapd.linalg import NORM_SAFETY, LinearMap
 
 SEED = 101
 # name: (instance generator, timed norm() calls)
@@ -92,31 +80,15 @@ def measure(generate, repeats: int) -> dict:
     }
 
 
-def revision() -> str | None:
-    try:
-        out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                             capture_output=True, text=True, check=True, timeout=30)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return out.stdout.strip()
-
-
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_norm.json"))
-    args = parser.parse_args()
-
+    args, runs, _ = open_runs(__doc__, "BENCH_norm.json", baseline=False)
     run = {
         "revision": revision(),
         "seed": SEED,
-        "environment": environment({var: os.environ[var] for var in THREAD_VARS}),
+        "environment": environment(blas_threads()),
         "workloads": {name: measure(gen, repeats) for name, (gen, repeats) in SHAPES.items()},
     }
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("script", "scripts/bench_norm.py")
-    doc.setdefault("runs", {})[args.label] = run
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    save_run(args, runs, "scripts/bench_norm.py", run)
     for name, row in run["workloads"].items():
         print(f"{name}: {row['apply_calls']} Gram products, "
               f"norm {row['norm_s_median'] * 1e3:.2f} ms (IQR {row['norm_s_iqr'] * 1e3:.2f} ms), "

@@ -2,44 +2,32 @@
 
     python scripts/bench_reference.py --label NAME [--baseline LABEL] [--out BENCH_reference.json]
 
-Run from anywhere; ``iapd`` is imported from the ``src/`` directory of the
-checkout that holds this script. BLAS runs on one thread unless the thread
-variables are already set. Each case is a perfbench shape with the preset
-steps and the sweep's reference effort (20 000 on the desk shapes, 400 on
+Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
+the output file. Each case is a perfbench shape with the preset steps and
+the sweep's reference effort (20 000 on the desk shapes, 400 on
 l1ls-large). For each case the run records the iapd iterations behind the
 reference, the median and interquartile range of ``compute_reference``
 over repeated calls, whether the reference is certified, its accuracy and
 objective, and SHA-256 digests of x* and y*. With ``--baseline``, each case
 also gets the objective's move against that earlier run of the file and
-whether x* and y* are bit for bit the same. The result is stored under
-``runs[NAME]`` of the output file, next to the runs already there, with an
-environment block. A checkout whose ``ReferencePoint`` has no
+whether x* and y* are bit for bit the same. The run is stored under
+``runs[NAME]`` with an environment block. A checkout whose ``ReferencePoint`` has no
 ``certified`` or ``iterations`` field is recorded as uncertified, after
 the full effort.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
 import statistics
 import sys
 import time
-from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in THREAD_VARS:
-    os.environ.setdefault(_var, "1")  # before numpy loads BLAS
+from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "scripts")]
-
-from bench_norm import revision  # noqa: E402
-from envinfo import environment  # noqa: E402
-from iapd import bench  # noqa: E402
-from iapd.problem import compute_reference  # noqa: E402
+from envinfo import environment
+from iapd import bench
+from iapd.problem import compute_reference
 
 # name: (family, instance generator of a seed, seeds, reference effort, timed calls)
 CASES = {
@@ -86,17 +74,7 @@ def against(row: dict, base: dict) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output file")
-    parser.add_argument("--baseline", help="label of an earlier run to compare against")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_reference.json"))
-    args = parser.parse_args()
-
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    base = doc.get("runs", {}).get(args.baseline, {}).get("cases") if args.baseline else None
-    if args.baseline and base is None:
-        parser.error(f"{args.out} has no run {args.baseline!r}")
-
+    args, runs, base = open_runs(__doc__, "BENCH_reference.json")
     cases = {}
     for name, (family, generate, seeds, effort, repeats) in CASES.items():
         for seed in seeds:
@@ -113,12 +91,10 @@ def main() -> int:
     run = {
         "revision": revision(),
         "baseline": args.baseline,
-        "environment": environment({var: os.environ[var] for var in THREAD_VARS}),
+        "environment": environment(blas_threads()),
         "cases": cases,
     }
-    doc.setdefault("script", "scripts/bench_reference.py")
-    doc.setdefault("runs", {})[args.label] = run
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    save_run(args, runs, "scripts/bench_reference.py", run)
     return 0
 
 

@@ -31,7 +31,6 @@ from .proxfuns import (
     ProxFunction,
     ShiftedQuadratic,
     SmoothFunction,
-    ZeroProx,
     ZeroSmooth,
 )
 from .solvers import (

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import diagnostics, solvers
 from .linalg import LinearMap
-from .problem import ReferencePoint, SaddleProblem, StepParams, _reference_gap, compute_reference
+from .problem import (ReferencePoint, SaddleProblem, StepParams, _coupled_steps, _reference_gap,
+                      compute_reference)
 from .proxfuns import L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from .solvers import SolverOptions, TraceRow
 
@@ -68,6 +69,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.iters < 1:
             raise ValueError("iters must be >= 1")
         if self.observer_stride < 1:
@@ -157,8 +160,12 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
     return GeneratedInstance(problem, b, planted, name=f"nnls-m{m}-n{n}-s{density}-seed{seed}")
 
 
+# Per family: (t1, alpha ||K||) of the accelerated solver's preset steps.
+_PRESETS = {"l1ls": (5.0, 0.49), "nnls": (1.2, 0.98)}
+
+
 def preset_params(experiment: str, knorm: float) -> StepParams:
-    """Accelerated-solver presets: steps proportional to 1/||K|| per family.
+    """Accelerated-solver presets: the family's row of ``_PRESETS`` at this ||K||.
 
     A zero norm, as of a K without a nonzero entry, raises ValueError before
     any step is derived from it, here or by the baselines after it.
@@ -166,11 +173,9 @@ def preset_params(experiment: str, knorm: float) -> StepParams:
     if not knorm > 0:
         raise ValueError(f"||K|| = {knorm:g}: no step size can be derived from a zero "
                          "operator norm")
-    if experiment == "l1ls":
-        return StepParams(alpha=0.98 / (2.0 * knorm), beta=2.0 / knorm, t1=5.0)
-    if experiment == "nnls":
-        return StepParams(alpha=0.98 / knorm, beta=1.0 / knorm, t1=1.2)
-    raise ValueError(f"unknown experiment {experiment!r}")
+    if experiment not in _PRESETS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return _coupled_steps(knorm, *_PRESETS[experiment])
 
 
 def _fmt(value: float) -> str:
@@ -193,33 +198,38 @@ def emit_csv(rows: list[TraceRow], path) -> None:
 def read_csv(path) -> list[TraceRow]:
     """Parse a trace CSV back into rows (empty cells become NaN).
 
-    A malformed row raises ValueError naming its line in the file and the
-    column at fault.
+    A file that is not UTF-8 text or has another header raises ValueError
+    naming the file; a malformed row, naming also its line and the column
+    at fault.
     """
 
     def num(tok: str) -> float:
         return float(tok) if tok else math.nan
 
     readers = [(int, "an integer")] + [(num, "a number")] * (len(_COLUMNS) - 2)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from None
+    header = lines[0].strip() if lines else ""
+    if header != CSV_HEADER:
+        raise ValueError(f"{path} has an unexpected header {header!r}")
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(_COLUMNS):
-                column = _COLUMNS[min(len(parts), len(_COLUMNS) - 1)]
-                raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
-                                 f"{len(parts)} fields, the header {len(_COLUMNS)}")
-            cells = [parts[0]]
-            for column, (read, kind), tok in zip(_COLUMNS[1:], readers, parts[1:]):
-                try:
-                    cells.append(read(tok))
-                except ValueError:
-                    raise ValueError(f"{path} line {lineno}, column {column!r}: "
-                                     f"{tok!r} is not {kind}") from None
-            rows.append(TraceRow(*cells))
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.rstrip("\n").split(",")
+        if len(parts) != len(_COLUMNS):
+            column = _COLUMNS[min(len(parts), len(_COLUMNS) - 1)]
+            raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
+                             f"{len(parts)} fields, the header {len(_COLUMNS)}")
+        cells = [parts[0]]
+        for column, (read, kind), tok in zip(_COLUMNS[1:], readers, parts[1:]):
+            try:
+                cells.append(read(tok))
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}, column {column!r}: "
+                                 f"{tok!r} is not {kind}") from None
+        rows.append(TraceRow(*cells))
     return rows
 
 

@@ -126,7 +126,10 @@ def _cmd_certify(parser, args) -> int:
     rows = bench.read_csv(args.csv)
     if not rows:
         raise ValueError(f"{args.csv} has no rows")
-    meta = json.loads(Path(args.meta).read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(Path(args.meta).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ValueError(f"{args.meta} is not JSON: {err}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{args.meta} holds a JSON {type(meta).__name__}, not an object")
     algo = rows[0].algorithm

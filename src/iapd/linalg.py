@@ -32,11 +32,13 @@ class DimensionMismatchError(ValueError):
 
 
 class MatrixMarketError(ValueError):
-    """Malformed Matrix Market file; carries the offending line number."""
+    """Malformed Matrix Market file; names the file and carries the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"{message} (line {line})"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -232,24 +234,30 @@ class LinearMap:
 _MM_BANNER = "%%matrixmarket"
 
 
-def _parse_real(token: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise MatrixMarketError(f"expected a real number, got {token!r}", lineno)
-
-
 def read_matrix_market(path) -> LinearMap:
     """Read a real general Matrix Market file (coordinate or array format).
 
     Coordinate files yield a sparse map, array files a dense map.
     One-based indices are converted to zero-based. Parse failures raise
-    :class:`MatrixMarketError` naming the line.
+    :class:`MatrixMarketError` naming the file and the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+
+    def fail(message: str, line: int | None = None) -> MatrixMarketError:
+        return MatrixMarketError(message, line, path)
+
+    def real(token: str, line: int) -> float:
+        try:
+            return float(token)
+        except ValueError:
+            raise fail(f"expected a real number, got {token!r}", line) from None
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise fail(f"not UTF-8 text ({err.reason} at byte {err.start})") from None
     if not lines:
-        raise MatrixMarketError("empty file", 1)
+        raise fail("empty file", 1)
 
     header = lines[0].split()
     if (
@@ -260,7 +268,7 @@ def read_matrix_market(path) -> LinearMap:
         or header[3].lower() != "real"
         or header[4].lower() != "general"
     ):
-        raise MatrixMarketError(f"malformed header {lines[0]!r}", 1)
+        raise fail(f"malformed header {lines[0]!r}", 1)
     fmt = header[2].lower()
 
     # Skip comments and blank lines to the size line.
@@ -268,18 +276,18 @@ def read_matrix_market(path) -> LinearMap:
     while idx < len(lines) and (not lines[idx].strip() or lines[idx].lstrip().startswith("%")):
         idx += 1
     if idx >= len(lines):
-        raise MatrixMarketError("missing size line", len(lines))
+        raise fail("missing size line", len(lines))
 
     size = lines[idx].split()
     want = 3 if fmt == "coordinate" else 2
     if len(size) != want:
-        raise MatrixMarketError(f"size line must have {want} fields", idx + 1)
+        raise fail(f"size line must have {want} fields", idx + 1)
     try:
         dims = [int(tok) for tok in size]
     except ValueError:
-        raise MatrixMarketError(f"non-integer size field in {lines[idx]!r}", idx + 1)
+        raise fail(f"non-integer size field in {lines[idx]!r}", idx + 1)
     if dims[0] < 1 or dims[1] < 1 or (fmt == "coordinate" and dims[2] < 0):
-        raise MatrixMarketError("invalid dimensions", idx + 1)
+        raise fail("invalid dimensions", idx + 1)
     m, n = dims[0], dims[1]
     idx += 1
 
@@ -293,24 +301,22 @@ def read_matrix_market(path) -> LinearMap:
     if fmt == "coordinate":
         nnz = dims[2]
         if len(data_lines) != nnz:
-            raise MatrixMarketError(
-                f"expected {nnz} entries, found {len(data_lines)}", len(lines)
-            )
+            raise fail(f"expected {nnz} entries, found {len(data_lines)}", len(lines))
         ii = np.empty(nnz, dtype=np.int64)
         jj = np.empty(nnz, dtype=np.int64)
         vv = np.empty(nnz, dtype=np.float64)
         for k, (lineno, text) in enumerate(data_lines):
             parts = text.split()
             if len(parts) != 3:
-                raise MatrixMarketError("coordinate entry must be 'i j value'", lineno)
+                raise fail("coordinate entry must be 'i j value'", lineno)
             try:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
-                raise MatrixMarketError(f"non-integer index in {text!r}", lineno)
+                raise fail(f"non-integer index in {text!r}", lineno)
             if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketError(f"index ({i}, {j}) out of range", lineno)
+                raise fail(f"index ({i}, {j}) out of range", lineno)
             ii[k], jj[k] = i - 1, j - 1
-            vv[k] = _parse_real(parts[2], lineno)
+            vv[k] = real(parts[2], lineno)
         import scipy.sparse as sp
 
         return LinearMap(sp.coo_array((vv, (ii, jj)), shape=(m, n)))
@@ -318,11 +324,9 @@ def read_matrix_market(path) -> LinearMap:
     values = []
     for lineno, text in data_lines:
         for tok in text.split():
-            values.append(_parse_real(tok, lineno))
+            values.append(real(tok, lineno))
     if len(values) != m * n:
-        raise MatrixMarketError(
-            f"expected {m * n} array values, found {len(values)}", len(lines)
-        )
+        raise fail(f"expected {m * n} array values, found {len(values)}", len(lines))
     # Array format is column-major.
     dense = np.asarray(values, dtype=np.float64).reshape((n, m)).T
     return LinearMap(dense)

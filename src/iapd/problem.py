@@ -60,15 +60,6 @@ class SaddleProblem:
         """
         return _lagrangian(self, x, y, self.f1.value(x))
 
-    def primal_objective(self, x: np.ndarray) -> float:
-        """f(x) + g*(Kx), the primal value of the saddle formulation.
-
-        Requires g2 to vanish and g1 to have a closed-form conjugate.
-        """
-        if not isinstance(self.g2, ZeroSmooth):
-            raise ValueError("primal objective needs a vanished g2")
-        return self.f1.value(x) + self.f2.value(x) + self.g1.conjugate(self.K.apply(x))
-
 
 def _lagrangian(problem, x, y, fx, gy=None, f2x=None, kx=None, g2y=None) -> float:
     """L(x, y) = f1(x) + f2(x) + <Kx, y> - g1(y) - g2(y), with f1(x) = ``fx`` given.
@@ -155,12 +146,27 @@ def validate_params(problem: SaddleProblem, params: StepParams) -> None:
         raise ValueError("invalid step parameters: " + "; ".join(f"need {f}" for f in failed))
 
 
-def default_step_params(problem: SaddleProblem, t1: float = 5.0) -> StepParams:
+# The share of the coupling inequality alpha*beta*||K||^2 < 1 that the derived steps use.
+COUPLING_BUDGET = 0.98
+
+
+def _coupled_steps(knorm: float, t1: float, alpha_knorm: float) -> StepParams:
+    """The steps alpha = alpha_knorm/||K|| and beta = (COUPLING_BUDGET/alpha_knorm)/||K||.
+
+    They meet the coupling inequality of a problem whose f2 and g2 vanish
+    with factor COUPLING_BUDGET; ``alpha_knorm`` splits it between the sides.
+    """
+    return StepParams(alpha_knorm / knorm, (COUPLING_BUDGET / alpha_knorm) / knorm, t1)
+
+
+def default_step_params(problem: SaddleProblem, t1: float = 5.0,
+                        alpha_knorm: float = 0.49) -> StepParams:
     """A feasible step-size choice derived from the problem constants.
 
     Smooth-part conditions are met with factor 0.5, and the coupling
-    inequality with factor 0.98; when a side is unconstrained the split
-    alpha = 0.98/(2 ||K||), beta = 2/||K|| is used.
+    inequality with factor COUPLING_BUDGET. When f2 and g2 both vanish, the
+    steps are ``_coupled_steps(||K||, t1, alpha_knorm)``; otherwise a side
+    whose smooth part vanishes takes what the other side leaves of the budget.
     """
     lf2 = problem.f2.lipschitz
     lg2 = problem.g2.lipschitz
@@ -173,20 +179,21 @@ def default_step_params(problem: SaddleProblem, t1: float = 5.0) -> StepParams:
         beta = beta if beta is not None else max(2.0, 2.0 / problem.mu_g)
         return StepParams(alpha, beta, t1)
 
-    budget = 0.98 * (1.0 - (alpha or 0.0) * lf2) * (1.0 - (beta or 0.0) * lg2 / t1**2)
     if alpha is None and beta is None:
-        alpha = np.sqrt(budget) / (2.0 * knorm)
-        beta = 2.0 * np.sqrt(budget) / knorm
-    elif alpha is None:
-        alpha = budget / (beta * knorm**2)
-    elif beta is None:
-        beta = budget / (alpha * knorm**2)
+        params = _coupled_steps(knorm, t1, alpha_knorm)
     else:
-        scale = budget / (alpha * beta * knorm**2)
-        if scale < 1.0:
-            alpha *= np.sqrt(scale)
-            beta *= np.sqrt(scale)
-    params = StepParams(float(alpha), float(beta), t1)
+        budget = (COUPLING_BUDGET * (1.0 - (alpha or 0.0) * lf2)
+                  * (1.0 - (beta or 0.0) * lg2 / t1**2))
+        if alpha is None:
+            alpha = budget / (beta * knorm**2)
+        elif beta is None:
+            beta = budget / (alpha * knorm**2)
+        else:
+            scale = budget / (alpha * beta * knorm**2)
+            if scale < 1.0:
+                alpha *= np.sqrt(scale)
+                beta *= np.sqrt(scale)
+        params = StepParams(float(alpha), float(beta), t1)
     validate_params(problem, params)
     return params
 

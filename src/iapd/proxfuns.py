@@ -11,7 +11,6 @@ __all__ = [
     "L1Norm",
     "NonnegIndicator",
     "ShiftedQuadratic",
-    "ZeroProx",
     "SmoothFunction",
     "ZeroSmooth",
     "LeastSquares",
@@ -41,10 +40,6 @@ class ProxFunction:
 
     def prox(self, step: float, z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def conjugate(self, z: np.ndarray) -> float:
-        """Convex conjugate sup_y <z, y> - value(y), where closed-form."""
-        raise NotImplementedError(f"{type(self).__name__} has no closed-form conjugate")
 
 
 class L1Norm(ProxFunction):
@@ -101,22 +96,6 @@ class ShiftedQuadratic(ProxFunction):
         out = z - step * self.shift
         out /= 1.0 + step
         return out
-
-    def conjugate(self, z) -> float:
-        # sup_y <z,y> - 0.5||y + b||^2 attained at y = z - b.
-        z = np.asarray(z, dtype=np.float64)
-        return 0.5 * float(z @ z) - float(z @ self.shift)
-
-
-class ZeroProx(ProxFunction):
-    """The zero function; prox is the identity."""
-
-    def value(self, x) -> float:
-        return 0.0
-
-    def prox(self, step, z):
-        _check_step(step)
-        return np.asarray(z, dtype=np.float64).copy()
 
 
 class SmoothFunction:

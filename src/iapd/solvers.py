@@ -121,15 +121,9 @@ class TraceRow:
     elapsed_s: float = 0.0
 
 
-def init_iapd_state(
-    problem: SaddleProblem,
-    params: StepParams,
-    x0: np.ndarray | None = None,
-    y0: np.ndarray | None = None,
-) -> IapdState:
-    """Initial state: u_1 = x_1 = x_0 and v_1 = v_0 = y_1 = y_0."""
-    x0 = np.zeros(problem.primal_dim) if x0 is None else np.asarray(x0, dtype=np.float64)
-    y0 = np.zeros(problem.dual_dim) if y0 is None else np.asarray(y0, dtype=np.float64)
+def init_iapd_state(problem: SaddleProblem, params: StepParams) -> IapdState:
+    """Initial state at the origin: u_1 = x_1 = x_0 = 0 and v_1 = v_0 = y_1 = y_0 = 0."""
+    x0, y0 = np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)
     a = problem.mu_g * params.beta
     return IapdState(
         x=x0.copy(),

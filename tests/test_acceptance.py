@@ -19,11 +19,11 @@ from iapd.proxfuns import (
     LeastSquares,
     NonnegIndicator,
     ShiftedQuadratic,
-    ZeroProx,
     ZeroSmooth,
 )
 from iapd.solvers import SolverOptions, solve_fista, solve_iapd, solve_tseng
 
+from helpers import ZeroProx
 from test_prox import check_subgradient
 
 

@@ -33,7 +33,6 @@ from iapd.proxfuns import (
     ProxFunction,
     ShiftedQuadratic,
     SmoothFunction,
-    ZeroProx,
     ZeroSmooth,
 )
 from iapd.solvers import (
@@ -45,6 +44,8 @@ from iapd.solvers import (
     iapd_step,
     init_iapd_state,
 )
+
+from helpers import ZeroProx
 
 # -- reference copy --------------------------------------------------------
 

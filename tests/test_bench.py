@@ -7,9 +7,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iapd import diagnostics, solvers
 from iapd.bench import (
+    _PRESETS,
     ALGORITHMS,
     CSV_HEADER,
     ExperimentConfig,
@@ -21,7 +24,7 @@ from iapd.bench import (
     run_benchmark,
 )
 from iapd.linalg import LinearMap
-from iapd.problem import SaddleProblem, StepParams, validate_params
+from iapd.problem import SaddleProblem, StepParams, default_step_params, validate_params
 from iapd.proxfuns import L1Norm, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from iapd.solvers import TraceRow
 
@@ -98,6 +101,22 @@ def test_presets_feasible_on_their_families():
         preset_params("other", 1.0)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.floats(1e-3, 1e3))
+def test_presets_are_the_split_of_the_coupling_budget_bit_for_bit(knorm):
+    # The forms the presets had before problem.py derived them from the family table.
+    l1, nn = preset_params("l1ls", knorm), preset_params("nnls", knorm)
+    assert (l1.alpha, l1.beta, l1.t1) == (0.98 / (2.0 * knorm), 2.0 / knorm, 5.0)
+    assert (nn.alpha, nn.beta, nn.t1) == (0.98 / knorm, 1.0 / knorm, 1.2)
+
+
+@pytest.mark.parametrize("family, inst", [("l1ls", generate_l1ls(30, 50, 0.1, seed=2)),
+                                          ("nnls", generate_nnls(50, 30, 0.2, seed=2))])
+def test_default_step_params_on_a_family_row_are_its_presets(family, inst):
+    got = default_step_params(inst.problem, *_PRESETS[family])
+    assert got == preset_params(family, inst.problem.K.norm())
+
+
 def test_l1ls_presets_converge_on_a_map_whose_top_direction_avoids_ones():
     # ||K|| = sqrt(8), and the all-ones vector lies in the singular space of
     # sqrt(2). With ||K|| taken as sqrt(2) the presets still pass
@@ -124,6 +143,11 @@ def test_config_validation():
                          algorithms=("nope",))
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="nnls", m=2, n=2, seed=0, iters=1, density=0.0)
+
+
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ExperimentConfig(experiment="l1ls", m=2, n=2, seed=-1, iters=1)
 
 
 def test_config_rejects_zero_stride():

@@ -121,6 +121,36 @@ def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("bad", ["matrix", "rhs"])
+def test_solve_names_the_bad_input_file(bad, tmp_path, capsys):
+    files = {"matrix": tmp_path / "K.mtx", "rhs": tmp_path / "b.mtx"}
+    write_matrix_market(LinearMap(np.eye(3)), files["matrix"])
+    write_matrix_market(LinearMap(np.ones((3, 1))), files["rhs"])
+    lines = files[bad].read_text().splitlines()
+    lines[-1] = "x"
+    files[bad].write_text("\n".join(lines) + "\n")
+    code = run(["solve", "--matrix", str(files["matrix"]), "--rhs", str(files["rhs"]),
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {files[bad]}: expected a real number, "
+                                       f"got 'x' (line {len(lines)})\n")
+
+
+@pytest.mark.parametrize("command", ["bench", "solve"])
+def test_a_negative_seed_is_a_usage_error(command, tmp_path, capsys):
+    flags = ["l1ls"]
+    if command == "solve":
+        write_matrix_market(LinearMap(np.eye(3)), tmp_path / "K.mtx")
+        write_matrix_market(LinearMap(np.ones((3, 1))), tmp_path / "b.mtx")
+        flags = ["--matrix", str(tmp_path / "K.mtx"), "--rhs", str(tmp_path / "b.mtx")]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        run([command, *flags, "--seed", "-1", "--out", str(out)])
+    assert err.value.code == 2
+    assert "error: seed must be >= 0\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_certify_accepts_valid_run(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
@@ -291,6 +321,44 @@ def test_certify_reports_a_malformed_meta(doctor, message, tmp_path, capsys):
     code = run(["certify", "--csv", str(out / "iapd-op1.csv"), "--meta", str(meta_path)])
     assert code == 1
     assert capsys.readouterr().err == f"error: {meta_path} {message}\n"
+
+
+def test_certify_names_a_meta_file_that_is_not_json(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
+                "--out", str(out)]) == 0
+    summary = out / "summary.txt"
+    capsys.readouterr()
+    code = run(["certify", "--csv", str(out / "iapd-op1.csv"), "--meta", str(summary)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {summary} is not JSON: ")
+
+
+@pytest.mark.parametrize("bad", ["--matrix", "--csv", "--meta"])
+def test_a_file_that_is_not_utf8_text_is_named(bad, tmp_path, capsys):
+    write_matrix_market(LinearMap(np.eye(3)), tmp_path / "K.mtx")
+    write_matrix_market(LinearMap(np.ones((3, 1))), tmp_path / "b.mtx")
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1", "--out", str(out)]) == 0
+    files = {"--matrix": tmp_path / "K.mtx", "--csv": out / "iapd-op1.csv",
+             "--meta": out / "run_meta.json"}
+    files[bad].write_bytes(b"\xff" + files[bad].read_bytes())
+    argv = (["solve", "--matrix", str(files["--matrix"]), "--rhs", str(tmp_path / "b.mtx"),
+             "--out", str(tmp_path / "solve")] if bad == "--matrix" else
+            ["certify", "--csv", str(files["--csv"]), "--meta", str(files["--meta"])])
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[bad]}") and "invalid start byte" in err
+
+
+def test_certify_names_a_csv_with_another_header(tmp_path, capsys):
+    csv_path = tmp_path / "summary.txt"
+    csv_path.write_text("experiment: l1ls\n")
+    code = run(["certify", "--csv", str(csv_path), "--meta", str(tmp_path / "run_meta.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {csv_path} has an unexpected header "
+                                       "'experiment: l1ls'\n")
 
 
 def test_infeasible_step_flags_state_the_inequality(tmp_path, capsys):

@@ -20,6 +20,8 @@ from iapd.linalg import LinearMap
 from iapd.problem import ReferencePoint, StepParams, compute_reference
 from iapd.solvers import iapd_step, init_iapd_state
 
+from helpers import start_at
+
 
 def small_setup(seed=17, m=20, n=30):
     inst = generate_l1ls(m, n, 0.1, seed=seed)
@@ -61,8 +63,7 @@ def certify_run(problem, params, reports, **kw):
 def test_initial_energy_matches_closed_form():
     inst, params = small_setup()
     rng = np.random.default_rng(8)
-    state = init_iapd_state(inst.problem, params,
-                            x0=rng.standard_normal(30), y0=rng.standard_normal(20))
+    state = start_at(inst.problem, params, rng.standard_normal(30), rng.standard_normal(20))
     for _ in range(10):
         x = rng.standard_normal(30)
         y = rng.standard_normal(20)

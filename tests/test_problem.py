@@ -24,10 +24,11 @@ from iapd.proxfuns import (
     NonnegIndicator,
     ShiftedQuadratic,
     SmoothFunction,
-    ZeroProx,
     ZeroSmooth,
 )
 from iapd.solvers import iapd_step, init_iapd_state
+
+from helpers import ZeroProx, primal_objective
 
 
 def scalar_problem(f1=None, shift=0.0):
@@ -104,7 +105,7 @@ def test_primal_objective_matches_sup_over_y():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(2)
-        direct = p.primal_objective(x)
+        direct = primal_objective(p)(x)
         # sup_y attained at y = Kx - shift
         y = p.K.apply(x) - p.g1.shift
         assert direct == pytest.approx(p.lagrangian(x, y), rel=1e-12, abs=1e-12)
@@ -191,7 +192,7 @@ def test_compute_reference_scalar_nnls():
         f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic([2.0]),
         g2=ZeroSmooth(), K=LinearMap(np.eye(1)),
     )
-    ref = compute_reference(p, 20000, params=default_step_params(p), objective=p.primal_objective)
+    ref = compute_reference(p, 20000, params=default_step_params(p), objective=primal_objective(p))
     assert ref.x_star[0] == pytest.approx(2.0, abs=1e-5)
     assert ref.y_star[0] == pytest.approx(0.0, abs=1e-5)
     assert ref.objective_value == pytest.approx(-2.0, abs=1e-9)
@@ -203,7 +204,7 @@ def test_compute_reference_decoupled_l1_gives_zero():
         f1=L1Norm(0.5), f2=ZeroSmooth(), g1=ShiftedQuadratic([0.0]),
         g2=ZeroSmooth(), K=LinearMap(np.zeros((1, 3))),
     )
-    ref = compute_reference(p, 50, params=default_step_params(p), objective=p.primal_objective)
+    ref = compute_reference(p, 50, params=default_step_params(p), objective=primal_objective(p))
     assert np.array_equal(ref.x_star, np.zeros(3))
 
 
@@ -243,10 +244,10 @@ def test_reference_satisfies_saddle_inequalities_on_probes():
 def test_compute_reference_rejects_bad_inputs():
     p = scalar_problem()
     with pytest.raises(ValueError):
-        compute_reference(p, 0, params=default_step_params(p), objective=p.primal_objective)
+        compute_reference(p, 0, params=default_step_params(p), objective=primal_objective(p))
     with pytest.raises(ValueError):
         compute_reference(p, 10, params=StepParams(alpha=-1.0, beta=1.0),
-                          objective=p.primal_objective)
+                          objective=primal_objective(p))
 
 
 def oracle_compute_reference(problem, effort, params, objective):
@@ -410,9 +411,9 @@ def test_signed_nnls_stays_uncertified_and_matches_the_hand_loop():
     problem = SaddleProblem(f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic(b),
                             g2=ZeroSmooth(), K=LinearMap(mat))
     params = default_step_params(problem)
-    got = compute_reference(problem, 3000, params, problem.primal_objective)
+    got = compute_reference(problem, 3000, params, primal_objective(problem))
     assert_same_reference(got, oracle_compute_reference(problem, 3000, params,
-                                                        problem.primal_objective))
+                                                        primal_objective(problem)))
     assert got.iterations == 3000
 
 

@@ -13,9 +13,10 @@ from iapd.proxfuns import (
     LeastSquares,
     NonnegIndicator,
     ShiftedQuadratic,
-    ZeroProx,
     ZeroSmooth,
 )
+
+from helpers import ZeroProx, quadratic_conjugate
 
 RNG = np.random.default_rng(2024)
 
@@ -64,7 +65,7 @@ def test_shifted_quadratic_closed_forms():
     assert np.allclose(g.prox(1.0, z), (z - b) / 2.0)
     # conjugate attained at y = z - b
     y = z - b
-    assert g.conjugate(z) == pytest.approx(float(z @ y) - g.value(y))
+    assert quadratic_conjugate(g, z) == pytest.approx(float(z @ y) - g.value(y))
 
 
 def test_zero_prox_identity():

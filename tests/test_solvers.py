@@ -16,7 +16,6 @@ from iapd.proxfuns import (
     LeastSquares,
     ShiftedQuadratic,
     SmoothFunction,
-    ZeroProx,
     ZeroSmooth,
 )
 from iapd.solvers import (
@@ -32,6 +31,8 @@ from iapd.solvers import (
     solve_pda,
     solve_tseng,
 )
+
+from helpers import ZeroProx, start_at
 
 
 def scalar_bilinear(alpha=0.5, beta=0.5, t1=1.0, shift=0.0):
@@ -70,7 +71,7 @@ def test_tsequence_invariants():
 
 def test_init_state_identities():
     problem, params = scalar_bilinear(t1=1.0)
-    st = init_iapd_state(problem, params, x0=[2.0], y0=[3.0])
+    st = start_at(problem, params, [2.0], [3.0])
     assert st.k == 1 and st.t == 1.0
     for arr in (st.x, st.x_prev, st.u):
         assert arr[0] == 2.0
@@ -84,7 +85,7 @@ def test_scalar_step_hand_oracle():
     # alpha = beta = 0.5, t1 = 1; values frozen from an extended-precision
     # hand evaluation of the recursions.
     problem, params = scalar_bilinear()
-    st = init_iapd_state(problem, params, x0=[1.0], y0=[0.0])
+    st = start_at(problem, params, [1.0], [0.0])
     st2 = iapd_step(problem, params, st, "option1")
     assert st2.t == pytest.approx(1.224744871391589, abs=1e-12)
     assert st2.x[0] == 1.0
@@ -136,7 +137,7 @@ def test_divergent_steps_raise_with_partial_trace():
     # iterates blow up to non-finite values.
     problem, _ = scalar_bilinear()
     params = StepParams(alpha=1e4, beta=1e4, t1=1.0)
-    st = init_iapd_state(problem, params, x0=[1.0], y0=[1.0])
+    st = start_at(problem, params, [1.0], [1.0])
     with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
         for _ in range(10_000):
             st = iapd_step(problem, params, st)

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 
 from iapd.linalg import LinearMap
 from iapd.problem import SaddleProblem, StepParams
-from iapd.proxfuns import L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic, ZeroProx, ZeroSmooth
+from iapd.proxfuns import L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from iapd.solvers import DivergenceError, IapdState, iapd_step, next_t
+
+from helpers import ZeroProx
 
 STATE_ARRAYS = ("x", "x_prev", "y", "y_prev", "u", "v", "v_prev")
 
