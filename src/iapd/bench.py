@@ -21,8 +21,8 @@ import numpy as np
 
 from . import diagnostics, solvers
 from .linalg import LinearMap
-from .problem import (ReferencePoint, SaddleProblem, StepParams, _coupled_steps, _reference_gap,
-                      compute_reference)
+from .problem import (DEFAULT_ALPHA_KNORM, DEFAULT_T1, ReferencePoint, SaddleProblem, StepParams,
+                      _coupled_steps, _reference_gap, compute_reference)
 from .proxfuns import L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
 from .solvers import SolverOptions, TraceRow
 
@@ -161,7 +161,7 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
 
 
 # Per family: (t1, alpha ||K||) of the accelerated solver's preset steps.
-_PRESETS = {"l1ls": (5.0, 0.49), "nnls": (1.2, 0.98)}
+_PRESETS = {"l1ls": (DEFAULT_T1, DEFAULT_ALPHA_KNORM), "nnls": (1.2, 0.98)}
 
 
 def preset_params(experiment: str, knorm: float) -> StepParams:
@@ -207,29 +207,28 @@ def read_csv(path) -> list[TraceRow]:
         return float(tok) if tok else math.nan
 
     readers = [(int, "an integer")] + [(num, "a number")] * (len(_COLUMNS) - 2)
+    rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            header = fh.readline().strip()
+            if header != CSV_HEADER:
+                raise ValueError(f"{path} has an unexpected header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != len(_COLUMNS):
+                    column = _COLUMNS[min(len(parts), len(_COLUMNS) - 1)]
+                    raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
+                                     f"{len(parts)} fields, the header {len(_COLUMNS)}")
+                cells = [parts[0]]
+                for column, (read, kind), tok in zip(_COLUMNS[1:], readers, parts[1:]):
+                    try:
+                        cells.append(read(tok))
+                    except ValueError:
+                        raise ValueError(f"{path} line {lineno}, column {column!r}: "
+                                         f"{tok!r} is not {kind}") from None
+                rows.append(TraceRow(*cells))
     except UnicodeDecodeError as err:
         raise ValueError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from None
-    header = lines[0].strip() if lines else ""
-    if header != CSV_HEADER:
-        raise ValueError(f"{path} has an unexpected header {header!r}")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.rstrip("\n").split(",")
-        if len(parts) != len(_COLUMNS):
-            column = _COLUMNS[min(len(parts), len(_COLUMNS) - 1)]
-            raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
-                             f"{len(parts)} fields, the header {len(_COLUMNS)}")
-        cells = [parts[0]]
-        for column, (read, kind), tok in zip(_COLUMNS[1:], readers, parts[1:]):
-            try:
-                cells.append(read(tok))
-            except ValueError:
-                raise ValueError(f"{path} line {lineno}, column {column!r}: "
-                                 f"{tok!r} is not {kind}") from None
-        rows.append(TraceRow(*cells))
     return rows
 
 

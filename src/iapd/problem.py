@@ -148,6 +148,9 @@ def validate_params(problem: SaddleProblem, params: StepParams) -> None:
 
 # The share of the coupling inequality alpha*beta*||K||^2 < 1 that the derived steps use.
 COUPLING_BUDGET = 0.98
+# (t1, alpha ||K||) of the default steps when f2 and g2 vanish; also the l1ls presets.
+DEFAULT_T1 = 5.0
+DEFAULT_ALPHA_KNORM = 0.49
 
 
 def _coupled_steps(knorm: float, t1: float, alpha_knorm: float) -> StepParams:
@@ -159,13 +162,12 @@ def _coupled_steps(knorm: float, t1: float, alpha_knorm: float) -> StepParams:
     return StepParams(alpha_knorm / knorm, (COUPLING_BUDGET / alpha_knorm) / knorm, t1)
 
 
-def default_step_params(problem: SaddleProblem, t1: float = 5.0,
-                        alpha_knorm: float = 0.49) -> StepParams:
+def default_step_params(problem: SaddleProblem, t1: float = DEFAULT_T1) -> StepParams:
     """A feasible step-size choice derived from the problem constants.
 
     Smooth-part conditions are met with factor 0.5, and the coupling
     inequality with factor COUPLING_BUDGET. When f2 and g2 both vanish, the
-    steps are ``_coupled_steps(||K||, t1, alpha_knorm)``; otherwise a side
+    steps are ``_coupled_steps(||K||, t1, DEFAULT_ALPHA_KNORM)``; otherwise a side
     whose smooth part vanishes takes what the other side leaves of the budget.
     """
     lf2 = problem.f2.lipschitz
@@ -180,7 +182,7 @@ def default_step_params(problem: SaddleProblem, t1: float = 5.0,
         return StepParams(alpha, beta, t1)
 
     if alpha is None and beta is None:
-        params = _coupled_steps(knorm, t1, alpha_knorm)
+        params = _coupled_steps(knorm, t1, DEFAULT_ALPHA_KNORM)
     else:
         budget = (COUPLING_BUDGET * (1.0 - (alpha or 0.0) * lf2)
                   * (1.0 - (beta or 0.0) * lg2 / t1**2))

@@ -123,16 +123,15 @@ class TraceRow:
 
 def init_iapd_state(problem: SaddleProblem, params: StepParams) -> IapdState:
     """Initial state at the origin: u_1 = x_1 = x_0 = 0 and v_1 = v_0 = y_1 = y_0 = 0."""
-    x0, y0 = np.zeros(problem.primal_dim), np.zeros(problem.dual_dim)
     a = problem.mu_g * params.beta
     return IapdState(
-        x=x0.copy(),
-        x_prev=x0.copy(),
-        y=y0.copy(),
-        y_prev=y0.copy(),
-        u=x0.copy(),
-        v=y0.copy(),
-        v_prev=y0.copy(),
+        x=np.zeros(problem.primal_dim),
+        x_prev=np.zeros(problem.primal_dim),
+        y=np.zeros(problem.dual_dim),
+        y_prev=np.zeros(problem.dual_dim),
+        u=np.zeros(problem.primal_dim),
+        v=np.zeros(problem.dual_dim),
+        v_prev=np.zeros(problem.dual_dim),
         t=float(params.t1),
         t_next=next_t(params.t1, a),
         k=1,

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from iapd import diagnostics, solvers
 from iapd.bench import (
-    _PRESETS,
     ALGORITHMS,
     CSV_HEADER,
     ExperimentConfig,
@@ -110,11 +109,9 @@ def test_presets_are_the_split_of_the_coupling_budget_bit_for_bit(knorm):
     assert (nn.alpha, nn.beta, nn.t1) == (0.98 / knorm, 1.0 / knorm, 1.2)
 
 
-@pytest.mark.parametrize("family, inst", [("l1ls", generate_l1ls(30, 50, 0.1, seed=2)),
-                                          ("nnls", generate_nnls(50, 30, 0.2, seed=2))])
-def test_default_step_params_on_a_family_row_are_its_presets(family, inst):
-    got = default_step_params(inst.problem, *_PRESETS[family])
-    assert got == preset_params(family, inst.problem.K.norm())
+def test_default_step_params_are_the_l1ls_presets():
+    inst = generate_l1ls(30, 50, 0.1, seed=2)
+    assert default_step_params(inst.problem) == preset_params("l1ls", inst.problem.K.norm())
 
 
 def test_l1ls_presets_converge_on_a_map_whose_top_direction_avoids_ones():
