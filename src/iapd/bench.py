@@ -200,7 +200,7 @@ def read_csv(path) -> list[TraceRow]:
 
     A file that is not UTF-8 text or has another header raises ValueError
     naming the file; a malformed row, naming also its line and the column
-    at fault.
+    at fault. A row whose algorithm differs from the first row's is malformed.
     """
 
     def num(tok: str) -> float:
@@ -219,6 +219,9 @@ def read_csv(path) -> list[TraceRow]:
                     column = _COLUMNS[min(len(parts), len(_COLUMNS) - 1)]
                     raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
                                      f"{len(parts)} fields, the header {len(_COLUMNS)}")
+                if rows and parts[0] != rows[0].algorithm:
+                    raise ValueError(f"{path} line {lineno}, column 'algorithm': {parts[0]!r} "
+                                     f"differs from {rows[0].algorithm!r} on line 2")
                 cells = [parts[0]]
                 for column, (read, kind), tok in zip(_COLUMNS[1:], readers, parts[1:]):
                     try:
@@ -293,7 +296,7 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
 
     for name in cfg.algorithms:
         try:
-            res = _run_algorithm(name, cfg, instance, ref, iapd_params, opts, knorm)
+            res = _run_algorithm(name, instance, ref, iapd_params, opts, knorm)
         except ValueError as err:  # UnsupportedStructureError included
             res = AlgorithmResult(name, [], math.nan, {}, skipped=str(err))
         if res.skipped:
@@ -316,7 +319,6 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
 
 def _run_algorithm(
     name: str,
-    cfg: ExperimentConfig,
     instance: GeneratedInstance,
     ref: ReferencePoint,
     iapd_params: StepParams,
@@ -325,74 +327,55 @@ def _run_algorithm(
 ) -> AlgorithmResult:
     """Run one algorithm; a divergence gives a skipped result that keeps its partial trace.
 
+    One observer fills each row's objective and gap from one f1(x) and one K x.
     An iapd result that completes is certified, and its rate slope fitted, here.
     """
     problem = instance.problem
     reports = []
-    # A row's objective and its gap share one f1(x) and one K x: _drive
-    # evaluates the objective on the iterate just before the observer reads it.
-    last = []  # [x, f1(x), K x] of the latest objective evaluation
-
-    def objective(x):
-        fx, kx = problem.f1.value(x), problem.K.apply(x)
-        last[:] = x, fx, kx
-        return instance._objective(fx, kx)
-
-    def terms(x):
-        """(f1(x), K x) if the objective was just evaluated at x, else (None, None)."""
-        return last[1:] if last and last[0] is x else (None, None)
-
-    def saddle_gap_observer():
-        # The reference-side terms are evaluated once per solve, not once per row.
-        gap_at = _reference_gap(problem, ref.x_star, ref.y_star)
-
-        def observer(row: TraceRow, state):
-            row.gap_ref = gap_at(state.x, state.y, *terms(state.x))
-
-        return observer
-
-    def objective_gap_observer(row: TraceRow, state):
-        # No dual iterate: report the objective gap against the reference.
-        row.gap_ref = row.objective - ref.objective_value
+    energy_at = gap_at = None
 
     # Each solve returns a tuple whose last item is the trace rows.
     if name in ("iapd-op1", "iapd-op2"):
         run_opts = replace(opts, option="option1" if name == "iapd-op1" else "option2")
         energy_at = diagnostics.energy_at(problem, iapd_params, ref)
         reports.append(energy_at(solvers.init_iapd_state(problem, iapd_params)))
-
-        def observer(row: TraceRow, state):
-            rep = energy_at(state, *terms(state.x))
-            row.gap_ref = rep.gap_ref
-            row.energy = rep.energy
-            reports.append(rep)
-
-        solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts, observer=observer,
-                        objective=objective)
+        solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts)
         params = {"alpha": iapd_params.alpha, "beta": iapd_params.beta, "t1": iapd_params.t1,
                   "mu_g": problem.mu_g, "E1": reports[0].energy}
     elif name == "pda":
         alpha, beta = 1.0 / (20.0 * knorm), 20.0 / knorm
-        solve = partial(solvers.solve_pda, problem, alpha, beta, opts,
-                        observer=saddle_gap_observer(), objective=objective)
+        solve = partial(solvers.solve_pda, problem, alpha, beta, opts)
+        gap_at = _reference_gap(problem, ref.x_star, ref.y_star)
         params = {"alpha": alpha, "beta": beta, "theta": 1.0}
     elif name == "apda":
         tau0 = sigma0 = 1.0 / knorm
-        solve = partial(solvers.solve_apda, problem, tau0, sigma0, opts,
-                        observer=saddle_gap_observer(), objective=objective)
+        solve = partial(solvers.solve_apda, problem, tau0, sigma0, opts)
+        gap_at = _reference_gap(problem, ref.x_star, ref.y_star)
         params = {"tau0": tau0, "sigma0": sigma0, "gamma": problem.mu_g}
     elif name in ("fista", "tseng"):
         f2 = LeastSquares(problem.K, instance.b)
         alpha = 1.0 / knorm**2
         apg = solvers.solve_fista if name == "fista" else solvers.solve_tseng
-        solve = partial(apg, problem.f1, f2, alpha, opts, observer=objective_gap_observer,
-                        x0=np.zeros(problem.primal_dim), objective=objective)
+        solve = partial(apg, problem.f1, f2, alpha, opts, x0=np.zeros(problem.primal_dim))
         params = {"alpha": alpha}
     else:
         raise ValueError(f"unknown algorithm {name!r}")
 
+    def observer(row: TraceRow, state):
+        fx, kx = problem.f1.value(state.x), problem.K.apply(state.x)
+        row.objective = instance._objective(fx, kx)
+        if energy_at is not None:
+            rep = energy_at(state, fx, kx)
+            row.gap_ref = rep.gap_ref
+            row.energy = rep.energy
+            reports.append(rep)
+        elif gap_at is not None:
+            row.gap_ref = gap_at(state.x, state.y, fx, kx)
+        else:  # no dual iterate: the objective gap against the reference
+            row.gap_ref = row.objective - ref.objective_value
+
     try:
-        rows = solve()[-1]
+        rows = solve(observer=observer)[-1]
     except solvers.DivergenceError as err:
         return AlgorithmResult(name, err.rows, math.nan, params, energy_reports=reports,
                                skipped=str(err), diverged_at=err.iteration)

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import bench, diagnostics
@@ -90,8 +91,10 @@ def _cmd_bench(parser, args) -> int:
 
 
 def _cmd_solve(parser, args) -> int:
+    # Check the flags before reading any file; the shape comes from the matrix.
+    cfg = _config(parser, args, experiment=args.problem, m=1, n=1)
     K = read_matrix_market(args.matrix)
-    cfg = _config(parser, args, experiment=args.problem, m=K.rows, n=K.cols)
+    cfg = replace(cfg, m=K.rows, n=K.cols)
     rhs_map = read_matrix_market(args.rhs)
     if rhs_map.cols != 1:
         print(f"error: rhs must be a column vector, got shape {rhs_map.shape}", file=sys.stderr)

@@ -136,9 +136,8 @@ class LinearMap:
         """Stored (row, col, value) triples sorted by (row, col); sparse only."""
         if not self._sparse:
             raise ValueError("triples() is only defined for sparse maps")
-        coo = self._mat.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
+        coo = self._mat.tocoo()  # CSR with sorted indices: already in (row, col) order
+        return coo.row, coo.col, coo.data
 
     def columns(self, index: np.ndarray) -> np.ndarray:
         """The columns K[:, index] as a dense m-by-len(index) array; a CSR map slices first."""

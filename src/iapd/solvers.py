@@ -5,7 +5,8 @@ with ``k, x, x_prev, y, y_prev, t``) run by the one driver ``_drive``,
 which owns the stride, the gap stop, the clock and the trace rows. The
 optional observer is invoked as ``observer(row, state)`` and reads
 ``state.x`` and ``state.y`` (None for primal-only methods); it may fill
-the ``gap_ref`` and ``energy`` fields in place before the row is stored.
+the ``objective``, ``gap_ref`` and ``energy`` fields in place before the
+row is stored.
 An observer that returns a truthy value ends the solve after that row: the
 row is kept, and the solver returns that row's iterate.
 """

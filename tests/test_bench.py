@@ -24,7 +24,8 @@ from iapd.bench import (
 )
 from iapd.linalg import LinearMap
 from iapd.problem import SaddleProblem, StepParams, default_step_params, validate_params
-from iapd.proxfuns import L1Norm, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
+from iapd.proxfuns import (L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic,
+                           ZeroSmooth)
 from iapd.solvers import TraceRow
 
 from test_baseline_oracle import PoisonedProx
@@ -358,12 +359,13 @@ def test_run_directory_names_the_first_violation_of_every_bound(tmp_path, monkey
 
 
 @pytest.mark.parametrize("experiment", ["l1ls", "nnls"])
-@pytest.mark.parametrize("name", ["iapd-op1", "iapd-op2", "pda", "apda"])
+@pytest.mark.parametrize("name", ["iapd-op1", "iapd-op2", "pda", "apda", "fista", "tseng"])
 def test_trace_rows_hold_the_objective_and_lagrangian_gap_of_their_iterate(name, experiment,
                                                                            tmp_path):
     """The objective and gap_ref cells equal, bit for bit, ``objective(x)`` and
     L(x, y*) - L(x*, y) computed afresh at each row's iterate, though the bench
-    evaluates K x once for both."""
+    evaluates K x once for both. A primal-only method's gap is its objective
+    minus the reference objective."""
     cfg = ExperimentConfig(experiment, 24, 16, seed=6, iters=30, density=0.4,
                            algorithms=(name,), out_dir=tmp_path, reference_effort=300)
     inst = generate_l1ls(24, 16, 0.1, 6) if experiment == "l1ls" else generate_nnls(24, 16, 0.4, 6)
@@ -372,8 +374,12 @@ def test_trace_rows_hold_the_objective_and_lagrangian_gap_of_their_iterate(name,
     expected = []
 
     def observer(row, state):
-        expected.append((inst.objective(state.x), problem.lagrangian(state.x, ref.y_star)
-                         - problem.lagrangian(ref.x_star, state.y)))
+        value = inst.objective(state.x)
+        if state.y is None:
+            expected.append((value, value - ref.objective_value))
+        else:
+            expected.append((value, problem.lagrangian(state.x, ref.y_star)
+                             - problem.lagrangian(ref.x_star, state.y)))
 
     opts = solvers.SolverOptions(max_iters=30)
     if name.startswith("iapd"):
@@ -381,8 +387,12 @@ def test_trace_rows_hold_the_objective_and_lagrangian_gap_of_their_iterate(name,
         solvers.solve_iapd(problem, step, replace(opts, option="option" + name[-1]), observer)
     elif name == "pda":
         solvers.solve_pda(problem, params["alpha"], params["beta"], opts, observer)
-    else:
+    elif name == "apda":
         solvers.solve_apda(problem, params["tau0"], params["sigma0"], opts, observer)
+    else:
+        apg = solvers.solve_fista if name == "fista" else solvers.solve_tseng
+        apg(problem.f1, LeastSquares(problem.K, inst.b), params["alpha"], opts, observer,
+            x0=np.zeros(problem.primal_dim))
     rows = read_csv(tmp_path / f"{name}.csv")
     assert [(r.objective, r.gap_ref) for r in rows] == expected
 
@@ -491,11 +501,13 @@ def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):
 
 
 @pytest.mark.parametrize("name, per_iteration", [("iapd-op1", 3), ("iapd-op2", 3),
-                                                 ("pda", 2), ("apda", 2)])
+                                                 ("pda", 2), ("apda", 2),
+                                                 ("fista", 2), ("tseng", 2)])
 def test_certified_rows_take_one_product_per_gap(name, per_iteration, tmp_path, monkeypatch):
-    """K x* is taken once per solve, and the gap reuses the objective's K x, so an
-    iteration with a certified row costs: the step's one forward product, the
-    objective's K x and, for an energy row, K (u - x*)."""
+    """K x* is taken once per solve, and one K x serves a row's objective and gap,
+    so an iteration with a trace row costs: the step's one forward product
+    (for fista and tseng, the gradient's), the row's K x and, for an energy
+    row, K (u - x*)."""
     calls = []
     original = LinearMap.apply
     monkeypatch.setattr(LinearMap, "apply", lambda self, v: calls.append(1) or original(self, v))

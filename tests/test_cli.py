@@ -136,13 +136,16 @@ def test_solve_names_the_bad_input_file(bad, tmp_path, capsys):
                                        f"got 'x' (line {len(lines)})\n")
 
 
-@pytest.mark.parametrize("command", ["bench", "solve"])
-def test_a_negative_seed_is_a_usage_error(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, matrix", [("bench", None), ("solve", "K.mtx"),
+                                             ("solve", "missing.mtx")],
+                         ids=["bench", "solve", "solve-missing-matrix"])
+def test_a_negative_seed_is_a_usage_error(command, matrix, tmp_path, capsys):
+    """The flags are checked before any input file is read."""
     flags = ["l1ls"]
     if command == "solve":
         write_matrix_market(LinearMap(np.eye(3)), tmp_path / "K.mtx")
         write_matrix_market(LinearMap(np.ones((3, 1))), tmp_path / "b.mtx")
-        flags = ["--matrix", str(tmp_path / "K.mtx"), "--rhs", str(tmp_path / "b.mtx")]
+        flags = ["--matrix", str(tmp_path / matrix), "--rhs", str(tmp_path / "b.mtx")]
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
         run([command, *flags, "--seed", "-1", "--out", str(out)])
@@ -383,6 +386,8 @@ GOOD_ROW = "iapd-op1,{k},5,110.5,0.25,0.5,0.125,2,0.001"
     ([GOOD_ROW.format(k=2.5)], "line 2, column 'k': '2.5' is not an integer"),
     ([GOOD_ROW.format(k=2), GOOD_ROW.format(k=3), GOOD_ROW.format(k=4).rsplit(",", 1)[0]],
      "line 4, column 'elapsed_s': the row has 8 fields, the header 9"),
+    ([GOOD_ROW.format(k=2), GOOD_ROW.format(k=3), GOOD_ROW.format(k=2).replace("op1", "op2")],
+     "line 4, column 'algorithm': 'iapd-op2' differs from 'iapd-op1' on line 2"),
 ])
 def test_certify_names_the_line_and_column_of_a_bad_cell(rows, where, tmp_path, capsys):
     csv_path = tmp_path / "iapd-op1.csv"

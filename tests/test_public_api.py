@@ -5,8 +5,9 @@ Tools that walk ``__all__`` (a tracer that wraps each public function, for
 one) call ``getattr`` on every entry, so a stale entry breaks them.
 
 The source also keeps one owner per loop: ``solve_iapd`` is the only caller
-of ``iapd_step``, and in ``solvers.py`` only the driver ``_drive`` builds
-trace rows.
+of ``iapd_step``, in ``solvers.py`` only the driver ``_drive`` builds trace
+rows, and in ``bench.py`` one observer fills each row, so no solver there is
+handed an objective.
 """
 
 import ast
@@ -69,3 +70,14 @@ def test_only_solve_iapd_calls_iapd_step():
 
 def test_only_the_driver_builds_trace_rows():
     assert _callers(SRC / "solvers.py", "TraceRow") == {"_drive"}
+
+
+def test_the_sweep_hands_no_solver_an_objective():
+    """In ``bench.py`` only ``compute_reference``, whose reference point is the
+    minimizer of an objective, is passed ``objective=``; the sweep's solvers
+    get their rows' objectives from the one observer."""
+    tree = ast.parse((SRC / "bench.py").read_text(encoding="utf-8"))
+    callees = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and any(kw.arg == "objective" for kw in node.keywords)}
+    assert callees == {"compute_reference"}
