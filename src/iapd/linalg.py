@@ -133,10 +133,7 @@ class LinearMap:
         return self._mat.copy()
 
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stored (row, col, value) triples sorted by (row, col); sparse only.
-
-        The col and value arrays are read-only views of the map's storage.
-        """
+        """Stored (row, col, value) triples sorted by (row, col); sparse only."""
         if not self._sparse:
             raise ValueError("triples() is only defined for sparse maps")
         coo = self._mat.tocoo()  # CSR with sorted indices: already in (row, col) order
