@@ -200,7 +200,8 @@ def read_csv(path) -> list[TraceRow]:
 
     A file that is not UTF-8 text or has another header raises ValueError
     naming the file; a malformed row, naming also its line and the column
-    at fault. A row whose algorithm differs from the first row's is malformed.
+    at fault. A row whose algorithm differs from the first row's, or whose k
+    does not exceed the k of the row before it, is malformed.
     """
 
     def num(tok: str) -> float:
@@ -229,6 +230,9 @@ def read_csv(path) -> list[TraceRow]:
                     except ValueError:
                         raise ValueError(f"{path} line {lineno}, column {column!r}: "
                                          f"{tok!r} is not {kind}") from None
+                if rows and cells[1] <= rows[-1].k:
+                    raise ValueError(f"{path} line {lineno}, column 'k': {cells[1]} does not "
+                                     f"exceed {rows[-1].k} on line {lineno - 1}")
                 rows.append(TraceRow(*cells))
     except UnicodeDecodeError as err:
         raise ValueError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from None

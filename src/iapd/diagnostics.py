@@ -65,7 +65,8 @@ def energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
         i2 = float(du @ du) / (2.0 * alpha)
 
         dv = state.v - ys
-        i3 = (t_next * t_next) * float(dv @ dv) / (2.0 * beta)
+        v_dist_sq = float(dv @ dv)
+        i3 = (t_next * t_next) * v_dist_sq / (2.0 * beta)
 
         # K is applied to u_k - x* directly, keeping the diagnostic independent
         # of any product cached inside the solver.
@@ -86,7 +87,7 @@ def energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
             i4=i4,
             gap_ref=gap,
             dual_dist_sq=float(dy_ref @ dy_ref),
-            v_dist_sq=float(dv @ dv),
+            v_dist_sq=v_dist_sq,
         )
 
     return evaluate

@@ -68,11 +68,11 @@ def _lagrangian(problem, x, y, fx, gy=None, f2x=None, kx=None, g2y=None) -> floa
     infeasibility tests before them have passed: +inf for infeasible x,
     then -inf for infeasible y.
     """
-    if np.isinf(fx):
+    if math.isinf(fx):
         return np.inf
     if gy is None:
         gy = problem.g1.value(y)
-    if np.isinf(gy):
+    if math.isinf(gy):
         return -np.inf
     if f2x is None:
         f2x = problem.f2.value(x)
@@ -203,6 +203,9 @@ def default_step_params(problem: SaddleProblem, t1: float = DEFAULT_T1) -> StepP
 # A support polish becomes the reference once its duality gap is at most this
 # fraction of max(1, |objective|).
 CERTIFIED_GAP_RTOL = 1e-10
+# The reference solve watches its iterate's sign pattern every this many
+# iterations (or on a divisor, so that the 90% checkpoint is a row too).
+REFERENCE_ROW_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -296,9 +299,15 @@ def compute_reference(
 
     ``effort`` is the iteration budget (use ~10x the benchmark budget). The
     iterations run through :func:`solvers.solve_iapd` (option 1). Where a
-    support polish applies (see ``_support_polish``), it is tried at every
-    tenth of the budget, and the solve ends at the first one whose duality
-    gap is at most ``CERTIFIED_GAP_RTOL * max(1, |objective(x_hat)|)``: the
+    support polish applies (see ``_support_polish``), the solve looks at the
+    iterate's sign pattern every ``REFERENCE_ROW_STRIDE`` iterations and
+    tries the polish when the pattern is the same as at the previous row, at
+    every tenth of the budget and at the end, but never on the pattern of
+    the last failed polish: a polish sees x only through its sign pattern,
+    so it would fail again. An attempt thus needs a pattern stable across
+    two rows and new since the last failure, and at most 11 more fall on the
+    tenths and the end. The solve ends at the first polish whose duality gap
+    is at most ``CERTIFIED_GAP_RTOL * max(1, |objective(x_hat)|)``: the
     reference is then (x_hat, K x_hat - b, objective(x_hat), |gap|),
     certified. Otherwise it is the final iterate and ``objective`` there,
     uncertified, and the reported accuracy is the Lagrangian gap between the
@@ -314,27 +323,40 @@ def compute_reference(
     tenth = max(1, effort // 10)
     polish = _support_polish(problem)
     kept, certified = [], []
+    # The sign patterns of the previous row and of the last failed polish; the
+    # prox of f1 keeps an nnls iterate >= 0, so its pattern is its support.
+    previous = failed = None
 
     def observe(row, state):
+        nonlocal previous, failed
         done = state.k - 1
         if done == checkpoint_at:
             kept.append(state)  # No copy: iapd_step never writes its input state.
-        if polish is None or not (done % tenth == 0 or done == effort):
+        if polish is None:
+            return False
+        pattern = np.sign(state.x)
+        stable = previous is not None and np.array_equal(pattern, previous)
+        previous = pattern
+        if not (stable or done % tenth == 0 or done == effort):
+            return False
+        if failed is not None and np.array_equal(pattern, failed):
             return False
         found = polish(state.x)
-        if found is None:
-            return False
-        x_hat, r, gap = found
-        value = float(objective(x_hat))
-        if not abs(gap) <= CERTIFIED_GAP_RTOL * max(1.0, abs(value)):
-            return False
-        certified.append(ReferencePoint(x_hat, r, value, abs(gap), certified=True,
-                                        iterations=done))
-        return True
+        if found is not None:
+            x_hat, r, gap = found
+            value = float(objective(x_hat))
+            if abs(gap) <= CERTIFIED_GAP_RTOL * max(1.0, abs(value)):
+                certified.append(ReferencePoint(x_hat, r, value, abs(gap), certified=True,
+                                                iterations=done))
+                return True
+        failed = pattern
+        return False
 
-    # Rows fall on the multiples of a stride that divides both the checkpoint
-    # and a tenth of the budget; without a polish, on the checkpoint and the end.
-    stride = checkpoint_at if polish is None else math.gcd(tenth, checkpoint_at)
+    # Rows fall on the multiples of a stride that divides REFERENCE_ROW_STRIDE,
+    # a tenth of the budget and the checkpoint; without a polish, on the
+    # checkpoint and the end.
+    stride = (checkpoint_at if polish is None
+              else math.gcd(REFERENCE_ROW_STRIDE, tenth, checkpoint_at))
     opts = solvers.SolverOptions(max_iters=effort, observer_stride=stride)
     state, _ = solvers.solve_iapd(problem, params, opts, observe)
     if certified:

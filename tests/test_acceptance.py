@@ -21,7 +21,7 @@ from iapd.proxfuns import (
     ShiftedQuadratic,
     ZeroSmooth,
 )
-from iapd.solvers import SolverOptions, solve_fista, solve_iapd, solve_tseng
+from iapd.solvers import SolverOptions, next_t, solve_fista, solve_iapd, solve_tseng
 
 from helpers import ZeroProx
 from test_prox import check_subgradient
@@ -66,15 +66,19 @@ def test_criterion_1_t_sequence_certificate():
     start = time.process_time()
     worst_rel = 0.0
     ok = True
+    heads = {}  # the first 1000 terms after t1 of each setting
     for t1 in (1.0, 1.2, 5.0):
         for a in (0.0, 0.1, 1.0, 10.0):
             n_terms = 100_000
-            ts = np.empty(n_terms + 1)
-            ts[0] = t = t1
-            for i in range(1, n_terms + 1):
-                t = min(0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t)),
-                        sqrt(t * t + a * t))
-                ts[i] = t
+            ts = [t1]
+            append, t = ts.append, t1
+            for _ in range(n_terms):
+                p = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
+                q = sqrt(t * t + a * t)
+                t = p if p < q else q
+                append(t)
+            ts = np.array(ts)
+            heads[t1, a] = ts[:1001]
             # exact up to floating round-off: a few ulps of t_{k+1}^2
             eps = 32.0 * np.finfo(float).eps * np.maximum(1.0, ts[1:] ** 2)
             r1 = ts[1:] ** 2 - ts[1:] - ts[:-1] ** 2
@@ -86,6 +90,12 @@ def test_criterion_1_t_sequence_certificate():
             worst_rel = max(worst_rel, float(np.max(r1 / np.maximum(ts[1:] ** 2, 1.0))),
                             float(np.max(r2 / np.maximum(ts[1:] ** 2, 1.0))))
     elapsed = time.process_time() - start
+    # The loop above is the solver's own recursion, bit for bit.
+    for (t1, a), head in heads.items():
+        t = t1
+        for want in head[1:]:
+            t = next_t(t, a)
+            assert t == want
     verdict(1, ok and elapsed < 1.0,
             f"12 (t1, a) settings x 1e5 terms, worst relative residual "
             f"{worst_rel:.2e}, {elapsed:.2f}s")

@@ -233,6 +233,15 @@ def test_read_csv_rejects_short_row(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("ks", [(1, 2, 2), (1, 3, 2)])
+def test_read_csv_rejects_a_k_that_does_not_increase(ks, tmp_path):
+    path = tmp_path / "k.csv"
+    emit_csv([TraceRow("fista", k, 1.0, 0.5) for k in ks], path)
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value) == f"{path} line 4, column 'k': 2 does not exceed {ks[1]} on line 3"
+
+
 # -- driver ----------------------------------------------------------------
 
 
@@ -289,7 +298,7 @@ def test_run_directory_states_the_reference_kind(effort, certified, tmp_path):
     meta = json.loads((out / "run_meta.json").read_text())
     assert meta["reference_certified"] is certified
     assert meta["reference_iterations"] == ref.iterations
-    assert ref.iterations == (600 if certified else 1)  # certified at the second tenth
+    assert ref.iterations == (220 if certified else 1)  # certified once the support settles
 
 
 def test_run_directory_names_the_first_gap_bound_violation(tmp_path, monkeypatch):

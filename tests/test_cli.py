@@ -388,6 +388,8 @@ GOOD_ROW = "iapd-op1,{k},5,110.5,0.25,0.5,0.125,2,0.001"
      "line 4, column 'elapsed_s': the row has 8 fields, the header 9"),
     ([GOOD_ROW.format(k=2), GOOD_ROW.format(k=3), GOOD_ROW.format(k=2).replace("op1", "op2")],
      "line 4, column 'algorithm': 'iapd-op2' differs from 'iapd-op1' on line 2"),
+    ([GOOD_ROW.format(k=2), GOOD_ROW.format(k=3), GOOD_ROW.format(k=3)],
+     "line 4, column 'k': 3 does not exceed 3 on line 3"),
 ])
 def test_certify_names_the_line_and_column_of_a_bad_cell(rows, where, tmp_path, capsys):
     csv_path = tmp_path / "iapd-op1.csv"
@@ -395,3 +397,4 @@ def test_certify_names_the_line_and_column_of_a_bad_cell(rows, where, tmp_path, 
     code = run(["certify", "--csv", str(csv_path), "--meta", str(tmp_path / "run_meta.json")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {csv_path} {where}\n"
+

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iapd.bench import ExperimentConfig, generate_l1ls, read_csv, run_benchmark
 from iapd.diagnostics import (
@@ -17,10 +19,11 @@ from iapd.diagnostics import (
     slope,
 )
 from iapd.linalg import LinearMap
-from iapd.problem import ReferencePoint, StepParams, compute_reference
-from iapd.solvers import iapd_step, init_iapd_state
+from iapd.problem import ReferencePoint, StepParams, compute_reference, default_step_params
+from iapd.solvers import iapd_step, init_iapd_state, next_t
 
 from helpers import start_at
+from test_problem import oracle_lagrangian, saddle_and_points
 
 
 def small_setup(seed=17, m=20, n=30):
@@ -284,3 +287,45 @@ def test_energy_row_takes_two_products(monkeypatch):
     for st in states[1:]:
         evaluate(st)
     assert len(calls) == 2 * 5
+
+
+def oracle_energy(problem, params, ref, state):
+    """energy_at's report as one plain expression per field."""
+    alpha, beta, t, t_next = params.alpha, params.beta, state.t, state.t_next
+    xs, ys = ref.x_star, ref.y_star
+    gap = oracle_lagrangian(problem, state.x, ys) - oracle_lagrangian(problem, xs, state.y)
+    du, dv, dvv, dy = state.u - xs, state.v - ys, state.v - state.v_prev, state.y - ys
+    i1 = t * t * gap
+    i2 = float(du @ du) / (2.0 * alpha)
+    i3 = (t_next * t_next) * float(dv @ dv) / (2.0 * beta)
+    i4 = -t * float(problem.K.apply(du) @ dvv) + (
+        (t * t - beta * problem.g2.lipschitz) * float(dvv @ dvv) / (2.0 * beta))
+    return EnergyReport(state.k, t, t_next, i1 + i2 + i3 + i4, i1, i2, i3, i4, gap,
+                        float(dy @ dy), float(dv @ dv))
+
+
+def bits(value):
+    """The bytes of a float, with every NaN as one value: a product over inf entries
+    can give a NaN of either sign from one call to the next."""
+    return "nan" if math.isnan(value) else np.float64(value).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(saddle_and_points(), st.floats(1.0, 50.0), st.integers(0, 2**32 - 1))
+def test_energy_reports_are_their_plain_expressions_bit_for_bit(case, t, seed):
+    """Also where x or y is infeasible or holds NaN, with and without fx and K x passed in."""
+    problem, x_star, y_star, x, y = case
+    params = default_step_params(problem)
+    rng = np.random.default_rng(seed)
+    n, m = problem.primal_dim, problem.dual_dim
+    state = dataclasses.replace(
+        init_iapd_state(problem, params), x=x, y=y, u=rng.standard_normal(n),
+        v=rng.standard_normal(m), v_prev=rng.standard_normal(m),
+        t=t, t_next=next_t(t, problem.mu_g * params.beta), k=7)
+    ref = ReferencePoint(x_star, y_star, 0.0, 0.0)
+    with np.errstate(all="ignore"):
+        want = dataclasses.astuple(oracle_energy(problem, params, ref, state))
+        evaluate = energy_at(problem, params, ref)
+        for got in (evaluate(state),
+                    evaluate(state, problem.f1.value(x), problem.K.apply(x))):
+            assert list(map(bits, dataclasses.astuple(got))) == list(map(bits, want))

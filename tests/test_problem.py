@@ -8,12 +8,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iapd import problem as problem_module
 from iapd.linalg import LinearMap
 from iapd.problem import (
+    CERTIFIED_GAP_RTOL,
     ReferencePoint,
     SaddleProblem,
     StepParams,
     _reference_gap,
+    _support_polish,
     compute_reference,
     default_step_params,
     validate_params,
@@ -397,6 +400,17 @@ def test_certified_reference_is_a_duality_gap_no_optimum_beats(case):
     assert objective(other) >= ref.objective_value - ref.accuracy - 1e-12 * scale
 
 
+def signed_nnls():
+    """An nnls saddle form whose every column of K sums below zero."""
+    rng = np.random.default_rng(4)
+    mat = rng.standard_normal((30, 12))
+    mat -= mat.mean(axis=0) + 0.1
+    b = mat @ rng.uniform(1.0, 5.0, 12) + 0.1 * rng.standard_normal(30)
+    problem = SaddleProblem(f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic(b),
+                            g2=ZeroSmooth(), K=LinearMap(mat))
+    return problem, default_step_params(problem)
+
+
 def test_signed_nnls_stays_uncertified_and_matches_the_hand_loop():
     """Every column of K sums below zero, so no shift along 1 makes K^T y >= 0.
 
@@ -404,13 +418,7 @@ def test_signed_nnls_stays_uncertified_and_matches_the_hand_loop():
     some (K^T r)_j < 0 that only such a shift could lift: the reference is
     the plain iapd one.
     """
-    rng = np.random.default_rng(4)
-    mat = rng.standard_normal((30, 12))
-    mat -= mat.mean(axis=0) + 0.1
-    b = mat @ rng.uniform(1.0, 5.0, 12) + 0.1 * rng.standard_normal(30)
-    problem = SaddleProblem(f1=NonnegIndicator(), f2=ZeroSmooth(), g1=ShiftedQuadratic(b),
-                            g2=ZeroSmooth(), K=LinearMap(mat))
-    params = default_step_params(problem)
+    problem, params = signed_nnls()
     got = compute_reference(problem, 3000, params, primal_objective(problem))
     assert_same_reference(got, oracle_compute_reference(problem, 3000, params,
                                                         primal_objective(problem)))
@@ -508,8 +516,33 @@ def test_reference_gap_takes_one_product_per_call(monkeypatch):
     assert len(calls) == 10
 
 
-@pytest.mark.parametrize("family, seed, iterations", [("l1ls", 7, 6000), ("nnls", 11, 2000)])
+def tenths_reference(problem, effort, params, objective):
+    """The first certified polish at a tenth of ``effort`` or at its end, as a hand loop; or None.
+
+    A fixed schedule that the sign-pattern schedule of ``compute_reference``
+    must match, bit for bit, or beat.
+    """
+    polish = _support_polish(problem)
+    tenth = max(1, effort // 10)
+    state = init_iapd_state(problem, params)
+    for done in range(1, effort + 1):
+        state = iapd_step(problem, params, state, "option1")
+        if done % tenth and done != effort:
+            continue
+        found = polish(state.x)
+        if found is None:
+            continue
+        x_hat, r, gap = found
+        value = float(objective(x_hat))
+        if abs(gap) <= CERTIFIED_GAP_RTOL * max(1.0, abs(value)):
+            return ReferencePoint(x_hat, r, value, abs(gap), certified=True, iterations=done)
+    return None
+
+
+@pytest.mark.parametrize("family, seed, iterations", [
+    ("l1ls", 101, 910), ("l1ls", 7, 2060), ("nnls", 101, 40), ("nnls", 11, 80)])
 def test_default_benches_get_a_certified_reference(family, seed, iterations):
+    """The polish certifies as soon as the support settles, on the tenths' point bit for bit."""
     from iapd.bench import generate_l1ls, generate_nnls, preset_params
 
     if family == "l1ls":
@@ -517,10 +550,42 @@ def test_default_benches_get_a_certified_reference(family, seed, iterations):
     else:
         inst = generate_nnls(400, 200, 0.1, seed)
     p = inst.problem
-    ref = compute_reference(p, 20000, params=preset_params(family, p.K.norm()),
-                            objective=inst.objective)
+    params = preset_params(family, p.K.norm())
+    ref = compute_reference(p, 20000, params=params, objective=inst.objective)
     assert ref.certified and ref.iterations == iterations
     assert ref.accuracy <= 1e-9
+    want = tenths_reference(p, 20000, params, inst.objective)
+    assert want.iterations > iterations
+    assert ref.x_star.tobytes() == want.x_star.tobytes()
+    assert ref.y_star.tobytes() == want.y_star.tobytes()
+    assert np.float64(ref.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
+    assert np.float64(ref.accuracy).tobytes() == np.float64(want.accuracy).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(least_squares_cases())
+def test_reference_certifies_no_later_than_at_the_tenths(case):
+    problem, _, _, effort, params, objective = case
+    want = tenths_reference(problem, effort, params, objective)
+    got = compute_reference(problem, effort, params, objective)
+    if want is not None:
+        assert got.certified and got.iterations <= want.iterations
+
+
+def test_a_failed_sign_pattern_is_not_polished_again(monkeypatch):
+    """On the signed nnls form every polish fails."""
+    problem, params = signed_nnls()
+    patterns = []
+
+    def counted(problem):
+        polish = _support_polish(problem)
+        return lambda x: patterns.append(np.sign(x)) or polish(x)
+
+    monkeypatch.setattr(problem_module, "_support_polish", counted)
+    ref = compute_reference(problem, 3000, params, primal_objective(problem))
+    assert not ref.certified
+    # The full support settles early and fails once; the tenths and the end would try it 10 times more.
+    assert len(patterns) == 1 and patterns[0].all()
 
 
 def test_large_l1ls_reference_at_effort_400_is_the_plain_iapd_one():
