@@ -7,8 +7,9 @@ the output file. Each case is a perfbench shape with the preset steps and
 the sweep's reference effort (20 000 on the desk shapes, 400 on
 l1ls-large). For each case the run records the iapd iterations behind the
 reference, the median and interquartile range of ``compute_reference``
-over repeated calls, whether the reference is certified, its accuracy and
-objective, and SHA-256 digests of x* and y*. With ``--baseline``, each case
+over repeated calls, by wall clock and by the process's CPU time (which a
+busy shared machine disturbs less), whether the reference is certified,
+its accuracy and objective, and SHA-256 digests of x* and y*. With ``--baseline``, each case
 also gets the objective's move against that earlier run of the file and
 whether x* and y* are bit for bit the same. The run is stored under
 ``runs[NAME]`` with an environment block. A checkout whose ``ReferencePoint`` has no
@@ -44,12 +45,14 @@ def digest(array) -> str:
 def measure(family: str, inst, effort: int, repeats: int) -> dict:
     problem = inst.problem
     params = bench.preset_params(family, problem.K.norm())
-    times = []
+    times, cpu_times = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start, cpu_start = time.perf_counter(), time.process_time()
         ref = compute_reference(problem, effort, params=params, objective=inst.objective)
         times.append(time.perf_counter() - start)
+        cpu_times.append(time.process_time() - cpu_start)
     q1, median, q3 = statistics.quantiles(times, n=4)
+    cpu_q1, cpu_median, cpu_q3 = statistics.quantiles(cpu_times, n=4)
     return {
         "shape": list(problem.K.shape),
         "effort": effort,
@@ -57,6 +60,8 @@ def measure(family: str, inst, effort: int, repeats: int) -> dict:
         "reference_calls": repeats,
         "reference_s_median": median,
         "reference_s_iqr": q3 - q1,
+        "reference_cpu_s_median": cpu_median,
+        "reference_cpu_s_iqr": cpu_q3 - cpu_q1,
         "certified": getattr(ref, "certified", False),
         "accuracy": ref.accuracy,
         "objective": ref.objective_value,
@@ -85,6 +90,8 @@ def main() -> int:
             row = cases[key]
             print(f"{key}: {row['iterations']} iterations, "
                   f"{row['reference_s_median']:.3f} s (IQR {row['reference_s_iqr']:.3f} s), "
+                  f"CPU {row['reference_cpu_s_median']:.3f} s "
+                  f"(IQR {row['reference_cpu_s_iqr']:.3f} s), "
                   f"{'certified' if row['certified'] else 'uncertified'} "
                   f"accuracy {row['accuracy']:.2e}")
 

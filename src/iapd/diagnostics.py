@@ -116,9 +116,8 @@ def _trace_reports(rows):
 class CertificateSummary:
     """Violation counts for the proven bounds, and where each bound first failed.
 
-    ``violating_k`` lists every k that breaks the gap bound. ``first_k`` maps
-    each bound that fails on some row ("gap", "dual", "v" or "t_lower") to the
-    first such k; a bound that holds on every row has no key.
+    ``first_k`` maps each bound that fails on some row ("gap", "dual", "v" or
+    "t_lower") to the first such k; a bound that holds on every row has no key.
     """
 
     rows: int
@@ -127,7 +126,6 @@ class CertificateSummary:
     v_violations: int = 0
     t_lower_violations: int = 0
     max_gap_excess: float = 0.0
-    violating_k: list[int] = field(default_factory=list)
     first_k: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -186,7 +184,6 @@ def certify(
         if r.gap_ref > bound_gap * slack:
             summary.gap_violations += 1
             summary.max_gap_excess = max(summary.max_gap_excess, r.gap_ref - bound_gap)
-            summary.violating_k.append(r.k)
             first.setdefault("gap", r.k)
         if r.dual_dist_sq > _bound(2.0 * e1, mu_g * t * t) * slack:
             summary.dual_violations += 1
@@ -205,7 +202,6 @@ def certify(
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
-    intercept: float
     n_used: int
     n_excluded: int
     k_min: int
@@ -236,4 +232,4 @@ def slope(reports: list[EnergyReport], k_min: int, k_max: int) -> SlopeFit:
     logk = np.log(np.asarray(ks, dtype=np.float64))
     logg = np.log(np.asarray(gaps, dtype=np.float64))
     coef = np.polyfit(logk, logg, 1)
-    return SlopeFit(float(coef[0]), float(coef[1]), len(ks), excluded, k_min, k_max)
+    return SlopeFit(float(coef[0]), len(ks), excluded, k_min, k_max)

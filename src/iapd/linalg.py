@@ -7,6 +7,7 @@ memory of its import chain.
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import partial
 
@@ -246,9 +247,12 @@ def read_matrix_market(path) -> LinearMap:
 
     def real(token: str, line: int) -> float:
         try:
-            return float(token)
+            value = float(token)
         except ValueError:
             raise fail(f"expected a real number, got {token!r}", line) from None
+        if not math.isfinite(value):
+            raise fail(f"expected a finite real number, got {token!r}", line)
+        return value
 
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -1,9 +1,9 @@
 """Accelerated primal-dual solver (Options 1 and 2) plus baseline schemes.
 
 Every solver is a stepper (a generator yielding one state per iteration
-with ``k, x, x_prev, y, y_prev, t``) run by the one driver ``_drive``,
-which owns the stride, the gap stop, the clock and the trace rows. The
-optional observer is invoked as ``observer(row, state)`` and reads
+with ``k, x, x_prev, y, y_prev, t``) run by the one driver ``_drive``, which
+owns the divergence check, the stride, the gap stop, the clock and the rows.
+The optional observer is invoked as ``observer(row, state)`` and reads
 ``state.x`` and ``state.y`` (None for primal-only methods); it may fill
 the ``objective``, ``gap_ref`` and ``energy`` fields in place before the
 row is stored.
@@ -44,7 +44,7 @@ __all__ = [
 class DivergenceError(RuntimeError):
     """A solver produced a non-finite iterate, the one with index ``iteration``.
 
-    ``_drive`` attaches the trace rows recorded before it as ``rows``.
+    Only ``_drive`` raises it, with the trace rows recorded before it as ``rows``.
     """
 
     def __init__(self, message: str, iteration: int | None = None):
@@ -151,6 +151,7 @@ def iapd_step(
     buffer and updated in place, in the same order of operations as the
     textbook form, so the result is bit for bit that of the unfused update.
     A vanished (``ZeroSmooth``) f2 or g2 contributes no gradient evaluation.
+    A non-finite result is returned as it is; ``_drive`` flags it.
     """
     alpha, beta = params.alpha, params.beta
     t, t_next = state.t, state.t_next
@@ -204,11 +205,6 @@ def iapd_step(
     y_next += v_next
     y_next /= t_next
 
-    # y_next = ((t_next - 1) y + v_next) / t_next is non-finite whenever v_next
-    # is, so checking x and y flags exactly the iterates a check of v would.
-    if not (np.isfinite(x_next).all() and np.isfinite(y_next).all()):
-        raise DivergenceError(f"non-finite iterate at iteration {state.k + 1}", state.k + 1)
-
     a = problem.mu_g * beta
     return IapdState(
         x=x_next,
@@ -237,8 +233,9 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     row or the gap stop needs it. A row is due at every multiple of the
     stride, at the last iteration and at the iterate where the gap stop
     fires. A row's ``elapsed_s`` is solver time: the clock is paused while
-    the objective and the observer run. On divergence the rows so far ride
-    on the error as ``rows``. A gap stop without an objective raises ValueError.
+    the objective and the observer run. A state whose x or y is not finite
+    raises DivergenceError naming its k, with the rows so far as ``rows``.
+    A gap stop without an objective raises ValueError.
     A truthy return from the observer ends the run after its row is stored.
     """
     f_ref = None
@@ -250,35 +247,37 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     clock = time.monotonic_ns
     paused = 0  # ns spent in the objective and the observer; integers keep elapsed_s monotone
     start = clock()
-    try:
-        for i, state in zip(range(1, opts.max_iters + 1), states):
-            record = i % opts.observer_stride == 0 or i == opts.max_iters
-            value = math.nan
-            if objective is not None and (record or f_ref is not None):
+    for i, state in zip(range(1, opts.max_iters + 1), states):
+        # iapd's y = ((t - 1) y_prev + v) / t is non-finite whenever v is, so
+        # checking x and y flags exactly the iterates a check of v would.
+        if not (np.isfinite(state.x).all() and (state.y is None or np.isfinite(state.y).all())):
+            err = DivergenceError(f"non-finite iterate at iteration {state.k}", state.k)
+            err.rows = rows
+            raise err
+        record = i % opts.observer_stride == 0 or i == opts.max_iters
+        value = math.nan
+        if objective is not None and (record or f_ref is not None):
+            pause = clock()
+            value = float(objective(state.x))
+            paused += clock() - pause
+        stop = f_ref is not None and value - f_ref <= opts.gap_tol
+        if record or stop:
+            row = TraceRow(
+                algorithm=name,
+                k=state.k,
+                t_k=state.t,
+                objective=value,
+                dx=_dist(state.x, state.x_prev),
+                dy=math.nan if state.y is None else _dist(state.y, state.y_prev),
+                elapsed_s=(clock() - start - paused) / 1e9,
+            )
+            if observer is not None:
                 pause = clock()
-                value = float(objective(state.x))
+                stop = observer(row, state) or stop
                 paused += clock() - pause
-            stop = f_ref is not None and value - f_ref <= opts.gap_tol
-            if record or stop:
-                row = TraceRow(
-                    algorithm=name,
-                    k=state.k,
-                    t_k=state.t,
-                    objective=value,
-                    dx=_dist(state.x, state.x_prev),
-                    dy=math.nan if state.y is None else _dist(state.y, state.y_prev),
-                    elapsed_s=(clock() - start - paused) / 1e9,
-                )
-                if observer is not None:
-                    pause = clock()
-                    stop = observer(row, state) or stop
-                    paused += clock() - pause
-                rows.append(row)
-            if stop:
-                break
-    except DivergenceError as err:
-        err.rows = rows
-        raise
+            rows.append(row)
+        if stop:
+            break
     return state, rows
 
 
@@ -343,8 +342,6 @@ def solve_pda(
             x_new = f1.prox(alpha, x - alpha * K.apply_adjoint(y))
             xbar = x_new + (x_new - x)
             y_new = g1.prox(beta, y + beta * K.apply(xbar))
-            if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
-                raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
 
@@ -383,8 +380,6 @@ def solve_apda(
             sigma *= theta
             tau /= theta
             xbar = x_new + theta * (x_new - x)
-            if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
-                raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x_new, x, y_new, y, math.nan)
             x, y = x_new, y_new
 
@@ -417,8 +412,6 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, option):
                 x_new = ((t_next - 1.0) * x + u) / t_next
             x_prev, x = x, x_new
             t, t_next = t_next, _nesterov_t(t_next)
-            if not np.isfinite(x).all():
-                raise DivergenceError(f"non-finite iterate at iteration {k}", k)
             yield _Iterate(k, x, x_prev, None, None, t)
 
     name = "fista" if option == "option1" else "tseng"

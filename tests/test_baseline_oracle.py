@@ -2,12 +2,14 @@
 
 The functions below the "reference copy" banner are the earlier solvers
 verbatim: ``solve_iapd`` with its own loop, and the four baselines keeping
-their state in a mutable dict driven by ``_trace_loop``. Two lines moved
-with the library: ``validate_params`` raises, and ``_trace_loop`` counts a
-non-finite dual iterate as divergence, as iapd, pda and apda do. The copy
-ignores a gap stop without an objective, which the library refuses. The
-library runs all six through one driver and one stepper per method; these tests hold
-it to the copy on random instances, strides, gap stops and divergences.
+their state in a mutable dict driven by ``_trace_loop``. Three lines moved
+with the library: ``validate_params`` raises, ``_trace_loop`` counts a
+non-finite dual iterate as divergence, as iapd, pda and apda do, and
+``solve_iapd`` checks each step's x and y itself, since ``iapd_step`` no
+longer does. The copy ignores a gap stop without an objective, which the
+library refuses. The library runs all six through one driver and one
+stepper per method; these tests hold it to the copy on random instances,
+strides, gap stops and divergences.
 Every field of every trace row except ``elapsed_s`` must match, and so
 must the returned iterates and what the observer is shown.
 """
@@ -95,11 +97,11 @@ def solve_iapd(
     rows: list[TraceRow] = []
     start = time.monotonic()
     for i in range(1, opts.max_iters + 1):
-        try:
-            state = iapd_step(problem, params, state, opts.option)
-        except DivergenceError as err:
+        state = iapd_step(problem, params, state, opts.option)
+        if not (np.isfinite(state.x).all() and np.isfinite(state.y).all()):
+            err = DivergenceError(f"non-finite iterate at iteration {state.k}")
             err.rows = rows
-            raise
+            raise err
         record, value, stop = _observe(i, opts, objective, f_ref, state.x)
         if record:
             row = TraceRow(

@@ -315,11 +315,11 @@ def test_run_directory_names_the_first_gap_bound_violation(tmp_path, monkeypatch
     for name in cfg.algorithms:
         cert = result.results[name].certificate
         assert cert.gap_violations > 0
-        line = (f"  first gap-bound violation: k={cert.violating_k[0]}, "
+        line = (f"  first gap-bound violation: k={cert.first_k['gap']}, "
                 f"max gap excess {cert.max_gap_excess:.6g}")
         assert f"{name}: final objective gap" in summary and line in summary
         assert meta["algorithms"][name]["certificate"] == {
-            "first_gap_violation_k": cert.violating_k[0], "max_gap_excess": cert.max_gap_excess,
+            "first_gap_violation_k": cert.first_k["gap"], "max_gap_excess": cert.max_gap_excess,
             "first_dual_violation_k": cert.first_k["dual"],
             "first_v_violation_k": cert.first_k["v"],
             "first_t_lower_violation_k": None}
@@ -348,7 +348,7 @@ def test_run_directory_names_the_first_violation_of_every_bound(tmp_path, monkey
     for name in cfg["algorithms"]:
         cert = runs[0].results[name].certificate
         assert cert.first_k == {"gap": 4, "dual": 6, "v": 8, "t_lower": 10}
-        assert cert.violating_k == [4]
+        assert cert.gap_violations == 1
     summary = (tmp_path / "a" / "summary.txt").read_text()
     assert summary.count("  first dual, v and t-lower violations: k=6, k=8, k=10\n") == 2
     assert summary.count("  first gap-bound violation: k=4, max gap excess ") == 2

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from iapd.bench import CSV_HEADER, generate_l1ls, preset_params
 from iapd.cli import main
@@ -121,19 +122,27 @@ def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("bad", ["matrix", "rhs"])
-def test_solve_names_the_bad_input_file(bad, tmp_path, capsys):
+@pytest.mark.parametrize("bad, fmt, token", [
+    pytest.param("matrix", "array", "x", id="matrix"),
+    pytest.param("rhs", "array", "x", id="rhs"),
+    *(pytest.param(bad, fmt, token, id=f"{bad}-{fmt}-{token}") for bad in ("matrix", "rhs")
+      for fmt in ("array", "coordinate") for token in ("nan", "inf", "1e400")),
+])
+def test_solve_names_the_bad_input_file(bad, fmt, token, tmp_path, capsys):
+    """A bad value in the last entry, a non-finite one too, names its file and line."""
     files = {"matrix": tmp_path / "K.mtx", "rhs": tmp_path / "b.mtx"}
-    write_matrix_market(LinearMap(np.eye(3)), files["matrix"])
-    write_matrix_market(LinearMap(np.ones((3, 1))), files["rhs"])
+    store = sp.csr_array if fmt == "coordinate" else np.asarray
+    write_matrix_market(LinearMap(store(np.eye(3))), files["matrix"])
+    write_matrix_market(LinearMap(store(np.ones((3, 1)))), files["rhs"])
     lines = files[bad].read_text().splitlines()
-    lines[-1] = "x"
+    lines[-1] = " ".join(lines[-1].split()[:-1] + [token])
     files[bad].write_text("\n".join(lines) + "\n")
     code = run(["solve", "--matrix", str(files["matrix"]), "--rhs", str(files["rhs"]),
                 "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err == (f"error: {files[bad]}: expected a real number, "
-                                       f"got 'x' (line {len(lines)})\n")
+    kind = "a real number" if token == "x" else "a finite real number"
+    assert capsys.readouterr().err == (f"error: {files[bad]}: expected {kind}, "
+                                       f"got {token!r} (line {len(lines)})\n")
 
 
 @pytest.mark.parametrize("command, matrix", [("bench", None), ("solve", "K.mtx"),

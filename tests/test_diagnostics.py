@@ -133,7 +133,7 @@ def test_certify_flags_inflated_gap():
     bad = [dataclasses.replace(r, gap_ref=e1 / r.t_k**2 * 10.0) for r in reports[1:]]
     summary = certify(bad, e1, params.t1, inst.problem.mu_g, params.beta)
     assert summary.gap_violations == len(bad)
-    assert summary.violating_k == [r.k for r in bad]
+    assert summary.first_k["gap"] == bad[0].k
 
 
 def test_certify_rejects_empty():
@@ -189,7 +189,7 @@ def test_certify_keeps_the_first_violating_k_of_each_bound():
     cert = certify(rows, 1.0, 1.0, 1.0, 1.0)
     assert cert.first_k == {"v": 2, "dual": 3, "t_lower": 4}
     assert (cert.dual_violations, cert.v_violations, cert.t_lower_violations) == (2, 2, 1)
-    assert cert.violating_k == []
+    assert cert.gap_violations == 0
 
 
 def test_certify_sets_no_gap_or_dual_bound_at_zero_t():
@@ -212,8 +212,16 @@ def test_certificate_paths_agree(tmp_path):
     rows = read_csv(tmp_path / "iapd-op1.csv")
 
     def verdicts(reports):
-        cert = certify(reports, p["E1"], p["t1"], p["mu_g"], p["beta"], inflation=inflation)
-        return cert.gap_violations, cert.violating_k, cert.t_lower_violations
+        """Gap-bound violations, the k of each row that breaks the gap bound on its own,
+        and t-lower violations."""
+        reports = list(reports)
+
+        def cert(rs):
+            return certify(rs, p["E1"], p["t1"], p["mu_g"], p["beta"], inflation=inflation)
+
+        whole = cert(reports)
+        flagged = [r.k for r in reports if cert([r]).gap_violations]
+        return whole.gap_violations, flagged, whole.t_lower_violations
 
     clean = verdicts(res.energy_reports)
     assert clean == verdicts(_trace_reports(rows)) == (0, [], 0)

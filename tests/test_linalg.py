@@ -354,6 +354,20 @@ def test_mm_bad_value_line_number(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("body, line", [("coordinate real general\n2 2 1\n1 1 {}\n", 3),
+                                        ("array real general\n2 1\n1.0\n{}\n", 4)],
+                         ids=["coordinate", "array"])
+def test_mm_non_finite_value_names_file_and_line(body, line, token, tmp_path):
+    """A value that parses to NaN or an infinity (1e400 overflows) is refused where it is read."""
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix " + body.format(token))
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == line
+    assert str(err.value) == f"{path}: expected a finite real number, got {token!r} (line {line})"
+
+
 def test_mm_wrong_entry_count(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n")

@@ -589,7 +589,10 @@ def test_a_failed_sign_pattern_is_not_polished_again(monkeypatch):
 
 
 def test_large_l1ls_reference_at_effort_400_is_the_plain_iapd_one():
-    """The support exceeds the 1000 rows at every tenth, so no polish is tried."""
+    """Rows fall every 10 iterations, but the sign pattern never holds across two
+    rows, so the polish is tried only at the 10 tenths. Each try returns at its
+    ``support.size <= K.rows`` test, since the support has more than 1000
+    columns, before any dense work, so the reference is the plain iapd one."""
     from iapd.bench import generate_l1ls, preset_params
 
     inst = generate_l1ls(1000, 2000, 0.1, 101)

@@ -6,8 +6,8 @@ one) call ``getattr`` on every entry, so a stale entry breaks them.
 
 The source also keeps one owner per loop: ``solve_iapd`` is the only caller
 of ``iapd_step``, in ``solvers.py`` only the driver ``_drive`` builds trace
-rows, and in ``bench.py`` one observer fills each row, so no solver there is
-handed an objective.
+rows and checks iterates for divergence, and in ``bench.py`` one observer
+fills each row, so no solver there is handed an objective.
 """
 
 import ast
@@ -70,6 +70,16 @@ def test_only_solve_iapd_calls_iapd_step():
 
 def test_only_the_driver_builds_trace_rows():
     assert _callers(SRC / "solvers.py", "TraceRow") == {"_drive"}
+
+
+def test_only_the_driver_checks_for_divergence():
+    """``_drive`` is the one builder of a DivergenceError in the package, and the
+    only code in ``solvers.py`` that tests an iterate for finiteness
+    (``SolverOptions`` tests its ``gap_tol``); the steppers only step."""
+    builders = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
+                for owner in _callers(path, "DivergenceError")}
+    assert builders == {("solvers.py", "_drive")}
+    assert _callers(SRC / "solvers.py", "isfinite") == {"SolverOptions", "_drive"}
 
 
 def test_the_sweep_hands_no_solver_an_objective():

@@ -132,16 +132,23 @@ def test_solve_iapd_rejects_infeasible_params():
         solve_iapd(problem, bad, SolverOptions(max_iters=5))
 
 
-def test_divergent_steps_raise_with_partial_trace():
-    # Bypass validation and iterate with a wildly infeasible step until the
-    # iterates blow up to non-finite values.
+def test_divergent_steps_go_non_finite():
+    # Bypass validation and iterate with a wildly infeasible step: the step
+    # does not check its result, so the iterates blow up to non-finite
+    # values, which the driver flags.
     problem, _ = scalar_bilinear()
     params = StepParams(alpha=1e4, beta=1e4, t1=1.0)
     st = start_at(problem, params, [1.0], [1.0])
-    with pytest.raises(DivergenceError) as err, np.errstate(over="ignore", invalid="ignore"):
+
+    def finite(state):
+        return np.isfinite(state.x).all() and np.isfinite(state.y).all()
+
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(10_000):
             st = iapd_step(problem, params, st)
-    assert "iteration" in str(err.value)
+            if not finite(st):
+                break
+    assert not finite(st)
 
 
 def test_solve_iapd_trace_shape_and_stride():
