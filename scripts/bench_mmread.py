@@ -1,0 +1,118 @@
+"""Time ``read_matrix_market`` on the nnls-sparse input files and on two large files.
+
+    python scripts/bench_mmread.py --label NAME [--baseline LABEL] [--out BENCH_mmread.json]
+
+Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
+the output file. The cases are the nnls-sparse workload's K (400×200,
+density 0.1, seed 101, coordinate) and b (array), a 4000×2000 coordinate
+file at density 0.1 (about 800 000 entries) and a 1000×1000 array file.
+The files are written by ``write_matrix_market`` into a temporary
+directory. For each case the run records the entries read, the median and
+interquartile range of the wall time and of the process's CPU time per
+read (a busy shared machine disturbs CPU time less), entries per second at
+the median wall time, and a SHA-256 digest of the map read. With
+``--baseline``, each case also gets whether the map is bit for bit the
+baseline's and the ratio of the median wall times. The run is stored
+under ``runs[NAME]`` with an environment block.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
+
+import numpy as np
+
+from envinfo import environment
+from iapd import bench
+from iapd.linalg import LinearMap, read_matrix_market, write_matrix_market
+
+SEED = 101
+
+
+def nnls_inputs():
+    inst = bench.generate_nnls(400, 200, 0.1, SEED)
+    return inst.problem.K, LinearMap(inst.b[:, None])
+
+
+# name: (map to write, timed reads)
+CASES = {
+    "nnls-sparse/K": (lambda: nnls_inputs()[0], 41),
+    "nnls-sparse/b": (lambda: nnls_inputs()[1], 41),
+    "coordinate-4000x2000": (lambda: bench.generate_nnls(4000, 2000, 0.1, SEED).problem.K, 5),
+    "array-1000x1000": (lambda: LinearMap(np.random.default_rng(SEED).standard_normal(
+        (1000, 1000))), 5),
+}
+
+
+def digest(mapping: LinearMap) -> str:
+    stored = mapping.triples() if mapping.is_sparse else (mapping.to_dense(),)
+    sha = hashlib.sha256()
+    for array in stored:
+        sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+def measure(path: Path, repeats: int) -> dict:
+    times, cpu_times = [], []
+    for _ in range(repeats):
+        gc.collect()
+        start, cpu_start = time.perf_counter(), time.process_time()
+        mapping = read_matrix_market(path)
+        times.append(time.perf_counter() - start)
+        cpu_times.append(time.process_time() - cpu_start)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    cpu_q1, cpu_median, cpu_q3 = statistics.quantiles(cpu_times, n=4)
+    entries = len(mapping.triples()[2]) if mapping.is_sparse else mapping.rows * mapping.cols
+    return {
+        "shape": list(mapping.shape),
+        "format": "coordinate" if mapping.is_sparse else "array",
+        "entries": entries,
+        "file_bytes": path.stat().st_size,
+        "reads": repeats,
+        "read_s_median": median,
+        "read_s_iqr": q3 - q1,
+        "read_cpu_s_median": cpu_median,
+        "read_cpu_s_iqr": cpu_q3 - cpu_q1,
+        "entries_per_s": entries / median,
+        "map_sha256": digest(mapping),
+    }
+
+
+def main() -> int:
+    args, runs, base = open_runs(__doc__, "BENCH_mmread.json")
+    cases = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (build, repeats) in CASES.items():
+            path = Path(tmp) / (name.replace("/", "-") + ".mtx")
+            write_matrix_market(build(), path)
+            cases[name] = row = measure(path, repeats)
+            if base is not None:
+                row["same_map"] = row["map_sha256"] == base[name]["map_sha256"]
+                row["read_s_median_ratio"] = row["read_s_median"] / base[name]["read_s_median"]
+            print(f"{name}: {row['entries']} entries, "
+                  f"{row['read_s_median'] * 1e3:.2f} ms (IQR {row['read_s_iqr'] * 1e3:.2f} ms), "
+                  f"CPU {row['read_cpu_s_median'] * 1e3:.2f} ms "
+                  f"(IQR {row['read_cpu_s_iqr'] * 1e3:.2f} ms), "
+                  f"{row['entries_per_s']:.3g} entries/s")
+
+    run = {
+        "revision": revision(),
+        "baseline": args.baseline,
+        "seed": SEED,
+        "environment": environment(blas_threads()),
+        "cases": cases,
+    }
+    save_run(args, runs, "scripts/bench_mmread.py", run)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

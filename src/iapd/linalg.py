@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -232,27 +233,38 @@ class LinearMap:
 # -- Matrix Market IO ------------------------------------------------------
 
 _MM_BANNER = "%%matrixmarket"
+# One coordinate entry: one-based row and column, and the value.
+_MM_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def read_matrix_market(path) -> LinearMap:
     """Read a real general Matrix Market file (coordinate or array format).
 
     Coordinate files yield a sparse map, array files a dense map.
-    One-based indices are converted to zero-based. Parse failures raise
+    One-based indices are converted to zero-based. The accepted grammar:
+
+    - line 1 is ``%%MatrixMarket matrix coordinate|array real general``,
+      in any letter case;
+    - after it, a line whose first non-blank character is ``%`` is a
+      comment, and comment and blank lines may stand anywhere;
+    - the size line is ``m n nnz`` (coordinate) or ``m n`` (array);
+    - a coordinate entry is one line ``i j value`` with 1 <= i <= m and
+      1 <= j <= n; array values come in column-major order, and every
+      data line holds the same number of values;
+    - fields are separated by whitespace. An index is ASCII digits with
+      an optional sign. A value is a finite real number as ``float()``
+      reads it, in ASCII and without ``_``. A ``%`` after an entry is an
+      error, not a comment.
+
+    The data lines are parsed in one C pass by ``np.loadtxt``; the range
+    and finiteness of what it read are checked on the arrays. Only when
+    the parse or a check fails are the lines checked one by one, in file
+    order, to name the first faulty line. Parse failures raise
     :class:`MatrixMarketError` naming the file and the line.
     """
 
     def fail(message: str, line: int | None = None) -> MatrixMarketError:
         return MatrixMarketError(message, line, path)
-
-    def real(token: str, line: int) -> float:
-        try:
-            value = float(token)
-        except ValueError:
-            raise fail(f"expected a real number, got {token!r}", line) from None
-        if not math.isfinite(value):
-            raise fail(f"expected a finite real number, got {token!r}", line)
-        return value
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -294,45 +306,76 @@ def read_matrix_market(path) -> LinearMap:
     m, n = dims[0], dims[1]
     idx += 1
 
-    data_lines = []
-    for lineno0 in range(idx, len(lines)):
-        stripped = lines[lineno0].strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        data_lines.append((lineno0 + 1, stripped))
+    def number(parse, token: str):
+        # int() and float() also read '1_0' and non-ASCII digits, which loadtxt refuses.
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
+        return parse(token)
+
+    def locate_fault():
+        """Raise at the first faulty data line; runs only after the parse or a check failed."""
+        width = None
+        for lineno0 in range(idx, len(lines)):
+            text = lines[lineno0].strip()
+            if not text or text.startswith("%"):
+                continue
+            lineno, parts = lineno0 + 1, text.split()
+            if fmt == "array":
+                width = width or len(parts)
+                if len(parts) != width:
+                    raise fail("array lines must hold the same number of values: "
+                               f"{width} on the first, {len(parts)} here", lineno)
+                values = parts
+            elif len(parts) != 3:
+                raise fail("coordinate entry must be 'i j value'", lineno)
+            else:
+                try:
+                    i, j = number(int, parts[0]), number(int, parts[1])
+                except ValueError:
+                    raise fail(f"non-integer index in {text!r}", lineno) from None
+                if not (1 <= i <= m and 1 <= j <= n):
+                    raise fail(f"index ({i}, {j}) out of range", lineno)
+                values = parts[2:]
+            for token in values:
+                try:
+                    value = number(float, token)
+                except ValueError:
+                    raise fail(f"expected a real number, got {token!r}", lineno) from None
+                if not math.isfinite(value):
+                    raise fail(f"expected a finite real number, got {token!r}", lineno)
+        raise fail("data lines numpy.loadtxt cannot parse")
+
+    # Comment and blank lines go here, so that loadtxt runs with comments=None
+    # and a '%' after an entry stays an error.
+    data = [t for t in map(str.strip, lines[idx:]) if t and t[0] != "%"]
+    if fmt == "coordinate" and len(data) != dims[2]:
+        raise fail(f"expected {dims[2]} entries, found {len(data)}", len(lines))
+    dtype = _MM_ENTRY if fmt == "coordinate" else np.float64
+    parsed = np.empty(0, dtype)
+    if data:  # loadtxt warns "input contained no data" on none
+        try:
+            with warnings.catch_warnings():
+                # Older numpy reads '1.0' into an integer field, with this warning.
+                warnings.simplefilter("error", DeprecationWarning)
+                parsed = np.loadtxt(data, dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, DeprecationWarning):
+            locate_fault()
 
     if fmt == "coordinate":
-        nnz = dims[2]
-        if len(data_lines) != nnz:
-            raise fail(f"expected {nnz} entries, found {len(data_lines)}", len(lines))
-        ii = np.empty(nnz, dtype=np.int64)
-        jj = np.empty(nnz, dtype=np.int64)
-        vv = np.empty(nnz, dtype=np.float64)
-        for k, (lineno, text) in enumerate(data_lines):
-            parts = text.split()
-            if len(parts) != 3:
-                raise fail("coordinate entry must be 'i j value'", lineno)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise fail(f"non-integer index in {text!r}", lineno)
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise fail(f"index ({i}, {j}) out of range", lineno)
-            ii[k], jj[k] = i - 1, j - 1
-            vv[k] = real(parts[2], lineno)
+        ii, jj, vv = parsed["i"], parsed["j"], parsed["v"]
+        if not np.all((1 <= ii) & (ii <= m) & (1 <= jj) & (jj <= n) & np.isfinite(vv)):
+            locate_fault()
         import scipy.sparse as sp
 
-        return LinearMap(sp.coo_array((vv, (ii, jj)), shape=(m, n)))
+        return LinearMap(sp.coo_array((vv, (ii - 1, jj - 1)), shape=(m, n)))
 
-    values = []
-    for lineno, text in data_lines:
-        for tok in text.split():
-            values.append(real(tok, lineno))
+    values = parsed.ravel()
+    if not np.isfinite(values).all():
+        locate_fault()
     if len(values) != m * n:
         raise fail(f"expected {m * n} array values, found {len(values)}", len(lines))
     # Array format is column-major.
-    dense = np.asarray(values, dtype=np.float64).reshape((n, m)).T
-    return LinearMap(dense)
+    return LinearMap(values.reshape((n, m)).T)
 
 
 def write_matrix_market(mapping: LinearMap, path) -> None:

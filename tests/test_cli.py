@@ -1,15 +1,19 @@
 """Command-line interface: exit codes, outputs, determinism, certify."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from iapd.bench import CSV_HEADER, generate_l1ls, preset_params
+from iapd.bench import CSV_HEADER, generate_l1ls, generate_nnls, preset_params
 from iapd.cli import main
 from iapd.linalg import LinearMap, write_matrix_market
 
+SAME_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
 BENCH_SMALL = ["--m", "20", "--n", "30", "--iters", "50", "--seed", "3"]
 
 
@@ -143,6 +147,25 @@ def test_solve_names_the_bad_input_file(bad, fmt, token, tmp_path, capsys):
     kind = "a real number" if token == "x" else "a finite real number"
     assert capsys.readouterr().err == (f"error: {files[bad]}: expected {kind}, "
                                        f"got {token!r} (line {len(lines)})\n")
+
+
+def test_solve_reads_crlf_files_with_comments_as_the_plain_ones(tmp_path):
+    """K and b with CRLF line ends, a comment line after every entry and a trailing blank
+    line give the run directory of the plain LF files, apart from the solver clock."""
+    inst = generate_nnls(30, 20, 0.3, seed=4)
+    for name, mapping in (("K", inst.problem.K), ("b", LinearMap(inst.b[:, None]))):
+        write_matrix_market(mapping, tmp_path / f"{name}.mtx")
+        head, size, *entries = (tmp_path / f"{name}.mtx").read_text().splitlines()
+        lines = [head, size] + [f for e in entries for f in (e, "% between entries")] + [""]
+        (tmp_path / f"{name}-crlf.mtx").write_bytes("\r\n".join(lines + [""]).encode())
+    for suffix in ("", "-crlf"):
+        assert run(["solve", "--matrix", str(tmp_path / f"K{suffix}.mtx"),
+                    "--rhs", str(tmp_path / f"b{suffix}.mtx"), "--problem", "nnls",
+                    "--iters", "60", "--out", str(tmp_path / f"out{suffix}")]) == 0
+    done = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(tmp_path / "out"),
+                           str(tmp_path / "out-crlf")], capture_output=True, text=True,
+                          timeout=60)
+    assert (done.returncode, done.stdout) == (0, "same outputs\n")
 
 
 @pytest.mark.parametrize("command, matrix", [("bench", None), ("solve", "K.mtx"),
