@@ -325,7 +325,7 @@ def read_matrix_market(path) -> LinearMap:
                 if len(parts) != width:
                     raise fail("array lines must hold the same number of values: "
                                f"{width} on the first, {len(parts)} here", lineno)
-                values = parts
+                tokens = parts
             elif len(parts) != 3:
                 raise fail("coordinate entry must be 'i j value'", lineno)
             else:
@@ -335,8 +335,8 @@ def read_matrix_market(path) -> LinearMap:
                     raise fail(f"non-integer index in {text!r}", lineno) from None
                 if not (1 <= i <= m and 1 <= j <= n):
                     raise fail(f"index ({i}, {j}) out of range", lineno)
-                values = parts[2:]
-            for token in values:
+                tokens = parts[2:]
+            for token in tokens:
                 try:
                     value = number(float, token)
                 except ValueError:
