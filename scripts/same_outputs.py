@@ -6,6 +6,14 @@ Trace CSVs are compared by ``perfbench/checks.csv_digest``, which drops the
 ``elapsed_s`` column; every other file is compared byte for byte. Files
 present in one directory only are listed. Exits 0 when the outputs match,
 1 when they differ and 2 on a usage error.
+
+A change that must keep the outputs is checked against its parent commit
+on three runs, each made once on each side with ``OPENBLAS_NUM_THREADS=1``
+and its two run directories compared:
+
+    iapd bench l1ls --seed 7
+    iapd bench nnls --seed 11
+    iapd bench l1ls --seed 7 --t1 2 --alpha 0.05 --beta 0.05
 """
 
 from __future__ import annotations

@@ -308,16 +308,7 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
         results[name] = res
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, res in results.items():
-        if res.rows:
-            emit_csv(res.rows, out_dir / f"{name}.csv")
-            written.append(name)
-    for name in set(ALGORITHMS).difference(written):
-        (out_dir / f"{name}.csv").unlink(missing_ok=True)
-    _write_summary(out_dir, cfg, ref, results, knorm)
-    _write_meta(out_dir, cfg, ref, results, knorm)
+    _write_run_dir(out_dir, cfg, ref, results, knorm)
     return BenchResult(status, out_dir, ref, results)
 
 
@@ -396,8 +387,14 @@ def _run_algorithm(
     return res
 
 
-def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
-    path = out_dir / "summary.txt"
+def _write_run_dir(out_dir: Path, cfg, ref, results, knorm) -> None:
+    """Write each algorithm's CSV, summary.txt lines and run_meta.json entry side by side.
+
+    Every algorithm's CSV that an earlier run left is removed first.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ALGORITHMS:
+        (out_dir / f"{name}.csv").unlink(missing_ok=True)
     kind = "certified duality gap" if ref.certified else "checkpoint gap, uncertified"
     lines = [
         f"experiment: {cfg.experiment}  m={cfg.m} n={cfg.n} seed={cfg.seed} iters={cfg.iters}",
@@ -407,70 +404,43 @@ def _write_summary(out_dir, cfg, ref, results, knorm) -> None:
         f"reference iterations: {ref.iterations}",
         "",
     ]
+    meta = {
+        "experiment": cfg.experiment, "m": cfg.m, "n": cfg.n, "seed": cfg.seed, "iters": cfg.iters,
+        "lambda": cfg.lam, "density": cfg.density, "norm_estimate": knorm,
+        "reference_objective": ref.objective_value, "reference_accuracy": ref.accuracy,
+        "reference_certified": ref.certified, "reference_iterations": ref.iterations,
+        "algorithms": {},
+    }
     for name, res in results.items():
-        if res.skipped:
+        if res.rows:
+            emit_csv(res.rows, out_dir / f"{name}.csv")
+        entry = meta["algorithms"][name] = {"params": res.params, "skipped": res.skipped}
+        if res.skipped:  # no certificate or slope: only a completed solve gets them
             lines.append(f"{name}: SKIPPED ({res.skipped})")
             if res.diverged_at is not None:
                 lines.append(f"  partial trace: {len(res.rows)} rows kept, "
                              f"diverged at iteration {res.diverged_at}")
+                entry["partial_trace"] = {"rows": len(res.rows), "diverged_at": res.diverged_at}
             continue
         lines.append(f"{name}: final objective gap = {res.final_gap:.6g}")
         cert, fit = res.certificate, res.slope
         if cert is not None:
-            lines.append(
+            bounds = ("gap", "dual", "v", "t_lower")  # as keyed in ``first_k``
+            first = [cert.first_k.get(b) for b in bounds]
+            at = ["none" if k is None else f"k={k}" for k in first]
+            lines += [
                 f"  certificates: gap={cert.gap_violations} dual={cert.dual_violations} "
-                f"v={cert.v_violations} t-lower={cert.t_lower_violations} "
-                f"(rows={cert.rows})"
-            )
-            lines.append(f"  first gap-bound violation: {_at(cert.first_k.get('gap'))}, "
-                         f"max gap excess {cert.max_gap_excess:.6g}")
-            lines.append("  first dual, v and t-lower violations: "
-                         + ", ".join(_at(cert.first_k.get(b)) for b in _OTHER_BOUNDS))
+                f"v={cert.v_violations} t-lower={cert.t_lower_violations} (rows={cert.rows})",
+                f"  first gap-bound violation: {at[0]}, max gap excess {cert.max_gap_excess:.6g}",
+                f"  first dual, v and t-lower violations: {', '.join(at[1:])}",
+            ]
+            entry["certificate"] = {
+                "first_gap_violation_k": first[0],
+                "max_gap_excess": cert.max_gap_excess,
+                **{f"first_{b}_violation_k": k for b, k in zip(bounds[1:], first[1:])},
+            }
         if fit is not None:
-            lines.append(
-                f"  log-log gap slope on [{fit.k_min}, {fit.k_max}]: {fit.slope:.4f} "
-                f"({fit.n_used} rows, {fit.n_excluded} excluded)"
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# The bounds other than the gap bound, as keyed in ``CertificateSummary.first_k``.
-_OTHER_BOUNDS = ("dual", "v", "t_lower")
-
-
-def _at(k: int | None) -> str:
-    return "none" if k is None else f"k={k}"
-
-
-def _algorithm_meta(res: AlgorithmResult) -> dict:
-    entry = {"params": res.params, "skipped": res.skipped}
-    cert = res.certificate
-    if cert is not None:
-        entry["certificate"] = {
-            "first_gap_violation_k": cert.first_k.get("gap"),
-            "max_gap_excess": cert.max_gap_excess,
-            **{f"first_{b}_violation_k": cert.first_k.get(b) for b in _OTHER_BOUNDS},
-        }
-    if res.diverged_at is not None:
-        entry["partial_trace"] = {"rows": len(res.rows), "diverged_at": res.diverged_at}
-    return entry
-
-
-def _write_meta(out_dir, cfg, ref, results, knorm) -> None:
-    path = out_dir / "run_meta.json"
-    meta = {
-        "experiment": cfg.experiment,
-        "m": cfg.m,
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "iters": cfg.iters,
-        "lambda": cfg.lam,
-        "density": cfg.density,
-        "norm_estimate": knorm,
-        "reference_objective": ref.objective_value,
-        "reference_accuracy": ref.accuracy,
-        "reference_certified": ref.certified,
-        "reference_iterations": ref.iterations,
-        "algorithms": {name: _algorithm_meta(res) for name, res in results.items()},
-    }
-    path.write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+            lines.append(f"  log-log gap slope on [{fit.k_min}, {fit.k_max}]: {fit.slope:.4f} "
+                         f"({fit.n_used} rows, {fit.n_excluded} excluded)")
+    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (out_dir / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")

@@ -247,7 +247,8 @@ def read_matrix_market(path) -> LinearMap:
       in any letter case;
     - after it, a line whose first non-blank character is ``%`` is a
       comment, and comment and blank lines may stand anywhere;
-    - the size line is ``m n nnz`` (coordinate) or ``m n`` (array);
+    - the size line is ``m n nnz`` (coordinate) or ``m n`` (array), each
+      field an index as below;
     - a coordinate entry is one line ``i j value`` with 1 <= i <= m and
       1 <= j <= n; array values come in column-major order, and every
       data line holds the same number of values;
@@ -293,24 +294,24 @@ def read_matrix_market(path) -> LinearMap:
     if idx >= len(lines):
         raise fail("missing size line", len(lines))
 
-    size = lines[idx].split()
-    want = 3 if fmt == "coordinate" else 2
-    if len(size) != want:
-        raise fail(f"size line must have {want} fields", idx + 1)
-    try:
-        dims = [int(tok) for tok in size]
-    except ValueError:
-        raise fail(f"non-integer size field in {lines[idx]!r}", idx + 1)
-    if dims[0] < 1 or dims[1] < 1 or (fmt == "coordinate" and dims[2] < 0):
-        raise fail("invalid dimensions", idx + 1)
-    m, n = dims[0], dims[1]
-    idx += 1
-
     def number(parse, token: str):
         # int() and float() also read '1_0' and non-ASCII digits, which loadtxt refuses.
         if not token.isascii() or "_" in token:
             raise ValueError(token)
         return parse(token)
+
+    size = lines[idx].split()
+    want = 3 if fmt == "coordinate" else 2
+    if len(size) != want:
+        raise fail(f"size line must have {want} fields", idx + 1)
+    try:
+        dims = [number(int, tok) for tok in size]
+    except ValueError:
+        raise fail(f"non-integer size field in {lines[idx]!r}", idx + 1) from None
+    if dims[0] < 1 or dims[1] < 1 or (fmt == "coordinate" and dims[2] < 0):
+        raise fail("invalid dimensions", idx + 1)
+    m, n = dims[0], dims[1]
+    idx += 1
 
     def locate_fault():
         """Raise at the first faulty data line; runs only after the parse or a check failed."""

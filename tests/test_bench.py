@@ -440,6 +440,12 @@ def test_run_benchmark_partial_when_structure_unsupported(tmp_path):
     assert not result.results["iapd-op1"].skipped
     assert (tmp_path / "out" / "iapd-op1.csv").exists()
     assert not (tmp_path / "out" / "pda.csv").exists()
+    # A skip that is not a divergence: no partial trace in either file.
+    message = result.results["pda"].skipped
+    summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+    assert summary[-1] == f"pda: SKIPPED ({message})"
+    meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+    assert meta["algorithms"]["pda"] == {"params": {}, "skipped": message}
 
 
 def test_run_benchmark_partial_on_infeasible_override(tmp_path):

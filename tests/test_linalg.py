@@ -570,6 +570,10 @@ def test_mm_read_crosses_the_parser_chunk(tmp_path):
                  id="array-width-changes"),
     pytest.param(MM_COORD + "2 2 1\n1 1 \u0661\n", 3, "expected a real number, got '\u0661'",
                  id="arabic-indic-digit"),
+    pytest.param(MM_COORD + "1_0 1 1\n1 1 1.0\n", 2, "non-integer size field in '1_0 1 1'",
+                 id="underscore-size"),
+    pytest.param(MM_ARRAY + "\u0662 1\n1.0\n2.0\n", 2, "non-integer size field in '\u0662 1'",
+                 id="arabic-indic-size"),
 ])
 def test_mm_fault_names_file_and_first_faulty_line(body, line, message, tmp_path):
     """Each fault is named with its file and line, the earliest when there are several.
