@@ -44,10 +44,16 @@ def differences(old: Path, new: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
+    usage = "usage: python scripts/same_outputs.py OLD_DIR NEW_DIR"
     if len(argv) != 2:
-        print("usage: python scripts/same_outputs.py OLD_DIR NEW_DIR", file=sys.stderr)
+        print(usage, file=sys.stderr)
         return 2
-    lines = differences(Path(argv[0]), Path(argv[1]))
+    dirs = [Path(arg) for arg in argv]
+    for path in dirs:
+        if not path.is_dir():
+            print(f"{usage}\nerror: {path} is not a directory", file=sys.stderr)
+            return 2
+    lines = differences(*dirs)
     for line in lines:
         print(line)
     if not lines:

@@ -160,22 +160,35 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
     return GeneratedInstance(problem, b, planted, name=f"nnls-m{m}-n{n}-s{density}-seed{seed}")
 
 
-# Per family: (t1, alpha ||K||) of the accelerated solver's preset steps.
-_PRESETS = {"l1ls": (DEFAULT_T1, DEFAULT_ALPHA_KNORM), "nnls": (1.2, 0.98)}
+_OPTIONS = ("option1", "option2")
+# Per family and option: (t1, alpha ||K||) of the accelerated solver's preset
+# steps. Each is the grid row of scripts/bench_presets.py with the fewest
+# iterations to accuracy on its training seeds (BENCH_presets.json), except
+# l1ls option 1. It keeps the default steps: the grid's row, (10, 1.5), takes
+# the 1000x2000 seed-101 reference at effort 400 to a support of 991 <= 1000
+# columns, and the polish's dense solve there lifts peak RSS from 54 to 80 MB.
+_PRESETS = {
+    ("l1ls", "option1"): (DEFAULT_T1, DEFAULT_ALPHA_KNORM),
+    ("l1ls", "option2"): (10.0, 1.5),
+    ("nnls", "option1"): (1.0, 1.5),
+    ("nnls", "option2"): (1.2, 1.5),
+}
 
 
 def preset_params(experiment: str, knorm: float) -> StepParams:
-    """Accelerated-solver presets: the family's row of ``_PRESETS`` at this ||K||.
+    """Accelerated-solver presets: the family's rows of ``_PRESETS`` at this ||K||.
 
+    The result holds option 1's steps, and option 2's as its ``option2``.
     A zero norm, as of a K without a nonzero entry, raises ValueError before
     any step is derived from it, here or by the baselines after it.
     """
     if not knorm > 0:
         raise ValueError(f"||K|| = {knorm:g}: no step size can be derived from a zero "
                          "operator norm")
-    if experiment not in _PRESETS:
+    if (experiment, "option1") not in _PRESETS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    return _coupled_steps(knorm, *_PRESETS[experiment])
+    op1, op2 = (_coupled_steps(knorm, *_PRESETS[experiment, option]) for option in _OPTIONS)
+    return replace(op1, option2=op2)
 
 
 def _fmt(value: float) -> str:
@@ -267,12 +280,11 @@ def _make_instance(cfg: ExperimentConfig) -> GeneratedInstance:
 
 
 def _iapd_params(cfg: ExperimentConfig, knorm: float) -> StepParams:
+    """The presets, with each step the config sets replacing it on both options."""
     base = preset_params(cfg.experiment, knorm)
-    return StepParams(
-        alpha=cfg.alpha if cfg.alpha is not None else base.alpha,
-        beta=cfg.beta if cfg.beta is not None else base.beta,
-        t1=cfg.t1 if cfg.t1 is not None else base.t1,
-    )
+    set_steps = {name: getattr(cfg, name) for name in ("alpha", "beta", "t1")
+                 if getattr(cfg, name) is not None}
+    return replace(base, **set_steps, option2=replace(base.option2, **set_steps))
 
 
 def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = None) -> BenchResult:
@@ -332,6 +344,7 @@ def _run_algorithm(
     # Each solve returns a tuple whose last item is the trace rows.
     if name in ("iapd-op1", "iapd-op2"):
         run_opts = replace(opts, option="option1" if name == "iapd-op1" else "option2")
+        iapd_params = iapd_params.for_option(run_opts.option)
         energy_at = diagnostics.energy_at(problem, iapd_params, ref)
         reports.append(energy_at(solvers.init_iapd_state(problem, iapd_params)))
         solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts)

@@ -291,9 +291,11 @@ def solve_iapd(
     """Iterate the accelerated primal-dual scheme from ``init_iapd_state``.
 
     The trace rows are named ``iapd-op1`` or ``iapd-op2`` after the option.
-    Raises ValueError for infeasible parameters. On divergence the partial
-    trace is attached to the raised :class:`DivergenceError` as ``rows``.
+    The steps are ``params.for_option(opts.option)``. Raises ValueError for
+    infeasible parameters. On divergence the partial trace is attached to the
+    raised :class:`DivergenceError` as ``rows``.
     """
+    params = params.for_option(opts.option)
     validate_params(problem, params)
     name = "iapd-op1" if opts.option == "option1" else "iapd-op2"
 

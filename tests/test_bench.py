@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iapd import diagnostics, solvers
@@ -91,12 +91,14 @@ def test_nnls_rejects_bad_density():
 def test_presets_feasible_on_their_families():
     l1 = generate_l1ls(30, 50, 0.1, seed=2)
     params = preset_params("l1ls", l1.problem.K.norm())
-    assert params.t1 == 5.0
-    validate_params(l1.problem, params)
+    assert (params.t1, params.option2.t1) == (5.0, 10.0)
+    for option in ("option1", "option2"):
+        validate_params(l1.problem, params.for_option(option))
     nn = generate_nnls(50, 30, 0.2, seed=2)
     params = preset_params("nnls", nn.problem.K.norm())
-    assert params.t1 == 1.2
-    validate_params(nn.problem, params)
+    assert (params.t1, params.option2.t1) == (1.0, 1.2)
+    for option in ("option1", "option2"):
+        validate_params(nn.problem, params.for_option(option))
     with pytest.raises(ValueError):
         preset_params("other", 1.0)
 
@@ -104,15 +106,54 @@ def test_presets_feasible_on_their_families():
 @settings(max_examples=500, deadline=None)
 @given(st.floats(1e-3, 1e3))
 def test_presets_are_the_split_of_the_coupling_budget_bit_for_bit(knorm):
-    # The forms the presets had before problem.py derived them from the family table.
+    # l1ls option 1 keeps the form it had before problem.py derived it from the family table.
     l1, nn = preset_params("l1ls", knorm), preset_params("nnls", knorm)
     assert (l1.alpha, l1.beta, l1.t1) == (0.98 / (2.0 * knorm), 2.0 / knorm, 5.0)
-    assert (nn.alpha, nn.beta, nn.t1) == (0.98 / knorm, 1.0 / knorm, 1.2)
+    wide = (1.5 / knorm, (0.98 / 1.5) / knorm)  # alpha ||K|| = 1.5
+    assert l1.option2 == StepParams(*wide, 10.0)
+    assert nn.for_option("option1") == StepParams(*wide, 1.0)
+    assert nn.for_option("option2") == StepParams(*wide, 1.2)
 
 
 def test_default_step_params_are_the_l1ls_presets():
     inst = generate_l1ls(30, 50, 0.1, seed=2)
-    assert default_step_params(inst.problem) == preset_params("l1ls", inst.problem.K.norm())
+    l1 = preset_params("l1ls", inst.problem.K.norm())
+    assert default_step_params(inst.problem) == l1.for_option("option1")
+
+
+def test_for_option_resolves_the_steps_each_option_runs_on():
+    op1, op2 = StepParams(0.1, 0.2, 3.0), StepParams(0.4, 0.05, 2.0)
+    both = replace(op1, option2=op2)
+    assert both.for_option("option1") == op1 and both.for_option("option2") == op2
+    assert op1.for_option("option2") is op1
+    with pytest.raises(ValueError, match="unknown option 'option3'"):
+        both.for_option("option3")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["l1ls", "nnls"]), st.integers(4, 24), st.integers(4, 24),
+       st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+def test_each_option_certifies_on_its_preset_row(tmp_path_factory, family, m, n, density, seed):
+    """Each option at its own preset row: no certificate violation, and no rise in energy."""
+    cfg = ExperimentConfig(experiment=family, m=m, n=n, seed=seed, iters=300, density=density,
+                           algorithms=("iapd-op1", "iapd-op2"),
+                           out_dir=tmp_path_factory.mktemp("presets"))
+    if family == "l1ls":
+        inst = generate_l1ls(m, n, 0.1, seed)
+    else:
+        inst = generate_nnls(m, n, density, seed)
+    assume(inst.problem.K.norm() > 0)
+    result = run_benchmark(cfg, instance=inst)
+    preset = preset_params(family, inst.problem.K.norm())
+    for name, option in (("iapd-op1", "option1"), ("iapd-op2", "option2")):
+        res = result.results[name]
+        steps = preset.for_option(option)
+        assert (res.params["alpha"], res.params["beta"], res.params["t1"]) == (
+            steps.alpha, steps.beta, steps.t1)
+        assert not res.skipped and res.certificate.ok, res.certificate
+        energies = [r.energy for r in res.energy_reports]
+        tol = 1e-8 * (1.0 + abs(energies[0])) + 10.0 * result.reference.accuracy
+        assert all(later <= earlier + tol for earlier, later in zip(energies, energies[1:]))
 
 
 def test_l1ls_presets_converge_on_a_map_whose_top_direction_avoids_ones():

@@ -1,0 +1,46 @@
+"""scripts/bench_presets.py: the grid of preset rows, run on one tiny instance."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from iapd.bench import generate_l1ls
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture
+def bench_presets(monkeypatch):
+    """The script as a module; sys.path and the thread variables are restored afterwards."""
+    monkeypatch.setattr(sys, "path", [str(SCRIPTS), *sys.path])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    import bench_presets
+
+    return bench_presets
+
+
+def test_the_grid_counts_iterations_to_accuracy_per_option(bench_presets):
+    inst = generate_l1ls(20, 30, 0.1, seed=3)
+    counts = bench_presets.grid("l1ls", 1e-4, {3: inst}, rows=((10.0, 1.5),), cap=500)
+    assert list(counts) == ["option1", "option2"]
+    for per_row in counts.values():
+        assert list(per_row) == ["(10, 1.5)"]
+        iterations = per_row["(10, 1.5)"]
+        assert 0 < iterations["3"] < 500 and iterations["total"] == iterations["3"]
+        assert bench_presets.fewest(per_row) == "(10, 1.5)"
+
+    missed = bench_presets.grid("l1ls", 1e-4, {3: inst}, rows=((10.0, 1.5),), cap=1)
+    for per_row in missed.values():
+        assert per_row["(10, 1.5)"] == {"3": None, "total": None}
+        assert bench_presets.fewest(per_row) is None
+
+
+def test_the_training_seeds_avoid_perfbench_batches(bench_presets):
+    def in_batch(seed, s):  # perfbench's batch instance i of seed s has seed s + 1000 i
+        return seed >= s and (seed - s) % 1000 == 0
+
+    assert not any(in_batch(seed, s) for seed in bench_presets.TRAINING_SEEDS
+                   for s in (7, 11, 101))
+    assert all(in_batch(seed, 101) for seed in bench_presets.HELD_OUT_SEEDS)

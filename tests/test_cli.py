@@ -409,6 +409,53 @@ def test_infeasible_step_flags_state_the_inequality(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def _steps_of(meta, name):
+    params = meta["algorithms"][name]["params"]
+    return {k: params[k] for k in ("alpha", "beta", "t1")}
+
+
+def _steps(params):
+    return {"alpha": params.alpha, "beta": params.beta, "t1": params.t1}
+
+
+def test_option2_runs_and_certifies_on_its_own_preset_row(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", "--seed", "7", "--iters", "300", "--algos", "iapd-op1,iapd-op2",
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    preset = preset_params("l1ls", generate_l1ls(200, 400, 0.1, 7).problem.K.norm())
+    assert _steps_of(meta, "iapd-op1") == _steps(preset.for_option("option1"))
+    assert _steps_of(meta, "iapd-op2") == _steps(preset.for_option("option2"))
+    assert _steps_of(meta, "iapd-op1") != _steps_of(meta, "iapd-op2")
+    for name in ("iapd-op1", "iapd-op2"):
+        assert run(["certify", "--csv", str(out / f"{name}.csv"),
+                    "--meta", str(out / "run_meta.json")]) == 0
+    assert capsys.readouterr().out.count("gap-bound violations 0, t-lower-bound violations 0") == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--t1", 2.0), ("--alpha", 0.01), ("--beta", 0.02)])
+def test_a_set_step_flag_reaches_both_options(flag, value, tmp_path):
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1,iapd-op2", flag, str(value),
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "run_meta.json").read_text())
+    preset = preset_params("l1ls", generate_l1ls(20, 30, 0.1, seed=3).problem.K.norm())
+    for name, option in (("iapd-op1", "option1"), ("iapd-op2", "option2")):
+        assert _steps_of(meta, name) == {**_steps(preset.for_option(option)), flag[2:]: value}
+
+
+def test_a_step_flag_infeasible_for_option2_alone_skips_it(tmp_path, capsys):
+    # beta = 1/||K|| meets the coupling inequality at option 1's alpha ||K|| = 0.49, not at 1.5.
+    knorm = generate_l1ls(20, 30, 0.1, seed=3).problem.K.norm()
+    out = tmp_path / "out"
+    assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1,iapd-op2",
+                "--beta", repr(1.0 / knorm), "--out", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("iapd-op1: final objective gap")
+    assert lines[1].startswith("iapd-op2: skipped: invalid step parameters: need alpha*beta")
+    assert not (out / "iapd-op2.csv").exists()
+
+
 GOOD_ROW = "iapd-op1,{k},5,110.5,0.25,0.5,0.125,2,0.001"
 
 

@@ -540,7 +540,7 @@ def tenths_reference(problem, effort, params, objective):
 
 
 @pytest.mark.parametrize("family, seed, iterations", [
-    ("l1ls", 101, 910), ("l1ls", 7, 2060), ("nnls", 101, 40), ("nnls", 11, 80)])
+    ("l1ls", 101, 910), ("l1ls", 7, 2060), ("nnls", 101, 30), ("nnls", 11, 90)])
 def test_default_benches_get_a_certified_reference(family, seed, iterations):
     """The polish certifies as soon as the support settles, on the tenths' point bit for bit."""
     from iapd.bench import generate_l1ls, generate_nnls, preset_params

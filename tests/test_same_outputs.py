@@ -34,3 +34,14 @@ def test_same_outputs_ignores_only_elapsed_s(tmp_path):
     code, out = same_outputs(tmp_path / "a", changed)
     assert code == 1
     assert out == f"only in {tmp_path / 'a'}: summary.txt\ndiffers: fista.csv\n"
+
+
+def test_a_missing_run_directory_is_a_usage_error(tmp_path):
+    (tmp_path / "a").mkdir()
+    missing = tmp_path / "never-written"
+    for old, new in ((tmp_path / "a", missing), (missing, tmp_path / "a")):
+        done = subprocess.run([sys.executable, str(SCRIPT), str(old), str(new)],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert f"error: {missing} is not a directory" in done.stderr
