@@ -99,9 +99,14 @@ class GeneratedInstance:
     planted: np.ndarray = field(repr=False)
     name: str = ""
 
-    def objective(self, x: np.ndarray) -> float:
-        """The composite value f(x) + 0.5 ||Kx - b||^2: the trace's objective column."""
-        return self._objective(self.problem.f1.value(x), self.problem.K.apply(x))
+    def objective(self, x: np.ndarray, kx: np.ndarray | None = None) -> float:
+        """The composite value f(x) + 0.5 ||Kx - b||^2: the trace's objective column.
+
+        ``kx``, when given, is K x, and the value takes no product of its own.
+        """
+        if kx is None:
+            kx = self.problem.K.apply(x)
+        return self._objective(self.problem.f1.value(x), kx)
 
     def _objective(self, fx: float, kx: np.ndarray) -> float:
         """The objective from f(x) and K x."""

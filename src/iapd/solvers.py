@@ -1,8 +1,10 @@
 """Accelerated primal-dual solver (Options 1 and 2) plus baseline schemes.
 
 Every solver is a stepper (a generator yielding one state per iteration
-with ``k, x, x_prev, y, y_prev, t``) run by the one driver ``_drive``, which
+with ``k, x, x_prev, y, y_prev, t, kx``) run by the one driver ``_drive``, which
 owns the divergence check, the stride, the gap stop, the clock and the rows.
+The objective is invoked as ``objective(x, kx)``, where ``kx`` is K x when
+the stepper carries it (iapd with an objective) and None otherwise.
 The optional observer is invoked as ``observer(row, state)`` and reads
 ``state.x`` and ``state.y`` (None for primal-only methods); it may fill
 the ``objective``, ``gap_ref`` and ``energy`` fields in place before the
@@ -74,7 +76,11 @@ def next_t(t: float, a: float) -> float:
 
 @dataclass
 class IapdState:
-    """Full iterate state at index k (k = 1 is the initial state)."""
+    """Full iterate state at index k (k = 1 is the initial state).
+
+    ``kx``, when not None, is K x carried by the recurrence, not a product of
+    its own; ``solve_iapd`` sets it only when it is given an objective.
+    """
 
     x: np.ndarray
     x_prev: np.ndarray
@@ -86,6 +92,7 @@ class IapdState:
     t: float
     t_next: float
     k: int = 1
+    kx: np.ndarray | None = None
 
 
 @dataclass
@@ -151,7 +158,10 @@ def iapd_step(
     buffer and updated in place, in the same order of operations as the
     textbook form, so the result is bit for bit that of the unfused update.
     A vanished (``ZeroSmooth``) f2 or g2 contributes no gradient evaluation.
-    A non-finite result is returned as it is; ``_drive`` flags it.
+    A state that carries ``kx`` gets K x_next = ((t_next - 1) K x + K u_next)
+    / t_next, which both options' x_next satisfy, from the K u_next the dual
+    step computes anyway. A non-finite result is returned as it is; ``_drive``
+    flags it.
     """
     alpha, beta = params.alpha, params.beta
     t, t_next = state.t, state.t_next
@@ -192,6 +202,11 @@ def iapd_step(
     # v_next = prox_g1(v - dual_step (grad g2(ybar) - K u_next))
     dual_step = beta / t_next
     r = K.apply(u_next)
+    kx_next = None
+    if state.kx is not None:  # before r is reused
+        kx_next = np.multiply(state.kx, t_next - 1.0)
+        kx_next += r
+        kx_next /= t_next
     if isinstance(g2, ZeroSmooth):
         np.subtract(0.0, r, out=r)  # as zeros - r: keeps 0 - 0 = +0.0
     else:
@@ -217,6 +232,7 @@ def iapd_step(
         t=t_next,
         t_next=next_t(t_next, a),
         k=state.k + 1,
+        kx=kx_next,
     )
 
 
@@ -229,11 +245,12 @@ def _dist(a: np.ndarray, b: np.ndarray) -> float:
 def _drive(name: str, opts: SolverOptions, states, observer, objective):
     """Run a stepper for up to ``opts.max_iters`` iterations; return (last state, rows).
 
-    The objective is evaluated at most once per iteration, and only when a
-    row or the gap stop needs it. A row is due at every multiple of the
-    stride, at the last iteration and at the iterate where the gap stop
-    fires. A row's ``elapsed_s`` is solver time: the clock is paused while
-    the objective and the observer run. A state whose x or y is not finite
+    The objective is evaluated at most once per iteration, as
+    ``objective(state.x, state.kx)``, and only when a row or the gap stop
+    needs it. A row is due at every multiple of the stride, at the last
+    iteration and at the iterate where the gap stop fires. A row's
+    ``elapsed_s`` is solver time: the clock is paused while the objective
+    and the observer run. A state whose x or y is not finite
     raises DivergenceError naming its k, with the rows so far as ``rows``.
     A gap stop without an objective raises ValueError.
     A truthy return from the observer ends the run after its row is stored.
@@ -258,7 +275,7 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
         value = math.nan
         if objective is not None and (record or f_ref is not None):
             pause = clock()
-            value = float(objective(state.x))
+            value = float(objective(state.x, state.kx))
             paused += clock() - pause
         stop = f_ref is not None and value - f_ref <= opts.gap_tol
         if record or stop:
@@ -293,7 +310,9 @@ def solve_iapd(
     The trace rows are named ``iapd-op1`` or ``iapd-op2`` after the option.
     The steps are ``params.for_option(opts.option)``. Raises ValueError for
     infeasible parameters. On divergence the partial trace is attached to the
-    raised :class:`DivergenceError` as ``rows``.
+    raised :class:`DivergenceError` as ``rows``. With an ``objective``, each
+    state carries ``kx`` = K x, starting from K x_1 = 0, so the objective
+    needs no product of its own; without one, ``kx`` stays None.
     """
     params = params.for_option(opts.option)
     validate_params(problem, params)
@@ -304,14 +323,18 @@ def solve_iapd(
             state = iapd_step(problem, params, state, opts.option)
             yield state
 
-    return _drive(name, opts, states(init_iapd_state(problem, params)), observer, objective)
+    state = init_iapd_state(problem, params)
+    if objective is not None:
+        state.kx = np.zeros(problem.dual_dim)
+    return _drive(name, opts, states(state), observer, objective)
 
 
 # -- baselines -------------------------------------------------------------
 
 # The state a baseline stepper yields; t is NaN for the primal-dual
-# baselines, and y and y_prev are None for the primal-only ones.
-_Iterate = namedtuple("_Iterate", "k x x_prev y y_prev t")
+# baselines, y and y_prev are None for the primal-only ones, and no
+# baseline carries K x.
+_Iterate = namedtuple("_Iterate", "k x x_prev y y_prev t kx", defaults=(None,))
 
 
 def _require_full_prox(problem: SaddleProblem, algorithm: str) -> None:

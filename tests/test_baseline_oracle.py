@@ -448,7 +448,7 @@ def test_driver_matches_reference_copy(case):
     name, problem = case["name"], case["problem"]
     f2 = LeastSquares(problem.K, case["b"])
 
-    def objective(x):
+    def objective(x, kx=None):  # the library passes its carried K x; this ignores it
         r = problem.K.apply(x) - case["b"]
         return problem.f1.inner.value(x) + 0.5 * float(r @ r)
 

@@ -7,13 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iapd.bench import generate_l1ls, preset_params
+from iapd.bench import generate_l1ls, generate_nnls, preset_params
 from iapd.linalg import LinearMap
-from iapd.problem import ReferencePoint, SaddleProblem, StepParams, compute_reference
+from iapd.problem import (ReferencePoint, SaddleProblem, StepParams, compute_reference,
+                          default_step_params)
 from iapd.proxfuns import (
     L1Norm,
     LeastSquares,
+    NonnegIndicator,
     ShiftedQuadratic,
     SmoothFunction,
     ZeroSmooth,
@@ -429,9 +433,9 @@ def test_gap_stop_evaluates_objective_once_per_iteration(name, gap_instance):
     stop_at = first_new_minimum(gaps, after=30)
     calls = []
 
-    def objective(x):
+    def objective(x, kx=None):
         calls.append(None)
-        return inst.objective(x)
+        return inst.objective(x, kx)
 
     opts = SolverOptions(max_iters=GAP_ITERS, gap_tol=gaps[stop_at - 1], reference=ref)
     rows, _ = run_solver(name, inst, opts, objective)
@@ -487,9 +491,9 @@ def test_elapsed_is_solver_time_only(name, gap_instance):
     """The clock pauses while the objective and the observer run."""
     inst, _ = gap_instance
 
-    def objective(x):
+    def objective(x, kx=None):
         time.sleep(0.005)
-        return inst.objective(x)
+        return inst.objective(x, kx)
 
     def observer(row, state):
         time.sleep(0.005)
@@ -556,3 +560,76 @@ def test_observer_returning_none_or_false_changes_nothing(name, answer, gap_inst
     assert len(rows) == 14  # k = 3, 6, ..., 39 and the last iteration
     assert without_clock(rows) == without_clock(full)
     assert all(same_bytes(a, b) for a, b in zip(got[:2], want[:2])) and got[2] == want[2]
+
+
+# -- the carried product K x ----------------------------------------------------
+
+# ||kx - K x|| <= KX_RTOL * ||K|| * max_j ||x_j||: the carried product is an
+# average of earlier products, so its rounding scales with the largest iterate
+# so far. Measured at most 4e-15 over 600 such random 300-step solves, and
+# ||kx - K x|| / ||K x|| at most 3e-14 over 3000 steps on the two perfbench desk
+# shapes and 600 on l1ls-large, both options.
+KX_RTOL = 1e-12
+
+
+@st.composite
+def carried_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    mat = rng.standard_normal((m, n)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    K = LinearMap(sp.csr_array(mat) if draw(st.booleans()) else mat)
+
+    def smooth(dim):
+        if not draw(st.booleans()):
+            return ZeroSmooth()
+        rows = draw(st.integers(1, 4))
+        return LeastSquares(LinearMap(rng.standard_normal((rows, dim))), rng.standard_normal(rows))
+
+    f1 = draw(st.sampled_from([L1Norm(0.3), NonnegIndicator(), ZeroProx()]))
+    problem = SaddleProblem(f1=f1, f2=smooth(n), g1=ShiftedQuadratic(rng.standard_normal(m)),
+                            g2=smooth(m), K=K)
+    t1 = draw(st.floats(min_value=1.0, max_value=6.0))
+    return problem, default_step_params(problem, t1=t1), draw(st.sampled_from(["option1", "option2"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(carried_cases())
+def test_carried_kx_matches_the_direct_product(case):
+    problem, params, option = case
+    knorm, largest, seen = problem.K.norm(), 0.0, []
+
+    def objective(x, kx):
+        nonlocal largest
+        largest = max(largest, float(np.linalg.norm(x)))
+        seen.append(float(np.linalg.norm(kx - problem.K.apply(x))) / (knorm * largest or 1.0))
+        return 0.0
+
+    solve_iapd(problem, params, SolverOptions(max_iters=300, option=option), objective=objective)
+    assert len(seen) == 300
+    assert max(seen) <= KX_RTOL
+
+    carried = []
+    solve_iapd(problem, params, SolverOptions(max_iters=50, option=option),
+               observer=lambda row, state: carried.append(state.kx))
+    assert carried == [None] * 50
+
+
+@pytest.mark.parametrize("family, seed", [("l1ls", 7), ("l1ls", 101), ("nnls", 11), ("nnls", 101)])
+def test_carried_kx_changes_no_iterate_and_no_stop(family, seed):
+    """At perfbench's tolerance, a stop on the carried K x is a stop on the direct one."""
+    if family == "l1ls":
+        inst, eps = generate_l1ls(200, 400, 0.1, seed), 1e-4
+    else:
+        inst, eps = generate_nnls(400, 200, 0.1, seed), 1e-6
+    problem = inst.problem
+    params = preset_params(family, problem.K.norm())
+    ref = compute_reference(problem, 20000, params=params, objective=inst.objective)
+    tol = eps * max(1.0, abs(ref.objective_value))
+    for option in ("option1", "option2"):
+        opts = SolverOptions(max_iters=2000, option=option, gap_tol=tol, reference=ref)
+        carried, _ = solve_iapd(problem, params, opts, objective=inst.objective)
+        direct, _ = solve_iapd(problem, params, opts, objective=lambda x, kx: inst.objective(x))
+        assert carried.k == direct.k < 2001
+        assert carried.x.tobytes() == direct.x.tobytes()
+        assert carried.y.tobytes() == direct.y.tobytes()
+        assert inst.objective(carried.x) - ref.objective_value <= tol
