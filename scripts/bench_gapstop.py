@@ -1,4 +1,4 @@
-"""Count the products with K and time a gap-stopped ``solve_iapd`` on the three perfbench shapes.
+"""Count the products with K and time gap-stopped solves on the three perfbench shapes.
 
     python scripts/bench_gapstop.py --label NAME [--out BENCH_gapstop.json]
 
@@ -6,13 +6,15 @@ Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
 the output file. Each case is a perfbench shape at seed 101 with the preset
 steps, perfbench's reference effort (20 000 on the desk shapes, 400 on
 l1ls-large), its tolerance (1e-4, 1e-6 and 1e-3 times max(1, |f*|)) and its
-iteration cap. For each case and option the run solves to that tolerance
-with ``objective=inst.objective`` and records the iterations, the products
-with K per iteration (counted on a separate solve, through a stand-in for K
-that counts its calls, so the count costs the timed solves nothing), the
-median and interquartile range of the solve's CPU time over repeated calls,
-and the objective gap at the stop by a direct product. The run is stored
-under ``runs[NAME]`` with an environment block.
+iteration cap. For each case and solver (``solve_iapd`` with either option,
+and ``solve_fista`` and ``solve_tseng`` from x0 = 0 with alpha = 1/||K||^2
+and f2 = ``LeastSquares(K, b)``, as perfbench's FISTA solve) the run solves
+to that tolerance with ``objective=inst.objective`` and records the
+iterations, the products with K per iteration (counted on a separate solve,
+through a stand-in for K that counts its calls, so the count costs the
+timed solves nothing), the median and interquartile range of the solve's
+CPU time over repeated calls, and the objective gap at the stop by a direct
+product. The run is stored under ``runs[NAME]`` with an environment block.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from dataclasses import replace
 
 from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
 
+import numpy as np
 from envinfo import environment
 from iapd import bench
 from iapd.problem import compute_reference
-from iapd.solvers import SolverOptions, solve_iapd
+from iapd.proxfuns import LeastSquares
+from iapd.solvers import SolverOptions, solve_fista, solve_iapd, solve_tseng
 
 # name: (family, instance at seed 101, reference effort, tolerance, cap, timed calls)
 CASES = {
@@ -36,6 +40,10 @@ CASES = {
                     101),
     "l1ls-large": ("l1ls", lambda: bench.generate_l1ls(1000, 2000, 0.1, 101), 400, 1e-3, 1000, 15),
 }
+
+# case key suffix: (solver, option); the option matters to iapd only
+SOLVERS = {"option1": ("iapd", "option1"), "option2": ("iapd", "option2"),
+           "fista": ("fista", "option1"), "tseng": ("tseng", "option1")}
 
 
 class CountedMap:
@@ -56,19 +64,33 @@ class CountedMap:
         return getattr(self.K, name)
 
 
-def measure(inst, params, ref, opts, repeats: int) -> dict:
+def solve(inst, params, opts, solver: str):
+    """Solve ``inst`` to the gap stop with ``solver`` ("iapd", "fista" or "tseng"): (x, iterations).
+
+    iapd runs ``opts.option``; f2 is built on the instance's K, so a
+    counting stand-in for K counts the baselines' products too.
+    """
     problem = inst.problem
-    counted = CountedMap(problem.K)
-    counted_inst = replace(inst, problem=replace(problem, K=counted))
-    state, _ = solve_iapd(counted_inst.problem, params, opts, objective=counted_inst.objective)
-    iterations = state.k - 1
+    if solver == "iapd":
+        state, _ = solve_iapd(problem, params, opts, objective=inst.objective)
+        return state.x, state.k - 1
+    apg = solve_fista if solver == "fista" else solve_tseng
+    x, rows = apg(problem.f1, LeastSquares(problem.K, inst.b), 1.0 / problem.K.norm() ** 2, opts,
+                  x0=np.zeros(problem.primal_dim), objective=inst.objective)
+    return x, rows[-1].k
+
+
+def measure(inst, params, ref, opts, repeats: int, solver: str = "iapd") -> dict:
+    counted = CountedMap(inst.problem.K)
+    x, iterations = solve(replace(inst, problem=replace(inst.problem, K=counted)), params, opts,
+                          solver)
     cpu_times = []
     for _ in range(repeats):
         start = time.process_time()
-        timed, _ = solve_iapd(problem, params, opts, objective=inst.objective)
+        _, timed = solve(inst, params, opts, solver)
         cpu_times.append(time.process_time() - start)
-        if timed.k != state.k:
-            raise RuntimeError(f"{inst.name}: a repeat stopped at k = {timed.k}, not {state.k}")
+        if timed != iterations:
+            raise RuntimeError(f"{inst.name}: a repeat took {timed} iterations, not {iterations}")
     q1, median, q3 = statistics.quantiles(cpu_times, n=4)
     return {
         "iterations": iterations,
@@ -76,7 +98,7 @@ def measure(inst, params, ref, opts, repeats: int) -> dict:
         "solve_calls": repeats,
         "solve_cpu_s_median": median,
         "solve_cpu_s_iqr": q3 - q1,
-        "gap_at_stop": inst.objective(state.x) - ref.objective_value,
+        "gap_at_stop": inst.objective(x) - ref.objective_value,
         "tol": opts.gap_tol,
     }
 
@@ -89,10 +111,10 @@ def main() -> int:
         params = bench.preset_params(family, inst.problem.K.norm())
         ref = compute_reference(inst.problem, effort, params=params, objective=inst.objective)
         tol = eps * max(1.0, abs(ref.objective_value))
-        for option in bench._OPTIONS:
+        for label, (solver, option) in SOLVERS.items():
             opts = SolverOptions(max_iters=cap, option=option, gap_tol=tol, reference=ref)
-            key = f"{name}/{option}"
-            cases[key] = row = measure(inst, params, ref, opts, repeats)
+            key = f"{name}/{label}"
+            cases[key] = row = measure(inst, params, ref, opts, repeats, solver)
             print(f"{key}: {row['iterations']} iterations, "
                   f"{row['products_per_iteration']:.3f} products per iteration, "
                   f"CPU {row['solve_cpu_s_median']:.4f} s (IQR {row['solve_cpu_s_iqr']:.4f} s), "

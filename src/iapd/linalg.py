@@ -261,7 +261,9 @@ def read_matrix_market(path) -> LinearMap:
     and finiteness of what it read are checked on the arrays. Only when
     the parse or a check fails are the lines checked one by one, in file
     order, to name the first faulty line. Parse failures raise
-    :class:`MatrixMarketError` naming the file and the line.
+    :class:`MatrixMarketError` naming the file and the line. Duplicate
+    coordinate entries are summed; a sum that is not finite raises it
+    naming the file only.
     """
 
     def fail(message: str, line: int | None = None) -> MatrixMarketError:
@@ -368,7 +370,10 @@ def read_matrix_market(path) -> LinearMap:
             locate_fault()
         import scipy.sparse as sp
 
-        return LinearMap(sp.coo_array((vv, (ii - 1, jj - 1)), shape=(m, n)))
+        try:
+            return LinearMap(sp.coo_array((vv, (ii - 1, jj - 1)), shape=(m, n)))
+        except ValueError:  # finite entries at one (i, j) add up past the largest double
+            raise fail("duplicate entries sum to a non-finite value") from None
 
     values = parsed.ravel()
     if not np.isfinite(values).all():

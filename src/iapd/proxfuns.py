@@ -139,4 +139,8 @@ class LeastSquares(SmoothFunction):
         return 0.5 * float(r @ r)
 
     def grad(self, x):
-        return self.mapping.apply_adjoint(self.mapping.apply(x) - self.data)
+        return self.grad_from_product(self.mapping.apply(x))
+
+    def grad_from_product(self, kx):
+        """The gradient K^T (kx - data) at an x whose product K x is ``kx``."""
+        return self.mapping.apply_adjoint(kx - self.data)

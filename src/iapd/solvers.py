@@ -4,7 +4,9 @@ Every solver is a stepper (a generator yielding one state per iteration
 with ``k, x, x_prev, y, y_prev, t, kx``) run by the one driver ``_drive``, which
 owns the divergence check, the stride, the gap stop, the clock and the rows.
 The objective is invoked as ``objective(x, kx)``, where ``kx`` is K x when
-the stepper carries it (iapd with an objective) and None otherwise.
+the stepper carries it and None otherwise: iapd carries it whenever it is
+given an objective, FISTA and Tseng when they are given one and their f2 is
+a ``LeastSquares``, whose mapping is then the K of ``kx``.
 The optional observer is invoked as ``observer(row, state)`` and reads
 ``state.x`` and ``state.y`` (None for primal-only methods); it may fill
 the ``objective``, ``gap_ref`` and ``energy`` fields in place before the
@@ -24,7 +26,7 @@ from itertools import count
 import numpy as np
 
 from .problem import ReferencePoint, SaddleProblem, StepParams, validate_params
-from .proxfuns import ProxFunction, SmoothFunction, ZeroSmooth
+from .proxfuns import LeastSquares, ProxFunction, SmoothFunction, ZeroSmooth
 
 __all__ = [
     "DivergenceError",
@@ -332,8 +334,8 @@ def solve_iapd(
 # -- baselines -------------------------------------------------------------
 
 # The state a baseline stepper yields; t is NaN for the primal-dual
-# baselines, y and y_prev are None for the primal-only ones, and no
-# baseline carries K x.
+# baselines, y and y_prev are None for the primal-only ones, and kx is
+# None except for FISTA and Tseng carrying f2.mapping x (see _solve_apg).
 _Iterate = namedtuple("_Iterate", "k x x_prev y y_prev t kx", defaults=(None,))
 
 
@@ -418,26 +420,49 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, option):
     The options differ exactly as iapd's do at K = 0: option1 takes the
     prox step from the extrapolated point, option2 from the auxiliary
     sequence u with step alpha t_{k+1} and averages x with it.
+
+    Given an objective and a ``LeastSquares`` f2 = 0.5 ||A x - b||^2, each
+    iterate carries ``kx`` = A x, where A is ``f2.mapping``, so the
+    objective needs no product of its own; otherwise ``kx`` stays None. The
+    stepper forms the next extrapolated point xbar = (1 + c) x - c x_prev,
+    c = (t - 1) / t_next in [0, 1), before it yields x and takes z = A xbar
+    there, the product the next gradient A^T (z - b) needs anyway; then
+    A x = (z + c A x_prev) / (1 + c). The iterates are bit for bit those
+    without an objective, and a gap-stopped iteration takes two products
+    with A, plus one look-ahead product at the stop.
     """
     if f2.lipschitz <= 0:
         raise ValueError("f2 must have a positive Lipschitz constant")
     if alpha > 1.0 / f2.lipschitz:
         raise ValueError(f"alpha must be <= 1/L = {1.0 / f2.lipschitz:.6g}")
+    carry = objective is not None and isinstance(f2, LeastSquares)
+
+    def look_ahead(xbar):
+        # xbar is non-finite when x is; a dense product then warns before _drive flags x
+        with np.errstate(invalid="ignore"):
+            return f2.mapping.apply(xbar)
 
     def states(x):
         x_prev = u = x
         t, t_next = float(t1), _nesterov_t(t1)
+        xbar = x + ((t - 1.0) / t_next) * (x - x_prev)
+        kx = z = look_ahead(xbar) if carry else None  # xbar = x here
         for k in count(1):
-            xbar = x + ((t - 1.0) / t_next) * (x - x_prev)
+            grad = f2.grad_from_product(z) if carry else f2.grad(xbar)
             if option == "option1":
-                x_new = f1.prox(alpha, xbar - alpha * f2.grad(xbar))
+                x_new = f1.prox(alpha, xbar - alpha * grad)
             else:
                 step = alpha * t_next
-                u = f1.prox(step, u - step * f2.grad(xbar))
+                u = f1.prox(step, u - step * grad)
                 x_new = ((t_next - 1.0) * x + u) / t_next
             x_prev, x = x, x_new
             t, t_next = t_next, _nesterov_t(t_next)
-            yield _Iterate(k, x, x_prev, None, None, t)
+            c = (t - 1.0) / t_next
+            xbar = x + c * (x - x_prev)
+            if carry:
+                z = look_ahead(xbar)
+                kx = (z + c * kx) / (1.0 + c)
+            yield _Iterate(k, x, x_prev, None, None, t, kx)
 
     name = "fista" if option == "option1" else "tseng"
     last, rows = _drive(name, opts, states(np.array(x0, dtype=np.float64)), observer, objective)

@@ -370,6 +370,17 @@ def test_mm_non_finite_value_names_file_and_line(body, line, token, tmp_path):
     assert str(err.value) == f"{path}: expected a finite real number, got {token!r} (line {line})"
 
 
+def test_mm_duplicates_summing_past_the_largest_double_name_the_file(tmp_path):
+    """Duplicate entries are summed; two finite values can sum to infinity."""
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n1 1 2\n"
+                    "1 1 1.7976931348623157e308\n1 1 1.7976931348623157e308\n")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line is None
+    assert str(err.value) == f"{path}: duplicate entries sum to a non-finite value"
+
+
 def test_mm_wrong_entry_count(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n")
@@ -430,9 +441,12 @@ def reference_read(path) -> LinearMap:
             ii.append(i - 1)
             jj.append(j - 1)
             vv.append(real(parts[2], lineno))
-        return LinearMap(sp.coo_array((np.array(vv, dtype=np.float64),
-                                       (np.array(ii, dtype=np.int64),
-                                        np.array(jj, dtype=np.int64))), shape=(m, n)))
+        try:
+            return LinearMap(sp.coo_array((np.array(vv, dtype=np.float64),
+                                           (np.array(ii, dtype=np.int64),
+                                            np.array(jj, dtype=np.int64))), shape=(m, n)))
+        except ValueError:
+            raise fail("duplicate entries sum to a non-finite value") from None
     values = [real(tok, lineno) for lineno, text in data for tok in text.split()]
     if len(values) != m * n:
         raise fail(f"expected {m * n} array values, found {len(values)}", len(lines))
