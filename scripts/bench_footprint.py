@@ -3,20 +3,18 @@
     python scripts/bench_footprint.py --label NAME [--baseline LABEL] [--out BENCH_footprint.json]
 
 Run from anywhere; every case is a new interpreter that imports ``iapd`` from
-the ``src/`` directory of the checkout that holds this script, with one BLAS
-thread. The cases are ``import iapd``, ``iapd bench l1ls --seed 7``, ``iapd
-bench nnls --seed 11`` and the l1ls-large set-up, ``generate_l1ls(1000, 2000,
-0.1, 101)`` followed by ``K.norm()``. They run in turn, REPEATS rounds of all
-four, so that a change in machine load falls on every case alike. For each
-case the run records the median and interquartile range of the wall time
-from spawn to exit, and the median, smallest and largest peak resident set
-(``ru_maxrss`` of that child, from ``os.wait4``). Linux starts a spawned
-child's ``ru_maxrss`` at the peak RSS of its parent, so this process loads
-no numpy until the children are done; its own peak, about 14 MB, stays
-below every case's. With ``--baseline``, each case also gets the relative
-change of both medians against that earlier run of the file. ``runfile``
-sets up the output file; the run is stored under ``runs[NAME]`` with an
-environment block and the git revision.
+the ``src/`` directory of the checkout that holds this script, with this
+process's ``blas_threads()`` (1 unless set). The cases are ``import iapd``,
+``iapd bench l1ls --seed 7``, ``iapd bench nnls --seed 11`` and the
+l1ls-large set-up, ``generate_l1ls(1000, 2000, 0.1, 101)`` followed by
+``K.norm()``. They run in turn, REPEATS rounds of all four, so that a
+change in machine load falls on every case alike. For each case the run
+records the median and interquartile range of the wall time from spawn to
+exit, and the median, smallest and largest peak resident set (``ru_maxrss``
+of that child, from ``os.wait4``). Linux starts a spawned child's
+``ru_maxrss`` at the peak RSS of its parent, so this process loads no numpy
+until the children are done; its own peak, about 14 MB, stays below every
+case's. ``runfile`` records the run.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from runfile import ROOT, THREAD_VARS, open_runs, revision, save_run
+from runfile import ROOT, blas_threads, open_runs, save_run, spread
 
 REPEATS = 7
 # name: interpreter arguments; "{out}" becomes a fresh output directory
@@ -58,11 +56,9 @@ def run_once(args: list[str], env: dict, stderr: Path) -> tuple[float, float]:
 
 
 def summarize(walls: list[float], peaks: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(walls, n=4)
     return {
         "runs": len(walls),
-        "wall_s_median": median,
-        "wall_s_iqr": q3 - q1,
+        **spread("wall_s", walls),
         "peak_rss_mb_median": statistics.median(peaks),
         "peak_rss_mb_min": min(peaks),
         "peak_rss_mb_max": max(peaks),
@@ -70,9 +66,8 @@ def summarize(walls: list[float], peaks: list[float]) -> dict:
 
 
 def main() -> int:
-    args, runs, base = open_runs(__doc__, "BENCH_footprint.json")
-    threads = {var: "1" for var in THREAD_VARS}
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **threads)
+    args, runs, _ = open_runs(__doc__, "BENCH_footprint.json")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **blas_threads())
     samples = {name: ([], []) for name in CASES}
     with tempfile.TemporaryDirectory() as scratch:
         scratch = Path(scratch)
@@ -87,24 +82,11 @@ def main() -> int:
     cases = {}
     for name, (walls, peaks) in samples.items():
         row = cases[name] = {"argv": CASES[name], **summarize(walls, peaks)}
-        if base is not None:
-            for key in ("wall_s_median", "peak_rss_mb_median"):
-                row[f"{key}_change"] = row[key] / base[name][key] - 1.0
         print(f"{name}: {row['wall_s_median']:.3f} s (IQR {row['wall_s_iqr']:.3f} s), "
               f"peak RSS {row['peak_rss_mb_median']:.1f} MB "
               f"({row['peak_rss_mb_min']:.1f}-{row['peak_rss_mb_max']:.1f})")
 
-    # Imported only now: it loads numpy, and Linux starts the ru_maxrss of a
-    # spawned child at the peak RSS of the process that spawned it.
-    from envinfo import environment
-
-    run = {
-        "revision": revision(),
-        "baseline": args.baseline,
-        "environment": environment(threads),
-        "cases": cases,
-    }
-    save_run(args, runs, "scripts/bench_footprint.py", run)
+    save_run(args, runs, "scripts/bench_footprint.py", cases)
     return 0
 
 

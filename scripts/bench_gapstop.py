@@ -1,9 +1,9 @@
 """Count the products with K and time gap-stopped solves on the three perfbench shapes.
 
-    python scripts/bench_gapstop.py --label NAME [--out BENCH_gapstop.json]
+    python scripts/bench_gapstop.py --label NAME [--baseline LABEL] [--out BENCH_gapstop.json]
 
-Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
-the output file. Each case is a perfbench shape at seed 101 with the preset
+Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+records the run. Each case is a perfbench shape at seed 101 with the preset
 steps, perfbench's reference effort (20 000 on the desk shapes, 400 on
 l1ls-large), its tolerance (1e-4, 1e-6 and 1e-3 times max(1, |f*|)) and its
 iteration cap. For each case and solver (``solve_iapd`` with either option,
@@ -14,20 +14,18 @@ iterations, the products with K per iteration (counted on a separate solve,
 through a stand-in for K that counts its calls, so the count costs the
 timed solves nothing), the median and interquartile range of the solve's
 CPU time over repeated calls, and the objective gap at the stop by a direct
-product. The run is stored under ``runs[NAME]`` with an environment block.
+product.
 """
 
 from __future__ import annotations
 
-import statistics
 import sys
 import time
 from dataclasses import replace
 
-from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
+from runfile import open_runs, save_run, spread  # first: sets up the rest
 
 import numpy as np
-from envinfo import environment
 from iapd import bench
 from iapd.problem import compute_reference
 from iapd.proxfuns import LeastSquares
@@ -91,20 +89,18 @@ def measure(inst, params, ref, opts, repeats: int, solver: str = "iapd") -> dict
         cpu_times.append(time.process_time() - start)
         if timed != iterations:
             raise RuntimeError(f"{inst.name}: a repeat took {timed} iterations, not {iterations}")
-    q1, median, q3 = statistics.quantiles(cpu_times, n=4)
     return {
         "iterations": iterations,
         "products_per_iteration": counted.products / iterations,
         "solve_calls": repeats,
-        "solve_cpu_s_median": median,
-        "solve_cpu_s_iqr": q3 - q1,
+        **spread("solve_cpu_s", cpu_times),
         "gap_at_stop": inst.objective(x) - ref.objective_value,
         "tol": opts.gap_tol,
     }
 
 
 def main() -> int:
-    args, runs, _ = open_runs(__doc__, "BENCH_gapstop.json", baseline=False)
+    args, runs, _ = open_runs(__doc__, "BENCH_gapstop.json")
     cases = {}
     for name, (family, generate, effort, eps, cap, repeats) in CASES.items():
         inst = generate()
@@ -119,12 +115,7 @@ def main() -> int:
                   f"{row['products_per_iteration']:.3f} products per iteration, "
                   f"CPU {row['solve_cpu_s_median']:.4f} s (IQR {row['solve_cpu_s_iqr']:.4f} s), "
                   f"gap at stop {row['gap_at_stop']:.3g} (tol {tol:.3g})")
-    run = {
-        "revision": revision(),
-        "environment": environment(blas_threads()),
-        "cases": cases,
-    }
-    save_run(args, runs, "scripts/bench_gapstop.py", run)
+    save_run(args, runs, "scripts/bench_gapstop.py", cases)
     return 0
 
 

@@ -2,35 +2,32 @@
 
     python scripts/bench_mmread.py --label NAME [--baseline LABEL] [--out BENCH_mmread.json]
 
-Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
-the output file. The cases are the nnls-sparse workload's K (400×200,
+Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+records the run. The cases are the nnls-sparse workload's K (400×200,
 density 0.1, seed 101, coordinate) and b (array), a 4000×2000 coordinate
-file at density 0.1 (about 800 000 entries) and a 1000×1000 array file.
-The files are written by ``write_matrix_market`` into a temporary
-directory. For each case the run records the entries read, the median and
-interquartile range of the wall time and of the process's CPU time per
-read (a busy shared machine disturbs CPU time less), entries per second at
-the median wall time, and a SHA-256 digest of the map read. With
+file at density 0.1 (about 800 000 entries) and a 1000×1000 array file. The
+files are written by ``write_matrix_market`` into a temporary directory.
+For each case the run records the entries read, the median and
+interquartile range of the wall time and of the process's CPU time per read
+(a busy shared machine disturbs CPU time less), entries per second at the
+median wall time, and a SHA-256 digest of the map read. With
 ``--baseline``, each case also gets whether the map is bit for bit the
-baseline's and the ratio of the median wall times. The run is stored
-under ``runs[NAME]`` with an environment block.
+baseline's.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
+from runfile import open_runs, save_run, spread  # first: sets up the rest
 
 import numpy as np
 
-from envinfo import environment
 from iapd import bench
 from iapd.linalg import LinearMap, read_matrix_market, write_matrix_market
 
@@ -68,20 +65,17 @@ def measure(path: Path, repeats: int) -> dict:
         mapping = read_matrix_market(path)
         times.append(time.perf_counter() - start)
         cpu_times.append(time.process_time() - cpu_start)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    cpu_q1, cpu_median, cpu_q3 = statistics.quantiles(cpu_times, n=4)
     entries = len(mapping.triples()[2]) if mapping.is_sparse else mapping.rows * mapping.cols
+    wall = spread("read_s", times)
     return {
         "shape": list(mapping.shape),
         "format": "coordinate" if mapping.is_sparse else "array",
         "entries": entries,
         "file_bytes": path.stat().st_size,
         "reads": repeats,
-        "read_s_median": median,
-        "read_s_iqr": q3 - q1,
-        "read_cpu_s_median": cpu_median,
-        "read_cpu_s_iqr": cpu_q3 - cpu_q1,
-        "entries_per_s": entries / median,
+        **wall,
+        **spread("read_cpu_s", cpu_times),
+        "entries_per_s": entries / wall["read_s_median"],
         "map_sha256": digest(mapping),
     }
 
@@ -96,21 +90,13 @@ def main() -> int:
             cases[name] = row = measure(path, repeats)
             if base is not None:
                 row["same_map"] = row["map_sha256"] == base[name]["map_sha256"]
-                row["read_s_median_ratio"] = row["read_s_median"] / base[name]["read_s_median"]
             print(f"{name}: {row['entries']} entries, "
                   f"{row['read_s_median'] * 1e3:.2f} ms (IQR {row['read_s_iqr'] * 1e3:.2f} ms), "
                   f"CPU {row['read_cpu_s_median'] * 1e3:.2f} ms "
                   f"(IQR {row['read_cpu_s_iqr'] * 1e3:.2f} ms), "
                   f"{row['entries_per_s']:.3g} entries/s")
 
-    run = {
-        "revision": revision(),
-        "baseline": args.baseline,
-        "seed": SEED,
-        "environment": environment(blas_threads()),
-        "cases": cases,
-    }
-    save_run(args, runs, "scripts/bench_mmread.py", run)
+    save_run(args, runs, "scripts/bench_mmread.py", cases, seed=SEED)
     return 0
 
 

@@ -1,29 +1,26 @@
 """Time ``LinearMap.norm()`` on the three perfbench workload shapes at seed 101.
 
-    python scripts/bench_norm.py --label NAME [--out BENCH_norm.json]
+    python scripts/bench_norm.py --label NAME [--baseline LABEL] [--out BENCH_norm.json]
 
-Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
-the output file. For each shape the run records the products one
-``norm()`` makes (its ``apply`` and ``apply_adjoint`` calls; one of each is
-one product with K^T K or K K^T), the median and interquartile range of
+Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+records the run. For each shape the run records the products one ``norm()``
+makes (its ``apply`` and ``apply_adjoint`` calls; one of each is one
+product with K^T K or K K^T), the median and interquartile range of
 ``norm()`` over fresh maps, and the relative error of ``norm() /
 NORM_SAFETY`` against the largest singular value from ``np.linalg.svd``.
-The run is stored under ``runs[NAME]`` with an environment block.
 """
 
 from __future__ import annotations
 
 import gc
-import statistics
 import sys
 import time
 
-from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
+from runfile import open_runs, save_run, spread  # first: sets up the rest
 
 import numpy as np
 import scipy.sparse as sp
 
-from envinfo import environment
 from iapd import bench
 from iapd.linalg import NORM_SAFETY, LinearMap
 
@@ -65,15 +62,13 @@ def measure(generate, repeats: int) -> dict:
         start = time.perf_counter()
         estimate = mapping.norm()
         times.append(time.perf_counter() - start)
-    q1, median, q3 = statistics.quantiles(times, n=4)
     sigma = float(np.linalg.svd(dense, compute_uv=False)[0])
     return {
         "shape": list(K.shape),
         "sparse": K.is_sparse,
         **calls_in_norm(fresh()),
         "norm_calls": repeats,
-        "norm_s_median": median,
-        "norm_s_iqr": q3 - q1,
+        **spread("norm_s", times),
         "estimate": estimate,
         "sigma_svd": sigma,
         "rel_error_vs_svd": (estimate / NORM_SAFETY - sigma) / sigma,
@@ -81,15 +76,10 @@ def measure(generate, repeats: int) -> dict:
 
 
 def main() -> int:
-    args, runs, _ = open_runs(__doc__, "BENCH_norm.json", baseline=False)
-    run = {
-        "revision": revision(),
-        "seed": SEED,
-        "environment": environment(blas_threads()),
-        "workloads": {name: measure(gen, repeats) for name, (gen, repeats) in SHAPES.items()},
-    }
-    save_run(args, runs, "scripts/bench_norm.py", run)
-    for name, row in run["workloads"].items():
+    args, runs, _ = open_runs(__doc__, "BENCH_norm.json")
+    cases = {name: measure(gen, repeats) for name, (gen, repeats) in SHAPES.items()}
+    save_run(args, runs, "scripts/bench_norm.py", cases, seed=SEED)
+    for name, row in cases.items():
         print(f"{name}: {row['apply_calls']} Gram products, "
               f"norm {row['norm_s_median'] * 1e3:.2f} ms (IQR {row['norm_s_iqr'] * 1e3:.2f} ms), "
               f"rel. error {row['rel_error_vs_svd']:.1e}")

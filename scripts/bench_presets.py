@@ -1,33 +1,31 @@
 """Count iterations to accuracy over a grid of preset steps, per family and option.
 
-    python scripts/bench_presets.py --label NAME [--out BENCH_presets.json]
+    python scripts/bench_presets.py --label NAME [--baseline LABEL] [--out BENCH_presets.json]
 
-Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
-the output file. A grid row is a pair (t1, alpha ||K||); its steps come
-from ``problem._coupled_steps``, the formula behind ``bench.preset_params``.
-For perfbench's two desk shapes (l1ls 200x400 and nnls 400x200), each row
-and each option, the run counts the iterations ``solve_iapd`` needs to
-bring the objective within perfbench's tolerance of a certified reference
-(1e-4 for l1ls and 1e-6 for nnls, times max(1, |f*|)), capped at
-perfbench's 2000. A row that misses the tolerance on some seed has no
-total.
+Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+records the run. A grid row is a pair (t1, alpha ||K||); its steps come
+from ``problem._coupled_steps``, the formula behind
+``bench.preset_params``. For perfbench's two desk shapes (l1ls 200x400 and
+nnls 400x200), each row and each option, the run counts the iterations
+``solve_iapd`` needs to bring the objective within perfbench's tolerance of
+a certified reference (1e-4 for l1ls and 1e-6 for nnls, times max(1,
+|f*|)), capped at perfbench's 2000. A row that misses the tolerance on some
+seed has no total.
 
 The rows are chosen on the training seeds alone. These are not of the form
 s + 1000 i for s in 7, 11 and 101, the seeds of perfbench's batches. The
 held-out seeds are the 12 instances of perfbench's seed-101 batch; they are
 counted for every row, to check a choice, but never chosen on. For each
 family and option the run stores the row with the fewest training
-iterations next to the row ``bench._PRESETS`` holds, under ``runs[NAME]``
-with an environment block.
+iterations next to the row ``bench._PRESETS`` holds.
 """
 
 from __future__ import annotations
 
 import sys
 
-from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
+from runfile import open_runs, save_run  # first: sets up the rest
 
-from envinfo import environment
 from iapd import bench
 from iapd.problem import _coupled_steps, compute_reference
 from iapd.solvers import SolverOptions, solve_iapd
@@ -86,7 +84,7 @@ def fewest(per_row: dict) -> str | None:
 
 
 def main() -> int:
-    args, runs, _ = open_runs(__doc__, "BENCH_presets.json", baseline=False)
+    args, runs, _ = open_runs(__doc__, "BENCH_presets.json")
     cases = {}
     for family, (eps, generate) in FAMILIES.items():
         training = grid(family, eps, {s: generate(s) for s in TRAINING_SEEDS})
@@ -105,16 +103,8 @@ def main() -> int:
                   f"{held_out[option][best]['total']}); preset {preset} "
                   f"({training[option][preset]['total']}, held out "
                   f"{held_out[option][preset]['total']})")
-    run = {
-        "revision": revision(),
-        "environment": environment(blas_threads()),
-        "rows": [row_key(row) for row in ROWS],
-        "training_seeds": list(TRAINING_SEEDS),
-        "held_out_seeds": list(HELD_OUT_SEEDS),
-        "cap": CAP,
-        "cases": cases,
-    }
-    save_run(args, runs, "scripts/bench_presets.py", run)
+    save_run(args, runs, "scripts/bench_presets.py", cases, rows=[row_key(row) for row in ROWS],
+             training_seeds=list(TRAINING_SEEDS), held_out_seeds=list(HELD_OUT_SEEDS), cap=CAP)
     return 0
 
 

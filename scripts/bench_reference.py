@@ -2,31 +2,28 @@
 
     python scripts/bench_reference.py --label NAME [--baseline LABEL] [--out BENCH_reference.json]
 
-Run from anywhere; ``runfile`` sets up the imports, the BLAS threads and
-the output file. Each case is a perfbench shape with the preset steps and
+Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+records the run. Each case is a perfbench shape with the preset steps and
 the sweep's reference effort (20 000 on the desk shapes, 400 on
 l1ls-large). For each case the run records the iapd iterations behind the
-reference, the median and interquartile range of ``compute_reference``
-over repeated calls, by wall clock and by the process's CPU time (which a
-busy shared machine disturbs less), whether the reference is certified,
-its accuracy and objective, and SHA-256 digests of x* and y*. With ``--baseline``, each case
-also gets the objective's move against that earlier run of the file and
-whether x* and y* are bit for bit the same. The run is stored under
-``runs[NAME]`` with an environment block. A checkout whose ``ReferencePoint`` has no
-``certified`` or ``iterations`` field is recorded as uncertified, after
-the full effort.
+reference, the median and interquartile range of ``compute_reference`` over
+repeated calls, by wall clock and by the process's CPU time (which a busy
+shared machine disturbs less), whether the reference is certified, its
+accuracy and objective, and SHA-256 digests of x* and y*. With
+``--baseline``, each case also gets the objective's move against that
+earlier run of the file and whether x* and y* are bit for bit the same. A
+checkout whose ``ReferencePoint`` has no ``certified`` or ``iterations``
+field is recorded as uncertified, after the full effort.
 """
 
 from __future__ import annotations
 
 import hashlib
-import statistics
 import sys
 import time
 
-from runfile import blas_threads, open_runs, revision, save_run  # first: sets up the rest
+from runfile import open_runs, save_run, spread  # first: sets up the rest
 
-from envinfo import environment
 from iapd import bench
 from iapd.problem import compute_reference
 
@@ -51,17 +48,13 @@ def measure(family: str, inst, effort: int, repeats: int) -> dict:
         ref = compute_reference(problem, effort, params=params, objective=inst.objective)
         times.append(time.perf_counter() - start)
         cpu_times.append(time.process_time() - cpu_start)
-    q1, median, q3 = statistics.quantiles(times, n=4)
-    cpu_q1, cpu_median, cpu_q3 = statistics.quantiles(cpu_times, n=4)
     return {
         "shape": list(problem.K.shape),
         "effort": effort,
         "iterations": getattr(ref, "iterations", effort),
         "reference_calls": repeats,
-        "reference_s_median": median,
-        "reference_s_iqr": q3 - q1,
-        "reference_cpu_s_median": cpu_median,
-        "reference_cpu_s_iqr": cpu_q3 - cpu_q1,
+        **spread("reference_s", times),
+        **spread("reference_cpu_s", cpu_times),
         "certified": getattr(ref, "certified", False),
         "accuracy": ref.accuracy,
         "objective": ref.objective_value,
@@ -95,13 +88,7 @@ def main() -> int:
                   f"{'certified' if row['certified'] else 'uncertified'} "
                   f"accuracy {row['accuracy']:.2e}")
 
-    run = {
-        "revision": revision(),
-        "baseline": args.baseline,
-        "environment": environment(blas_threads()),
-        "cases": cases,
-    }
-    save_run(args, runs, "scripts/bench_reference.py", run)
+    save_run(args, runs, "scripts/bench_reference.py", cases)
     return 0
 
 

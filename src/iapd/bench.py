@@ -375,6 +375,10 @@ def _run_algorithm(
         raise ValueError(f"unknown algorithm {name!r}")
 
     def observer(row: TraceRow, state):
+        # Its own K x, not the one an iapd state carries: the certificate must
+        # not read a product the solver cached (as energy_at says of K (u - x*)),
+        # and the carried product differs in the last bits, which would move
+        # the trace's objective and gap_ref digits.
         fx, kx = problem.f1.value(state.x), problem.K.apply(state.x)
         row.objective = instance._objective(fx, kx)
         if energy_at is not None:

@@ -217,7 +217,8 @@ def default_step_params(problem: SaddleProblem, t1: float = DEFAULT_T1) -> StepP
 # fraction of max(1, |objective|).
 CERTIFIED_GAP_RTOL = 1e-10
 # The reference solve watches its iterate's sign pattern every this many
-# iterations (or on a divisor, so that the 90% checkpoint is a row too).
+# iterations. Its rows may fall on a divisor, so that the 90% checkpoint and
+# the tenths are rows too, but the pattern is compared on the multiples only.
 REFERENCE_ROW_STRIDE = 10
 
 
@@ -347,10 +348,17 @@ def compute_reference(
             kept.append(state)  # No copy: iapd_step never writes its input state.
         if polish is None:
             return False
+        # The pattern is compared and stored on the multiples of the stride
+        # only, so "stable" means 10 iterations apart whatever the row stride.
+        watched = done % REFERENCE_ROW_STRIDE == 0
+        scheduled = done % tenth == 0 or done == effort
+        if not (watched or scheduled):
+            return False
         pattern = np.sign(state.x)
-        stable = previous is not None and np.array_equal(pattern, previous)
-        previous = pattern
-        if not (stable or done % tenth == 0 or done == effort):
+        stable = watched and previous is not None and np.array_equal(pattern, previous)
+        if watched:
+            previous = pattern
+        if not (stable or scheduled):
             return False
         if failed is not None and np.array_equal(pattern, failed):
             return False

@@ -588,6 +588,34 @@ def test_a_failed_sign_pattern_is_not_polished_again(monkeypatch):
     assert len(patterns) == 1 and patterns[0].all()
 
 
+def test_the_stability_window_is_10_iterations_whatever_the_effort(monkeypatch):
+    """At effort 2010 the rows fall on every iteration (a tenth of 201), but the
+    sign pattern must still hold 10 iterations apart: the reference is effort
+    2000's, at the same iteration, with at most the 11 tenth-and-end tries more."""
+    from iapd.bench import generate_l1ls, preset_params
+
+    inst = generate_l1ls(200, 400, 0.1, 101)
+    p = inst.problem
+    params = preset_params("l1ls", p.K.norm())
+    tries = []
+
+    def counted(problem):
+        polish = _support_polish(problem)
+        return lambda x: tries.append(1) or polish(x)
+
+    monkeypatch.setattr(problem_module, "_support_polish", counted)
+    refs = {}
+    for effort in (2000, 2010):
+        tries.clear()
+        refs[effort] = compute_reference(p, effort, params=params, objective=inst.objective), len(tries)
+    (want, want_tries), (got, got_tries) = refs[2000], refs[2010]
+    assert got.certified and got.iterations == want.iterations
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.y_star.tobytes() == want.y_star.tobytes()
+    assert np.float64(got.accuracy).tobytes() == np.float64(want.accuracy).tobytes()
+    assert got_tries <= want_tries + 11
+
+
 def test_large_l1ls_reference_at_effort_400_is_the_plain_iapd_one():
     """Rows fall every 10 iterations, but the sign pattern never holds across two
     rows, so the polish is tried only at the 10 tenths. Each try returns at its

@@ -1,5 +1,6 @@
 """scripts/runfile.py: the runs file and set-up shared by the scripts/bench_*.py timers."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -21,17 +22,41 @@ def runfile(monkeypatch):
     return runfile
 
 
-def test_a_run_is_stored_under_its_label_next_to_the_earlier_runs(runfile, tmp_path):
+def make_tree(root: Path) -> Path:
+    """A checkout in miniature: one module under src/, a timer and the helper under scripts/."""
+    for name, text in (("src/pkg/mod.py", "x = 1\n"), ("scripts/bench_x.py", "# timer\n"),
+                       ("scripts/runfile.py", "# helper\n")):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+@pytest.fixture
+def tree(runfile, tmp_path, monkeypatch):
+    """``runfile.ROOT`` pointed at a miniature checkout, outside any git repository."""
+    monkeypatch.setattr(runfile, "ROOT", make_tree(tmp_path / "tree"))
+    return runfile.ROOT
+
+
+def record(runfile, out: Path, label: str, cases: dict, baseline: str | None = None) -> dict:
+    """Open ``out`` as a timer would, save ``cases`` under ``label`` and return that run."""
+    argv = ["--label", label, "--out", str(out)] + (["--baseline", baseline] if baseline else [])
+    args, runs, _ = runfile.open_runs("Doc.", "unused.json", argv=argv)
+    runfile.save_run(args, runs, "scripts/bench_x.py", cases, seed=5)
+    return json.loads(out.read_text())["runs"][label]
+
+
+def test_a_run_is_stored_under_its_label_next_to_the_earlier_runs(runfile, tree, tmp_path):
     out = tmp_path / "BENCH_x.json"
     for label, value in (("old", 1), ("new", 2)):
         args, runs, base = runfile.open_runs("Doc.", "unused.json",
                                              argv=["--label", label, "--out", str(out)])
         assert base is None
-        runfile.save_run(args, runs, "scripts/bench_x.py", {"cases": {"c": value}})
-    assert json.loads(out.read_text()) == {
-        "script": "scripts/bench_x.py",
-        "runs": {"old": {"cases": {"c": 1}}, "new": {"cases": {"c": 2}}},
-    }
+        runfile.save_run(args, runs, "scripts/bench_x.py", {"c": value})
+    written = json.loads(out.read_text())
+    assert written["script"] == "scripts/bench_x.py"
+    assert list(written["runs"]) == ["old", "new"]
+    assert [run["cases"] for run in written["runs"].values()] == [{"c": 1}, {"c": 2}]
     _, _, base = runfile.open_runs("Doc.", "unused.json",
                                    argv=["--label", "third", "--baseline", "old", "--out", str(out)])
     assert base == {"c": 1}
@@ -52,3 +77,71 @@ def test_importing_the_helper_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", code], cwd=SCRIPTS, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout == "False\n"
+
+
+def test_a_run_records_its_code_baseline_environment_and_fields(runfile, tree, tmp_path):
+    run = record(runfile, tmp_path / "BENCH_x.json", "old", {"c": {}})
+    assert list(run) == ["revision", "source_sha256", "baseline", "environment", "seed", "cases"]
+    assert run["revision"] is None  # the miniature checkout is no git repository
+    assert run["source_sha256"] == runfile.source_sha256("scripts/bench_x.py")
+    assert run["baseline"] is None and run["seed"] == 5
+    assert run["environment"]["thread_env_at_start"] == runfile.blas_threads()
+    assert record(runfile, tmp_path / "BENCH_x.json", "new", {"c": {}}, "old")["baseline"] == "old"
+
+
+def test_the_source_digest_tells_two_trees_apart_by_one_byte(runfile, tmp_path, monkeypatch):
+    digests = []
+    for name in ("a", "b"):
+        monkeypatch.setattr(runfile, "ROOT", make_tree(tmp_path / name))
+        digests.append(runfile.source_sha256("scripts/bench_x.py"))
+    assert digests[0] == digests[1]
+    module = tmp_path / "b" / "src" / "pkg" / "mod.py"
+    module.write_text("x = 2\n")
+    assert runfile.source_sha256("scripts/bench_x.py") != digests[0]
+    # path and bytes, in sorted order
+    sha = hashlib.sha256()
+    for path in ("scripts/bench_x.py", "scripts/runfile.py", "src/pkg/mod.py"):
+        data = (tmp_path / "b" / path).read_bytes()
+        sha.update(f"{path}\0{len(data)}\0".encode() + data)
+    assert runfile.source_sha256("scripts/bench_x.py") == sha.hexdigest()
+
+
+def test_ratios_are_written_only_for_the_medians_both_runs_share(runfile, tree, tmp_path):
+    out = tmp_path / "BENCH_x.json"
+    record(runfile, out, "old", {"c": {"t_median": 2.0, "u_median": 1.0, "n": 4},
+                                 "gone": {"t_median": 1.0}})
+    new = {"c": {"t_median": 3.0, "v_median": 1.0, "n": 8}, "fresh": {"t_median": 1.0}}
+    assert record(runfile, out, "plain", new)["cases"] == new
+    cases = record(runfile, out, "new", new, baseline="old")["cases"]
+    assert cases == {"c": {"t_median": 3.0, "v_median": 1.0, "n": 8, "t_median_ratio": 1.5},
+                     "fresh": {"t_median": 1.0}}
+
+
+def test_spread_names_the_median_and_the_interquartile_range(runfile):
+    assert runfile.spread("t", [1.0, 2.0, 3.0, 4.0, 5.0]) == {"t_median": 3.0, "t_iqr": 3.0}
+
+
+TIMERS = sorted(path.name for path in SCRIPTS.glob("bench_*.py"))
+
+
+@pytest.mark.parametrize("timer", TIMERS)
+def test_every_timer_takes_baseline_and_checks_it_before_measuring(runfile, timer, tmp_path,
+                                                                   monkeypatch, capsys):
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"runs": {"old": {"cases": {}}}}))
+    module = __import__(timer.removesuffix(".py"))
+    monkeypatch.setattr(sys, "argv", [timer, "--label", "new", "--baseline", "nope",
+                                      "--out", str(out)])
+    with pytest.raises(SystemExit) as err:
+        module.main()
+    assert err.value.code == 2
+    assert f"{out} has no run 'nope'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timer", TIMERS)
+def test_every_timer_imports_and_answers_help(timer):
+    """A library rename that breaks a timer's import fails here, not at its next run."""
+    done = subprocess.run([sys.executable, str(SCRIPTS / timer), "--help"], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "--baseline" in done.stdout
