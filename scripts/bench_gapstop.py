@@ -4,17 +4,17 @@
 
 Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
 records the run. Each case is a perfbench shape at seed 101 with the preset
-steps, perfbench's reference effort (20 000 on the desk shapes, 400 on
-l1ls-large), its tolerance (1e-4, 1e-6 and 1e-3 times max(1, |f*|)) and its
-iteration cap. For each case and solver (``solve_iapd`` with either option,
-and ``solve_fista`` and ``solve_tseng`` from x0 = 0 with alpha = 1/||K||^2
-and f2 = ``LeastSquares(K, b)``, as perfbench's FISTA solve) the run solves
-to that tolerance with ``objective=inst.objective`` and records the
-iterations, the products with K per iteration (counted on a separate solve,
-through a stand-in for K that counts its calls, so the count costs the
-timed solves nothing), the median and interquartile range of the solve's
-CPU time over repeated calls, and the objective gap at the stop by a direct
-product.
+steps, a reference on the reference row's steps at perfbench's effort
+(20 000 on the desk shapes, 400 on l1ls-large), its tolerance (1e-4, 1e-6 and
+1e-3 times max(1, |f*|)) and its iteration cap. For each case and solver
+(``solve_iapd`` with either option, and ``solve_fista`` and ``solve_tseng``
+from x0 = 0 with alpha = 1/||K||^2 and f2 = ``LeastSquares(K, b)``, as
+perfbench's FISTA solve) the run solves to that tolerance with
+``objective=inst.objective`` and records the iterations, the products with
+K per iteration (counted on a separate solve, through a stand-in for K that
+counts its calls, so the count costs the timed solves nothing), the median
+and interquartile range of the solve's CPU time over repeated calls, and
+the objective gap at the stop by a direct product.
 """
 
 from __future__ import annotations
@@ -104,8 +104,10 @@ def main() -> int:
     cases = {}
     for name, (family, generate, effort, eps, cap, repeats) in CASES.items():
         inst = generate()
-        params = bench.preset_params(family, inst.problem.K.norm())
-        ref = compute_reference(inst.problem, effort, params=params, objective=inst.objective)
+        knorm = inst.problem.K.norm()
+        params = bench.preset_params(family, knorm)
+        ref = compute_reference(inst.problem, effort, params=bench.reference_params(family, knorm),
+                                objective=inst.objective)
         tol = eps * max(1.0, abs(ref.objective_value))
         for label, (solver, option) in SOLVERS.items():
             opts = SolverOptions(max_iters=cap, option=option, gap_tol=tol, reference=ref)

@@ -10,7 +10,8 @@ nnls 400x200), each row and each option, the run counts the iterations
 ``solve_iapd`` needs to bring the objective within perfbench's tolerance of
 a certified reference (1e-4 for l1ls and 1e-6 for nnls, times max(1,
 |f*|)), capped at perfbench's 2000. A row that misses the tolerance on some
-seed has no total.
+seed has no total. Every reference runs on the family's reference row
+(``bench.reference_params``), as ``run_benchmark``'s does.
 
 The rows are chosen on the training seeds alone. These are not of the form
 s + 1000 i for s in 7, 11 and 101, the seeds of perfbench's batches. The
@@ -18,6 +19,12 @@ held-out seeds are the 12 instances of perfbench's seed-101 batch; they are
 counted for every row, to check a choice, but never chosen on. For each
 family and option the run stores the row with the fewest training
 iterations next to the row ``bench._PRESETS`` holds.
+
+The run also stores a tolerance ladder for l1ls option 1: on each of
+``LADDER_ROWS``, the iterations to 1e-3, 1e-4, 1e-5 and 1e-6 (times
+max(1, |f*|)) on the held-out desk seeds and on the 1000x2000 shape at
+seeds 7 and 101, capped at ``LADDER_CAP``. It shows what a row gains at
+perfbench's tolerances and what it may lose at tighter ones.
 """
 
 from __future__ import annotations
@@ -42,10 +49,33 @@ FAMILIES = {
     "l1ls": (1e-4, lambda s: bench.generate_l1ls(200, 400, 0.1, s)),
     "nnls": (1e-6, lambda s: bench.generate_nnls(400, 200, 0.1, s)),
 }
+# l1ls option 1's rows before and since it left the reference row, and the ladder's cases.
+LADDER_ROWS = ((5.0, 0.49), (10.0, 1.5))
+LADDER_TOLS = (1e-3, 1e-4, 1e-5, 1e-6)
+LADDER_CAP = 20000
+LADDER_CASES = {
+    "l1ls-desk": (lambda s: bench.generate_l1ls(200, 400, 0.1, s), HELD_OUT_SEEDS),
+    "l1ls-large": (lambda s: bench.generate_l1ls(1000, 2000, 0.1, s), (7, 101)),
+}
 
 
 def row_key(row) -> str:
     return "({:g}, {:g})".format(*row)
+
+
+def certified_reference(family: str, inst):
+    """The instance's reference, on the family's reference row; RuntimeError if uncertified."""
+    params = bench.reference_params(family, inst.problem.K.norm())
+    ref = compute_reference(inst.problem, REFERENCE_EFFORT, params, inst.objective)
+    if not ref.certified:
+        raise RuntimeError(f"{inst.name}: the reference did not certify")
+    return ref
+
+
+def add_totals(per_seed: dict) -> None:
+    """Set ``per_seed["total"]``: the sum of its counts, None if one is None."""
+    values = list(per_seed.values())
+    per_seed["total"] = None if None in values else sum(values)
 
 
 def grid(family: str, eps: float, instances: dict, rows=ROWS, cap: int = CAP) -> dict:
@@ -58,10 +88,7 @@ def grid(family: str, eps: float, instances: dict, rows=ROWS, cap: int = CAP) ->
     for seed, inst in instances.items():
         problem = inst.problem
         knorm = problem.K.norm()
-        ref = compute_reference(problem, REFERENCE_EFFORT, bench.preset_params(family, knorm),
-                                inst.objective)
-        if not ref.certified:
-            raise RuntimeError(f"{inst.name}: the reference did not certify")
+        ref = certified_reference(family, inst)
         tol = eps * max(1.0, abs(ref.objective_value))
         for row in rows:
             steps = _coupled_steps(knorm, *row)
@@ -72,8 +99,36 @@ def grid(family: str, eps: float, instances: dict, rows=ROWS, cap: int = CAP) ->
                 counts[option][row_key(row)][str(seed)] = state.k - 1 if reached else None
     for per_row in counts.values():
         for per_seed in per_row.values():
-            values = list(per_seed.values())
-            per_seed["total"] = None if None in values else sum(values)
+            add_totals(per_seed)
+    return counts
+
+
+def ladder(family: str, instances: dict, rows=LADDER_ROWS, tols=LADDER_TOLS,
+           cap: int = LADDER_CAP) -> dict:
+    """Option 1's iterations to each of ``tols`` for each row on ``instances`` (seed: instance).
+
+    Returns {row key: {tol key: {seed: iterations or None, "total": sum or None}}}.
+    One solve per row and instance, stopped at the tightest tolerance, gives
+    every count: its trace has a row at every iteration, whose objective is
+    the value a gap stop tests, so the first row within a tolerance is where
+    a solve stopped at that tolerance would stop.
+    """
+    counts = {row_key(row): {f"{tol:g}": {} for tol in tols} for row in rows}
+    for seed, inst in instances.items():
+        knorm = inst.problem.K.norm()
+        ref = certified_reference(family, inst)
+        scale = max(1.0, abs(ref.objective_value))
+        for row in rows:
+            opts = SolverOptions(max_iters=cap, gap_tol=min(tols) * scale, reference=ref)
+            _, trace = solve_iapd(inst.problem, _coupled_steps(knorm, *row), opts,
+                                  objective=inst.objective)
+            for tol in tols:
+                k = next((r.k for r in trace if r.objective - ref.objective_value <= tol * scale),
+                         None)
+                counts[row_key(row)][f"{tol:g}"][str(seed)] = None if k is None else k - 1
+    for per_tol in counts.values():
+        for per_seed in per_tol.values():
+            add_totals(per_seed)
     return counts
 
 
@@ -103,8 +158,16 @@ def main() -> int:
                   f"{held_out[option][best]['total']}); preset {preset} "
                   f"({training[option][preset]['total']}, held out "
                   f"{held_out[option][preset]['total']})")
+    for name, (generate, seeds) in LADDER_CASES.items():
+        counts = ladder("l1ls", {s: generate(s) for s in seeds})
+        cases[f"l1ls/option1/ladder/{name}"] = counts
+        for key, per_tol in counts.items():
+            print(f"l1ls/option1 ladder {name} {key}: "
+                  + ", ".join(f"{tol}: {c['total']}" for tol, c in per_tol.items()))
     save_run(args, runs, "scripts/bench_presets.py", cases, rows=[row_key(row) for row in ROWS],
-             training_seeds=list(TRAINING_SEEDS), held_out_seeds=list(HELD_OUT_SEEDS), cap=CAP)
+             training_seeds=list(TRAINING_SEEDS), held_out_seeds=list(HELD_OUT_SEEDS), cap=CAP,
+             ladder_rows=[row_key(row) for row in LADDER_ROWS], ladder_tols=list(LADDER_TOLS),
+             ladder_cap=LADDER_CAP)
     return 0
 
 

@@ -3,17 +3,19 @@
     python scripts/bench_reference.py --label NAME [--baseline LABEL] [--out BENCH_reference.json]
 
 Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
-records the run. Each case is a perfbench shape with the preset steps and
-the sweep's reference effort (20 000 on the desk shapes, 400 on
-l1ls-large). For each case the run records the iapd iterations behind the
-reference, the median and interquartile range of ``compute_reference`` over
-repeated calls, by wall clock and by the process's CPU time (which a busy
-shared machine disturbs less), whether the reference is certified, its
-accuracy and objective, and SHA-256 digests of x* and y*. With
-``--baseline``, each case also gets the objective's move against that
-earlier run of the file and whether x* and y* are bit for bit the same. A
-checkout whose ``ReferencePoint`` has no ``certified`` or ``iterations``
-field is recorded as uncertified, after the full effort.
+records the run. Each case is a perfbench shape with the reference row's
+steps (``bench.reference_params``; option 1's presets on a checkout that
+predates that row, where the two were one) and the sweep's reference effort
+(20 000 on the desk shapes, 400 on l1ls-large). For each case the run
+records the iapd iterations behind the reference, the median and
+interquartile range of ``compute_reference`` over repeated calls, by wall
+clock and by the process's CPU time (which a busy shared machine disturbs
+less), whether the reference is certified, its accuracy and objective, and
+SHA-256 digests of x* and y*. With ``--baseline``, each case also gets the
+objective's move against that earlier run of the file and whether x* and y*
+are bit for bit the same. A checkout whose ``ReferencePoint`` has no
+``certified`` or ``iterations`` field is recorded as uncertified, after the
+full effort.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def digest(array) -> str:
 
 def measure(family: str, inst, effort: int, repeats: int) -> dict:
     problem = inst.problem
-    params = bench.preset_params(family, problem.K.norm())
+    steps = getattr(bench, "reference_params", bench.preset_params)
+    params = steps(family, problem.K.norm())
     times, cpu_times = [], []
     for _ in range(repeats):
         start, cpu_start = time.perf_counter(), time.process_time()

@@ -69,8 +69,8 @@ def open_runs(doc: str, out: str, argv=None):
 
     Returns (args, runs, base): ``runs`` is the content of ``--out`` ({} when
     it does not exist) and ``base`` the ``cases`` of the ``--baseline`` run,
-    None without the flag. A ``--baseline`` the file does not hold is a usage
-    error.
+    None without the flag. A ``--baseline`` the file does not hold, or holds
+    without ``cases``, is a usage error.
     """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
@@ -80,9 +80,13 @@ def open_runs(doc: str, out: str, argv=None):
     runs = json.loads(args.out.read_text()) if args.out.exists() else {}
     base = None
     if args.baseline:
-        base = runs.get("runs", {}).get(args.baseline, {}).get("cases")
-        if base is None:
+        run = runs.get("runs", {}).get(args.baseline)
+        if run is None:
             parser.error(f"{args.out} has no run {args.baseline!r}")
+        base = run.get("cases")
+        if base is None:
+            parser.error(f"{args.out} run {args.baseline!r} has no 'cases' key "
+                         f"(its keys: {', '.join(run)})")
     return args, runs, base
 
 

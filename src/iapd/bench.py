@@ -33,6 +33,7 @@ __all__ = [
     "generate_l1ls",
     "generate_nnls",
     "preset_params",
+    "reference_params",
     "run_benchmark",
     "BenchResult",
     "emit_csv",
@@ -166,34 +167,50 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
 
 
 _OPTIONS = ("option1", "option2")
-# Per family and option: (t1, alpha ||K||) of the accelerated solver's preset
-# steps. Each is the grid row of scripts/bench_presets.py with the fewest
-# iterations to accuracy on its training seeds (BENCH_presets.json), except
-# l1ls option 1. It keeps the default steps: the grid's row, (10, 1.5), takes
-# the 1000x2000 seed-101 reference at effort 400 to a support of 991 <= 1000
-# columns, and the polish's dense solve there lifts peak RSS from 54 to 80 MB.
+# Per family, option and reference solve: (t1, alpha ||K||) of the accelerated
+# solver's preset steps. Each option's row is the grid row of
+# scripts/bench_presets.py with the fewest iterations to accuracy on its
+# training seeds (BENCH_presets.json). The reference solve has a row of its own,
+# so that tuning an option does not move the instrument that measures it: the
+# l1ls row is the default steps, on which the 1000x2000 seed-101 reference at
+# effort 400 never tries the polish's dense solve (on (10, 1.5) it does, on
+# 991 <= 1000 columns, and peak RSS rises from 54 to 73 MB).
 _PRESETS = {
-    ("l1ls", "option1"): (DEFAULT_T1, DEFAULT_ALPHA_KNORM),
+    ("l1ls", "option1"): (10.0, 1.5),
     ("l1ls", "option2"): (10.0, 1.5),
+    ("l1ls", "reference"): (DEFAULT_T1, DEFAULT_ALPHA_KNORM),
     ("nnls", "option1"): (1.0, 1.5),
     ("nnls", "option2"): (1.2, 1.5),
+    ("nnls", "reference"): (1.0, 1.5),
 }
 
 
-def preset_params(experiment: str, knorm: float) -> StepParams:
-    """Accelerated-solver presets: the family's rows of ``_PRESETS`` at this ||K||.
+def _preset_steps(experiment: str, knorm: float, row: str) -> StepParams:
+    """The steps of the family's ``row`` of ``_PRESETS`` at this ||K||.
 
-    The result holds option 1's steps, and option 2's as its ``option2``.
     A zero norm, as of a K without a nonzero entry, raises ValueError before
     any step is derived from it, here or by the baselines after it.
     """
     if not knorm > 0:
         raise ValueError(f"||K|| = {knorm:g}: no step size can be derived from a zero "
                          "operator norm")
-    if (experiment, "option1") not in _PRESETS:
+    if (experiment, row) not in _PRESETS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    op1, op2 = (_coupled_steps(knorm, *_PRESETS[experiment, option]) for option in _OPTIONS)
+    return _coupled_steps(knorm, *_PRESETS[experiment, row])
+
+
+def preset_params(experiment: str, knorm: float) -> StepParams:
+    """Accelerated-solver presets: the family's option rows of ``_PRESETS`` at this ||K||.
+
+    The result holds option 1's steps, and option 2's as its ``option2``.
+    """
+    op1, op2 = (_preset_steps(experiment, knorm, option) for option in _OPTIONS)
     return replace(op1, option2=op2)
+
+
+def reference_params(experiment: str, knorm: float) -> StepParams:
+    """The reference solve's steps: the family's ``"reference"`` row of ``_PRESETS``."""
+    return _preset_steps(experiment, knorm, "reference")
 
 
 def _fmt(value: float) -> str:
@@ -284,12 +301,13 @@ def _make_instance(cfg: ExperimentConfig) -> GeneratedInstance:
     return generate_nnls(cfg.m, cfg.n, cfg.density, cfg.seed)
 
 
-def _iapd_params(cfg: ExperimentConfig, knorm: float) -> StepParams:
-    """The presets, with each step the config sets replacing it on both options."""
-    base = preset_params(cfg.experiment, knorm)
+def _step_params(cfg: ExperimentConfig, knorm: float) -> tuple[StepParams, StepParams]:
+    """The presets and the reference's steps, each step the config sets replacing it on all rows."""
+    base, ref = preset_params(cfg.experiment, knorm), reference_params(cfg.experiment, knorm)
     set_steps = {name: getattr(cfg, name) for name in ("alpha", "beta", "t1")
                  if getattr(cfg, name) is not None}
-    return replace(base, **set_steps, option2=replace(base.option2, **set_steps))
+    return (replace(base, **set_steps, option2=replace(base.option2, **set_steps)),
+            replace(ref, **set_steps))
 
 
 def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = None) -> BenchResult:
@@ -307,9 +325,9 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     problem = instance.problem
     knorm = problem.K.norm()
 
-    iapd_params = _iapd_params(cfg, knorm)
+    iapd_params, ref_params = _step_params(cfg, knorm)
     effort = cfg.reference_effort if cfg.reference_effort is not None else 10 * cfg.iters
-    ref = compute_reference(problem, effort, params=iapd_params, objective=instance.objective)
+    ref = compute_reference(problem, effort, params=ref_params, objective=instance.objective)
 
     opts = SolverOptions(max_iters=cfg.iters, observer_stride=cfg.observer_stride)
     results: dict[str, AlgorithmResult] = {}
@@ -325,7 +343,7 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
         results[name] = res
 
     out_dir = Path(cfg.out_dir)
-    _write_run_dir(out_dir, cfg, ref, results, knorm)
+    _write_run_dir(out_dir, cfg, ref, ref_params, results, knorm)
     return BenchResult(status, out_dir, ref, results)
 
 
@@ -409,7 +427,7 @@ def _run_algorithm(
     return res
 
 
-def _write_run_dir(out_dir: Path, cfg, ref, results, knorm) -> None:
+def _write_run_dir(out_dir: Path, cfg, ref, ref_params, results, knorm) -> None:
     """Write each algorithm's CSV, summary.txt lines and run_meta.json entry side by side.
 
     Every algorithm's CSV that an earlier run left is removed first.
@@ -418,12 +436,14 @@ def _write_run_dir(out_dir: Path, cfg, ref, results, knorm) -> None:
     for name in ALGORITHMS:
         (out_dir / f"{name}.csv").unlink(missing_ok=True)
     kind = "certified duality gap" if ref.certified else "checkpoint gap, uncertified"
+    ref_steps = {"alpha": ref_params.alpha, "beta": ref_params.beta, "t1": ref_params.t1}
     lines = [
         f"experiment: {cfg.experiment}  m={cfg.m} n={cfg.n} seed={cfg.seed} iters={cfg.iters}",
         f"norm estimate (safety-factored): {knorm:.12g}",
         f"reference objective: {ref.objective_value:.17g}",
         f"reference accuracy ({kind}): {ref.accuracy:.6g}",
         f"reference iterations: {ref.iterations}",
+        "reference steps: " + " ".join(f"{k}={v!r}" for k, v in ref_steps.items()),
         "",
     ]
     meta = {
@@ -431,7 +451,7 @@ def _write_run_dir(out_dir: Path, cfg, ref, results, knorm) -> None:
         "lambda": cfg.lam, "density": cfg.density, "norm_estimate": knorm,
         "reference_objective": ref.objective_value, "reference_accuracy": ref.accuracy,
         "reference_certified": ref.certified, "reference_iterations": ref.iterations,
-        "algorithms": {},
+        "reference_steps": ref_steps, "algorithms": {},
     }
     for name, res in results.items():
         if res.rows:

@@ -161,7 +161,7 @@ def validate_params(problem: SaddleProblem, params: StepParams) -> None:
 
 # The share of the coupling inequality alpha*beta*||K||^2 < 1 that the derived steps use.
 COUPLING_BUDGET = 0.98
-# (t1, alpha ||K||) of the default steps when f2 and g2 vanish; also the l1ls presets.
+# (t1, alpha ||K||) of the default steps when f2 and g2 vanish; also the l1ls reference row.
 DEFAULT_T1 = 5.0
 DEFAULT_ALPHA_KNORM = 0.49
 
@@ -271,8 +271,10 @@ def _support_polish(problem: SaddleProblem):
         cols = K.columns(support)
         if l1:
             signs = np.sign(x[support])
+            gram, rhs = cols.T @ cols, cols.T @ b - f1.weight * signs
+            del cols  # not resident beside the solve's copy of the Gram matrix
             try:
-                xs = np.linalg.solve(cols.T @ cols, cols.T @ b - f1.weight * signs)
+                xs = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
                 return None
             if not np.array_equal(np.sign(xs), signs):

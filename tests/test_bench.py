@@ -20,6 +20,7 @@ from iapd.bench import (
     generate_nnls,
     preset_params,
     read_csv,
+    reference_params,
     run_benchmark,
 )
 from iapd.linalg import LinearMap
@@ -91,34 +92,42 @@ def test_nnls_rejects_bad_density():
 def test_presets_feasible_on_their_families():
     l1 = generate_l1ls(30, 50, 0.1, seed=2)
     params = preset_params("l1ls", l1.problem.K.norm())
-    assert (params.t1, params.option2.t1) == (5.0, 10.0)
+    assert (params.t1, params.option2.t1) == (10.0, 10.0)
     for option in ("option1", "option2"):
         validate_params(l1.problem, params.for_option(option))
+    assert reference_params("l1ls", l1.problem.K.norm()).t1 == 5.0
+    validate_params(l1.problem, reference_params("l1ls", l1.problem.K.norm()))
     nn = generate_nnls(50, 30, 0.2, seed=2)
     params = preset_params("nnls", nn.problem.K.norm())
     assert (params.t1, params.option2.t1) == (1.0, 1.2)
     for option in ("option1", "option2"):
         validate_params(nn.problem, params.for_option(option))
-    with pytest.raises(ValueError):
-        preset_params("other", 1.0)
+    validate_params(nn.problem, reference_params("nnls", nn.problem.K.norm()))
+    for steps in (preset_params, reference_params):
+        with pytest.raises(ValueError, match="unknown experiment 'other'"):
+            steps("other", 1.0)
+        with pytest.raises(ValueError, match="zero operator norm"):
+            steps("l1ls", 0.0)
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.floats(1e-3, 1e3))
 def test_presets_are_the_split_of_the_coupling_budget_bit_for_bit(knorm):
-    # l1ls option 1 keeps the form it had before problem.py derived it from the family table.
+    # The l1ls reference row keeps the form that l1ls option 1 had before
+    # problem.py derived it from the family table.
     l1, nn = preset_params("l1ls", knorm), preset_params("nnls", knorm)
-    assert (l1.alpha, l1.beta, l1.t1) == (0.98 / (2.0 * knorm), 2.0 / knorm, 5.0)
+    ref = reference_params("l1ls", knorm)
+    assert (ref.alpha, ref.beta, ref.t1) == (0.98 / (2.0 * knorm), 2.0 / knorm, 5.0)
     wide = (1.5 / knorm, (0.98 / 1.5) / knorm)  # alpha ||K|| = 1.5
-    assert l1.option2 == StepParams(*wide, 10.0)
-    assert nn.for_option("option1") == StepParams(*wide, 1.0)
+    assert l1.for_option("option1") == l1.option2 == StepParams(*wide, 10.0)
+    assert nn.for_option("option1") == reference_params("nnls", knorm) == StepParams(*wide, 1.0)
     assert nn.for_option("option2") == StepParams(*wide, 1.2)
 
 
 def test_default_step_params_are_the_l1ls_presets():
+    """They are the l1ls reference row."""
     inst = generate_l1ls(30, 50, 0.1, seed=2)
-    l1 = preset_params("l1ls", inst.problem.K.norm())
-    assert default_step_params(inst.problem) == l1.for_option("option1")
+    assert default_step_params(inst.problem) == reference_params("l1ls", inst.problem.K.norm())
 
 
 def test_for_option_resolves_the_steps_each_option_runs_on():
@@ -340,6 +349,30 @@ def test_run_directory_states_the_reference_kind(effort, certified, tmp_path):
     assert meta["reference_certified"] is certified
     assert meta["reference_iterations"] == ref.iterations
     assert ref.iterations == (220 if certified else 1)  # certified once the support settles
+    steps = reference_params("l1ls", generate_l1ls(20, 30, 0.1, 5).problem.K.norm())
+    want = {"alpha": steps.alpha, "beta": steps.beta, "t1": steps.t1}
+    assert meta["reference_steps"] == want
+    assert summary[5] == "reference steps: " + " ".join(f"{k}={v!r}" for k, v in want.items())
+
+
+def test_the_reference_does_not_move_with_option_1s_row(tmp_path, monkeypatch):
+    """The reference runs on its own row: another option-1 row leaves it bit for bit."""
+    from iapd import bench
+
+    def run(out):
+        cfg = ExperimentConfig(experiment="l1ls", m=20, n=30, seed=5, iters=30,
+                               algorithms=("iapd-op1",), out_dir=out, reference_effort=3000)
+        return run_benchmark(cfg)
+
+    before = run(tmp_path / "a")
+    monkeypatch.setitem(bench._PRESETS, ("l1ls", "option1"), (2.0, 0.98))
+    after = run(tmp_path / "b")
+    assert after.results["iapd-op1"].params["t1"] == 2.0 != before.results["iapd-op1"].params["t1"]
+    want, got = before.reference, after.reference
+    assert got.x_star.tobytes() == want.x_star.tobytes()
+    assert got.y_star.tobytes() == want.y_star.tobytes()
+    assert np.float64(got.objective_value).tobytes() == np.float64(want.objective_value).tobytes()
+    assert got.iterations == want.iterations
 
 
 def test_run_directory_names_the_first_gap_bound_violation(tmp_path, monkeypatch):

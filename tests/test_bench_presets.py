@@ -1,13 +1,18 @@
 """scripts/bench_presets.py: the grid of preset rows, run on one tiny instance."""
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from iapd import bench
 from iapd.bench import generate_l1ls
+from iapd.problem import _coupled_steps
+from iapd.solvers import SolverOptions, solve_iapd
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture
@@ -44,3 +49,29 @@ def test_the_training_seeds_avoid_perfbench_batches(bench_presets):
     assert not any(in_batch(seed, s) for seed in bench_presets.TRAINING_SEEDS
                    for s in (7, 11, 101))
     assert all(in_batch(seed, 101) for seed in bench_presets.HELD_OUT_SEEDS)
+
+
+def test_the_ladder_counts_what_a_solve_stopped_at_each_tolerance_takes(bench_presets):
+    inst = generate_l1ls(20, 30, 0.1, seed=3)
+    tols = (1e-3, 1e-6)
+    counts = bench_presets.ladder("l1ls", {3: inst}, rows=((10.0, 1.5),), tols=tols, cap=5000)
+    ref = bench_presets.certified_reference("l1ls", inst)
+    steps = _coupled_steps(inst.problem.K.norm(), 10.0, 1.5)
+    for tol in tols:
+        gap_tol = tol * max(1.0, abs(ref.objective_value))
+        opts = SolverOptions(max_iters=5000, gap_tol=gap_tol, reference=ref)
+        state, _ = solve_iapd(inst.problem, steps, opts, objective=inst.objective)
+        assert counts["(10, 1.5)"][f"{tol:g}"] == {"3": state.k - 1, "total": state.k - 1}
+    assert counts["(10, 1.5)"]["0.001"]["3"] < counts["(10, 1.5)"]["1e-06"]["3"] < 5000
+
+
+def test_every_preset_row_is_the_newest_grid_runs_choice():
+    """A preset cannot drift from its measurement without a new run of bench_presets.py."""
+    runs = json.loads((ROOT / "BENCH_presets.json").read_text())["runs"]
+    newest = runs[list(runs)[-1]]["cases"]
+    for (family, option), row in bench._PRESETS.items():
+        if option not in bench._OPTIONS:
+            continue
+        case = newest[f"{family}/{option}"]
+        key = "({:g}, {:g})".format(*row)
+        assert case["best_on_training"] == key == case["preset"], (family, option)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from iapd.bench import CSV_HEADER, generate_l1ls, generate_nnls, preset_params
+from iapd.bench import (CSV_HEADER, generate_l1ls, generate_nnls, preset_params,
+                        reference_params)
 from iapd.cli import main
 from iapd.linalg import LinearMap, write_matrix_market
 
@@ -397,8 +398,9 @@ def test_certify_names_a_csv_with_another_header(tmp_path, capsys):
 
 
 def test_infeasible_step_flags_state_the_inequality(tmp_path, capsys):
+    # The reference solve runs first, on its own row, and checks the steps.
     knorm = generate_l1ls(20, 30, 0.1, seed=3).problem.K.norm()
-    beta = preset_params("l1ls", knorm).beta
+    beta = reference_params("l1ls", knorm).beta
     coupling = (r"alpha*beta*||K||^2 < (1-alpha*L_f2)(1-beta*L_g2/t1^2) "
                 f"(got {100.0 * beta * knorm**2:.6g} vs 1)")
     for flags, need in ((["--t1", "0.5"], "t1 >= 1 (got 0.5)"), (["--t1", "inf"], "a finite t1 (got inf)"),
@@ -423,10 +425,12 @@ def test_option2_runs_and_certifies_on_its_own_preset_row(tmp_path, capsys):
     assert run(["bench", "l1ls", "--seed", "7", "--iters", "300", "--algos", "iapd-op1,iapd-op2",
                 "--out", str(out)]) == 0
     meta = json.loads((out / "run_meta.json").read_text())
-    preset = preset_params("l1ls", generate_l1ls(200, 400, 0.1, 7).problem.K.norm())
+    knorm = generate_l1ls(200, 400, 0.1, 7).problem.K.norm()
+    preset = preset_params("l1ls", knorm)
     assert _steps_of(meta, "iapd-op1") == _steps(preset.for_option("option1"))
     assert _steps_of(meta, "iapd-op2") == _steps(preset.for_option("option2"))
-    assert _steps_of(meta, "iapd-op1") != _steps_of(meta, "iapd-op2")
+    assert meta["reference_steps"] == _steps(reference_params("l1ls", knorm))
+    assert meta["reference_steps"] != _steps_of(meta, "iapd-op1")
     for name in ("iapd-op1", "iapd-op2"):
         assert run(["certify", "--csv", str(out / f"{name}.csv"),
                     "--meta", str(out / "run_meta.json")]) == 0
@@ -444,16 +448,21 @@ def test_a_set_step_flag_reaches_both_options(flag, value, tmp_path):
         assert _steps_of(meta, name) == {**_steps(preset.for_option(option)), flag[2:]: value}
 
 
-def test_a_step_flag_infeasible_for_option2_alone_skips_it(tmp_path, capsys):
-    # beta = 1/||K|| meets the coupling inequality at option 1's alpha ||K|| = 0.49, not at 1.5.
+def test_a_step_flag_infeasible_on_both_option_rows_skips_both(tmp_path, capsys):
+    # beta = 1/||K|| meets the coupling inequality at the reference row's
+    # alpha ||K|| = 0.49, not at the 1.5 of both l1ls options: the reference
+    # runs, and both options are skipped.
     knorm = generate_l1ls(20, 30, 0.1, seed=3).problem.K.norm()
     out = tmp_path / "out"
     assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1,iapd-op2",
                 "--beta", repr(1.0 / knorm), "--out", str(out)]) == 3
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("iapd-op1: final objective gap")
-    assert lines[1].startswith("iapd-op2: skipped: invalid step parameters: need alpha*beta")
-    assert not (out / "iapd-op2.csv").exists()
+    for line, name in zip(lines, ("iapd-op1", "iapd-op2")):
+        assert line.startswith(f"{name}: skipped: invalid step parameters: need alpha*beta")
+        assert not (out / f"{name}.csv").exists()
+    meta = json.loads((out / "run_meta.json").read_text())
+    assert meta["reference_steps"] == {**_steps(reference_params("l1ls", knorm)),
+                                       "beta": 1.0 / knorm}
 
 
 GOOD_ROW = "iapd-op1,{k},5,110.5,0.25,0.5,0.125,2,0.001"

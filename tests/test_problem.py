@@ -542,15 +542,18 @@ def tenths_reference(problem, effort, params, objective):
 @pytest.mark.parametrize("family, seed, iterations", [
     ("l1ls", 101, 910), ("l1ls", 7, 2060), ("nnls", 101, 30), ("nnls", 11, 90)])
 def test_default_benches_get_a_certified_reference(family, seed, iterations):
-    """The polish certifies as soon as the support settles, on the tenths' point bit for bit."""
-    from iapd.bench import generate_l1ls, generate_nnls, preset_params
+    """The polish certifies as soon as the support settles, on the tenths' point bit for bit.
+
+    The steps are the family's reference row, as ``run_benchmark``'s.
+    """
+    from iapd.bench import generate_l1ls, generate_nnls, reference_params
 
     if family == "l1ls":
         inst = generate_l1ls(200, 400, 0.1, seed)
     else:
         inst = generate_nnls(400, 200, 0.1, seed)
     p = inst.problem
-    params = preset_params(family, p.K.norm())
+    params = reference_params(family, p.K.norm())
     ref = compute_reference(p, 20000, params=params, objective=inst.objective)
     assert ref.certified and ref.iterations == iterations
     assert ref.accuracy <= 1e-9
@@ -592,11 +595,11 @@ def test_the_stability_window_is_10_iterations_whatever_the_effort(monkeypatch):
     """At effort 2010 the rows fall on every iteration (a tenth of 201), but the
     sign pattern must still hold 10 iterations apart: the reference is effort
     2000's, at the same iteration, with at most the 11 tenth-and-end tries more."""
-    from iapd.bench import generate_l1ls, preset_params
+    from iapd.bench import generate_l1ls, reference_params
 
     inst = generate_l1ls(200, 400, 0.1, 101)
     p = inst.problem
-    params = preset_params("l1ls", p.K.norm())
+    params = reference_params("l1ls", p.K.norm())
     tries = []
 
     def counted(problem):
@@ -620,11 +623,12 @@ def test_large_l1ls_reference_at_effort_400_is_the_plain_iapd_one():
     """Rows fall every 10 iterations, but the sign pattern never holds across two
     rows, so the polish is tried only at the 10 tenths. Each try returns at its
     ``support.size <= K.rows`` test, since the support has more than 1000
-    columns, before any dense work, so the reference is the plain iapd one."""
-    from iapd.bench import generate_l1ls, preset_params
+    columns, before any dense work, so the reference is the plain iapd one. The
+    steps are the l1ls reference row, as ``run_benchmark``'s."""
+    from iapd.bench import generate_l1ls, reference_params
 
     inst = generate_l1ls(1000, 2000, 0.1, 101)
     p = inst.problem
-    params = preset_params("l1ls", p.K.norm())
+    params = reference_params("l1ls", p.K.norm())
     got = compute_reference(p, 400, params=params, objective=inst.objective)
     assert_same_reference(got, oracle_compute_reference(p, 400, params, inst.objective))

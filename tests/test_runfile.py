@@ -72,6 +72,18 @@ def test_an_unknown_baseline_is_a_usage_error(runfile, tmp_path, capsys):
     assert f"{out} has no run 'nope'" in capsys.readouterr().err
 
 
+def test_a_baseline_without_cases_names_the_missing_key(runfile, tmp_path, capsys):
+    # The earliest BENCH_norm.json runs keep their shapes under "workloads".
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"runs": {"old": {"revision": "abc", "workloads": {}}}}))
+    with pytest.raises(SystemExit) as err:
+        runfile.open_runs("Doc.", "unused.json",
+                          argv=["--label", "new", "--baseline", "old", "--out", str(out)])
+    assert err.value.code == 2
+    assert (f"{out} run 'old' has no 'cases' key (its keys: revision, workloads)"
+            in capsys.readouterr().err)
+
+
 def test_importing_the_helper_loads_no_numpy():
     code = "import sys, runfile; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], cwd=SCRIPTS, capture_output=True,
