@@ -18,7 +18,7 @@ s + 1000 i for s in 7, 11 and 101, the seeds of perfbench's batches. The
 held-out seeds are the 12 instances of perfbench's seed-101 batch; they are
 counted for every row, to check a choice, but never chosen on. For each
 family and option the run stores the row with the fewest training
-iterations next to the row ``bench._PRESETS`` holds.
+iterations next to the family's row in ``bench._FAMILIES``.
 
 The run also stores a tolerance ladder for l1ls option 1: on each of
 ``LADDER_ROWS``, the iterations to 1e-3, 1e-4, 1e-5 and 1e-6 (times
@@ -145,7 +145,7 @@ def main() -> int:
         training = grid(family, eps, {s: generate(s) for s in TRAINING_SEEDS})
         held_out = grid(family, eps, {s: generate(s) for s in HELD_OUT_SEEDS})
         for option in bench._OPTIONS:
-            best, preset = fewest(training[option]), row_key(bench._PRESETS[family, option])
+            best, preset = fewest(training[option]), row_key(bench._FAMILIES[family].presets[option])
             cases[f"{family}/{option}"] = {
                 "tol": eps,
                 "best_on_training": best,

@@ -1,9 +1,9 @@
 """Set-up and run record shared by the ``scripts/bench_*.py`` timing scripts.
 
 Importing this module defaults the BLAS thread variables to 1 and puts the
-checkout's ``src/`` and ``perfbench/`` directories first on ``sys.path``. It
-loads no numpy: ``bench_footprint`` sizes fresh children by ``ru_maxrss``,
-which Linux starts at the peak RSS of their parent.
+checkout's ``src/`` directory first on ``sys.path``. It loads no numpy:
+``bench_footprint`` sizes fresh children by ``ru_maxrss``, which Linux starts
+at the peak RSS of their parent.
 
 Every run is stored under ``runs[NAME]`` of its output file with its git
 ``revision``, a ``source_sha256`` of the code it ran, its ``baseline`` label,
@@ -13,6 +13,7 @@ the ``environment``, the script's own fields and its ``cases``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -25,7 +26,8 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")  # before numpy loads BLAS
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+ENVINFO = ROOT / "perfbench" / "envinfo.py"
+sys.path.insert(0, str(ROOT / "src"))
 
 
 def blas_threads() -> dict:
@@ -97,9 +99,12 @@ def save_run(args, runs: dict, script: str, cases: dict, **fields) -> None:
     script's own settings. Against ``--baseline``, each ``*_median`` key of a
     case that the baseline's case also has gets a ``<key>_ratio``.
     """
-    # Imported only now: it loads numpy, and Linux starts the ru_maxrss of a
-    # spawned child at the peak RSS of the process that spawned it.
-    from envinfo import environment
+    # Loaded only now, and from its file rather than from sys.path: it loads
+    # numpy, and Linux starts the ru_maxrss of a spawned child at the peak RSS
+    # of the process that spawned it.
+    spec = importlib.util.spec_from_file_location("envinfo", ENVINFO)
+    envinfo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(envinfo)
 
     if args.baseline:
         base = runs["runs"][args.baseline]["cases"]
@@ -112,7 +117,7 @@ def save_run(args, runs: dict, script: str, cases: dict, **fields) -> None:
         "revision": revision(),
         "source_sha256": source_sha256(script),
         "baseline": args.baseline,
-        "environment": environment(blas_threads()),
+        "environment": envinfo.environment(blas_threads()),
         **fields,
         "cases": cases,
     }

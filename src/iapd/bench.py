@@ -1,10 +1,10 @@
 """Benchmark harness: seeded instance generators, solver sweeps, CSV emission.
 
 Instances are the l1-regularized least-squares family ("l1ls") and the
-nonnegative least-squares family ("nnls"), both posed in saddle form with
-a strongly convex dual quadratic. Randomness comes from numpy's seeded
-PCG64 generator, so identical configurations give bit-identical instances
-and traces (timing columns excepted).
+nonnegative least-squares family ("nnls") of ``_FAMILIES``, both posed in
+saddle form with a strongly convex dual quadratic. Randomness comes from
+numpy's seeded PCG64 generator, so identical configurations give
+bit-identical instances and traces (timing columns excepted).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from operator import attrgetter
@@ -23,7 +24,8 @@ from . import diagnostics, solvers
 from .linalg import LinearMap
 from .problem import (DEFAULT_ALPHA_KNORM, DEFAULT_T1, ReferencePoint, SaddleProblem, StepParams,
                       _coupled_steps, _reference_gap, compute_reference)
-from .proxfuns import L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic, ZeroSmooth
+from .proxfuns import (L1Norm, LeastSquares, NonnegIndicator, ProxFunction, ShiftedQuadratic,
+                       ZeroSmooth)
 from .solvers import SolverOptions, TraceRow
 
 __all__ = [
@@ -50,7 +52,7 @@ _float_cells = attrgetter(*_COLUMNS[2:])  # every column after algorithm and k
 
 @dataclass
 class ExperimentConfig:
-    experiment: str  # "l1ls" or "nnls"
+    experiment: str  # a key of _FAMILIES
     m: int
     n: int
     seed: int
@@ -66,7 +68,7 @@ class ExperimentConfig:
     reference_effort: int | None = None  # default 10x iters
 
     def __post_init__(self):
-        if self.experiment not in ("l1ls", "nnls"):
+        if self.experiment not in _FAMILIES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be >= 1")
@@ -85,7 +87,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {name!r}; choose from {','.join(ALGORITHMS)}")
             if name in self.algorithms[:i]:
                 raise ValueError(f"algorithm {name!r} is listed more than once")
-        if self.experiment == "nnls" and not 0 < self.density <= 1:
+        if not 0 < self.density <= 1:
             raise ValueError("density must lie in (0, 1]")
         if not math.isfinite(self.lam):
             raise ValueError("lambda must be finite")
@@ -97,7 +99,7 @@ class ExperimentConfig:
 class GeneratedInstance:
     problem: SaddleProblem
     b: np.ndarray = field(repr=False)
-    planted: np.ndarray = field(repr=False)
+    planted: np.ndarray | None = field(default=None, repr=False)
     name: str = ""
 
     def objective(self, x: np.ndarray, kx: np.ndarray | None = None) -> float:
@@ -115,12 +117,8 @@ class GeneratedInstance:
         return fx + 0.5 * float(r @ r)
 
 
-def _saddle_form(experiment: str, K: LinearMap, b: np.ndarray, lam: float = 0.0) -> SaddleProblem:
-    """The saddle form of min_x f1(x) + 0.5 ||Kx - b||^2: g1(y) = 0.5 ||y + b||^2, f2 = g2 = 0.
-
-    f1 is lam ||x||_1 for l1ls and the indicator of x >= 0 for nnls.
-    """
-    f1 = L1Norm(lam) if experiment == "l1ls" else NonnegIndicator()
+def _saddle_form(f1: ProxFunction, K: LinearMap, b: np.ndarray) -> SaddleProblem:
+    """The saddle form of min_x f1(x) + 0.5 ||Kx - b||^2: g1(y) = 0.5 ||y + b||^2, f2 = g2 = 0."""
     return SaddleProblem(f1=f1, f2=ZeroSmooth(), g1=ShiftedQuadratic(b), g2=ZeroSmooth(), K=K)
 
 
@@ -140,7 +138,7 @@ def generate_l1ls(m: int, n: int, lam: float, seed: int) -> GeneratedInstance:
     noise = rng.normal(0.0, math.sqrt(0.1), size=m)
     b = K @ planted + noise
     K.flags.writeable = False  # hand K over: LinearMap keeps it without a copy
-    problem = _saddle_form("l1ls", LinearMap(K), b, lam)
+    problem = _saddle_form(L1Norm(lam), LinearMap(K), b)
     return GeneratedInstance(problem, b, planted, name=f"l1ls-m{m}-n{n}-seed{seed}")
 
 
@@ -162,31 +160,41 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
     support = rng.choice(n, size=round(0.05 * n), replace=False)
     planted[support] = rng.uniform(0.0, 100.0, size=support.size)
     b = K.apply(planted)
-    problem = _saddle_form("nnls", K, b)
+    problem = _saddle_form(NonnegIndicator(), K, b)
     return GeneratedInstance(problem, b, planted, name=f"nnls-m{m}-n{n}-s{density}-seed{seed}")
 
 
+@dataclass(frozen=True)
+class _Family:
+    """What sets a family of min_x f1(x) + 0.5 ||Kx - b||^2 apart: one row of ``_FAMILIES``."""
+
+    f1: Callable[[float], ProxFunction]  # lambda -> f1, for ``iapd solve``
+    generate: Callable[[ExperimentConfig], GeneratedInstance]  # by name: a patch of it applies
+    shape: tuple[int, int]  # the default (m, n) of ``iapd bench``
+    presets: dict[str, tuple[float, float]]  # "option1", "option2", "reference" -> row
+
+
 _OPTIONS = ("option1", "option2")
-# Per family, option and reference solve: (t1, alpha ||K||) of the accelerated
-# solver's preset steps. Each option's row is the grid row of
+# The first family is ``iapd solve``'s default. A preset row is (t1, alpha ||K||)
+# of the accelerated solver's steps. Each option's row is the grid row of
 # scripts/bench_presets.py with the fewest iterations to accuracy on its
 # training seeds (BENCH_presets.json). The reference solve has a row of its own,
 # so that tuning an option does not move the instrument that measures it: the
 # l1ls row is the default steps, on which the 1000x2000 seed-101 reference at
 # effort 400 never tries the polish's dense solve (on (10, 1.5) it does, on
 # 991 <= 1000 columns, and peak RSS rises from 54 to 73 MB).
-_PRESETS = {
-    ("l1ls", "option1"): (10.0, 1.5),
-    ("l1ls", "option2"): (10.0, 1.5),
-    ("l1ls", "reference"): (DEFAULT_T1, DEFAULT_ALPHA_KNORM),
-    ("nnls", "option1"): (1.0, 1.5),
-    ("nnls", "option2"): (1.2, 1.5),
-    ("nnls", "reference"): (1.0, 1.5),
+_FAMILIES = {
+    "l1ls": _Family(L1Norm, lambda cfg: generate_l1ls(cfg.m, cfg.n, cfg.lam, cfg.seed), (200, 400),
+                    {"option1": (10.0, 1.5), "option2": (10.0, 1.5),
+                     "reference": (DEFAULT_T1, DEFAULT_ALPHA_KNORM)}),
+    "nnls": _Family(lambda lam: NonnegIndicator(),
+                    lambda cfg: generate_nnls(cfg.m, cfg.n, cfg.density, cfg.seed), (400, 200),
+                    {"option1": (1.0, 1.5), "option2": (1.2, 1.5), "reference": (1.0, 1.5)}),
 }
 
 
 def _preset_steps(experiment: str, knorm: float, row: str) -> StepParams:
-    """The steps of the family's ``row`` of ``_PRESETS`` at this ||K||.
+    """The steps of the family's ``row`` of presets at this ||K||.
 
     A zero norm, as of a K without a nonzero entry, raises ValueError before
     any step is derived from it, here or by the baselines after it.
@@ -194,13 +202,13 @@ def _preset_steps(experiment: str, knorm: float, row: str) -> StepParams:
     if not knorm > 0:
         raise ValueError(f"||K|| = {knorm:g}: no step size can be derived from a zero "
                          "operator norm")
-    if (experiment, row) not in _PRESETS:
+    if experiment not in _FAMILIES:
         raise ValueError(f"unknown experiment {experiment!r}")
-    return _coupled_steps(knorm, *_PRESETS[experiment, row])
+    return _coupled_steps(knorm, *_FAMILIES[experiment].presets[row])
 
 
 def preset_params(experiment: str, knorm: float) -> StepParams:
-    """Accelerated-solver presets: the family's option rows of ``_PRESETS`` at this ||K||.
+    """Accelerated-solver presets: the family's option rows of presets at this ||K||.
 
     The result holds option 1's steps, and option 2's as its ``option2``.
     """
@@ -209,7 +217,7 @@ def preset_params(experiment: str, knorm: float) -> StepParams:
 
 
 def reference_params(experiment: str, knorm: float) -> StepParams:
-    """The reference solve's steps: the family's ``"reference"`` row of ``_PRESETS``."""
+    """The reference solve's steps: the family's ``"reference"`` row of presets."""
     return _preset_steps(experiment, knorm, "reference")
 
 
@@ -295,12 +303,6 @@ class BenchResult:
     results: dict[str, AlgorithmResult]
 
 
-def _make_instance(cfg: ExperimentConfig) -> GeneratedInstance:
-    if cfg.experiment == "l1ls":
-        return generate_l1ls(cfg.m, cfg.n, cfg.lam, cfg.seed)
-    return generate_nnls(cfg.m, cfg.n, cfg.density, cfg.seed)
-
-
 def _step_params(cfg: ExperimentConfig, knorm: float) -> tuple[StepParams, StepParams]:
     """The presets and the reference's steps, each step the config sets replacing it on all rows."""
     base, ref = preset_params(cfg.experiment, knorm), reference_params(cfg.experiment, knorm)
@@ -321,7 +323,7 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     selected algorithm was skipped or diverged.
     """
     if instance is None:
-        instance = _make_instance(cfg)
+        instance = _FAMILIES[cfg.experiment].generate(cfg)
     problem = instance.problem
     knorm = problem.K.norm()
 

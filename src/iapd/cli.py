@@ -48,23 +48,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Saddle-point solver benchmarks and convergence certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = list(bench._FAMILIES)
 
     p_bench = sub.add_parser("bench", help="run a synthetic benchmark sweep")
-    p_bench.add_argument("experiment", choices=["l1ls", "nnls"])
-    p_bench.add_argument("--m", type=int, default=None, help="rows (default 200 l1ls, 400 nnls)")
-    p_bench.add_argument("--n", type=int, default=None, help="cols (default 400 l1ls, 200 nnls)")
+    p_bench.set_defaults(run=_cmd_bench)
+    p_bench.add_argument("experiment", choices=families)
+    for flag, axis, what in (("--m", 0, "rows"), ("--n", 1, "cols")):
+        shapes = ", ".join(f"{f.shape[axis]} {name}" for name, f in bench._FAMILIES.items())
+        p_bench.add_argument(flag, type=int, default=None, help=f"{what} (default {shapes})")
     p_bench.add_argument("--lambda", dest="lam", type=float, default=0.1, help="l1 weight (l1ls)")
     p_bench.add_argument("--density", type=float, default=0.1, help="sparsity density (nnls)")
     _add_common_flags(p_bench)
 
     p_solve = sub.add_parser("solve", help="solve a user instance from Matrix Market files")
+    p_solve.set_defaults(run=_cmd_solve)
     p_solve.add_argument("--matrix", required=True, help="Matrix Market file for K")
     p_solve.add_argument("--rhs", required=True, help="Matrix Market file for b (m-by-1)")
-    p_solve.add_argument("--problem", choices=["l1ls", "nnls"], default="l1ls")
+    p_solve.add_argument("--problem", choices=families, default=families[0])
     p_solve.add_argument("--lambda", dest="lam", type=float, default=0.1)
     _add_common_flags(p_solve)
 
     p_cert = sub.add_parser("certify", help="re-check certificates from a trace CSV")
+    p_cert.set_defaults(run=_cmd_certify)
     p_cert.add_argument("--csv", required=True, help="per-algorithm trace CSV")
     p_cert.add_argument("--meta", required=True, help="run_meta.json from the same run")
     p_cert.add_argument("--tol", type=float, default=1e-6,
@@ -72,22 +77,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(result: bench.BenchResult) -> None:
+def _run(cfg: ExperimentConfig, instance: GeneratedInstance | None = None) -> int:
+    """Run the sweep, print each algorithm's outcome and return the run's exit status."""
+    result = bench.run_benchmark(cfg, instance)
     for name, res in result.results.items():
         if res.skipped:
             print(f"{name}: skipped: {res.skipped}")
         else:
             print(f"{name}: final objective gap {res.final_gap:.6g} ({len(res.rows)} rows)")
     print(f"outputs in {result.out_dir}")
+    return result.status
 
 
 def _cmd_bench(parser, args) -> int:
-    m = args.m if args.m is not None else (200 if args.experiment == "l1ls" else 400)
-    n = args.n if args.n is not None else (400 if args.experiment == "l1ls" else 200)
-    cfg = _config(parser, args, experiment=args.experiment, m=m, n=n, density=args.density)
-    result = bench.run_benchmark(cfg)
-    _report(result)
-    return result.status
+    m, n = bench._FAMILIES[args.experiment].shape
+    m, n = (m if args.m is None else args.m), (n if args.n is None else args.n)
+    return _run(_config(parser, args, experiment=args.experiment, m=m, n=n, density=args.density))
 
 
 def _cmd_solve(parser, args) -> int:
@@ -105,11 +110,8 @@ def _cmd_solve(parser, args) -> int:
               file=sys.stderr)
         return 1
 
-    problem = bench._saddle_form(args.problem, K, b, args.lam)
-    instance = GeneratedInstance(problem, b, planted=b * 0.0, name=f"user-{args.problem}")
-    result = bench.run_benchmark(cfg, instance=instance)
-    _report(result)
-    return result.status
+    problem = bench._saddle_form(bench._FAMILIES[args.problem].f1(args.lam), K, b)
+    return _run(cfg, GeneratedInstance(problem, b, name=f"user-{args.problem}"))
 
 
 def _meta_number(obj: dict, key: str, where: str):
@@ -160,16 +162,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "bench":
-            return _cmd_bench(parser, args)
-        if args.command == "solve":
-            return _cmd_solve(parser, args)
-        if args.command == "certify":
-            return _cmd_certify(parser, args)
+        return args.run(parser, args)
     except (MatrixMarketError, OSError, ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

@@ -365,7 +365,7 @@ def test_the_reference_does_not_move_with_option_1s_row(tmp_path, monkeypatch):
         return run_benchmark(cfg)
 
     before = run(tmp_path / "a")
-    monkeypatch.setitem(bench._PRESETS, ("l1ls", "option1"), (2.0, 0.98))
+    monkeypatch.setitem(bench._FAMILIES["l1ls"].presets, "option1", (2.0, 0.98))
     after = run(tmp_path / "b")
     assert after.results["iapd-op1"].params["t1"] == 2.0 != before.results["iapd-op1"].params["t1"]
     want, got = before.reference, after.reference

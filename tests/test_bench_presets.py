@@ -1,5 +1,6 @@
 """scripts/bench_presets.py: the grid of preset rows, run on one tiny instance."""
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -69,9 +70,7 @@ def test_every_preset_row_is_the_newest_grid_runs_choice():
     """A preset cannot drift from its measurement without a new run of bench_presets.py."""
     runs = json.loads((ROOT / "BENCH_presets.json").read_text())["runs"]
     newest = runs[list(runs)[-1]]["cases"]
-    for (family, option), row in bench._PRESETS.items():
-        if option not in bench._OPTIONS:
-            continue
+    for family, option in itertools.product(bench._FAMILIES, bench._OPTIONS):
         case = newest[f"{family}/{option}"]
-        key = "({:g}, {:g})".format(*row)
+        key = "({:g}, {:g})".format(*bench._FAMILIES[family].presets[option])
         assert case["best_on_training"] == key == case["preset"], (family, option)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from iapd.bench import (CSV_HEADER, generate_l1ls, generate_nnls, preset_params,
-                        reference_params)
+from iapd import bench
+from iapd.bench import (ALGORITHMS, CSV_HEADER, ExperimentConfig, generate_l1ls, generate_nnls,
+                        preset_params, reference_params)
 from iapd.cli import main
 from iapd.linalg import LinearMap, write_matrix_market
 
@@ -44,6 +45,7 @@ def test_repeated_algorithm_is_usage_error(tmp_path, capsys):
     (["l1ls", "--lambda", "-1"], "lambda must be nonnegative"),
     (["l1ls", "--lambda", "nan"], "lambda must be finite"),
     (["l1ls", "--lambda", "inf"], "lambda must be finite"),
+    (["l1ls", "--density", "2"], "density must lie in (0, 1]"),
 ])
 def test_rejected_flag_value_is_usage_error(flags, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -167,6 +169,27 @@ def test_solve_reads_crlf_files_with_comments_as_the_plain_ones(tmp_path):
                            str(tmp_path / "out-crlf")], capture_output=True, text=True,
                           timeout=60)
     assert (done.returncode, done.stdout) == (0, "same outputs\n")
+
+
+@pytest.mark.parametrize("family", list(bench._FAMILIES))
+def test_solve_on_a_generated_instance_writes_the_traces_of_bench(family, tmp_path):
+    """The family's generator and ``iapd solve --problem`` build the same saddle form:
+    on the generator's K and b, written as Matrix Market files, every trace CSV
+    equals the bench run's, apart from the solver clock."""
+    shape, common = ["--m", "40", "--n", "30"], ["--seed", "4", "--iters", "80"]
+    cfg = ExperimentConfig(experiment=family, m=40, n=30, seed=4, iters=80, density=0.3)
+    inst = bench._FAMILIES[family].generate(cfg)
+    write_matrix_market(inst.problem.K, tmp_path / "K.mtx")
+    write_matrix_market(LinearMap(inst.b[:, None]), tmp_path / "b.mtx")
+    assert run(["bench", family, *shape, "--density", "0.3", *common,
+                "--out", str(tmp_path / "bench")]) == 0
+    assert run(["solve", "--problem", family, "--matrix", str(tmp_path / "K.mtx"),
+                "--rhs", str(tmp_path / "b.mtx"), *common, "--out", str(tmp_path / "solve")]) == 0
+    done = subprocess.run([sys.executable, str(SAME_OUTPUTS), str(tmp_path / "bench"),
+                           str(tmp_path / "solve")], capture_output=True, text=True, timeout=60)
+    assert sorted(p.name for p in (tmp_path / "solve").glob("*.csv")) == sorted(
+        f"{name}.csv" for name in ALGORITHMS)
+    assert [line for line in done.stdout.splitlines() if ".csv" in line] == []
 
 
 @pytest.mark.parametrize("command, matrix", [("bench", None), ("solve", "K.mtx"),

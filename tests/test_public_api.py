@@ -91,3 +91,30 @@ def test_the_sweep_hands_no_solver_an_objective():
                for node in ast.walk(tree) if isinstance(node, ast.Call)
                and any(kw.arg == "objective" for kw in node.keywords)}
     assert callees == {"compute_reference"}
+
+
+def _tests_experiment(node: ast.Compare) -> bool:
+    """Whether ``node`` tests a name or attribute ``experiment`` with == or !=."""
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(getattr(e, "id", getattr(e, "attr", None)) == "experiment" for e in operands))
+
+
+def test_only_the_family_table_names_a_family():
+    """``bench._FAMILIES`` is the one owner of what a family is: outside its
+    assignment no module holds the constant "l1ls" or "nnls" or tests an
+    experiment with == or !=, so a new family is a row of that table."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        table = {id(node) for top in tree.body if isinstance(top, ast.Assign)
+                 and [getattr(t, "id", None) for t in top.targets] == ["_FAMILIES"]
+                 for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if id(node) in table:
+                continue
+            if isinstance(node, ast.Constant) and node.value in ("l1ls", "nnls"):
+                found.append((path.name, node.lineno, node.value))
+            if isinstance(node, ast.Compare) and _tests_experiment(node):
+                found.append((path.name, node.lineno, "== experiment"))
+    assert found == []

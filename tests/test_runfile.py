@@ -101,6 +101,16 @@ def test_a_run_records_its_code_baseline_environment_and_fields(runfile, tree, t
     assert record(runfile, tmp_path / "BENCH_x.json", "new", {"c": {}}, "old")["baseline"] == "old"
 
 
+def test_a_run_records_its_environment_with_perfbench_off_the_path(runfile, tree, tmp_path,
+                                                                   monkeypatch):
+    """``save_run`` loads envinfo from its file, so a caller whose sys.path lacks
+    perfbench/ (a fixture that restored an earlier sys.path, say) still records it."""
+    monkeypatch.setattr(sys, "path", [p for p in sys.path if Path(p).name != "perfbench"])
+    monkeypatch.delitem(sys.modules, "envinfo", raising=False)
+    run = record(runfile, tmp_path / "BENCH_x.json", "old", {"c": {}})
+    assert run["environment"]["thread_env_at_start"] == runfile.blas_threads()
+
+
 def test_the_source_digest_tells_two_trees_apart_by_one_byte(runfile, tmp_path, monkeypatch):
     digests = []
     for name in ("a", "b"):
