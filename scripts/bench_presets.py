@@ -18,7 +18,8 @@ s + 1000 i for s in 7, 11 and 101, the seeds of perfbench's batches. The
 held-out seeds are the 12 instances of perfbench's seed-101 batch; they are
 counted for every row, to check a choice, but never chosen on. For each
 family and option the run stores the row with the fewest training
-iterations next to the family's row in ``bench._FAMILIES``.
+iterations next to the family's row in ``bench._FAMILIES``, which both
+options run on: option 1's best row.
 
 The run also stores a tolerance ladder for l1ls option 1: on each of
 ``LADDER_ROWS``, the iterations to 1e-3, 1e-4, 1e-5 and 1e-6 (times
@@ -40,6 +41,7 @@ from iapd.solvers import SolverOptions, solve_iapd
 T1S = (1.0, 1.2, 2.0, 5.0, 10.0)
 ALPHA_KNORMS = (0.25, 0.49, 0.98, 1.5, 3.0)
 ROWS = tuple((t1, a) for t1 in T1S for a in ALPHA_KNORMS)
+OPTIONS = ("option1", "option2")
 TRAINING_SEEDS = (1, 2, 3, 4, 5, 6)
 HELD_OUT_SEEDS = tuple(101 + 1000 * i for i in range(12))
 CAP = 2000
@@ -84,7 +86,7 @@ def grid(family: str, eps: float, instances: dict, rows=ROWS, cap: int = CAP) ->
     Returns {option: {row key: {seed: iterations or None, "total": sum or None}}}.
     An instance whose reference does not certify raises RuntimeError.
     """
-    counts = {option: {row_key(row): {} for row in rows} for option in bench._OPTIONS}
+    counts = {option: {row_key(row): {} for row in rows} for option in OPTIONS}
     for seed, inst in instances.items():
         problem = inst.problem
         knorm = problem.K.norm()
@@ -92,7 +94,7 @@ def grid(family: str, eps: float, instances: dict, rows=ROWS, cap: int = CAP) ->
         tol = eps * max(1.0, abs(ref.objective_value))
         for row in rows:
             steps = _coupled_steps(knorm, *row)
-            for option in bench._OPTIONS:
+            for option in OPTIONS:
                 opts = SolverOptions(max_iters=cap, option=option, gap_tol=tol, reference=ref)
                 state, _ = solve_iapd(problem, steps, opts, objective=inst.objective)
                 reached = inst.objective(state.x) - ref.objective_value <= tol
@@ -144,8 +146,9 @@ def main() -> int:
     for family, (eps, generate) in FAMILIES.items():
         training = grid(family, eps, {s: generate(s) for s in TRAINING_SEEDS})
         held_out = grid(family, eps, {s: generate(s) for s in HELD_OUT_SEEDS})
-        for option in bench._OPTIONS:
-            best, preset = fewest(training[option]), row_key(bench._FAMILIES[family].presets[option])
+        preset = row_key(bench._FAMILIES[family].steps)
+        for option in OPTIONS:
+            best = fewest(training[option])
             cases[f"{family}/{option}"] = {
                 "tol": eps,
                 "best_on_training": best,

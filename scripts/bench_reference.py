@@ -4,18 +4,15 @@
 
 Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
 records the run. Each case is a perfbench shape with the reference row's
-steps (``bench.reference_params``; option 1's presets on a checkout that
-predates that row, where the two were one) and the sweep's reference effort
-(20 000 on the desk shapes, 400 on l1ls-large). For each case the run
+steps (``bench.reference_params``) and the sweep's reference effort (20 000
+on the desk shapes, 400 on l1ls-large). For each case the run
 records the iapd iterations behind the reference, the median and
 interquartile range of ``compute_reference`` over repeated calls, by wall
 clock and by the process's CPU time (which a busy shared machine disturbs
 less), whether the reference is certified, its accuracy and objective, and
 SHA-256 digests of x* and y*. With ``--baseline``, each case also gets the
 objective's move against that earlier run of the file and whether x* and y*
-are bit for bit the same. A checkout whose ``ReferencePoint`` has no
-``certified`` or ``iterations`` field is recorded as uncertified, after the
-full effort.
+are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -43,8 +40,7 @@ def digest(array) -> str:
 
 def measure(family: str, inst, effort: int, repeats: int) -> dict:
     problem = inst.problem
-    steps = getattr(bench, "reference_params", bench.preset_params)
-    params = steps(family, problem.K.norm())
+    params = bench.reference_params(family, problem.K.norm())
     times, cpu_times = [], []
     for _ in range(repeats):
         start, cpu_start = time.perf_counter(), time.process_time()
@@ -54,11 +50,11 @@ def measure(family: str, inst, effort: int, repeats: int) -> dict:
     return {
         "shape": list(problem.K.shape),
         "effort": effort,
-        "iterations": getattr(ref, "iterations", effort),
+        "iterations": ref.iterations,
         "reference_calls": repeats,
         **spread("reference_s", times),
         **spread("reference_cpu_s", cpu_times),
-        "certified": getattr(ref, "certified", False),
+        "certified": ref.certified,
         "accuracy": ref.accuracy,
         "objective": ref.objective_value,
         "x_star_sha256": digest(ref.x_star),

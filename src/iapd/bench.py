@@ -171,30 +171,30 @@ class _Family:
     f1: Callable[[float], ProxFunction]  # lambda -> f1, for ``iapd solve``
     generate: Callable[[ExperimentConfig], GeneratedInstance]  # by name: a patch of it applies
     shape: tuple[int, int]  # the default (m, n) of ``iapd bench``
-    presets: dict[str, tuple[float, float]]  # "option1", "option2", "reference" -> row
+    steps: tuple[float, float]  # the preset row both iapd options run on
+    reference_steps: tuple[float, float]  # the reference solve's preset row
 
 
-_OPTIONS = ("option1", "option2")
 # The first family is ``iapd solve``'s default. A preset row is (t1, alpha ||K||)
-# of the accelerated solver's steps. Each option's row is the grid row of
-# scripts/bench_presets.py with the fewest iterations to accuracy on its
-# training seeds (BENCH_presets.json). The reference solve has a row of its own,
-# so that tuning an option does not move the instrument that measures it: the
+# of the accelerated solver's steps. ``steps`` is the grid row of
+# scripts/bench_presets.py with the fewest option-1 iterations to accuracy on its
+# training seeds (BENCH_presets.json); option 2 shares it, as the step conditions
+# of the two options are the same. The reference solve has a row of its own,
+# so that tuning the options' row does not move the instrument that measures it: the
 # l1ls row is the default steps, on which the 1000x2000 seed-101 reference at
 # effort 400 never tries the polish's dense solve (on (10, 1.5) it does, on
 # 991 <= 1000 columns, and peak RSS rises from 54 to 73 MB).
 _FAMILIES = {
     "l1ls": _Family(L1Norm, lambda cfg: generate_l1ls(cfg.m, cfg.n, cfg.lam, cfg.seed), (200, 400),
-                    {"option1": (10.0, 1.5), "option2": (10.0, 1.5),
-                     "reference": (DEFAULT_T1, DEFAULT_ALPHA_KNORM)}),
+                    (10.0, 1.5), (DEFAULT_T1, DEFAULT_ALPHA_KNORM)),
     "nnls": _Family(lambda lam: NonnegIndicator(),
                     lambda cfg: generate_nnls(cfg.m, cfg.n, cfg.density, cfg.seed), (400, 200),
-                    {"option1": (1.0, 1.5), "option2": (1.2, 1.5), "reference": (1.0, 1.5)}),
+                    (1.0, 1.5), (1.0, 1.5)),
 }
 
 
 def _preset_steps(experiment: str, knorm: float, row: str) -> StepParams:
-    """The steps of the family's ``row`` of presets at this ||K||.
+    """The steps of the family's preset ``row`` ("steps" or "reference_steps") at this ||K||.
 
     A zero norm, as of a K without a nonzero entry, raises ValueError before
     any step is derived from it, here or by the baselines after it.
@@ -204,21 +204,17 @@ def _preset_steps(experiment: str, knorm: float, row: str) -> StepParams:
                          "operator norm")
     if experiment not in _FAMILIES:
         raise ValueError(f"unknown experiment {experiment!r}")
-    return _coupled_steps(knorm, *_FAMILIES[experiment].presets[row])
+    return _coupled_steps(knorm, *getattr(_FAMILIES[experiment], row))
 
 
 def preset_params(experiment: str, knorm: float) -> StepParams:
-    """Accelerated-solver presets: the family's option rows of presets at this ||K||.
-
-    The result holds option 1's steps, and option 2's as its ``option2``.
-    """
-    op1, op2 = (_preset_steps(experiment, knorm, option) for option in _OPTIONS)
-    return replace(op1, option2=op2)
+    """Accelerated-solver presets: the family's row at this ||K||, for both iapd options."""
+    return _preset_steps(experiment, knorm, "steps")
 
 
 def reference_params(experiment: str, knorm: float) -> StepParams:
-    """The reference solve's steps: the family's ``"reference"`` row of presets."""
-    return _preset_steps(experiment, knorm, "reference")
+    """The reference solve's steps: the family's ``reference_steps`` row at this ||K||."""
+    return _preset_steps(experiment, knorm, "reference_steps")
 
 
 def _fmt(value: float) -> str:
@@ -304,12 +300,11 @@ class BenchResult:
 
 
 def _step_params(cfg: ExperimentConfig, knorm: float) -> tuple[StepParams, StepParams]:
-    """The presets and the reference's steps, each step the config sets replacing it on all rows."""
+    """The presets and the reference's steps, each step the config sets replacing it on both."""
     base, ref = preset_params(cfg.experiment, knorm), reference_params(cfg.experiment, knorm)
     set_steps = {name: getattr(cfg, name) for name in ("alpha", "beta", "t1")
                  if getattr(cfg, name) is not None}
-    return (replace(base, **set_steps, option2=replace(base.option2, **set_steps)),
-            replace(ref, **set_steps))
+    return replace(base, **set_steps), replace(ref, **set_steps)
 
 
 def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = None) -> BenchResult:
@@ -369,7 +364,6 @@ def _run_algorithm(
     # Each solve returns a tuple whose last item is the trace rows.
     if name in ("iapd-op1", "iapd-op2"):
         run_opts = replace(opts, option="option1" if name == "iapd-op1" else "option2")
-        iapd_params = iapd_params.for_option(run_opts.option)
         energy_at = diagnostics.energy_at(problem, iapd_params, ref)
         reports.append(energy_at(solvers.init_iapd_state(problem, iapd_params)))
         solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts)

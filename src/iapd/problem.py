@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,24 +105,11 @@ def _reference_gap(problem: SaddleProblem, x_star: np.ndarray, y_star: np.ndarra
 
 @dataclass(frozen=True)
 class StepParams:
-    """Primal step alpha, dual step beta, initial extrapolation scalar t1.
-
-    ``option2``, when set, holds the steps option 2 runs on; without it both
-    options run on these. :meth:`for_option` resolves it.
-    """
+    """Primal step alpha, dual step beta, initial extrapolation scalar t1."""
 
     alpha: float
     beta: float
     t1: float = 1.0
-    option2: StepParams | None = None
-
-    def for_option(self, option: str) -> StepParams:
-        """The steps ``option`` ("option1" or "option2") runs on, without an ``option2``."""
-        if option not in ("option1", "option2"):
-            raise ValueError(f"unknown option {option!r}")
-        if option == "option2" and self.option2 is not None:
-            return self.option2.for_option("option1")
-        return self if self.option2 is None else replace(self, option2=None)
 
 
 def validate_params(problem: SaddleProblem, params: StepParams) -> None:

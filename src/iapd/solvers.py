@@ -310,13 +310,12 @@ def solve_iapd(
     """Iterate the accelerated primal-dual scheme from ``init_iapd_state``.
 
     The trace rows are named ``iapd-op1`` or ``iapd-op2`` after the option.
-    The steps are ``params.for_option(opts.option)``. Raises ValueError for
-    infeasible parameters. On divergence the partial trace is attached to the
-    raised :class:`DivergenceError` as ``rows``. With an ``objective``, each
-    state carries ``kx`` = K x, starting from K x_1 = 0, so the objective
-    needs no product of its own; without one, ``kx`` stays None.
+    Raises ValueError for infeasible parameters. On divergence the partial
+    trace is attached to the raised :class:`DivergenceError` as ``rows``.
+    With an ``objective``, each state carries ``kx`` = K x, starting from
+    K x_1 = 0, so the objective needs no product of its own; without one,
+    ``kx`` stays None.
     """
-    params = params.for_option(opts.option)
     validate_params(problem, params)
     name = "iapd-op1" if opts.option == "option1" else "iapd-op2"
 

@@ -92,16 +92,14 @@ def test_nnls_rejects_bad_density():
 def test_presets_feasible_on_their_families():
     l1 = generate_l1ls(30, 50, 0.1, seed=2)
     params = preset_params("l1ls", l1.problem.K.norm())
-    assert (params.t1, params.option2.t1) == (10.0, 10.0)
-    for option in ("option1", "option2"):
-        validate_params(l1.problem, params.for_option(option))
+    assert params.t1 == 10.0
+    validate_params(l1.problem, params)
     assert reference_params("l1ls", l1.problem.K.norm()).t1 == 5.0
     validate_params(l1.problem, reference_params("l1ls", l1.problem.K.norm()))
     nn = generate_nnls(50, 30, 0.2, seed=2)
     params = preset_params("nnls", nn.problem.K.norm())
-    assert (params.t1, params.option2.t1) == (1.0, 1.2)
-    for option in ("option1", "option2"):
-        validate_params(nn.problem, params.for_option(option))
+    assert params.t1 == 1.0
+    validate_params(nn.problem, params)
     validate_params(nn.problem, reference_params("nnls", nn.problem.K.norm()))
     for steps in (preset_params, reference_params):
         with pytest.raises(ValueError, match="unknown experiment 'other'"):
@@ -119,9 +117,8 @@ def test_presets_are_the_split_of_the_coupling_budget_bit_for_bit(knorm):
     ref = reference_params("l1ls", knorm)
     assert (ref.alpha, ref.beta, ref.t1) == (0.98 / (2.0 * knorm), 2.0 / knorm, 5.0)
     wide = (1.5 / knorm, (0.98 / 1.5) / knorm)  # alpha ||K|| = 1.5
-    assert l1.for_option("option1") == l1.option2 == StepParams(*wide, 10.0)
-    assert nn.for_option("option1") == reference_params("nnls", knorm) == StepParams(*wide, 1.0)
-    assert nn.for_option("option2") == StepParams(*wide, 1.2)
+    assert l1 == StepParams(*wide, 10.0)
+    assert nn == reference_params("nnls", knorm) == StepParams(*wide, 1.0)
 
 
 def test_default_step_params_are_the_l1ls_presets():
@@ -130,20 +127,11 @@ def test_default_step_params_are_the_l1ls_presets():
     assert default_step_params(inst.problem) == reference_params("l1ls", inst.problem.K.norm())
 
 
-def test_for_option_resolves_the_steps_each_option_runs_on():
-    op1, op2 = StepParams(0.1, 0.2, 3.0), StepParams(0.4, 0.05, 2.0)
-    both = replace(op1, option2=op2)
-    assert both.for_option("option1") == op1 and both.for_option("option2") == op2
-    assert op1.for_option("option2") is op1
-    with pytest.raises(ValueError, match="unknown option 'option3'"):
-        both.for_option("option3")
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(["l1ls", "nnls"]), st.integers(4, 24), st.integers(4, 24),
        st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
 def test_each_option_certifies_on_its_preset_row(tmp_path_factory, family, m, n, density, seed):
-    """Each option at its own preset row: no certificate violation, and no rise in energy."""
+    """Each option at its family's preset row: no certificate violation, and no rise in energy."""
     cfg = ExperimentConfig(experiment=family, m=m, n=n, seed=seed, iters=300, density=density,
                            algorithms=("iapd-op1", "iapd-op2"),
                            out_dir=tmp_path_factory.mktemp("presets"))
@@ -154,11 +142,10 @@ def test_each_option_certifies_on_its_preset_row(tmp_path_factory, family, m, n,
     assume(inst.problem.K.norm() > 0)
     result = run_benchmark(cfg, instance=inst)
     preset = preset_params(family, inst.problem.K.norm())
-    for name, option in (("iapd-op1", "option1"), ("iapd-op2", "option2")):
+    for name in ("iapd-op1", "iapd-op2"):
         res = result.results[name]
-        steps = preset.for_option(option)
         assert (res.params["alpha"], res.params["beta"], res.params["t1"]) == (
-            steps.alpha, steps.beta, steps.t1)
+            preset.alpha, preset.beta, preset.t1)
         assert not res.skipped and res.certificate.ok, res.certificate
         energies = [r.energy for r in res.energy_reports]
         tol = 1e-8 * (1.0 + abs(energies[0])) + 10.0 * result.reference.accuracy
@@ -356,7 +343,7 @@ def test_run_directory_states_the_reference_kind(effort, certified, tmp_path):
 
 
 def test_the_reference_does_not_move_with_option_1s_row(tmp_path, monkeypatch):
-    """The reference runs on its own row: another option-1 row leaves it bit for bit."""
+    """The reference runs on its own row: another row for the options leaves it bit for bit."""
     from iapd import bench
 
     def run(out):
@@ -365,7 +352,8 @@ def test_the_reference_does_not_move_with_option_1s_row(tmp_path, monkeypatch):
         return run_benchmark(cfg)
 
     before = run(tmp_path / "a")
-    monkeypatch.setitem(bench._FAMILIES["l1ls"].presets, "option1", (2.0, 0.98))
+    row = replace(bench._FAMILIES["l1ls"], steps=(2.0, 0.98))
+    monkeypatch.setitem(bench._FAMILIES, "l1ls", row)
     after = run(tmp_path / "b")
     assert after.results["iapd-op1"].params["t1"] == 2.0 != before.results["iapd-op1"].params["t1"]
     want, got = before.reference, after.reference

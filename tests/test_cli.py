@@ -443,17 +443,20 @@ def _steps(params):
     return {"alpha": params.alpha, "beta": params.beta, "t1": params.t1}
 
 
-def test_option2_runs_and_certifies_on_its_own_preset_row(tmp_path, capsys):
+@pytest.mark.parametrize("family", bench._FAMILIES)
+def test_both_options_run_and_certify_on_the_family_row(family, tmp_path, capsys):
     out = tmp_path / "out"
-    assert run(["bench", "l1ls", "--seed", "7", "--iters", "300", "--algos", "iapd-op1,iapd-op2",
+    assert run(["bench", family, "--seed", "7", "--iters", "300", "--algos", "iapd-op1,iapd-op2",
                 "--out", str(out)]) == 0
     meta = json.loads((out / "run_meta.json").read_text())
-    knorm = generate_l1ls(200, 400, 0.1, 7).problem.K.norm()
-    preset = preset_params("l1ls", knorm)
-    assert _steps_of(meta, "iapd-op1") == _steps(preset.for_option("option1"))
-    assert _steps_of(meta, "iapd-op2") == _steps(preset.for_option("option2"))
-    assert meta["reference_steps"] == _steps(reference_params("l1ls", knorm))
-    assert meta["reference_steps"] != _steps_of(meta, "iapd-op1")
+    row = bench._FAMILIES[family]
+    inst = row.generate(ExperimentConfig(family, *row.shape, seed=7, iters=300))
+    knorm = inst.problem.K.norm()
+    for name in ("iapd-op1", "iapd-op2"):
+        assert _steps_of(meta, name) == _steps(preset_params(family, knorm))
+    assert meta["reference_steps"] == _steps(reference_params(family, knorm))
+    assert (meta["reference_steps"] == _steps_of(meta, "iapd-op1")) == (
+        row.reference_steps == row.steps)
     for name in ("iapd-op1", "iapd-op2"):
         assert run(["certify", "--csv", str(out / f"{name}.csv"),
                     "--meta", str(out / "run_meta.json")]) == 0
@@ -467,8 +470,8 @@ def test_a_set_step_flag_reaches_both_options(flag, value, tmp_path):
                 "--out", str(out)]) == 0
     meta = json.loads((out / "run_meta.json").read_text())
     preset = preset_params("l1ls", generate_l1ls(20, 30, 0.1, seed=3).problem.K.norm())
-    for name, option in (("iapd-op1", "option1"), ("iapd-op2", "option2")):
-        assert _steps_of(meta, name) == {**_steps(preset.for_option(option)), flag[2:]: value}
+    for name in ("iapd-op1", "iapd-op2"):
+        assert _steps_of(meta, name) == {**_steps(preset), flag[2:]: value}
 
 
 def test_a_step_flag_infeasible_on_both_option_rows_skips_both(tmp_path, capsys):
