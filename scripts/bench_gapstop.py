@@ -3,16 +3,15 @@
     python scripts/bench_gapstop.py --label NAME [--baseline LABEL] [--out BENCH_gapstop.json]
 
 Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
-records the run. Each case is a perfbench shape at seed 101 with the preset
-steps, a reference on the reference row's steps at perfbench's effort
-(20 000 on the desk shapes, 400 on l1ls-large), its tolerance (1e-4, 1e-6 and
-1e-3 times max(1, |f*|)) and its iteration cap. For each case and solver
+records the run. Each case is one of ``runfile.CASES`` at seed 101 with the
+preset steps, its reference (``runfile.reference``), its tolerance (times
+max(1, |f*|)) and its iteration cap. For each case and solver
 (``solve_iapd`` with either option, and ``solve_fista`` and ``solve_tseng``
 from x0 = 0 with alpha = 1/||K||^2 and f2 = ``LeastSquares(K, b)``, as
 perfbench's FISTA solve) the run solves to that tolerance with
 ``objective=inst.objective`` and records the iterations, the products with
-K per iteration (counted on a separate solve, through a stand-in for K that
-counts its calls, so the count costs the timed solves nothing), the median
+K per iteration (counted on a separate solve, through ``runfile.CountedMap``,
+so the count costs the timed solves nothing), the median
 and interquartile range of the solve's CPU time over repeated calls, and
 the objective gap at the stop by a direct product.
 """
@@ -23,43 +22,20 @@ import sys
 import time
 from dataclasses import replace
 
-from runfile import open_runs, save_run, spread  # first: sets up the rest
+from runfile import (CASES, CountedMap, instance, open_runs, reference,  # first: sets up the rest
+                     save_run, spread)
 
 import numpy as np
 from iapd import bench
-from iapd.problem import compute_reference
 from iapd.proxfuns import LeastSquares
 from iapd.solvers import SolverOptions, solve_fista, solve_iapd, solve_tseng
 
-# name: (family, instance at seed 101, reference effort, tolerance, cap, timed calls)
-CASES = {
-    "l1ls-desk": ("l1ls", lambda: bench.generate_l1ls(200, 400, 0.1, 101), 20000, 1e-4, 2000, 101),
-    "nnls-sparse": ("nnls", lambda: bench.generate_nnls(400, 200, 0.1, 101), 20000, 1e-6, 2000,
-                    101),
-    "l1ls-large": ("l1ls", lambda: bench.generate_l1ls(1000, 2000, 0.1, 101), 400, 1e-3, 1000, 15),
-}
+# case: timed calls
+REPEATS = {"l1ls-desk": 101, "nnls-sparse": 101, "l1ls-large": 15}
 
 # case key suffix: (solver, option); the option matters to iapd only
 SOLVERS = {"option1": ("iapd", "option1"), "option2": ("iapd", "option2"),
            "fista": ("fista", "option1"), "tseng": ("tseng", "option1")}
-
-
-class CountedMap:
-    """A stand-in for a ``LinearMap`` that counts its products with K and with K^T."""
-
-    def __init__(self, K):
-        self.K, self.products = K, 0
-
-    def apply(self, x):
-        self.products += 1
-        return self.K.apply(x)
-
-    def apply_adjoint(self, y):
-        self.products += 1
-        return self.K.apply_adjoint(y)
-
-    def __getattr__(self, name):
-        return getattr(self.K, name)
 
 
 def solve(inst, params, opts, solver: str):
@@ -91,7 +67,7 @@ def measure(inst, params, ref, opts, repeats: int, solver: str = "iapd") -> dict
             raise RuntimeError(f"{inst.name}: a repeat took {timed} iterations, not {iterations}")
     return {
         "iterations": iterations,
-        "products_per_iteration": counted.products / iterations,
+        "products_per_iteration": (counted.apply_calls + counted.adjoint_calls) / iterations,
         "solve_calls": repeats,
         **spread("solve_cpu_s", cpu_times),
         "gap_at_stop": inst.objective(x) - ref.objective_value,
@@ -102,15 +78,14 @@ def measure(inst, params, ref, opts, repeats: int, solver: str = "iapd") -> dict
 def main() -> int:
     args, runs, _ = open_runs(__doc__, "BENCH_gapstop.json")
     cases = {}
-    for name, (family, generate, effort, eps, cap, repeats) in CASES.items():
-        inst = generate()
-        knorm = inst.problem.K.norm()
-        params = bench.preset_params(family, knorm)
-        ref = compute_reference(inst.problem, effort, params=bench.reference_params(family, knorm),
-                                objective=inst.objective)
-        tol = eps * max(1.0, abs(ref.objective_value))
+    for name, repeats in REPEATS.items():
+        case = CASES[name]
+        inst = instance(name)
+        params = bench.preset_params(case.family, inst.problem.K.norm())
+        ref = reference(name, inst)
+        tol = case.tol * max(1.0, abs(ref.objective_value))
         for label, (solver, option) in SOLVERS.items():
-            opts = SolverOptions(max_iters=cap, option=option, gap_tol=tol, reference=ref)
+            opts = SolverOptions(max_iters=case.cap, option=option, gap_tol=tol, reference=ref)
             key = f"{name}/{label}"
             cases[key] = row = measure(inst, params, ref, opts, repeats, solver)
             print(f"{key}: {row['iterations']} iterations, "

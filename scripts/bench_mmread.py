@@ -3,16 +3,16 @@
     python scripts/bench_mmread.py --label NAME [--baseline LABEL] [--out BENCH_mmread.json]
 
 Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
-records the run. The cases are the nnls-sparse workload's K (400×200,
-density 0.1, seed 101, coordinate) and b (array), a 4000×2000 coordinate
+records the run. The cases are K (coordinate) and b (array) of the
+nnls-sparse case of ``runfile.CASES`` at seed 101, a 4000×2000 coordinate
 file at density 0.1 (about 800 000 entries) and a 1000×1000 array file. The
 files are written by ``write_matrix_market`` into a temporary directory.
 For each case the run records the entries read, the median and
 interquartile range of the wall time and of the process's CPU time per read
 (a busy shared machine disturbs CPU time less), entries per second at the
 median wall time, and a SHA-256 digest of the map read. With
-``--baseline``, each case also gets whether the map is bit for bit the
-baseline's.
+``--baseline``, each case the baseline also holds gets whether the map is
+bit for bit the baseline's.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from runfile import open_runs, save_run, spread  # first: sets up the rest
+from runfile import instance, open_runs, save_run, spread  # first: sets up the rest
 
 import numpy as np
 
@@ -32,17 +32,10 @@ from iapd import bench
 from iapd.linalg import LinearMap, read_matrix_market, write_matrix_market
 
 SEED = 101
-
-
-def nnls_inputs():
-    inst = bench.generate_nnls(400, 200, 0.1, SEED)
-    return inst.problem.K, LinearMap(inst.b[:, None])
-
-
 # name: (map to write, timed reads)
 CASES = {
-    "nnls-sparse/K": (lambda: nnls_inputs()[0], 41),
-    "nnls-sparse/b": (lambda: nnls_inputs()[1], 41),
+    "nnls-sparse/K": (lambda: instance("nnls-sparse", SEED).problem.K, 41),
+    "nnls-sparse/b": (lambda: LinearMap(instance("nnls-sparse", SEED).b[:, None]), 41),
     "coordinate-4000x2000": (lambda: bench.generate_nnls(4000, 2000, 0.1, SEED).problem.K, 5),
     "array-1000x1000": (lambda: LinearMap(np.random.default_rng(SEED).standard_normal(
         (1000, 1000))), 5),
@@ -88,7 +81,7 @@ def main() -> int:
             path = Path(tmp) / (name.replace("/", "-") + ".mtx")
             write_matrix_market(build(), path)
             cases[name] = row = measure(path, repeats)
-            if base is not None:
+            if base is not None and name in base:
                 row["same_map"] = row["map_sha256"] == base[name]["map_sha256"]
             print(f"{name}: {row['entries']} entries, "
                   f"{row['read_s_median'] * 1e3:.2f} ms (IQR {row['read_s_iqr'] * 1e3:.2f} ms), "

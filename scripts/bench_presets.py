@@ -5,13 +5,13 @@
 Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
 records the run. A grid row is a pair (t1, alpha ||K||); its steps come
 from ``problem._coupled_steps``, the formula behind
-``bench.preset_params``. For perfbench's two desk shapes (l1ls 200x400 and
-nnls 400x200), each row and each option, the run counts the iterations
-``solve_iapd`` needs to bring the objective within perfbench's tolerance of
-a certified reference (1e-4 for l1ls and 1e-6 for nnls, times max(1,
-|f*|)), capped at perfbench's 2000. A row that misses the tolerance on some
-seed has no total. Every reference runs on the family's reference row
-(``bench.reference_params``), as ``run_benchmark``'s does.
+``bench.preset_params``. For perfbench's two desk cases in ``runfile.CASES``
+(l1ls-desk and nnls-sparse), each row and each option, the run counts the
+iterations ``solve_iapd`` needs to bring the objective within the case's
+tolerance (times max(1, |f*|)) of a certified reference, capped at the
+case's cap. A row that misses the tolerance on some seed has no total.
+Every reference is ``runfile.reference`` at ``REFERENCE_EFFORT``: on the
+family's reference row, as ``run_benchmark``'s is.
 
 The rows are chosen on the training seeds alone. These are not of the form
 s + 1000 i for s in 7, 11 and 101, the seeds of perfbench's batches. The
@@ -23,19 +23,19 @@ options run on: option 1's best row.
 
 The run also stores a tolerance ladder for l1ls option 1: on each of
 ``LADDER_ROWS``, the iterations to 1e-3, 1e-4, 1e-5 and 1e-6 (times
-max(1, |f*|)) on the held-out desk seeds and on the 1000x2000 shape at
-seeds 7 and 101, capped at ``LADDER_CAP``. It shows what a row gains at
-perfbench's tolerances and what it may lose at tighter ones.
+max(1, |f*|)) on the held-out l1ls-desk seeds and on l1ls-large at seeds 7
+and 101, capped at ``LADDER_CAP``. It shows what a row gains at perfbench's
+tolerances and what it may lose at tighter ones.
 """
 
 from __future__ import annotations
 
 import sys
 
-from runfile import open_runs, save_run  # first: sets up the rest
+from runfile import CASES, instance, open_runs, reference, save_run  # first: sets up the rest
 
 from iapd import bench
-from iapd.problem import _coupled_steps, compute_reference
+from iapd.problem import _coupled_steps
 from iapd.solvers import SolverOptions, solve_iapd
 
 T1S = (1.0, 1.2, 2.0, 5.0, 10.0)
@@ -44,31 +44,22 @@ ROWS = tuple((t1, a) for t1 in T1S for a in ALPHA_KNORMS)
 OPTIONS = ("option1", "option2")
 TRAINING_SEEDS = (1, 2, 3, 4, 5, 6)
 HELD_OUT_SEEDS = tuple(101 + 1000 * i for i in range(12))
-CAP = 2000
-REFERENCE_EFFORT = 20000
-# family: (perfbench's tolerance, instance generator of a seed)
-FAMILIES = {
-    "l1ls": (1e-4, lambda s: bench.generate_l1ls(200, 400, 0.1, s)),
-    "nnls": (1e-6, lambda s: bench.generate_nnls(400, 200, 0.1, s)),
-}
+GRID_CASES = ("l1ls-desk", "nnls-sparse")
+REFERENCE_EFFORT = 20000  # l1ls-large's own effort, 400, leaves its references uncertified
 # l1ls option 1's rows before and since it left the reference row, and the ladder's cases.
 LADDER_ROWS = ((5.0, 0.49), (10.0, 1.5))
 LADDER_TOLS = (1e-3, 1e-4, 1e-5, 1e-6)
 LADDER_CAP = 20000
-LADDER_CASES = {
-    "l1ls-desk": (lambda s: bench.generate_l1ls(200, 400, 0.1, s), HELD_OUT_SEEDS),
-    "l1ls-large": (lambda s: bench.generate_l1ls(1000, 2000, 0.1, s), (7, 101)),
-}
+LADDER_SEEDS = {"l1ls-desk": HELD_OUT_SEEDS, "l1ls-large": (7, 101)}
 
 
 def row_key(row) -> str:
     return "({:g}, {:g})".format(*row)
 
 
-def certified_reference(family: str, inst):
-    """The instance's reference, on the family's reference row; RuntimeError if uncertified."""
-    params = bench.reference_params(family, inst.problem.K.norm())
-    ref = compute_reference(inst.problem, REFERENCE_EFFORT, params, inst.objective)
+def certified_reference(case: str, inst):
+    """The instance's reference at ``REFERENCE_EFFORT``; RuntimeError if uncertified."""
+    ref = reference(case, inst, REFERENCE_EFFORT)
     if not ref.certified:
         raise RuntimeError(f"{inst.name}: the reference did not certify")
     return ref
@@ -80,18 +71,20 @@ def add_totals(per_seed: dict) -> None:
     per_seed["total"] = None if None in values else sum(values)
 
 
-def grid(family: str, eps: float, instances: dict, rows=ROWS, cap: int = CAP) -> dict:
-    """Iterations to ``eps`` for each row and option on ``instances`` (seed: instance).
+def grid(case: str, instances: dict, rows=ROWS, cap: int | None = None) -> dict:
+    """Iterations to the case's tolerance for each row and option on ``instances`` (seed: instance).
 
+    ``cap`` defaults to the case's cap.
     Returns {option: {row key: {seed: iterations or None, "total": sum or None}}}.
     An instance whose reference does not certify raises RuntimeError.
     """
+    cap = CASES[case].cap if cap is None else cap
     counts = {option: {row_key(row): {} for row in rows} for option in OPTIONS}
     for seed, inst in instances.items():
         problem = inst.problem
         knorm = problem.K.norm()
-        ref = certified_reference(family, inst)
-        tol = eps * max(1.0, abs(ref.objective_value))
+        ref = certified_reference(case, inst)
+        tol = CASES[case].tol * max(1.0, abs(ref.objective_value))
         for row in rows:
             steps = _coupled_steps(knorm, *row)
             for option in OPTIONS:
@@ -105,7 +98,7 @@ def grid(family: str, eps: float, instances: dict, rows=ROWS, cap: int = CAP) ->
     return counts
 
 
-def ladder(family: str, instances: dict, rows=LADDER_ROWS, tols=LADDER_TOLS,
+def ladder(case: str, instances: dict, rows=LADDER_ROWS, tols=LADDER_TOLS,
            cap: int = LADDER_CAP) -> dict:
     """Option 1's iterations to each of ``tols`` for each row on ``instances`` (seed: instance).
 
@@ -118,7 +111,7 @@ def ladder(family: str, instances: dict, rows=LADDER_ROWS, tols=LADDER_TOLS,
     counts = {row_key(row): {f"{tol:g}": {} for tol in tols} for row in rows}
     for seed, inst in instances.items():
         knorm = inst.problem.K.norm()
-        ref = certified_reference(family, inst)
+        ref = certified_reference(case, inst)
         scale = max(1.0, abs(ref.objective_value))
         for row in rows:
             opts = SolverOptions(max_iters=cap, gap_tol=min(tols) * scale, reference=ref)
@@ -143,14 +136,15 @@ def fewest(per_row: dict) -> str | None:
 def main() -> int:
     args, runs, _ = open_runs(__doc__, "BENCH_presets.json")
     cases = {}
-    for family, (eps, generate) in FAMILIES.items():
-        training = grid(family, eps, {s: generate(s) for s in TRAINING_SEEDS})
-        held_out = grid(family, eps, {s: generate(s) for s in HELD_OUT_SEEDS})
+    for case in GRID_CASES:
+        family = CASES[case].family
+        training = grid(case, {s: instance(case, s) for s in TRAINING_SEEDS})
+        held_out = grid(case, {s: instance(case, s) for s in HELD_OUT_SEEDS})
         preset = row_key(bench._FAMILIES[family].steps)
         for option in OPTIONS:
             best = fewest(training[option])
             cases[f"{family}/{option}"] = {
-                "tol": eps,
+                "tol": CASES[case].tol,
                 "best_on_training": best,
                 "preset": preset,
                 "training": training[option],
@@ -161,14 +155,15 @@ def main() -> int:
                   f"{held_out[option][best]['total']}); preset {preset} "
                   f"({training[option][preset]['total']}, held out "
                   f"{held_out[option][preset]['total']})")
-    for name, (generate, seeds) in LADDER_CASES.items():
-        counts = ladder("l1ls", {s: generate(s) for s in seeds})
+    for name, seeds in LADDER_SEEDS.items():
+        counts = ladder(name, {s: instance(name, s) for s in seeds})
         cases[f"l1ls/option1/ladder/{name}"] = counts
         for key, per_tol in counts.items():
             print(f"l1ls/option1 ladder {name} {key}: "
                   + ", ".join(f"{tol}: {c['total']}" for tol, c in per_tol.items()))
     save_run(args, runs, "scripts/bench_presets.py", cases, rows=[row_key(row) for row in ROWS],
-             training_seeds=list(TRAINING_SEEDS), held_out_seeds=list(HELD_OUT_SEEDS), cap=CAP,
+             training_seeds=list(TRAINING_SEEDS), held_out_seeds=list(HELD_OUT_SEEDS),
+             cap=CASES[GRID_CASES[0]].cap,
              ladder_rows=[row_key(row) for row in LADDER_ROWS], ladder_tols=list(LADDER_TOLS),
              ladder_cap=LADDER_CAP)
     return 0

@@ -1,9 +1,12 @@
-"""Set-up and run record shared by the ``scripts/bench_*.py`` timing scripts.
+"""Set-up, perfbench cases and run record shared by the ``scripts/bench_*.py`` timing scripts.
 
 Importing this module defaults the BLAS thread variables to 1 and puts the
 checkout's ``src/`` directory first on ``sys.path``. It loads no numpy:
 ``bench_footprint`` sizes fresh children by ``ru_maxrss``, which Linux starts
 at the peak RSS of their parent.
+
+``CASES`` holds perfbench's three workloads; ``instance`` builds one,
+``reference`` solves its reference and ``CountedMap`` counts its products.
 
 Every run is stored under ``runs[NAME]`` of its output file with its git
 ``revision``, a ``source_sha256`` of the code it ran, its ``baseline`` label,
@@ -19,6 +22,7 @@ import os
 import statistics
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -28,6 +32,59 @@ for _var in THREAD_VARS:
 ROOT = Path(__file__).resolve().parent.parent
 ENVINFO = ROOT / "perfbench" / "envinfo.py"
 sys.path.insert(0, str(ROOT / "src"))
+
+
+# A workload of perfbench/measure.py: its family (a key of ``bench._FAMILIES``), shape, sweep
+# reference effort, time-to-accuracy tolerance (times max(1, |f*|)) and iteration cap.
+Case = namedtuple("Case", "family m n effort tol cap")
+# tests/test_runfile.py pins these to perfbench's WORKLOADS.
+CASES = {
+    "l1ls-desk": Case("l1ls", 200, 400, 20000, 1e-4, 2000),
+    "nnls-sparse": Case("nnls", 400, 200, 20000, 1e-6, 2000),
+    "l1ls-large": Case("l1ls", 1000, 2000, 400, 1e-3, 1000),
+}
+
+
+def instance(case: str, seed: int = 101):
+    """The instance of ``case`` at ``seed``, generated as ``iapd bench`` generates it."""
+    from iapd import bench
+
+    family, m, n = CASES[case][:3]
+    # generate reads the shape, the seed and the default lam and density; iters is unused
+    return bench._FAMILIES[family].generate(bench.ExperimentConfig(family, m, n, seed, iters=1))
+
+
+def reference(case: str, inst, effort: int | None = None):
+    """The reference of ``inst`` on its family's reference row, at ``effort`` or the case's."""
+    from iapd import bench
+    from iapd.problem import compute_reference
+
+    params = bench.reference_params(CASES[case].family, inst.problem.K.norm())
+    return compute_reference(inst.problem, effort or CASES[case].effort, params, inst.objective)
+
+
+class CountedMap:
+    """A stand-in for a ``LinearMap`` that counts its products with K and with K^T."""
+
+    def __init__(self, K):
+        self.K, self.apply_calls, self.adjoint_calls = K, 0, 0
+
+    def apply(self, x):
+        self.apply_calls += 1
+        return self.K.apply(x)
+
+    def apply_adjoint(self, y):
+        self.adjoint_calls += 1
+        return self.K.apply_adjoint(y)
+
+    def norm(self) -> float:
+        """``LinearMap.norm`` through the counted products; K's cached norm, if it has one."""
+        from iapd.linalg import LinearMap
+
+        return LinearMap.norm(self)
+
+    def __getattr__(self, name):
+        return getattr(self.K, name)
 
 
 def blas_threads() -> dict:

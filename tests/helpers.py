@@ -1,6 +1,10 @@
-"""Building blocks that only the tests use: a zero prox, a primal objective, a start point."""
+"""Building blocks that only the tests use: a zero prox, a primal objective, a start point,
+a script imported as a module."""
 
+import importlib
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -40,3 +44,15 @@ def start_at(problem, params, x0, y0):
     x0, y0 = np.asarray(x0, dtype=np.float64), np.asarray(y0, dtype=np.float64)
     return replace(init_iapd_state(problem, params), x=x0.copy(), x_prev=x0.copy(), u=x0.copy(),
                    y=y0.copy(), y_prev=y0.copy(), v=y0.copy(), v_prev=y0.copy())
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def import_script(name: str, monkeypatch):
+    """``scripts/<name>.py`` as a module, imported with ``scripts/`` on sys.path and one BLAS
+    thread; ``monkeypatch`` restores sys.path and the thread variables afterwards."""
+    monkeypatch.setattr(sys, "path", [str(SCRIPTS), *sys.path])
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    return importlib.import_module(name)

@@ -1,26 +1,16 @@
 """scripts/bench_gapstop.py: products and CPU time of gap-stopped solves, on one tiny instance."""
 
-import sys
-from pathlib import Path
-
 import pytest
 
+from helpers import import_script
 from iapd.bench import generate_l1ls, preset_params
 from iapd.problem import compute_reference
 from iapd.solvers import SolverOptions
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
 
 @pytest.fixture
 def bench_gapstop(monkeypatch):
-    """The script as a module; sys.path and the thread variables are restored afterwards."""
-    monkeypatch.setattr(sys, "path", [str(SCRIPTS), *sys.path])
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    import bench_gapstop
-
-    return bench_gapstop
+    return import_script("bench_gapstop", monkeypatch)
 
 
 @pytest.fixture(scope="module")

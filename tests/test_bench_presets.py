@@ -1,34 +1,26 @@
 """scripts/bench_presets.py: the grid of preset rows, run on one tiny instance."""
 
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import SCRIPTS, import_script
 from iapd import bench
 from iapd.bench import generate_l1ls
 from iapd.problem import _coupled_steps
 from iapd.solvers import SolverOptions, solve_iapd
 
-ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ROOT / "scripts"
+ROOT = SCRIPTS.parent
 
 
 @pytest.fixture
 def bench_presets(monkeypatch):
-    """The script as a module; sys.path and the thread variables are restored afterwards."""
-    monkeypatch.setattr(sys, "path", [str(SCRIPTS), *sys.path])
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    import bench_presets
-
-    return bench_presets
+    return import_script("bench_presets", monkeypatch)
 
 
 def test_the_grid_counts_iterations_to_accuracy_per_option(bench_presets):
     inst = generate_l1ls(20, 30, 0.1, seed=3)
-    counts = bench_presets.grid("l1ls", 1e-4, {3: inst}, rows=((10.0, 1.5),), cap=500)
+    counts = bench_presets.grid("l1ls-desk", {3: inst}, rows=((10.0, 1.5),), cap=500)
     assert list(counts) == list(bench_presets.OPTIONS) == ["option1", "option2"]
     for per_row in counts.values():
         assert list(per_row) == ["(10, 1.5)"]
@@ -36,7 +28,7 @@ def test_the_grid_counts_iterations_to_accuracy_per_option(bench_presets):
         assert 0 < iterations["3"] < 500 and iterations["total"] == iterations["3"]
         assert bench_presets.fewest(per_row) == "(10, 1.5)"
 
-    missed = bench_presets.grid("l1ls", 1e-4, {3: inst}, rows=((10.0, 1.5),), cap=1)
+    missed = bench_presets.grid("l1ls-desk", {3: inst}, rows=((10.0, 1.5),), cap=1)
     for per_row in missed.values():
         assert per_row["(10, 1.5)"] == {"3": None, "total": None}
         assert bench_presets.fewest(per_row) is None
@@ -54,8 +46,8 @@ def test_the_training_seeds_avoid_perfbench_batches(bench_presets):
 def test_the_ladder_counts_what_a_solve_stopped_at_each_tolerance_takes(bench_presets):
     inst = generate_l1ls(20, 30, 0.1, seed=3)
     tols = (1e-3, 1e-6)
-    counts = bench_presets.ladder("l1ls", {3: inst}, rows=((10.0, 1.5),), tols=tols, cap=5000)
-    ref = bench_presets.certified_reference("l1ls", inst)
+    counts = bench_presets.ladder("l1ls-desk", {3: inst}, rows=((10.0, 1.5),), tols=tols, cap=5000)
+    ref = bench_presets.certified_reference("l1ls-desk", inst)
     steps = _coupled_steps(inst.problem.K.norm(), 10.0, 1.5)
     for tol in tols:
         gap_tol = tol * max(1.0, abs(ref.objective_value))

@@ -6,20 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from helpers import SCRIPTS, import_script
+from iapd.bench import ExperimentConfig, generate_l1ls, generate_nnls
+from iapd.linalg import LinearMap
 
 
 @pytest.fixture
 def runfile(monkeypatch):
-    """The helper module, imported with sys.path and the thread variables restored afterwards."""
-    monkeypatch.setattr(sys, "path", [str(SCRIPTS), *sys.path])
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    import runfile
-
-    return runfile
+    return import_script("runfile", monkeypatch)
 
 
 def make_tree(root: Path) -> Path:
@@ -143,6 +140,41 @@ def test_spread_names_the_median_and_the_interquartile_range(runfile):
     assert runfile.spread("t", [1.0, 2.0, 3.0, 4.0, 5.0]) == {"t_median": 3.0, "t_iqr": 3.0}
 
 
+def test_the_cases_are_perfbench_workloads(runfile, monkeypatch):
+    """A benchmark change that moves a workload fails here, rather than leaving the timers
+    measuring another instance."""
+    monkeypatch.setattr(sys, "path", [str(SCRIPTS.parent / "perfbench"), *sys.path])
+    import measure
+
+    config = ExperimentConfig("l1ls", 1, 1, seed=0, iters=1)
+    assert list(runfile.CASES) == list(measure.WORKLOADS)
+    for name, case in runfile.CASES.items():
+        w = measure.WORKLOADS[name]
+        effort = 10 * w.iters if w.reference_effort is None else w.reference_effort
+        assert case == (w.experiment, w.m, w.n, effort, w.eps, w.tta_cap), name
+        assert (w.lam, w.density) == (config.lam, config.density), name
+
+
+def test_an_instance_is_the_generators_instance(runfile):
+    for case, seed, generated in (("l1ls-desk", 7, generate_l1ls(200, 400, 0.1, 7)),
+                                  ("nnls-sparse", 101, generate_nnls(400, 200, 0.1, 101))):
+        inst = runfile.instance(case, seed)
+        assert np.array_equal(inst.problem.K.to_dense(), generated.problem.K.to_dense()), case
+        assert np.array_equal(inst.b, generated.b), case
+
+
+def test_the_counted_map_counts_the_products_of_a_norm(runfile):
+    dense = np.random.default_rng(0).standard_normal((6, 9))
+    counted = runfile.CountedMap(LinearMap(dense))
+    assert counted.norm() == LinearMap(dense).norm()
+    assert counted.apply_calls == counted.adjoint_calls > 0
+    cached = LinearMap(dense)
+    cached.norm()
+    counted = runfile.CountedMap(cached)
+    assert counted.norm() == cached.norm()
+    assert (counted.apply_calls, counted.adjoint_calls) == (0, 0)
+
+
 TIMERS = sorted(path.name for path in SCRIPTS.glob("bench_*.py"))
 
 
@@ -167,3 +199,31 @@ def test_every_timer_imports_and_answers_help(timer):
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "--baseline" in done.stdout
+
+
+# Every field that bench_reference.py and bench_mmread.py print or compare.
+SPREADS = ("reference_s", "reference_cpu_s", "read_s", "read_cpu_s")
+ROW = {"iterations": 1, "certified": True, "accuracy": 0.0, "objective": 1.0,
+       "x_star_sha256": "x", "y_star_sha256": "y", "entries": 1, "entries_per_s": 1.0,
+       "map_sha256": "m", **{f"{name}_{stat}": 1.0 for name in SPREADS for stat in ("median", "iqr")}}
+
+
+@pytest.mark.parametrize("timer, kept, dropped, compared", [
+    ("bench_reference", "l1ls-desk/seed101", "l1ls-desk/seed7",
+     ("objective_move", "same_x_star_y_star")),
+    ("bench_mmread", "nnls-sparse/K", "nnls-sparse/b", ("same_map",)),
+])
+def test_a_baseline_without_a_case_leaves_that_case_uncompared(timer, kept, dropped, compared,
+                                                               tmp_path, monkeypatch):
+    module = import_script(timer, monkeypatch)
+    monkeypatch.setattr(module, "measure", lambda *args: dict(ROW))
+    if timer == "bench_mmread":  # write the two small files only
+        monkeypatch.setattr(module, "CASES", {k: module.CASES[k] for k in (kept, dropped)})
+    out = tmp_path / "BENCH_x.json"
+    out.write_text(json.dumps({"runs": {"old": {"cases": {kept: ROW}}}}))
+    monkeypatch.setattr(sys, "argv", [timer, "--label", "new", "--baseline", "old",
+                                      "--out", str(out)])
+    assert module.main() == 0
+    cases = json.loads(out.read_text())["runs"]["new"]["cases"]
+    assert all(key in cases[kept] for key in compared)
+    assert cases[dropped] == ROW
