@@ -10,7 +10,8 @@ files are written by ``write_matrix_market`` into a temporary directory.
 For each case the run records the entries read, the median and
 interquartile range of the wall time and of the process's CPU time per read
 (a busy shared machine disturbs CPU time less), entries per second at the
-median wall time, and a SHA-256 digest of the map read. With
+median wall time, and a SHA-256 digest of the map read (CSR indices as
+int64, so the digest does not depend on the index type the map picks). With
 ``--baseline``, each case the baseline also holds gets whether the map is
 bit for bit the baseline's.
 """
@@ -43,7 +44,12 @@ CASES = {
 
 
 def digest(mapping: LinearMap) -> str:
-    stored = mapping.triples() if mapping.is_sparse else (mapping.to_dense(),)
+    """SHA-256 of the map's entries, a CSR map's indices as int64 whatever type it stores."""
+    if mapping.is_sparse:
+        rows, cols, vals = mapping.triples()
+        stored = (rows.astype(np.int64), cols.astype(np.int64), vals)
+    else:
+        stored = (mapping.to_dense(),)
     sha = hashlib.sha256()
     for array in stored:
         sha.update(array.tobytes())

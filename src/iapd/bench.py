@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, solvers
-from .linalg import LinearMap
+from .linalg import LinearMap, _csr_from_triples
 from .problem import (DEFAULT_ALPHA_KNORM, DEFAULT_T1, ReferencePoint, SaddleProblem, StepParams,
                       _coupled_steps, _reference_gap, compute_reference)
 from .proxfuns import (L1Norm, LeastSquares, NonnegIndicator, ProxFunction, ShiftedQuadratic,
@@ -101,6 +101,8 @@ class GeneratedInstance:
     b: np.ndarray = field(repr=False)
     planted: np.ndarray | None = field(default=None, repr=False)
     name: str = ""
+    # What the instance read besides its shape and seed, as run_meta.json records it.
+    settings: dict = field(default_factory=dict)
 
     def objective(self, x: np.ndarray, kx: np.ndarray | None = None) -> float:
         """The composite value f(x) + 0.5 ||Kx - b||^2: the trace's objective column.
@@ -139,7 +141,8 @@ def generate_l1ls(m: int, n: int, lam: float, seed: int) -> GeneratedInstance:
     b = K @ planted + noise
     K.flags.writeable = False  # hand K over: LinearMap keeps it without a copy
     problem = _saddle_form(L1Norm(lam), LinearMap(K), b)
-    return GeneratedInstance(problem, b, planted, name=f"l1ls-m{m}-n{n}-seed{seed}")
+    return GeneratedInstance(problem, b, planted, name=f"l1ls-m{m}-n{n}-seed{seed}",
+                             settings={"lambda": lam})
 
 
 def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstance:
@@ -153,15 +156,15 @@ def generate_nnls(m: int, n: int, density: float, seed: int) -> GeneratedInstanc
     rng = np.random.default_rng(seed)
     mask = rng.random((m, n)) < density
     dense = np.where(mask, rng.uniform(0.0, 0.1, size=(m, n)), 0.0)
-    import scipy.sparse as sp
-
-    K = LinearMap(sp.coo_array(dense))
+    rows, cols = np.nonzero(dense)
+    K = LinearMap(_csr_from_triples(rows, cols, dense[rows, cols], (m, n)))
     planted = np.zeros(n)
     support = rng.choice(n, size=round(0.05 * n), replace=False)
     planted[support] = rng.uniform(0.0, 100.0, size=support.size)
     b = K.apply(planted)
     problem = _saddle_form(NonnegIndicator(), K, b)
-    return GeneratedInstance(problem, b, planted, name=f"nnls-m{m}-n{n}-s{density}-seed{seed}")
+    return GeneratedInstance(problem, b, planted, name=f"nnls-m{m}-n{n}-s{density}-seed{seed}",
+                             settings={"density": density})
 
 
 @dataclass(frozen=True)
@@ -340,7 +343,7 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
         results[name] = res
 
     out_dir = Path(cfg.out_dir)
-    _write_run_dir(out_dir, cfg, ref, ref_params, results, knorm)
+    _write_run_dir(out_dir, cfg, instance.settings, ref, ref_params, results, knorm)
     return BenchResult(status, out_dir, ref, results)
 
 
@@ -423,7 +426,7 @@ def _run_algorithm(
     return res
 
 
-def _write_run_dir(out_dir: Path, cfg, ref, ref_params, results, knorm) -> None:
+def _write_run_dir(out_dir: Path, cfg, settings, ref, ref_params, results, knorm) -> None:
     """Write each algorithm's CSV, summary.txt lines and run_meta.json entry side by side.
 
     Every algorithm's CSV that an earlier run left is removed first.
@@ -444,7 +447,7 @@ def _write_run_dir(out_dir: Path, cfg, ref, ref_params, results, knorm) -> None:
     ]
     meta = {
         "experiment": cfg.experiment, "m": cfg.m, "n": cfg.n, "seed": cfg.seed, "iters": cfg.iters,
-        "lambda": cfg.lam, "density": cfg.density, "norm_estimate": knorm,
+        **settings, "norm_estimate": knorm,
         "reference_objective": ref.objective_value, "reference_accuracy": ref.accuracy,
         "reference_certified": ref.certified, "reference_iterations": ref.iterations,
         "reference_steps": ref_steps, "algorithms": {},

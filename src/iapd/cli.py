@@ -16,6 +16,7 @@ from pathlib import Path
 from . import bench, diagnostics
 from .bench import ALGORITHMS, ExperimentConfig, GeneratedInstance
 from .linalg import MatrixMarketError, read_matrix_market
+from .proxfuns import L1Norm
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -110,8 +111,11 @@ def _cmd_solve(parser, args) -> int:
               file=sys.stderr)
         return 1
 
-    problem = bench._saddle_form(bench._FAMILIES[args.problem].f1(args.lam), K, b)
-    return _run(cfg, GeneratedInstance(problem, b, name=f"user-{args.problem}"))
+    f1 = bench._FAMILIES[args.problem].f1(args.lam)
+    # Of the generators' settings, files leave only the l1 weight that f1 reads.
+    settings = {"lambda": args.lam} if isinstance(f1, L1Norm) else {}
+    return _run(cfg, GeneratedInstance(bench._saddle_form(f1, K, b), b, name=f"user-{args.problem}",
+                                       settings=settings))
 
 
 def _meta_number(obj: dict, key: str, where: str):

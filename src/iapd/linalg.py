@@ -1,16 +1,23 @@
 """Dense/sparse linear operators, operator-norm estimation, Matrix Market IO.
 
-scipy.sparse is imported only for a sparse input or a coordinate-format
-file, so a dense run never loads it and never pays the time and resident
-memory of its import chain.
+No path of this module imports the scipy.sparse package. A coordinate-format
+file and the nnls generator build a CSR map from triples with numpy, and a
+CSR map loads only scipy's compiled matrix-vector extension, so neither a
+dense nor a sparse run pays the time and resident memory of the package's
+import chain. Only a caller's scipy sparse input, which cannot exist before
+that package is loaded, goes through it.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import sys
 import warnings
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,36 +52,104 @@ class MatrixMarketError(ValueError):
         self.line = line
 
 
+class _CSR(NamedTuple):
+    """CSR arrays of an m-by-n matrix with sorted column indices."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _csr_from_triples(rows, cols, vals, shape) -> _CSR:
+    """Fresh CSR arrays of zero-based (row, col, value) triples, in (row, col) order.
+
+    The values at one (row, col) are summed in the order given, from the
+    first, as scipy sums them; explicit zeros are kept. Triples that are
+    already in order, as every file ``write_matrix_market`` writes, skip the
+    sort. Indices are int32 when every index and the entry count fit.
+    """
+    m, n = shape
+    key = np.multiply(rows, n, dtype=np.int64) + cols  # the position in row-major order
+    if np.any(key[1:] < key[:-1]):
+        order = np.argsort(key)  # introsort: about 4x a stable sort's speed
+        if np.any(np.diff(key[order]) == 0):  # repeated cells keep the order given
+            order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if not first.all():
+        vals, later = vals[first], vals[~first]
+        with np.errstate(over="ignore"):  # LinearMap refuses a sum past the largest double
+            np.add.at(vals, np.cumsum(first)[~first] - 1, later)
+        key = key[first]
+    index = np.int32 if max(m, n, key.size) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(m + 1, dtype=index)
+    np.cumsum(np.bincount(key // n, minlength=m), out=indptr[1:])
+    return _CSR(indptr, (key % n).astype(index), np.array(vals, dtype=np.float64), (m, n))
+
+
+@cache
+def _matvec_kernels():
+    """scipy's compiled ``csr_matvec`` and ``csc_matvec``, without the scipy.sparse package.
+
+    The package's import chain (scipy._lib._util, array_api_compat) costs
+    about 15 MB of resident memory and 0.14 s; the extension beside its
+    __init__.py loads alone. An extension already imported is reused.
+    """
+    name = "scipy.sparse._sparsetools"
+    module = sys.modules.get(name)
+    if module is None:
+        package = Path(importlib.util.find_spec("scipy").origin).parent / "sparse"
+        spec = importlib.machinery.FileFinder(str(package), (
+            importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES,
+        )).find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # A single-phase extension registers itself on loading, without its
+        # package; unregistered, a later import of scipy.sparse loads it again
+        # and binds it as the package's attribute.
+        sys.modules.pop(name, None)
+    return module.csr_matvec, module.csc_matvec
+
+
 class LinearMap:
     """Immutable m-by-n linear operator with adjoint and cached norm estimate.
 
-    Storage is either a dense row-major float64 array or CSR (via
-    scipy.sparse) with sorted column indices. The map owns what it stores and
-    sets every stored array read-only, so no later write by the caller can
-    change the operator behind its finiteness check and its cached norm. A
-    sparse input is copied. A dense input is kept without a copy only when it
-    is a C-contiguous float64 ndarray that is read-only and owns its data: the
-    caller hands it over. Any other dense input is copied. A dense map
-    multiplies by the array and by its transposed view, built once here. A
-    CSR map calls scipy's compiled kernels on its own arrays: ``csr_matvec``
-    for K x, and ``csc_matvec`` for K^T y, reading the same arrays as the CSC
-    storage of K^T. The products are byte for byte those of ``mat @ x`` and
-    ``mat.T @ y``. A sparse input is recognized without importing
-    scipy.sparse, and the kernels are imported only when a CSR map is built.
-    The operator-norm estimate is computed once by deterministic Lanczos and
-    cached.
+    Storage is either a dense row-major float64 array or CSR arrays with
+    sorted column indices (``_CSR``). The map owns what it stores and sets
+    every stored array read-only, so no later write by the caller can change
+    the operator behind its finiteness check and its cached norm. A scipy
+    sparse input is copied through ``scipy.sparse.csr_array``, stored
+    duplicates included; ``read_matrix_market`` and ``generate_nnls`` hand
+    over fresh CSR arrays built from triples. A dense input is kept without
+    a copy only when it is a C-contiguous float64 ndarray that is read-only
+    and owns its data: the caller hands it over. Any other dense input is
+    copied. A dense map multiplies by the array and by its transposed view,
+    built once here. A CSR map calls scipy's compiled kernels on its own
+    arrays: ``csr_matvec`` for K x, and ``csc_matvec`` for K^T y, reading
+    the same arrays as the CSC storage of K^T. The products are byte for
+    byte those of ``mat @ x`` and ``mat.T @ y`` for scipy's CSR array of the
+    same arrays. The kernels are loaded from their extension module alone
+    (``_matvec_kernels``), and a scipy sparse input is recognized without
+    importing scipy.sparse. ``to_dense``, ``triples`` and ``columns`` read the
+    CSR arrays with numpy. The operator-norm estimate is computed once by
+    deterministic Lanczos and cached.
     """
 
     def __init__(self, matrix):
         # A scipy sparse object cannot exist unless scipy.sparse is loaded.
         sp = sys.modules.get("scipy.sparse")
         if sp is not None and sp.issparse(matrix):
-            mat = sp.csr_array(matrix, dtype=np.float64, copy=True)
-            mat.sort_indices()
-            if mat.nnz and not np.all(np.isfinite(mat.data)):
+            csr = sp.csr_array(matrix, dtype=np.float64, copy=True)
+            csr.sort_indices()
+            matrix = _CSR(csr.indptr, csr.indices, csr.data, csr.shape)
+        if isinstance(matrix, _CSR):
+            mat = matrix
+            if not np.all(np.isfinite(mat.data)):
                 raise ValueError("matrix contains non-finite entries")
             self._sparse = True
-            stored = (mat.indptr, mat.indices, mat.data)
+            stored = mat[:3]
         else:
             handed_over = (
                 type(matrix) is np.ndarray
@@ -101,7 +176,7 @@ class LinearMap:
             # ``<format>_matvec(m, n, indptr, indices, data, x, np.zeros(m))``, in
             # scipy.sparse._compressed._cs_matrix._matmul_vector; calling the
             # kernel directly skips the ~4 us of Python dispatch in front of it.
-            from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+            csr_matvec, csc_matvec = _matvec_kernels()
 
             # Each kernel is bound to the shape it reads and the CSR arrays
             # (K's CSR storage, which is K^T's CSC storage).
@@ -131,21 +206,36 @@ class LinearMap:
 
     def to_dense(self) -> np.ndarray:
         if self._sparse:
-            return self._mat.toarray()
+            return self._scatter(*self.triples(), self.cols)
         return self._mat.copy()
 
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stored (row, col, value) triples sorted by (row, col); sparse only."""
+        """Stored (row, col, value) triples sorted by (row, col); sparse only.
+
+        The columns and values are the stored read-only arrays.
+        """
         if not self._sparse:
             raise ValueError("triples() is only defined for sparse maps")
-        coo = self._mat.tocoo()  # CSR with sorted indices: already in (row, col) order
-        return coo.row, coo.col, coo.data
+        indptr, indices, data, _ = self._mat
+        return np.repeat(np.arange(self.rows, dtype=indices.dtype), np.diff(indptr)), indices, data
 
     def columns(self, index: np.ndarray) -> np.ndarray:
         """The columns K[:, index] as a dense m-by-len(index) array; a CSR map slices first."""
         if self._sparse:
-            return self._mat[:, index].toarray()
+            wanted, position = np.unique(index, return_inverse=True)
+            slot = np.full(self.cols, -1)
+            slot[wanted] = np.arange(wanted.size)
+            ii, jj, vv = self.triples()
+            keep = slot[jj] >= 0
+            return self._scatter(ii[keep], slot[jj[keep]], vv[keep], wanted.size)[:, position]
         return self._mat[:, index]
+
+    def _scatter(self, ii, jj, vv, cols: int) -> np.ndarray:
+        """The m-by-cols array that adds each value to zero at its cell, in stored order,
+        as scipy's ``toarray`` does (so a stored -0.0 reads as 0.0)."""
+        out = np.zeros((self.rows, cols))
+        np.add.at(out, (ii, jj), vv)
+        return out
 
     # -- operator action ---------------------------------------------------
 
@@ -262,8 +352,8 @@ def read_matrix_market(path) -> LinearMap:
     the parse or a check fails are the lines checked one by one, in file
     order, to name the first faulty line. Parse failures raise
     :class:`MatrixMarketError` naming the file and the line. Duplicate
-    coordinate entries are summed; a sum that is not finite raises it
-    naming the file only.
+    coordinate entries are summed in file order; a sum that is not finite
+    raises it naming the file only.
     """
 
     def fail(message: str, line: int | None = None) -> MatrixMarketError:
@@ -368,10 +458,8 @@ def read_matrix_market(path) -> LinearMap:
         ii, jj, vv = parsed["i"], parsed["j"], parsed["v"]
         if not np.all((1 <= ii) & (ii <= m) & (1 <= jj) & (jj <= n) & np.isfinite(vv)):
             locate_fault()
-        import scipy.sparse as sp
-
         try:
-            return LinearMap(sp.coo_array((vv, (ii - 1, jj - 1)), shape=(m, n)))
+            return LinearMap(_csr_from_triples(ii - 1, jj - 1, vv, (m, n)))
         except ValueError:  # finite entries at one (i, j) add up past the largest double
             raise fail("duplicate entries sum to a non-finite value") from None
 

@@ -171,11 +171,17 @@ def test_solve_reads_crlf_files_with_comments_as_the_plain_ones(tmp_path):
     assert (done.returncode, done.stdout) == (0, "same outputs\n")
 
 
-@pytest.mark.parametrize("family", list(bench._FAMILIES))
-def test_solve_on_a_generated_instance_writes_the_traces_of_bench(family, tmp_path):
+@pytest.mark.parametrize("family, bench_settings, solve_settings", [
+    ("l1ls", {"lambda": 0.1}, {"lambda": 0.1}),
+    ("nnls", {"density": 0.3}, {}),
+], ids=["l1ls", "nnls"])
+def test_solve_on_a_generated_instance_writes_the_traces_of_bench(family, bench_settings,
+                                                                  solve_settings, tmp_path):
     """The family's generator and ``iapd solve --problem`` build the same saddle form:
     on the generator's K and b, written as Matrix Market files, every trace CSV
-    equals the bench run's, apart from the solver clock."""
+    equals the bench run's, apart from the solver clock. Each run_meta.json records
+    only the settings its instance read: a file gives no density, and nnls reads no
+    lambda."""
     shape, common = ["--m", "40", "--n", "30"], ["--seed", "4", "--iters", "80"]
     cfg = ExperimentConfig(experiment=family, m=40, n=30, seed=4, iters=80, density=0.3)
     inst = bench._FAMILIES[family].generate(cfg)
@@ -190,6 +196,9 @@ def test_solve_on_a_generated_instance_writes_the_traces_of_bench(family, tmp_pa
     assert sorted(p.name for p in (tmp_path / "solve").glob("*.csv")) == sorted(
         f"{name}.csv" for name in ALGORITHMS)
     assert [line for line in done.stdout.splitlines() if ".csv" in line] == []
+    for run_dir, want in (("bench", bench_settings), ("solve", solve_settings)):
+        meta = json.loads((tmp_path / run_dir / "run_meta.json").read_text())
+        assert {key: meta[key] for key in ("lambda", "density") if key in meta} == want
 
 
 @pytest.mark.parametrize("command, matrix", [("bench", None), ("solve", "K.mtx"),

@@ -1,5 +1,6 @@
 """Operator, norm-estimation, and Matrix Market IO tests."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iapd.bench import generate_l1ls, generate_nnls
@@ -18,6 +19,7 @@ from iapd.linalg import (
     DimensionMismatchError,
     LinearMap,
     MatrixMarketError,
+    _csr_from_triples,
     read_matrix_market,
     write_matrix_market,
 )
@@ -234,14 +236,44 @@ def test_a_dense_run_loads_no_scipy_sparse(tmp_path):
     assert (tmp_path / "solve" / "iapd-op1.csv").exists()
 
 
-@pytest.mark.parametrize("build", [
-    "import scipy.sparse as sp; K = LinearMap(sp.csr_array(A))",
-    "K = generate_nnls(30, 20, 0.3, seed=4).problem.K",
-    "K = read_matrix_market(path)",
+def test_a_sparse_run_loads_no_scipy_sparse(tmp_path):
+    """An nnls bench run, ``iapd certify`` on it and ``iapd solve --problem nnls`` on a
+    coordinate-format K build sparse maps without the scipy.sparse package, whose
+    import chain costs about 15 MB, and leave no scipy module behind: the matvec
+    extension is loaded on its own and not registered."""
+    out = _fresh_process(f"""
+        import contextlib, io, sys
+        import numpy as np
+        from iapd import bench, cli
+        from iapd.linalg import LinearMap, read_matrix_market, write_matrix_market
+        out = {str(tmp_path)!r}
+        inst = bench.generate_nnls(24, 16, 0.3, seed=3)
+        write_matrix_market(inst.problem.K, out + "/K.mtx")
+        write_matrix_market(LinearMap(inst.b[:, None]), out + "/b.mtx")
+        with contextlib.redirect_stdout(io.StringIO()):
+            bench.run_benchmark(bench.ExperimentConfig("nnls", 24, 16, seed=3, iters=40,
+                                                       density=0.3, out_dir=out + "/bench"))
+            codes = [cli.main(["certify", "--csv", out + "/bench/iapd-op1.csv",
+                               "--meta", out + "/bench/run_meta.json"]),
+                     cli.main(["solve", "--problem", "nnls", "--matrix", out + "/K.mtx",
+                               "--rhs", out + "/b.mtx", "--iters", "40", "--out", out + "/solve"])]
+        print(codes, inst.problem.K.is_sparse, read_matrix_market(out + "/K.mtx").is_sparse,
+              "scipy.sparse" in sys.modules, [name for name in sys.modules if "scipy" in name])
+    """)
+    assert out == "[0, 0] True True False []\n"
+    assert (tmp_path / "solve" / "iapd-op1.csv").exists()
+
+
+@pytest.mark.parametrize("build, loads", [
+    ("import scipy.sparse as sp; K = LinearMap(sp.csr_array(A))", True),
+    ("K = generate_nnls(30, 20, 0.3, seed=4).problem.K", False),
+    ("K = read_matrix_market(path)", False),
 ], ids=["csr-input", "generate-nnls", "coordinate-file"])
-def test_each_sparse_path_loads_scipy_sparse_itself(build, tmp_path):
+def test_each_sparse_path_gives_scipys_products_in_a_fresh_process(build, loads, tmp_path):
     """In a process that has not imported scipy.sparse, a CSR input, the nnls generator
-    and a coordinate-file read each give a sparse map with scipy's products, byte for byte."""
+    and a coordinate-file read each give a sparse map with scipy's products, byte for
+    byte. Only the CSR input, which the caller builds with it, loads scipy.sparse; a
+    later import of the package still works beside the map's kernels."""
     rng = np.random.default_rng(8)
     A = np.where(rng.random((30, 20)) < 0.3, rng.standard_normal((30, 20)), 0.0)
     write_matrix_market(LinearMap(sp.csr_array(A)), tmp_path / "K.mtx")
@@ -254,14 +286,16 @@ def test_each_sparse_path_loads_scipy_sparse_itself(build, tmp_path):
         loaded_before = "scipy.sparse" in sys.modules
         path, A = {str(tmp_path / "K.mtx")!r}, np.load({str(tmp_path / "A.npy")!r})
         {build}
+        loaded_after = "scipy.sparse" in sys.modules
         import scipy.sparse as sp
         mat = sp.csr_array(K.to_dense())
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal(K.cols), rng.standard_normal(K.rows)
-        print(loaded_before, K.is_sparse, K.apply(x).tobytes() == (mat @ x).tobytes(),
+        print(loaded_before, loaded_after, K.is_sparse,
+              K.apply(x).tobytes() == (mat @ x).tobytes(),
               K.apply_adjoint(y).tobytes() == (mat.T @ y).tobytes())
     """)
-    assert out == "False True True True\n"
+    assert out == f"False {loads} True True True\n"
 
 
 def test_from_coo_and_triples_sorted():
@@ -555,6 +589,78 @@ def test_mm_read_crosses_the_parser_chunk(tmp_path):
     path = tmp_path / "big.mtx"
     write_matrix_market(K, path)
     assert read_outcome(read_matrix_market, path) == read_outcome(lambda p: K, path)
+
+
+@st.composite
+def coordinate_triples(draw, duplicates: bool):
+    """(m, n, rows, cols, values): zero-based triples in any order, or in (row, col)
+    order with duplicates kept in the order drawn. Rows and columns may be empty and
+    values may be explicit or signed zeros; with ``duplicates``, cells repeat, values
+    as large as the largest double can sum past it, and the order of a sum such as
+    1 + 1e16 - 1e16 decides its value."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))
+    cells = draw(st.lists(cell, max_size=3 * m * n if duplicates else m * n,
+                          unique=not duplicates))
+    if draw(st.booleans()):
+        cells.sort()  # stable: duplicates keep their order
+    value = (st.sampled_from(SPECIAL_VALUES + [1.0, 1e16, -1e16])
+             | st.floats(allow_nan=False, allow_infinity=False))
+    vals = np.array([draw(value) for _ in cells], dtype=np.float64)
+    rows, cols = (np.array([c[k] for c in cells], dtype=np.int64) for k in (0, 1))
+    return m, n, rows, cols, vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(coordinate_triples(duplicates=False), st.data())
+def test_triples_without_duplicates_build_scipys_map(case, data):
+    """Every product and view of the map built from triples is scipy's, byte for byte."""
+    m, n, rows, cols, vals = case
+    K = LinearMap(_csr_from_triples(rows, cols, vals, (m, n)))
+    ref = sp.csr_array((vals, (rows, cols)), shape=(m, n))
+    ref.sort_indices()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x, y = rng.standard_normal(n), rng.standard_normal(m)
+    assert K.apply(x).tobytes() == (ref @ x).tobytes()
+    assert K.apply_adjoint(y).tobytes() == (ref.T @ y).tobytes()
+    assert K.to_dense().tobytes() == ref.toarray().tobytes()
+    coo = ref.tocoo()
+    ii, jj, vv = K.triples()
+    assert (ii.tolist(), jj.tolist(), vv.tobytes()) == (coo.row.tolist(), coo.col.tolist(),
+                                                        coo.data.tobytes())
+    index = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    assert K.columns(index).tobytes() == ref[:, index].toarray().tobytes()
+
+
+def _interleaved_sum():
+    """Cells (1, 2) and (1, 1) alternating in a file; in file order, (1, 1) sums to 9."""
+    cols = np.tile([1, 0], 12)
+    vals = np.full(24, 2.0)
+    vals[cols == 0] = [1.0, 1e16, -1e16] + [1.0] * 9
+    return 1, 2, np.zeros(24, dtype=np.int64), cols, vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coordinate_triples(duplicates=True))
+@example(case=_interleaved_sum())  # numpy's default argsort here gives the sum 8
+def test_a_coordinate_read_sums_duplicates_in_file_order(tmp_path_factory, case):
+    """Each entry read is the sum of its cell's values from the first, in file order; a
+    sum past the largest double is an error that names the file."""
+    m, n, rows, cols, vals = case
+    path = tmp_path_factory.mktemp("mm") / "k.mtx"
+    path.write_text(MM_COORD + f"{m} {n} {len(vals)}\n" + "".join(
+        f"{i + 1} {j + 1} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())))
+    sums = {}
+    for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        sums[i, j] = sums[i, j] + v if (i, j) in sums else v
+    if not all(map(math.isfinite, sums.values())):
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == f"{path}: duplicate entries sum to a non-finite value"
+        return
+    ii, jj, vv = read_matrix_market(path).triples()
+    assert list(zip(ii.tolist(), jj.tolist())) == sorted(sums)
+    assert vv.tobytes() == np.array([sums[c] for c in sorted(sums)], dtype=np.float64).tobytes()
 
 
 @pytest.mark.parametrize("body, line, message", [
