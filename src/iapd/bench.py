@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, solvers
-from .linalg import LinearMap, _csr_from_triples
+from .linalg import LinearMap, _aligned_empty, _csr_from_triples
 from .problem import (DEFAULT_ALPHA_KNORM, DEFAULT_T1, ReferencePoint, SaddleProblem, StepParams,
                       _coupled_steps, _reference_gap, compute_reference)
 from .proxfuns import (L1Norm, LeastSquares, NonnegIndicator, ProxFunction, ShiftedQuadratic,
@@ -133,13 +133,15 @@ def generate_l1ls(m: int, n: int, lam: float, seed: int) -> GeneratedInstance:
     variance 0.1; b = K @ planted + noise.
     """
     rng = np.random.default_rng(seed)
-    K = rng.standard_normal((m, n)) / math.sqrt(m)
+    K = _aligned_empty(m, n)  # filled with the bytes of rng.standard_normal((m, n)) / sqrt(m)
+    rng.standard_normal(out=K)
+    K /= math.sqrt(m)
     planted = np.zeros(n)
     support = rng.choice(n, size=round(0.95 * n), replace=False)
     planted[support] = rng.uniform(-10.0, 10.0, size=support.size)
     noise = rng.normal(0.0, math.sqrt(0.1), size=m)
     b = K @ planted + noise
-    K.flags.writeable = False  # hand K over: LinearMap keeps it without a copy
+    K.base.flags.writeable = K.flags.writeable = False  # hand K over: LinearMap keeps it
     problem = _saddle_form(L1Norm(lam), LinearMap(K), b)
     return GeneratedInstance(problem, b, planted, name=f"l1ls-m{m}-n{n}-seed{seed}",
                              settings={"lambda": lam})

@@ -113,6 +113,14 @@ def _matvec_kernels():
     return module.csr_matvec, module.csc_matvec
 
 
+def _aligned_empty(m: int, n: int) -> np.ndarray:
+    """An uninitialized C-contiguous float64 (m, n) array whose data starts on a 64-byte
+    boundary: a view into a buffer (its ``base``) 64 bytes longer than the array."""
+    buffer = np.empty(m * n + 8)
+    start = -buffer.ctypes.data % 64 // 8
+    return buffer[start : start + m * n].reshape(m, n)
+
+
 class LinearMap:
     """Immutable m-by-n linear operator with adjoint and cached norm estimate.
 
@@ -123,16 +131,23 @@ class LinearMap:
     sparse input is copied through ``scipy.sparse.csr_array``, stored
     duplicates included; ``read_matrix_market`` and ``generate_nnls`` hand
     over fresh CSR arrays built from triples. A dense input is kept without
-    a copy only when it is a C-contiguous float64 ndarray that is read-only
-    and owns its data: the caller hands it over. Any other dense input is
-    copied. A dense map multiplies by the array and by its transposed view,
-    built once here. A CSR map calls scipy's compiled kernels on its own
-    arrays: ``csr_matvec`` for K x, and ``csc_matvec`` for K^T y, reading
-    the same arrays as the CSC storage of K^T. The products are byte for
-    byte those of ``mat @ x`` and ``mat.T @ y`` for scipy's CSR array of the
-    same arrays. The kernels are loaded from their extension module alone
-    (``_matvec_kernels``), and a scipy sparse input is recognized without
-    importing scipy.sparse. ``to_dense``, ``triples`` and ``columns`` read the
+    a copy only when it is a read-only C-contiguous float64 ndarray that
+    owns its data, or a view into a read-only float64 ndarray that does
+    (``generate_l1ls`` hands over such a view of an ``_aligned_empty``
+    buffer): the caller hands it over. A read-only view of a writable
+    buffer is copied, since the caller could still write through the
+    buffer. Any other dense input is copied into an ``_aligned_empty``
+    array, whose data start on a 64-byte boundary: with one BLAS thread a
+    200x400 K x plus K^T y pair takes 17-18 us with K there and 26-28 us
+    with K 16 or 48 bytes past one, whatever the alignment of x and y
+    (``scripts/bench_matvec.py``). A dense map multiplies by the array and
+    by its transposed view, built once here. A CSR map calls scipy's
+    compiled kernels on its own arrays: ``csr_matvec`` for K x, and
+    ``csc_matvec`` for K^T y, reading the same arrays as the CSC storage
+    of K^T. The products are byte for byte those of ``mat @ x`` and
+    ``mat.T @ y`` for scipy's CSR array of the same arrays. The kernels are
+    loaded from their extension module alone (``_matvec_kernels``), and a
+    scipy sparse input is recognized without importing scipy.sparse. ``to_dense``, ``triples`` and ``columns`` read the
     CSR arrays with numpy. The operator-norm estimate is computed once by
     deterministic Lanczos and cached.
     """
@@ -151,17 +166,17 @@ class LinearMap:
             self._sparse = True
             stored = mat[:3]
         else:
-            handed_over = (
-                type(matrix) is np.ndarray
-                and matrix.dtype == np.float64
-                and matrix.flags.c_contiguous
-                and matrix.flags.owndata
-                and not matrix.flags.writeable
-            )
-            mat = matrix if handed_over else np.array(matrix, dtype=np.float64, order="C")
-            stored = (mat,)
+            mat = np.asarray(matrix, dtype=np.float64)
             if mat.ndim != 2:
                 raise ValueError(f"expected a 2-D matrix, got shape {mat.shape}")
+            # Kept if handed over (its buffer read-only too); else copied into an aligned array.
+            owner = mat if mat.flags.owndata else mat.base
+            if not (mat is matrix and mat.flags.c_contiguous and not mat.flags.writeable
+                    and type(owner) is np.ndarray and owner.dtype == np.float64
+                    and owner.flags.owndata and not owner.flags.writeable):
+                mat, given = _aligned_empty(*mat.shape), mat
+                np.copyto(mat, given)
+            stored = (mat,)
             if not np.all(np.isfinite(mat)):
                 raise ValueError("matrix contains non-finite entries")
             self._sparse = False

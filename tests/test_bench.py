@@ -553,6 +553,23 @@ def test_run_benchmark_keeps_partial_trace_of_diverged_algorithm(tmp_path, monke
     assert "partial_trace" not in meta["algorithms"]["fista"]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 48), st.integers(1, 48), st.integers(0, 2**32 - 1))
+def test_generate_l1ls_fills_k_in_place_with_the_bytes_of_a_fresh_array(m, n, seed):
+    """K drawn into an aligned buffer and divided in place, and b formed from it, are
+    byte for byte the K and b of a freshly allocated draw divided out of place."""
+    inst = generate_l1ls(m, n, 0.1, seed)
+    rng = np.random.default_rng(seed)
+    K = rng.standard_normal((m, n)) / math.sqrt(m)
+    planted = np.zeros(n)
+    support = rng.choice(n, size=round(0.95 * n), replace=False)
+    planted[support] = rng.uniform(-10.0, 10.0, size=support.size)
+    b = K @ planted + rng.normal(0.0, math.sqrt(0.1), size=m)
+    assert inst.problem.K._mat.tobytes() == K.tobytes()
+    assert inst.b.tobytes() == b.tobytes()
+    assert inst.planted.tobytes() == planted.tobytes()
+
+
 def test_generate_l1ls_keeps_one_copy_of_k():
     """The generator hands K over to LinearMap, so the peak holds K about once, not twice."""
     m, n = 400, 800

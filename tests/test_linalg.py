@@ -19,6 +19,7 @@ from iapd.linalg import (
     DimensionMismatchError,
     LinearMap,
     MatrixMarketError,
+    _aligned_empty,
     _csr_from_triples,
     read_matrix_market,
     write_matrix_market,
@@ -876,6 +877,14 @@ def _caller_input(kind, dense):
                 A[0, 0] = 1e3
 
         return A, scribble
+    if kind in ("view-of-writable", "aligned-handed-over"):
+        A = _aligned_empty(*dense.shape)
+        A[...] = dense
+        A.flags.writeable = False
+        if kind == "aligned-handed-over":
+            A.base.flags.writeable = False
+            return A, lambda: None
+        return A, lambda: A.base.fill(1e3)
     A = _unsorted_csr(dense) if kind == "csr-unsorted" else sp.coo_array(dense)
 
     def scribble():
@@ -889,7 +898,7 @@ def _caller_input(kind, dense):
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(["c-order", "f-order", "strided", "nested-list", "handed-over",
-                     "csr-unsorted", "coo"]),
+                     "view-of-writable", "aligned-handed-over", "csr-unsorted", "coo"]),
     st.integers(1, 8),
     st.integers(1, 8),
     st.integers(0, 2**32 - 1),
@@ -910,6 +919,10 @@ def test_map_owns_its_arrays(kind, m, n, seed):
     assert not any(arr.flags.writeable for arr in stored)
     if kind == "handed-over":
         assert np.shares_memory(K._mat, A)
+    elif kind == "aligned-handed-over":
+        assert np.shares_memory(K._mat, A) and not A.base.flags.writeable
+    elif not sparse:  # copied into a 64-byte-aligned buffer
+        assert not np.shares_memory(K._mat, A) and K._mat.ctypes.data % 64 == 0
 
     scribble()
     x, y = rng.standard_normal(n), rng.standard_normal(m)
@@ -927,3 +940,56 @@ def test_columns_are_the_dense_columns(sparse):
     cols = K.columns(index)
     assert isinstance(cols, np.ndarray) and cols.shape == (6, 3)
     assert np.array_equal(cols, mat[:, index])
+
+
+# -- 64-byte-aligned dense storage ---------------------------------------------
+# A 200x400 K x plus K^T y pair takes about half again as long with K's data
+# at 16 or 48 mod 64 as at 0 (one BLAS thread; BENCH_matvec.json), so every dense
+# map LinearMap copies and every one the library hands over starts on a
+# 64-byte boundary.
+
+
+def _is_aligned(K: LinearMap) -> bool:
+    return K._mat.ctypes.data % 64 == 0 and K._mat.flags.c_contiguous
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 5), (7, 3), (33, 17), (200, 400)])
+def test_generate_l1ls_hands_over_an_aligned_k(m, n):
+    for seed in (0, 101):
+        K = generate_l1ls(m, n, 0.1, seed).problem.K
+        assert _is_aligned(K)
+        assert not K._mat.flags.owndata and not K._mat.base.flags.writeable
+
+
+def test_array_format_reads_are_aligned(tmp_path):
+    rng = np.random.default_rng(29)
+    for m, n in [(1, 1), (3, 5), (7, 3), (20, 9)]:
+        A = rng.standard_normal((m, n))
+        path = tmp_path / f"a{m}x{n}.mtx"
+        write_matrix_market(LinearMap(A), path)
+        K = read_matrix_market(path)
+        assert _is_aligned(K) and np.array_equal(K.to_dense(), A)
+
+
+@pytest.mark.parametrize("kind", ["list", "int", "f-order", "non-owning-slice"])
+def test_copied_dense_inputs_are_aligned(kind):
+    rng = np.random.default_rng(31)
+    for m, n in [(1, 1), (3, 5), (7, 3), (16, 8)]:
+        dense = rng.integers(-9, 10, (m, n)).astype(np.float64)
+        given = {
+            "list": lambda: dense.tolist(),
+            "int": lambda: dense.astype(np.int64),
+            "f-order": lambda: np.asfortranarray(dense),
+            "non-owning-slice": lambda: np.vstack([np.zeros((1, n)), dense])[1:],
+        }[kind]()
+        K = LinearMap(given)
+        assert _is_aligned(K) and np.array_equal(K.to_dense(), dense)
+
+
+def test_a_view_of_a_read_only_buffer_of_another_dtype_is_copied():
+    raw = np.zeros(4 * 6 * 8 + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    A = raw[start : start + 4 * 6 * 8].view(np.float64).reshape(4, 6)
+    raw.flags.writeable = A.flags.writeable = False
+    K = LinearMap(A)
+    assert not np.shares_memory(K._mat, A) and _is_aligned(K)
