@@ -1,20 +1,21 @@
-"""Time and size fresh processes: ``import iapd``, both default benches and a large set-up.
+"""Time and size fresh processes: ``import iapd``, three benches and a large set-up.
 
     python scripts/bench_footprint.py --label NAME [--baseline LABEL] [--out BENCH_footprint.json]
 
 Run from anywhere; every case is a new interpreter that imports ``iapd`` from
 the ``src/`` directory of the checkout that holds this script, with this
 process's ``blas_threads()`` (1 unless set). The cases are ``import iapd``,
-``iapd bench l1ls --seed 7``, ``iapd bench nnls --seed 11`` and the
-l1ls-large set-up, ``generate_l1ls(1000, 2000, 0.1, 101)`` followed by
-``K.norm()``. They run in turn, REPEATS rounds of all four, so that a
-change in machine load falls on every case alike. For each case the run
-records the median and interquartile range of the wall time from spawn to
-exit, and the median, smallest and largest peak resident set (``ru_maxrss``
-of that child, from ``os.wait4``). Linux starts a spawned child's
-``ru_maxrss`` at the peak RSS of its parent, so this process loads no numpy
-until the children are done; its own peak, about 14 MB, stays below every
-case's. ``runfile`` records the run.
+``iapd bench l1ls --seed 7``, ``iapd bench nnls --seed 11``, the same l1ls
+bench with ``--iters 20000`` (120 000 trace rows and 40 002 energy reports
+held at once) and the l1ls-large set-up, ``generate_l1ls(1000, 2000, 0.1,
+101)`` followed by ``K.norm()``. They run in turn, REPEATS rounds of all
+five, so that a change in machine load falls on every case alike. For each
+case the run records the median and interquartile range of the wall time
+from spawn to exit, and the median, smallest and largest peak resident set
+(``ru_maxrss`` of that child, from ``os.wait4``). Linux starts a spawned
+child's ``ru_maxrss`` at the peak RSS of its parent, so this process loads
+no numpy until the children are done; its own peak, about 14 MB, stays
+below every case's. ``runfile`` records the run.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ CASES = {
                                  "--out", "{out}"],
     "iapd bench nnls --seed 11": ["-m", "iapd.cli", "bench", "nnls", "--seed", "11",
                                   "--out", "{out}"],
+    "iapd bench l1ls --seed 7 --iters 20000": ["-m", "iapd.cli", "bench", "l1ls", "--seed", "7",
+                                               "--iters", "20000", "--out", "{out}"],
     "l1ls-large set-up": ["-c", "from iapd import bench; "
                                 "bench.generate_l1ls(1000, 2000, 0.1, 101).problem.K.norm()"],
 }

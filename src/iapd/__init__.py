@@ -37,6 +37,7 @@ from .solvers import (
     DivergenceError,
     IapdState,
     SolverOptions,
+    Trace,
     TraceRow,
     UnsupportedStructureError,
     iapd_step,

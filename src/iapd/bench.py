@@ -12,6 +12,8 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import struct
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -26,7 +28,7 @@ from .problem import (DEFAULT_ALPHA_KNORM, DEFAULT_T1, ReferencePoint, SaddlePro
                       _coupled_steps, _reference_gap, compute_reference)
 from .proxfuns import (L1Norm, LeastSquares, NonnegIndicator, ProxFunction, ShiftedQuadratic,
                        ZeroSmooth)
-from .solvers import SolverOptions, TraceRow
+from .solvers import SolverOptions, Trace, TraceRow, _row_cells
 
 __all__ = [
     "ALGORITHMS",
@@ -47,7 +49,8 @@ ALGORITHMS = ("iapd-op1", "iapd-op2", "pda", "apda", "fista", "tseng")
 
 _COLUMNS = tuple(f.name for f in fields(TraceRow))
 CSV_HEADER = ",".join(_COLUMNS)
-_float_cells = attrgetter(*_COLUMNS[2:])  # every column after algorithm and k
+_report_cells = attrgetter(*[f.name for f in fields(diagnostics.EnergyReport)])
+_pack_report = struct.Struct(f"{len(fields(diagnostics.EnergyReport))}d").pack
 
 
 @dataclass
@@ -222,37 +225,41 @@ def reference_params(experiment: str, knorm: float) -> StepParams:
     return _preset_steps(experiment, knorm, "reference_steps")
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    return f"{value:.17g}"
+def emit_csv(rows: Trace | list[TraceRow], path) -> None:
+    """Write one algorithm's trace; floats carry 17 significant digits and NaN is empty.
 
-
-def emit_csv(rows: list[TraceRow], path) -> None:
-    """Write one algorithm's trace; floats carry 17 significant digits."""
-    algos = {r.algorithm for r in rows}
-    if len(algos) > 1:
-        raise ValueError(f"rows mix algorithms: {sorted(algos)}")
+    A ``Trace`` is written from its cells; a list of ``TraceRow`` gives the
+    same bytes.
+    """
+    if isinstance(rows, Trace):
+        algorithm, cells = rows.algorithm, map(np.ndarray.tolist, rows.cells)
+    else:
+        algos = {r.algorithm for r in rows}
+        if len(algos) > 1:
+            raise ValueError(f"rows mix algorithms: {sorted(algos)}")
+        algorithm, cells = next(iter(algos), ""), map(_row_cells, rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(",".join([r.algorithm, str(r.k), *map(_fmt, _float_cells(r))]) + "\n")
+        fh.writelines(f"{algorithm},{int(k)},"
+                      + ",".join(["" if v != v else f"{v:.17g}" for v in floats]) + "\n"
+                      for k, *floats in cells)
 
 
-def read_csv(path) -> list[TraceRow]:
-    """Parse a trace CSV back into rows (empty cells become NaN).
+def read_csv(path) -> Trace:
+    """Parse a trace CSV back into a trace (empty cells become NaN).
 
     A file that is not UTF-8 text or has another header raises ValueError
     naming the file; a malformed row, naming also its line and the column
-    at fault. A row whose algorithm differs from the first row's, or whose k
-    does not exceed the k of the row before it, is malformed.
+    at fault. A row whose algorithm differs from the first row's, whose k
+    does not exceed the k of the row before it, or whose k lies beyond
+    2**53, where a float64 cell stops holding every integer, is malformed.
     """
 
     def num(tok: str) -> float:
         return float(tok) if tok else math.nan
 
     readers = [(int, "an integer")] + [(num, "a number")] * (len(_COLUMNS) - 2)
-    rows = []
+    cells, algorithm, last_k = array("d"), None, None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -264,32 +271,38 @@ def read_csv(path) -> list[TraceRow]:
                     column = _COLUMNS[min(len(parts), len(_COLUMNS) - 1)]
                     raise ValueError(f"{path} line {lineno}, column {column!r}: the row has "
                                      f"{len(parts)} fields, the header {len(_COLUMNS)}")
-                if rows and parts[0] != rows[0].algorithm:
+                algorithm = parts[0] if algorithm is None else algorithm
+                if parts[0] != algorithm:
                     raise ValueError(f"{path} line {lineno}, column 'algorithm': {parts[0]!r} "
-                                     f"differs from {rows[0].algorithm!r} on line 2")
-                cells = [parts[0]]
+                                     f"differs from {algorithm!r} on line 2")
+                row = []
                 for column, (read, kind), tok in zip(_COLUMNS[1:], readers, parts[1:]):
                     try:
-                        cells.append(read(tok))
+                        row.append(read(tok))
                     except ValueError:
                         raise ValueError(f"{path} line {lineno}, column {column!r}: "
                                          f"{tok!r} is not {kind}") from None
-                if rows and cells[1] <= rows[-1].k:
-                    raise ValueError(f"{path} line {lineno}, column 'k': {cells[1]} does not "
-                                     f"exceed {rows[-1].k} on line {lineno - 1}")
-                rows.append(TraceRow(*cells))
+                k = row[0]
+                if abs(k) > 2**53:
+                    raise ValueError(f"{path} line {lineno}, column 'k': {k} lies beyond 2**53, "
+                                     "where a float64 cell stops holding every integer")
+                if last_k is not None and k <= last_k:
+                    raise ValueError(f"{path} line {lineno}, column 'k': {k} does not "
+                                     f"exceed {last_k} on line {lineno - 1}")
+                last_k = k
+                cells.extend(row)
     except UnicodeDecodeError as err:
         raise ValueError(f"{path} is not UTF-8 text ({err.reason} at byte {err.start})") from None
-    return rows
+    return Trace("" if algorithm is None else algorithm, cells)
 
 
 @dataclass
 class AlgorithmResult:
     name: str
-    rows: list[TraceRow]
+    rows: Trace
     final_gap: float
     params: dict
-    energy_reports: list = field(default_factory=list)
+    energy_reports: Trace | list = field(default_factory=list)  # of diagnostics.EnergyReport
     certificate: diagnostics.CertificateSummary | None = None  # iapd only, set after the solve
     slope: diagnostics.SlopeFit | None = None  # iapd only, when the trace reaches k > 100
     skipped: str = ""
@@ -339,7 +352,7 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
         try:
             res = _run_algorithm(name, instance, ref, iapd_params, opts, knorm)
         except ValueError as err:  # UnsupportedStructureError included
-            res = AlgorithmResult(name, [], math.nan, {}, skipped=str(err))
+            res = AlgorithmResult(name, Trace(name), math.nan, {}, skipped=str(err))
         if res.skipped:
             status = 3
         results[name] = res
@@ -359,21 +372,23 @@ def _run_algorithm(
 ) -> AlgorithmResult:
     """Run one algorithm; a divergence gives a skipped result that keeps its partial trace.
 
-    One observer fills each row's objective and gap from one f1(x) and one K x.
-    An iapd result that completes is certified, and its rate slope fitted, here.
+    One observer fills each row's objective and gap from one f1(x) and one K x,
+    and keeps an iapd row's energy report as cells. An iapd result that
+    completes is certified, and its rate slope fitted, here.
     """
     problem = instance.problem
-    reports = []
+    report_cells = array("d")  # k .. v_dist_sq of each report, viewed by a Trace after the solve
     energy_at = gap_at = None
 
     # Each solve returns a tuple whose last item is the trace rows.
     if name in ("iapd-op1", "iapd-op2"):
         run_opts = replace(opts, option="option1" if name == "iapd-op1" else "option2")
         energy_at = diagnostics.energy_at(problem, iapd_params, ref)
-        reports.append(energy_at(solvers.init_iapd_state(problem, iapd_params)))
+        first = energy_at(solvers.init_iapd_state(problem, iapd_params))
+        report_cells.frombytes(_pack_report(*_report_cells(first)))
         solve = partial(solvers.solve_iapd, problem, iapd_params, run_opts)
         params = {"alpha": iapd_params.alpha, "beta": iapd_params.beta, "t1": iapd_params.t1,
-                  "mu_g": problem.mu_g, "E1": reports[0].energy}
+                  "mu_g": problem.mu_g, "E1": first.energy}
     elif name == "pda":
         alpha, beta = 1.0 / (20.0 * knorm), 20.0 / knorm
         solve = partial(solvers.solve_pda, problem, alpha, beta, opts)
@@ -404,7 +419,7 @@ def _run_algorithm(
             rep = energy_at(state, fx, kx)
             row.gap_ref = rep.gap_ref
             row.energy = rep.energy
-            reports.append(rep)
+            report_cells.frombytes(_pack_report(*_report_cells(rep)))
         elif gap_at is not None:
             row.gap_ref = gap_at(state.x, state.y, fx, kx)
         else:  # no dual iterate: the objective gap against the reference
@@ -413,8 +428,10 @@ def _run_algorithm(
     try:
         rows = solve(observer=observer)[-1]
     except solvers.DivergenceError as err:
-        return AlgorithmResult(name, err.rows, math.nan, params, energy_reports=reports,
+        return AlgorithmResult(name, err.rows, math.nan, params,
+                               energy_reports=Trace(name, report_cells, diagnostics.EnergyReport),
                                skipped=str(err), diverged_at=err.iteration)
+    reports = Trace(name, report_cells, diagnostics.EnergyReport)
     res = AlgorithmResult(name, rows, rows[-1].objective - ref.objective_value, params,
                           energy_reports=reports)
     if reports:

@@ -141,7 +141,7 @@ def _cmd_certify(parser, args) -> int:
         raise ValueError(f"{args.meta} is not JSON: {err}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{args.meta} holds a JSON {type(meta).__name__}, not an object")
-    algo = rows[0].algorithm
+    algo = rows.algorithm
     algos = meta.get("algorithms")
     entry = algos.get(algo) if isinstance(algos, dict) else None
     params = entry.get("params") if isinstance(entry, dict) else None
@@ -152,8 +152,7 @@ def _cmd_certify(parser, args) -> int:
     accuracy, objective = (_meta_number(meta, k, args.meta)
                            for k in ("reference_accuracy", "reference_objective"))
     inflation = diagnostics._reference_inflation(accuracy, objective)
-    cert = diagnostics.certify(diagnostics._trace_reports(rows), e1, t1, mu_g, beta,
-                               tol=args.tol, inflation=inflation)
+    cert = diagnostics.certify(rows, e1, t1, mu_g, beta, tol=args.tol, inflation=inflation)
     print(f"{algo}: {len(rows)} rows, gap-bound violations {cert.gap_violations}, "
           f"t-lower-bound violations {cert.t_lower_violations}")
     print(f"first violating k: gap bound {cert.first_k.get('gap', 'none')}, "

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import ReferencePoint, SaddleProblem, StepParams, _reference_gap
-from .solvers import IapdState
+from .solvers import IapdState, Trace
 
 __all__ = [
     "EnergyReport",
@@ -98,18 +98,17 @@ def _reference_inflation(accuracy: float, objective_value: float) -> float:
     return 10.0 * accuracy / max(1.0, abs(objective_value))
 
 
-def _trace_reports(rows):
-    """Trace rows as reports, one at a time, for :func:`certify`.
+def _columns(records, *names: str) -> list[np.ndarray]:
+    """The named fields of a ``Trace`` or of an iterable of records, as float64 columns.
 
-    A trace row carries the gap but no distances and no t_{k+1}, so those
-    fields are NaN, which no bound check flags: only the gap and t-lower
-    bounds are checked.
+    A field the records lack reads NaN throughout.
     """
-    nan = math.nan
-    return (
-        EnergyReport(r.k, r.t_k, nan, r.energy, nan, nan, nan, nan, r.gap_ref, nan, nan)
-        for r in rows
-    )
+    if isinstance(records, Trace):
+        nan = np.full(len(records), math.nan)
+        return [records.column(n) if n in records.columns else nan for n in names]
+    records = list(records)
+    return [np.array([getattr(r, n, math.nan) for r in records], dtype=np.float64)
+            for n in names]
 
 
 @dataclass
@@ -138,13 +137,15 @@ class CertificateSummary:
         )
 
 
-def _bound(numerator: float, denominator: float) -> float:
+def _bound(numerator: float, denominator: np.ndarray) -> np.ndarray:
     """numerator / denominator; a zero denominator gives no bound (inf)."""
-    return numerator / denominator if denominator else math.inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.divide(numerator, denominator, out=np.full_like(denominator, math.inf),
+                         where=denominator != 0)
 
 
 def certify(
-    reports: Iterable[EnergyReport],
+    reports: Trace | Iterable[EnergyReport],
     e1: float,
     t1: float,
     mu_g: float,
@@ -160,8 +161,10 @@ def certify(
     with b = 2 a t_1 / (a + 4 t_1), a = mu_g beta. Each bound is relaxed by
     the relative slack ``tol + inflation``; ``inflation`` covers an inexact
     reference point. A row with t_k = 0 gets no gap or dual bound, and a NaN
-    measurement is never flagged. The reports are read once, in order, so a
-    generator of them keeps no trace in memory. A non-finite constant or
+    measurement is never flagged. The reports are a ``Trace``, whose columns
+    are read in place, or any iterable of records; a field they lack, as a
+    trace of ``TraceRow`` lacks t_{k+1} and both distances, is NaN, so only
+    the gap and t-lower bounds are checked. A non-finite constant or
     ``inflation``, or a ``tol`` outside [0, inf), raises ValueError: a NaN
     or infinite slack would flag no row at all.
     """
@@ -175,28 +178,27 @@ def certify(
     a = mu_g * beta
     b = 2.0 * a * t1 / (a + 4.0 * t1) if a > 0 else 0.0
     t_factor = min(0.5, b)
-    summary = CertificateSummary(rows=0)
-    first = summary.first_k
-    for r in reports:
-        summary.rows += 1
-        t, t_next = r.t_k, r.t_next
-        bound_gap = _bound(e1, t * t)
-        if r.gap_ref > bound_gap * slack:
-            summary.gap_violations += 1
-            summary.max_gap_excess = max(summary.max_gap_excess, r.gap_ref - bound_gap)
-            first.setdefault("gap", r.k)
-        if r.dual_dist_sq > _bound(2.0 * e1, mu_g * t * t) * slack:
-            summary.dual_violations += 1
-            first.setdefault("dual", r.k)
-        if r.v_dist_sq > _bound(2.0 * beta * e1, t_next * t_next) * slack:
-            summary.v_violations += 1
-            first.setdefault("v", r.k)
-        if t < t_factor * (r.k + 1) * (1.0 - 1e-12):
-            summary.t_lower_violations += 1
-            first.setdefault("t_lower", r.k)
-    if not summary.rows:
+    k, t, t_next, gap, dual, v = _columns(reports, "k", "t_k", "t_next", "gap_ref",
+                                          "dual_dist_sq", "v_dist_sq")
+    if not k.size:
         raise ValueError("empty trace")
-    return summary
+    bound_gap = _bound(e1, t * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flags = {
+            "gap": gap > bound_gap * slack,
+            "dual": dual > _bound(2.0 * e1, mu_g * t * t) * slack,
+            "v": v > _bound(2.0 * beta * e1, t_next * t_next) * slack,
+            "t_lower": t < t_factor * (k + 1.0) * (1.0 - 1e-12),
+        }
+        excess = gap[flags["gap"]] - bound_gap[flags["gap"]]
+    excess = excess[excess > 0.0]
+    counts = {name: int(np.count_nonzero(flag)) for name, flag in flags.items()}
+    return CertificateSummary(
+        rows=k.size, gap_violations=counts["gap"], dual_violations=counts["dual"],
+        v_violations=counts["v"], t_lower_violations=counts["t_lower"],
+        max_gap_excess=float(excess.max()) if excess.size else 0.0,
+        first_k={name: int(k[flag.argmax()]) for name, flag in flags.items() if counts[name]},
+    )
 
 
 @dataclass(frozen=True)
@@ -208,28 +210,23 @@ class SlopeFit:
     k_max: int
 
 
-def slope(reports: list[EnergyReport], k_min: int, k_max: int) -> SlopeFit:
+def slope(reports: Trace | Iterable[EnergyReport], k_min: int, k_max: int) -> SlopeFit:
     """Least-squares slope of log(gap) against log(k) over [k_min, k_max].
 
     Rows with nonpositive gap are excluded and counted; fewer than five
-    usable rows raises :class:`InsufficientDataError`.
+    usable rows raises :class:`InsufficientDataError`. The reports are read
+    as :func:`certify` reads them.
     """
     if not k_max > k_min >= 1:
         raise ValueError("need k_max > k_min >= 1")
-    ks, gaps = [], []
-    excluded = 0
-    for r in reports:
-        if k_min <= r.k <= k_max:
-            if r.gap_ref > 0:
-                ks.append(r.k)
-                gaps.append(r.gap_ref)
-            else:
-                excluded += 1
-    if len(ks) < 5:
+    k, gap = _columns(reports, "k", "gap_ref")
+    window = (k >= k_min) & (k <= k_max)
+    usable = window & (gap > 0)
+    used = int(np.count_nonzero(usable))
+    excluded = int(np.count_nonzero(window)) - used
+    if used < 5:
         raise InsufficientDataError(
-            f"only {len(ks)} usable rows in [{k_min}, {k_max}] ({excluded} nonpositive)"
+            f"only {used} usable rows in [{k_min}, {k_max}] ({excluded} nonpositive)"
         )
-    logk = np.log(np.asarray(ks, dtype=np.float64))
-    logg = np.log(np.asarray(gaps, dtype=np.float64))
-    coef = np.polyfit(logk, logg, 1)
-    return SlopeFit(float(coef[0]), len(ks), excluded, k_min, k_max)
+    coef = np.polyfit(np.log(k[usable]), np.log(gap[usable]), 1)
+    return SlopeFit(float(coef[0]), used, excluded, k_min, k_max)

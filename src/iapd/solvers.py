@@ -7,21 +7,32 @@ The objective is invoked as ``objective(x, kx)``, where ``kx`` is K x when
 the stepper carries it and None otherwise: iapd carries it whenever it is
 given an objective, FISTA and Tseng when they are given one and their f2 is
 a ``LeastSquares``, whose mapping is then the K of ``kx``.
-The optional observer is invoked as ``observer(row, state)`` and reads
-``state.x`` and ``state.y`` (None for primal-only methods); it may fill
-the ``objective``, ``gap_ref`` and ``energy`` fields in place before the
-row is stored.
+The optional observer is invoked as ``observer(row, state)`` with a fresh
+``TraceRow`` and reads ``state.x`` and ``state.y`` (None for primal-only
+methods); it may fill the ``objective``, ``gap_ref`` and ``energy`` fields
+in place. The row is recorded as it stands when the observer returns: a
+change made to it after that is not seen.
 An observer that returns a truthy value ends the solve after that row: the
 row is kept, and the solver returns that row's iterate.
+
+A solve returns a read-only :class:`Trace` that keeps each row's 8 numbers
+(``k`` to ``elapsed_s``) as float64 cells in one buffer: 64 bytes a row,
+where a ``TraceRow`` object takes about 300. Indexing and iteration rebuild
+rows; ``trace.column(name)`` is a read-only numpy view of one field. The
+benchmark keeps iapd's energy reports the same way, 88 bytes a report.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import time
+from array import array
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from itertools import count
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +45,7 @@ __all__ = [
     "next_t",
     "IapdState",
     "SolverOptions",
+    "Trace",
     "TraceRow",
     "init_iapd_state",
     "iapd_step",
@@ -48,7 +60,7 @@ __all__ = [
 class DivergenceError(RuntimeError):
     """A solver produced a non-finite iterate, the one with index ``iteration``.
 
-    Only ``_drive`` raises it, with the trace rows recorded before it as ``rows``.
+    Only ``_drive`` raises it, with the ``Trace`` recorded before it as ``rows``.
     """
 
     def __init__(self, message: str, iteration: int | None = None):
@@ -129,6 +141,53 @@ class TraceRow:
     dy: float = math.nan
     energy: float = math.nan
     elapsed_s: float = 0.0
+
+
+_row_cells = attrgetter(*[f.name for f in fields(TraceRow)][1:])  # k .. elapsed_s
+_pack_row = struct.Struct("8d").pack  # a row's cells as array("d") bytes, in one call
+
+
+class Trace(Sequence):
+    """The records of one solve, read-only, as float64 cells: one row of ``cells`` per record.
+
+    ``record`` is a dataclass of an optional ``algorithm``, an int ``k`` and
+    floats: ``TraceRow``, or the benchmark's ``diagnostics.EnergyReport``.
+    ``cells`` (flat or as rows, in field order) is viewed without a copy.
+    Indexing and iteration rebuild records, every NaN cell as ``math.nan``,
+    so records rebuilt from identical cells compare equal; a slice is a
+    trace, and a trace equals any sequence of equal records.
+    """
+
+    def __init__(self, algorithm: str, cells=(), record=TraceRow):
+        self.algorithm, self.record = algorithm, record
+        names = [f.name for f in fields(record)]
+        self._head = (algorithm,) if names[0] == "algorithm" else ()
+        self.columns = tuple(names[len(self._head):])
+        self.cells = np.asarray(cells, dtype=np.float64).reshape(-1, len(self.columns))
+        self.cells.flags.writeable = False
+
+    def column(self, name: str) -> np.ndarray:
+        return self.cells[:, self.columns.index(name)]
+
+    def _rebuild(self, cells: list[float]):
+        k, *rest = [math.nan if c != c else c for c in cells]
+        return self.record(*self._head, int(k), *rest)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(self.algorithm, self.cells[i], self.record)
+        return self._rebuild(self.cells[i].tolist())
+
+    def __iter__(self):
+        return map(self._rebuild, self.cells.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def init_iapd_state(problem: SaddleProblem, params: StepParams) -> IapdState:
@@ -245,7 +304,7 @@ def _dist(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _drive(name: str, opts: SolverOptions, states, observer, objective):
-    """Run a stepper for up to ``opts.max_iters`` iterations; return (last state, rows).
+    """Run a stepper for up to ``opts.max_iters`` iterations; return (last state, trace).
 
     The objective is evaluated at most once per iteration, as
     ``objective(state.x, state.kx)``, and only when a row or the gap stop
@@ -253,16 +312,18 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     iteration and at the iterate where the gap stop fires. A row's
     ``elapsed_s`` is solver time: the clock is paused while the objective
     and the observer run. A state whose x or y is not finite
-    raises DivergenceError naming its k, with the rows so far as ``rows``.
+    raises DivergenceError naming its k, with the trace so far as ``rows``.
     A gap stop without an objective raises ValueError.
-    A truthy return from the observer ends the run after its row is stored.
+    The observer's ``TraceRow`` is stored as cells when it returns, and
+    without an observer none is built. A truthy return from the observer
+    ends the run after its row is stored.
     """
     f_ref = None
     if opts.gap_tol is not None:
         if objective is None:
             raise ValueError("the gap stop needs an objective")
         f_ref = opts.reference.objective_value
-    rows: list[TraceRow] = []
+    cells = array("d")  # k .. elapsed_s of each row; the Trace views it once the run ends
     clock = time.monotonic_ns
     paused = 0  # ns spent in the objective and the observer; integers keep elapsed_s monotone
     start = clock()
@@ -271,7 +332,7 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
         # checking x and y flags exactly the iterates a check of v would.
         if not (np.isfinite(state.x).all() and (state.y is None or np.isfinite(state.y).all())):
             err = DivergenceError(f"non-finite iterate at iteration {state.k}", state.k)
-            err.rows = rows
+            err.rows = Trace(name, cells)
             raise err
         record = i % opts.observer_stride == 0 or i == opts.max_iters
         value = math.nan
@@ -281,23 +342,20 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
             paused += clock() - pause
         stop = f_ref is not None and value - f_ref <= opts.gap_tol
         if record or stop:
-            row = TraceRow(
-                algorithm=name,
-                k=state.k,
-                t_k=state.t,
-                objective=value,
-                dx=_dist(state.x, state.x_prev),
-                dy=math.nan if state.y is None else _dist(state.y, state.y_prev),
-                elapsed_s=(clock() - start - paused) / 1e9,
-            )
+            # the cells of TraceRow(name, k, t_k, objective, gap_ref, dx, dy, energy, elapsed_s)
+            row_cells = (state.k, state.t, value, math.nan, _dist(state.x, state.x_prev),
+                         math.nan if state.y is None else _dist(state.y, state.y_prev),
+                         math.nan, (clock() - start - paused) / 1e9)
             if observer is not None:
                 pause = clock()
+                row = TraceRow(name, *row_cells)
                 stop = observer(row, state) or stop
+                row_cells = _row_cells(row)
                 paused += clock() - pause
-            rows.append(row)
+            cells.frombytes(_pack_row(*row_cells))
         if stop:
             break
-    return state, rows
+    return state, Trace(name, cells)
 
 
 def solve_iapd(
@@ -306,7 +364,7 @@ def solve_iapd(
     opts: SolverOptions,
     observer=None,
     objective=None,
-) -> tuple[IapdState, list[TraceRow]]:
+) -> tuple[IapdState, Trace]:
     """Iterate the accelerated primal-dual scheme from ``init_iapd_state``.
 
     The trace rows are named ``iapd-op1`` or ``iapd-op2`` after the option.
@@ -352,7 +410,7 @@ def solve_pda(
     opts: SolverOptions,
     observer=None,
     objective=None,
-) -> tuple[np.ndarray, np.ndarray, list[TraceRow]]:
+) -> tuple[np.ndarray, np.ndarray, Trace]:
     """Fixed-step primal-dual iteration (Chambolle-Pock) with extrapolation theta = 1.
 
     Starts from x = y = 0.
@@ -382,7 +440,7 @@ def solve_apda(
     opts: SolverOptions,
     observer=None,
     objective=None,
-) -> tuple[np.ndarray, np.ndarray, list[TraceRow]]:
+) -> tuple[np.ndarray, np.ndarray, Trace]:
     """Adaptive-step primal-dual baseline exploiting dual strong convexity.
 
     Steps follow theta_k = 1/sqrt(1 + 2 gamma sigma_k), sigma <- theta sigma,
@@ -478,7 +536,7 @@ def solve_fista(
     x0: np.ndarray,
     t1: float = 1.0,
     objective=None,
-) -> tuple[np.ndarray, list[TraceRow]]:
+) -> tuple[np.ndarray, Trace]:
     """Accelerated proximal gradient for min f1 + f2 (Beck-Teboulle scheme)."""
     return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, "option1")
 
@@ -493,6 +551,6 @@ def solve_tseng(
     x0: np.ndarray,
     t1: float = 1.0,
     objective=None,
-) -> tuple[np.ndarray, list[TraceRow]]:
+) -> tuple[np.ndarray, Trace]:
     """Accelerated proximal gradient with Tseng's auxiliary-sequence update."""
     return _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, "option2")

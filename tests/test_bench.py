@@ -2,8 +2,10 @@
 
 import json
 import math
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from iapd.linalg import LinearMap
 from iapd.problem import SaddleProblem, StepParams, default_step_params, validate_params
 from iapd.proxfuns import (L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadratic,
                            ZeroSmooth)
-from iapd.solvers import TraceRow
+from iapd.solvers import Trace, TraceRow
 
 from test_baseline_oracle import PoisonedProx
 from test_cli import strip_elapsed
@@ -277,6 +279,56 @@ def test_read_csv_rejects_a_k_that_does_not_increase(ks, tmp_path):
     with pytest.raises(ValueError) as err:
         read_csv(path)
     assert str(err.value) == f"{path} line 4, column 'k': 2 does not exceed {ks[1]} on line 3"
+
+
+_K_MAX = 2**53  # a float64 cell holds every integer up to here
+
+
+@st.composite
+def trace_cells(draw):
+    """(rows, 8) cells of a trace: increasing integer k up to +-2**53, then any floats,
+    NaN, +-inf, -0.0 and subnormals among them."""
+    ks = draw(st.lists(st.integers(-_K_MAX, _K_MAX) | st.sampled_from([_K_MAX, -_K_MAX]),
+                       min_size=1, max_size=8, unique=True))
+    value = st.floats() | st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0,
+                                           5e-324, -2.2250738585072009e-308])
+    rest = draw(st.lists(st.lists(value, min_size=7, max_size=7),
+                         min_size=len(ks), max_size=len(ks)))
+    return np.array([[k, *cells] for k, cells in zip(sorted(ks), rest)], dtype=np.float64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace_cells())
+def test_a_trace_round_trips_through_its_csv_bit_for_bit(cells):
+    trace = Trace("apda", cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        from_cells, from_rows = Path(tmp) / "cells.csv", Path(tmp) / "rows.csv"
+        emit_csv(trace, from_cells)
+        emit_csv(list(trace), from_rows)
+        assert from_cells.read_bytes() == from_rows.read_bytes()
+        assert "nan" not in from_cells.read_text()  # a NaN cell is written empty
+        back = read_csv(from_cells)
+    assert isinstance(back, Trace) and back.algorithm == "apda"
+    nan = np.isnan(cells)
+    assert np.array_equal(np.isnan(back.cells), nan)
+    assert back.cells[~nan].tobytes() == cells[~nan].tobytes()
+    assert [r.k for r in back] == [int(k) for k in cells[:, 0]]
+    same = Trace("apda", cells.copy())
+    assert list(same) == list(trace) and same == trace and back == trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(_K_MAX + 1, 2**80), st.booleans())
+def test_read_csv_rejects_a_k_beyond_2_to_the_53(tmp_path_factory, before, k, negative):
+    """Beyond 2**53 on either side, checked before the k order."""
+    path = tmp_path_factory.mktemp("k") / "k.csv"
+    k = -k if negative else k
+    lines = [f"fista,{j},1,2,,,,,0" for j in range(1, before + 1)]
+    path.write_text("\n".join([CSV_HEADER, *lines, f"fista,{k},1,2,,,,,0"]) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_csv(path)
+    assert str(err.value) == (f"{path} line {before + 2}, column 'k': {k} lies beyond 2**53, "
+                              "where a float64 cell stops holding every integer")
 
 
 # -- driver ----------------------------------------------------------------
@@ -581,6 +633,23 @@ def test_generate_l1ls_keeps_one_copy_of_k():
         tracemalloc.stop()
     assert inst.problem.K.shape == (m, n)
     assert peak <= 1.5 * (8 * m * n)
+
+
+def test_energy_reports_keep_about_88_bytes_a_report(tmp_path):
+    """A 200x400 l1ls sweep keeps its iapd energy reports as cells, not objects of ~300 B."""
+    cfg = ExperimentConfig("l1ls", 200, 400, seed=3, iters=1000, algorithms=("iapd-op1",),
+                           reference_effort=50, out_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        res = run_benchmark(cfg).results["iapd-op1"]
+        reports = len(res.energy_reports)
+        held = tracemalloc.get_traced_memory()[0]
+        res.energy_reports = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert reports == 1001 and res.certificate.rows == 1001
+    assert freed / reports <= 100
 
 
 def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):

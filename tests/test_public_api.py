@@ -6,8 +6,9 @@ one) call ``getattr`` on every entry, so a stale entry breaks them.
 
 The source also keeps one owner per loop: ``solve_iapd`` is the only caller
 of ``iapd_step``, in ``solvers.py`` only the driver ``_drive`` builds trace
-rows and checks iterates for divergence, and in ``bench.py`` one observer
-fills each row, so no solver there is handed an objective.
+rows (which ``Trace`` rebuilds from their cells) and checks iterates for
+divergence, and in ``bench.py`` one observer fills each row, so no solver
+there is handed an objective.
 """
 
 import ast
@@ -69,7 +70,11 @@ def test_only_solve_iapd_calls_iapd_step():
 
 
 def test_only_the_driver_builds_trace_rows():
-    assert _callers(SRC / "solvers.py", "TraceRow") == {"_drive"}
+    """``_drive`` builds the row it hands the observer, and ``Trace`` rebuilds
+    rows from the cells it keeps instead of row objects, by calling its
+    ``record`` type (``TraceRow`` by default); no stepper or solver builds one."""
+    solvers_py = SRC / "solvers.py"
+    assert _callers(solvers_py, "TraceRow") | _callers(solvers_py, "record") == {"_drive", "Trace"}
 
 
 def test_only_the_driver_checks_for_divergence():

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -26,6 +27,8 @@ from iapd.proxfuns import (
 from iapd.solvers import (
     DivergenceError,
     SolverOptions,
+    Trace,
+    TraceRow,
     UnsupportedStructureError,
     iapd_step,
     init_iapd_state,
@@ -721,3 +724,61 @@ def test_apg_non_finite_prox_diverges_at_its_call_with_the_carried_product(solve
               objective=inst.objective)
     assert err.value.iteration == 20
     assert without_clock(err.value.rows) == without_clock(clean[:19])
+
+
+# -- trace ----------------------------------------------------------------------
+
+
+def test_a_trace_keeps_about_64_bytes_a_row():
+    """A stride-1 trace of 2000 rows is float64 cells, not 2000 row objects of ~300 B."""
+    inst = generate_l1ls(15, 25, 0.1, seed=1)
+    params = preset_params("l1ls", inst.problem.K.norm())
+    tracemalloc.start()
+    try:
+        state, trace = solve_iapd(inst.problem, params, SolverOptions(max_iters=2000),
+                                  objective=inst.objective)
+        held = tracemalloc.get_traced_memory()[0]
+        del trace
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert state.k == 2001
+    assert freed / 2000 <= 100
+
+
+def test_a_trace_is_a_read_only_sequence_of_rebuilt_rows(gap_instance):
+    inst, _ = gap_instance
+    params = preset_params("l1ls", inst.problem.K.norm())
+    _, trace = solve_iapd(inst.problem, params, SolverOptions(max_iters=12, observer_stride=3),
+                          objective=inst.objective)
+    rows = list(trace)
+    assert isinstance(trace, Trace) and trace.algorithm == "iapd-op1"
+    assert len(trace) == 4 and [r.k for r in rows] == [4, 7, 10, 13]
+    assert all(type(r) is TraceRow and type(r.k) is int for r in rows)
+    assert trace[-1] == rows[-1] and trace[1:3] == rows[1:3] and isinstance(trace[1:3], Trace)
+    # NaN cells come back as the shared math.nan, so rebuilt rows compare equal
+    assert rows[0].gap_ref is math.nan and trace == rows and rows == trace and trace != rows[:3]
+    assert trace == Trace("iapd-op1", trace.cells.copy())
+    assert trace.columns == ("k", "t_k", "objective", "gap_ref", "dx", "dy", "energy", "elapsed_s")
+    objective = trace.column("objective")
+    assert objective.tolist() == [r.objective for r in rows]
+    assert np.shares_memory(objective, trace.cells)
+    with pytest.raises(ValueError, match="read-only"):
+        objective[0] = 0.0
+
+
+def test_a_row_is_recorded_as_it_stands_when_the_observer_returns(gap_instance):
+    """Fills made in the observer are kept; a change to the row after it returns is not."""
+    inst, _ = gap_instance
+    params = preset_params("l1ls", inst.problem.K.norm())
+    seen = []
+
+    def observer(row, state):
+        row.gap_ref = float(state.k)
+        seen.append(row)
+
+    _, trace = solve_iapd(inst.problem, params, SolverOptions(max_iters=5), observer)
+    for row in seen:
+        row.energy = -1.0
+    assert trace.column("gap_ref").tolist() == [2.0, 3.0, 4.0, 5.0, 6.0]
+    assert np.isnan(trace.column("energy")).all()
