@@ -6,10 +6,11 @@ Run from anywhere; every case is a new interpreter that imports ``iapd`` from
 the ``src/`` directory of the checkout that holds this script, with this
 process's ``blas_threads()`` (1 unless set). The cases are ``import iapd``,
 ``iapd bench l1ls --seed 7``, ``iapd bench nnls --seed 11``, the same l1ls
-bench with ``--iters 20000`` (120 000 trace rows and 40 002 energy reports
-held at once) and the l1ls-large set-up, ``generate_l1ls(1000, 2000, 0.1,
-101)`` followed by ``K.norm()``. They run in turn, REPEATS rounds of all
-five, so that a change in machine load falls on every case alike. For each
+bench with ``--iters 20000`` (120 000 trace rows held at once, and one iapd
+solve's 20 001 energy reports at a time) and the l1ls-large set-up,
+``generate_l1ls(1000, 2000, 0.1, 101)`` followed by ``K.norm()``. They run
+in turn, REPEATS rounds of all five, so that a change in machine load falls
+on every case alike. For each
 case the run records the median and interquartile range of the wall time
 from spawn to exit, and the median, smallest and largest peak resident set
 (``ru_maxrss`` of that child, from ``os.wait4``). Linux starts a spawned

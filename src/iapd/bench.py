@@ -302,7 +302,6 @@ class AlgorithmResult:
     rows: Trace
     final_gap: float
     params: dict
-    energy_reports: Trace | list = field(default_factory=list)  # of diagnostics.EnergyReport
     certificate: diagnostics.CertificateSummary | None = None  # iapd only, set after the solve
     slope: diagnostics.SlopeFit | None = None  # iapd only, when the trace reaches k > 100
     skipped: str = ""
@@ -373,8 +372,9 @@ def _run_algorithm(
     """Run one algorithm; a divergence gives a skipped result that keeps its partial trace.
 
     One observer fills each row's objective and gap from one f1(x) and one K x,
-    and keeps an iapd row's energy report as cells. An iapd result that
-    completes is certified, and its rate slope fitted, here.
+    and keeps an iapd row's energy report as cells. The reports of an iapd
+    solve that completes are certified, and their rate slope fitted, here;
+    the result keeps neither them nor their cells.
     """
     problem = instance.problem
     report_cells = array("d")  # k .. v_dist_sq of each report, viewed by a Trace after the solve
@@ -428,13 +428,11 @@ def _run_algorithm(
     try:
         rows = solve(observer=observer)[-1]
     except solvers.DivergenceError as err:
-        return AlgorithmResult(name, err.rows, math.nan, params,
-                               energy_reports=Trace(name, report_cells, diagnostics.EnergyReport),
-                               skipped=str(err), diverged_at=err.iteration)
-    reports = Trace(name, report_cells, diagnostics.EnergyReport)
-    res = AlgorithmResult(name, rows, rows[-1].objective - ref.objective_value, params,
-                          energy_reports=reports)
-    if reports:
+        return AlgorithmResult(name, err.rows, math.nan, params, skipped=str(err),
+                               diverged_at=err.iteration)
+    res = AlgorithmResult(name, rows, rows[-1].objective - ref.objective_value, params)
+    if energy_at is not None:
+        reports = Trace(name, report_cells, diagnostics.EnergyReport)
         inflation = diagnostics._reference_inflation(ref.accuracy, ref.objective_value)
         res.certificate = diagnostics.certify(reports, params["E1"], params["t1"],
                                               params["mu_g"], params["beta"], inflation=inflation)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,17 +97,12 @@ def _reference_inflation(accuracy: float, objective_value: float) -> float:
     return 10.0 * accuracy / max(1.0, abs(objective_value))
 
 
-def _columns(records, *names: str) -> list[np.ndarray]:
-    """The named fields of a ``Trace`` or of an iterable of records, as float64 columns.
-
-    A field the records lack reads NaN throughout.
-    """
-    if isinstance(records, Trace):
-        nan = np.full(len(records), math.nan)
-        return [records.column(n) if n in records.columns else nan for n in names]
-    records = list(records)
-    return [np.array([getattr(r, n, math.nan) for r in records], dtype=np.float64)
-            for n in names]
+def _columns(trace: Trace, *names: str) -> list[np.ndarray]:
+    """The named columns of ``trace``; a field its record type lacks reads NaN throughout."""
+    if not isinstance(trace, Trace):
+        raise TypeError(f"expected a Trace, got {type(trace).__name__}")
+    nan = np.full(len(trace), math.nan)
+    return [trace.column(n) if n in trace.columns else nan for n in names]
 
 
 @dataclass
@@ -145,7 +139,7 @@ def _bound(numerator: float, denominator: np.ndarray) -> np.ndarray:
 
 
 def certify(
-    reports: Trace | Iterable[EnergyReport],
+    reports: Trace,
     e1: float,
     t1: float,
     mu_g: float,
@@ -162,9 +156,9 @@ def certify(
     the relative slack ``tol + inflation``; ``inflation`` covers an inexact
     reference point. A row with t_k = 0 gets no gap or dual bound, and a NaN
     measurement is never flagged. The reports are a ``Trace``, whose columns
-    are read in place, or any iterable of records; a field they lack, as a
-    trace of ``TraceRow`` lacks t_{k+1} and both distances, is NaN, so only
-    the gap and t-lower bounds are checked. A non-finite constant or
+    are read in place; a field its record type lacks, as ``TraceRow`` lacks
+    t_{k+1} and both distances, is NaN, so only the gap and t-lower bounds
+    are checked. Any other argument raises TypeError. A non-finite constant or
     ``inflation``, or a ``tol`` outside [0, inf), raises ValueError: a NaN
     or infinite slack would flag no row at all.
     """
@@ -210,7 +204,7 @@ class SlopeFit:
     k_max: int
 
 
-def slope(reports: Trace | Iterable[EnergyReport], k_min: int, k_max: int) -> SlopeFit:
+def slope(reports: Trace, k_min: int, k_max: int) -> SlopeFit:
     """Least-squares slope of log(gap) against log(k) over [k_min, k_max].
 
     Rows with nonpositive gap are excluded and counted; fewer than five

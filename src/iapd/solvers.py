@@ -18,8 +18,7 @@ row is kept, and the solver returns that row's iterate.
 A solve returns a read-only :class:`Trace` that keeps each row's 8 numbers
 (``k`` to ``elapsed_s``) as float64 cells in one buffer: 64 bytes a row,
 where a ``TraceRow`` object takes about 300. Indexing and iteration rebuild
-rows; ``trace.column(name)`` is a read-only numpy view of one field. The
-benchmark keeps iapd's energy reports the same way, 88 bytes a report.
+rows; ``trace.column(name)`` is a read-only numpy view of one field.
 """
 
 from __future__ import annotations
@@ -167,6 +166,8 @@ class Trace(Sequence):
         self.cells.flags.writeable = False
 
     def column(self, name: str) -> np.ndarray:
+        if name not in self.columns:
+            raise ValueError(f"no column {name!r}; the trace has {', '.join(self.columns)}")
         return self.cells[:, self.columns.index(name)]
 
     def _rebuild(self, cells: list[float]):

@@ -1,15 +1,15 @@
 """Building blocks that only the tests use: a zero prox, a primal objective, a start point,
-a script imported as a module."""
+a trace of records, a script imported as a module."""
 
 import importlib
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from iapd.proxfuns import ProxFunction, _check_step
-from iapd.solvers import init_iapd_state
+from iapd.solvers import Trace, init_iapd_state
 
 
 class ZeroProx(ProxFunction):
@@ -44,6 +44,16 @@ def start_at(problem, params, x0, y0):
     x0, y0 = np.asarray(x0, dtype=np.float64), np.asarray(y0, dtype=np.float64)
     return replace(init_iapd_state(problem, params), x=x0.copy(), x_prev=x0.copy(), u=x0.copy(),
                    y=y0.copy(), y_prev=y0.copy(), v=y0.copy(), v_prev=y0.copy())
+
+
+def trace_of(records, record=None):
+    """The ``Trace`` of a list of dataclass records of one type: ``record``, or the first
+    record's type. A ``TraceRow`` trace takes its algorithm from the first row."""
+    records = list(records)
+    record = record or type(records[0])
+    names = [f.name for f in fields(record) if f.name != "algorithm"]
+    algorithm = getattr(records[0], "algorithm", "") if records else ""
+    return Trace(algorithm, [[getattr(r, n) for n in names] for r in records], record)
 
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"

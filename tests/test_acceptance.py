@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from iapd import bench, diagnostics
+from iapd import bench
 from iapd.bench import ExperimentConfig, generate_l1ls
 from iapd.cli import main as cli_main
 from iapd.linalg import NORM_SAFETY, LinearMap
@@ -50,11 +50,6 @@ def desk_runs(tmp_path_factory):
         runs[exp] = bench.run_benchmark(cfg)
         assert runs[exp].status == 0
     return runs
-
-
-def inflation_of(run):
-    ref = run.reference
-    return 10.0 * ref.accuracy / max(1.0, abs(ref.objective_value))
 
 
 def test_criterion_1_t_sequence_certificate():
@@ -106,10 +101,10 @@ def test_criterion_2_energy_monotonicity(desk_runs):
     ok = True
     for exp, run in desk_runs.items():
         for name in ("iapd-op1", "iapd-op2"):
-            reports = run.results[name].energy_reports
-            e1 = reports[0].energy
+            res = run.results[name]
+            e1 = res.params["E1"]
             tol = 1e-8 * (1.0 + abs(e1)) + 10.0 * run.reference.accuracy
-            energies = [r.energy for r in reports]
+            energies = [e1, *res.rows.column("energy")]
             viol = sum(1 for p, c in zip(energies, energies[1:]) if c > p + tol)
             ok &= viol == 0
             details.append(f"{exp}/{name} violations={viol}")
@@ -120,13 +115,9 @@ def test_criterion_3_gap_certificate(desk_runs):
     details = []
     ok = True
     for exp, run in desk_runs.items():
-        infl = inflation_of(run)
         for name in ("iapd-op1", "iapd-op2"):
-            res = run.results[name]
-            p = res.params
-            cert = diagnostics.certify(res.energy_reports, p["E1"], p["t1"], p["mu_g"],
-                                       p["beta"], inflation=infl)
-            ok &= cert.gap_violations == 0
+            cert = run.results[name].certificate
+            ok &= cert.rows == 2001 and cert.gap_violations == 0
             details.append(f"{exp}/{name} gap-violations={cert.gap_violations}")
     verdict(3, ok, "gap_ref * t_k^2 <= E_1 at every iteration: " + ", ".join(details))
 
@@ -135,13 +126,9 @@ def test_criterion_4_dual_certificates(desk_runs):
     details = []
     ok = True
     for exp, run in desk_runs.items():
-        infl = inflation_of(run)
         for name in ("iapd-op1", "iapd-op2"):
-            res = run.results[name]
-            p = res.params
-            cert = diagnostics.certify(res.energy_reports, p["E1"], p["t1"], p["mu_g"],
-                                       p["beta"], inflation=infl)
-            ok &= cert.dual_violations == 0 and cert.v_violations == 0
+            cert = run.results[name].certificate
+            ok &= cert.rows == 2001 and cert.dual_violations == 0 and cert.v_violations == 0
             details.append(
                 f"{exp}/{name} y-violations={cert.dual_violations} "
                 f"v-violations={cert.v_violations}"
@@ -188,8 +175,8 @@ def test_criterion_6_empirical_rate(desk_runs):
     ok = True
     run = desk_runs["l1ls"]
     for name in ("iapd-op1", "iapd-op2"):
-        fit = diagnostics.slope(run.results[name].energy_reports, 100, 1000)
-        ok &= fit.slope <= -1.8
+        fit = run.results[name].slope
+        ok &= (fit.k_min, fit.k_max) == (100, 1000) and fit.slope <= -1.8
         details.append(f"{name} slope={fit.slope:.3f}")
     verdict(6, ok, "l1ls log-log gap slope on [100, 1000] <= -1.8: " + ", ".join(details))
 

@@ -31,6 +31,7 @@ from iapd.proxfuns import (L1Norm, LeastSquares, NonnegIndicator, ShiftedQuadrat
                            ZeroSmooth)
 from iapd.solvers import Trace, TraceRow
 
+from helpers import trace_of
 from test_baseline_oracle import PoisonedProx
 from test_cli import strip_elapsed
 
@@ -149,7 +150,7 @@ def test_each_option_certifies_on_its_preset_row(tmp_path_factory, family, m, n,
         assert (res.params["alpha"], res.params["beta"], res.params["t1"]) == (
             preset.alpha, preset.beta, preset.t1)
         assert not res.skipped and res.certificate.ok, res.certificate
-        energies = [r.energy for r in res.energy_reports]
+        energies = [res.params["E1"], *res.rows.column("energy")]
         tol = 1e-8 * (1.0 + abs(energies[0])) + 10.0 * result.reference.accuracy
         assert all(later <= earlier + tol for earlier, later in zip(energies, energies[1:]))
 
@@ -455,7 +456,7 @@ def test_run_directory_names_the_first_violation_of_every_bound(tmp_path, monkey
               10: {"t_k": 1e-3}}
     certify = diagnostics.certify
     monkeypatch.setattr(diagnostics, "certify", lambda reports, *args, **kw: certify(
-        [replace(r, **doctor.get(r.k, {})) for r in reports], *args, **kw))
+        trace_of([replace(r, **doctor.get(r.k, {})) for r in reports]), *args, **kw))
     cfg = dict(experiment="l1ls", m=20, n=30, seed=5, iters=30,
                algorithms=("iapd-op1", "iapd-op2"), reference_effort=300)
     runs = [run_benchmark(ExperimentConfig(out_dir=tmp_path / side, **cfg)) for side in "ab"]
@@ -635,21 +636,23 @@ def test_generate_l1ls_keeps_one_copy_of_k():
     assert peak <= 1.5 * (8 * m * n)
 
 
-def test_energy_reports_keep_about_88_bytes_a_report(tmp_path):
-    """A 200x400 l1ls sweep keeps its iapd energy reports as cells, not objects of ~300 B."""
+def test_a_sweep_result_keeps_its_trace_and_not_its_energy_reports(tmp_path):
+    """A finished 200x400 l1ls sweep holds about 64 B a trace row: its rows' cells, not also
+    the 88 B of each energy report that its certificate and slope were read from."""
     cfg = ExperimentConfig("l1ls", 200, 400, seed=3, iters=1000, algorithms=("iapd-op1",),
                            reference_effort=50, out_dir=tmp_path)
     tracemalloc.start()
     try:
-        res = run_benchmark(cfg).results["iapd-op1"]
-        reports = len(res.energy_reports)
+        result = run_benchmark(cfg)
+        res = result.results["iapd-op1"]
+        rows, certified = len(res.rows), res.certificate.rows
         held = tracemalloc.get_traced_memory()[0]
-        res.energy_reports = None
+        del result, res
         freed = held - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert reports == 1001 and res.certificate.rows == 1001
-    assert freed / reports <= 100
+    assert (rows, certified) == (1000, 1001)
+    assert freed / rows <= 100
 
 
 def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):
@@ -661,6 +664,36 @@ def test_run_benchmark_removes_stale_algorithm_csvs(tmp_path):
     run_benchmark(ExperimentConfig(seed=4, algorithms=("fista",), **common))
     assert sorted(p.name for p in out.glob("*.csv")) == ["fista.csv", "notes.csv"]
     assert json.loads((out / "run_meta.json").read_text())["seed"] == 4
+
+
+def test_every_sweep_calls_each_callable_perfbench_averages(tmp_path, monkeypatch):
+    """A traced perfbench run averages the calls of six public callables, or divides by
+    their count or time: K x, K^T y, the family's f1 prox, the g1 prox, the iapd step and the
+    Lagrangian. A callable that a sweep no longer calls makes its figure NaN and the run
+    incorrect, though no output changed. Each kind of sweep perfbench runs calls all six: l1ls
+    with a reference that certifies, nnls, and l1ls with an uncertified reference, as
+    l1ls-large's is at effort 400."""
+    called = set()
+    for owner, attr in ((LinearMap, "apply"), (LinearMap, "apply_adjoint"), (L1Norm, "prox"),
+                        (NonnegIndicator, "prox"), (ShiftedQuadratic, "prox"),
+                        (SaddleProblem, "lagrangian"), (solvers, "iapd_step")):
+        label = f"{owner.__name__.rpartition('.')[2]}.{attr}"
+        original = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args, label=label, original=original, **kw:
+                            called.add(label) or original(*args, **kw))
+    common = {"m": 20, "n": 30, "seed": 5, "iters": 30}
+    sweeps = [({**common, "experiment": "l1ls", "reference_effort": 3000}, True, L1Norm),
+              ({"experiment": "nnls", "m": 40, "n": 20, "seed": 11, "iters": 30, "density": 0.5},
+               True, NonnegIndicator),
+              ({**common, "experiment": "l1ls", "reference_effort": 5,
+                "algorithms": ("iapd-op1", "fista")}, False, L1Norm)]
+    for i, (cfg, certified, f1) in enumerate(sweeps):
+        called.clear()
+        result = run_benchmark(ExperimentConfig(out_dir=tmp_path / str(i), **cfg))
+        assert result.status == 0 and result.reference.certified == certified
+        averaged = {"LinearMap.apply", "LinearMap.apply_adjoint", f"{f1.__name__}.prox",
+                    "ShiftedQuadratic.prox", "SaddleProblem.lagrangian", "solvers.iapd_step"}
+        assert averaged - called == set(), cfg
 
 
 @pytest.mark.parametrize("name, per_iteration", [("iapd-op1", 3), ("iapd-op2", 3),

@@ -19,9 +19,9 @@ from iapd.diagnostics import (
 )
 from iapd.linalg import LinearMap
 from iapd.problem import ReferencePoint, StepParams, compute_reference, default_step_params
-from iapd.solvers import iapd_step, init_iapd_state, next_t
+from iapd.solvers import SolverOptions, iapd_step, init_iapd_state, next_t, solve_iapd
 
-from helpers import start_at
+from helpers import start_at, trace_of
 from test_problem import oracle_lagrangian, saddle_and_points
 
 
@@ -59,7 +59,8 @@ def energy_trace(problem, params, states, ref):
 
 def certify_run(problem, params, reports, **kw):
     """certify() with the run's constants, anchored at the first report's energy."""
-    return certify(reports, reports[0].energy, params.t1, problem.mu_g, params.beta, **kw)
+    return certify(trace_of(reports), reports[0].energy, params.t1, problem.mu_g, params.beta,
+                   **kw)
 
 
 def test_initial_energy_matches_closed_form():
@@ -130,14 +131,25 @@ def test_certify_flags_inflated_gap():
     inst, params, ref, reports = run_reports(iters=100)
     e1 = reports[0].energy
     bad = [dataclasses.replace(r, gap_ref=e1 / r.t_k**2 * 10.0) for r in reports[1:]]
-    summary = certify(bad, e1, params.t1, inst.problem.mu_g, params.beta)
+    summary = certify(trace_of(bad), e1, params.t1, inst.problem.mu_g, params.beta)
     assert summary.gap_violations == len(bad)
     assert summary.first_k["gap"] == bad[0].k
 
 
 def test_certify_rejects_empty():
     with pytest.raises(ValueError):
-        certify([], 1.0, 1.0, 1.0, 1.0)
+        certify(trace_of([], EnergyReport), 1.0, 1.0, 1.0, 1.0)
+
+
+def test_certify_and_slope_read_only_a_trace():
+    """A list of records, which they took before, is refused by name, not read."""
+    reports = [report(k=k, t_k=float(k), gap_ref=1.0 / k**2) for k in range(1, 11)]
+    with pytest.raises(TypeError, match="expected a Trace, got list"):
+        certify(reports, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(TypeError, match="expected a Trace, got list"):
+        slope(reports, 1, 10)
+    assert certify(trace_of(reports), 1.0, 1.0, 1.0, 1.0).ok
+    assert slope(trace_of(reports), 1, 10).slope == pytest.approx(-2.0)
 
 
 @pytest.mark.parametrize("constant, value", [
@@ -150,7 +162,7 @@ def test_certify_rejects_a_constant_that_passes_every_row(constant, value):
     kw = dict(e1=1.0, t1=1.0, mu_g=1.0, beta=1.0, tol=1e-6, inflation=0.0)
     kw[constant] = value
     with pytest.raises(ValueError, match=f"certify needs a .*{constant}"):
-        certify([report(gap_ref=1e300)], **kw)
+        certify(trace_of([report(gap_ref=1e300)]), **kw)
 
 
 def report(k=1, t_k=1.0, t_next=1.0, gap_ref=0.0, dual_dist_sq=0.0, v_dist_sq=0.0):
@@ -171,7 +183,7 @@ def test_certify_bounds_are_exact_at_their_slack(field):
     at_bound = bound * (1.0 + tol + inflation)
     counts = []
     for value in (at_bound, np.nextafter(at_bound, math.inf)):
-        cert = certify([report(t_k=t_k, t_next=t_next, **{field: value})],
+        cert = certify(trace_of([report(t_k=t_k, t_next=t_next, **{field: value})]),
                        e1, t1, mu_g, beta, tol=tol, inflation=inflation)
         counts.append((cert.gap_violations, cert.dual_violations, cert.v_violations,
                        cert.t_lower_violations))
@@ -185,7 +197,7 @@ def test_certify_keeps_the_first_violating_k_of_each_bound():
     for k, field in ((2, "v_dist_sq"), (3, "dual_dist_sq"), (5, "dual_dist_sq"), (5, "v_dist_sq")):
         rows[k - 1] = dataclasses.replace(rows[k - 1], **{field: 1e300})
     rows[3] = dataclasses.replace(rows[3], t_k=0.0)  # k = 4: no gap or dual bound, t-lower fails
-    cert = certify(rows, 1.0, 1.0, 1.0, 1.0)
+    cert = certify(trace_of(rows), 1.0, 1.0, 1.0, 1.0)
     assert cert.first_k == {"v": 2, "dual": 3, "t_lower": 4}
     assert (cert.dual_violations, cert.v_violations, cert.t_lower_violations) == (2, 2, 1)
     assert cert.gap_violations == 0
@@ -193,8 +205,8 @@ def test_certify_keeps_the_first_violating_k_of_each_bound():
 
 def test_certify_sets_no_gap_or_dual_bound_at_zero_t():
     """t_k = 0 (and a zero t_{k+1}) gives no bound to check, not a ZeroDivisionError."""
-    cert = certify([report(t_k=0.0, t_next=0.0, gap_ref=1e300, dual_dist_sq=1e300,
-                           v_dist_sq=1e300)], 1.0, 1.0, 1.0, 1.0)
+    cert = certify(trace_of([report(t_k=0.0, t_next=0.0, gap_ref=1e300, dual_dist_sq=1e300,
+                                    v_dist_sq=1e300)]), 1.0, 1.0, 1.0, 1.0)
     assert (cert.gap_violations, cert.dual_violations, cert.v_violations) == (0, 0, 0)
     assert cert.t_lower_violations == 1
 
@@ -202,8 +214,10 @@ def test_certify_sets_no_gap_or_dual_bound_at_zero_t():
 def test_certificate_paths_agree(tmp_path):
     """certify() over a run's energy reports and over its trace CSV flags the same rows.
 
-    The rows read back from the CSV go to certify() as they are; the fields a
-    trace row lacks read NaN there."""
+    The reports are rebuilt through an energy_at observer on the run's instance,
+    steps and reference, as the benchmark builds them. The rows read back from
+    the CSV go to certify() as they are; the fields a trace row lacks read NaN
+    there."""
     cfg = ExperimentConfig("l1ls", 20, 30, seed=3, iters=60, algorithms=("iapd-op1",),
                            out_dir=tmp_path)
     result = run_benchmark(cfg)
@@ -213,19 +227,28 @@ def test_certificate_paths_agree(tmp_path):
     inflation = _reference_inflation(ref.accuracy, ref.objective_value)
     rows = read_csv(tmp_path / "iapd-op1.csv")
 
+    problem = generate_l1ls(20, 30, 0.1, seed=3).problem
+    params = StepParams(alpha=p["alpha"], beta=p["beta"], t1=p["t1"])
+    evaluate = energy_at(problem, params, ref)
+    reports = [evaluate(init_iapd_state(problem, params))]
+    solve_iapd(problem, params, SolverOptions(max_iters=60),
+               observer=lambda row, state: reports.append(evaluate(state)))
+    def cert(rs):
+        return certify(trace_of(rs), p["E1"], p["t1"], p["mu_g"], p["beta"], inflation=inflation)
+
+    assert reports[0].energy == p["E1"]
+    assert [r.k for r in reports[1:]] == [r.k for r in rows]
+    assert cert(reports) == res.certificate
+
     def verdicts(reports):
         """Gap-bound violations, the k of each row that breaks the gap bound on its own,
         and t-lower violations."""
         reports = list(reports)
-
-        def cert(rs):
-            return certify(rs, p["E1"], p["t1"], p["mu_g"], p["beta"], inflation=inflation)
-
         whole = cert(reports)
         flagged = [r.k for r in reports if cert([r]).gap_violations]
         return whole.gap_violations, flagged, whole.t_lower_violations
 
-    clean = verdicts(res.energy_reports)
+    clean = verdicts(reports)
     assert clean == verdicts(rows) == (0, [], 0)
 
     doctored_k = (5, 20, 41)
@@ -233,13 +256,13 @@ def test_certificate_paths_agree(tmp_path):
     def past_bound(r):
         return 2.0 * p["E1"] / r.t_k**2 if r.k in doctored_k else r.gap_ref
 
-    reports = [dataclasses.replace(r, gap_ref=past_bound(r)) for r in res.energy_reports]
+    reports = [dataclasses.replace(r, gap_ref=past_bound(r)) for r in reports]
     rows = [dataclasses.replace(r, gap_ref=past_bound(r)) for r in rows]
     assert verdicts(reports) == verdicts(rows) == (3, list(doctored_k), 0)
 
 
 def synthetic_reports(gaps):
-    return [report(k=k, gap_ref=g) for k, g in enumerate(gaps, start=1)]
+    return trace_of([report(k=k, gap_ref=g) for k, g in enumerate(gaps, start=1)])
 
 
 def test_slope_recovers_synthetic_rates():

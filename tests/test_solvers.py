@@ -767,6 +767,14 @@ def test_a_trace_is_a_read_only_sequence_of_rebuilt_rows(gap_instance):
         objective[0] = 0.0
 
 
+def test_a_column_the_trace_lacks_is_named_with_the_columns_it_has():
+    trace = Trace("fista", [[1.0, 2.0, 3.0, math.nan, 0.1, math.nan, math.nan, 0.0]])
+    with pytest.raises(ValueError) as err:
+        trace.column("v_dist_sq")
+    assert str(err.value) == ("no column 'v_dist_sq'; the trace has k, t_k, objective, gap_ref, "
+                              "dx, dy, energy, elapsed_s")
+
+
 def test_a_row_is_recorded_as_it_stands_when_the_observer_returns(gap_instance):
     """Fills made in the observer are kept; a change to the row after it returns is not."""
     inst, _ = gap_instance
