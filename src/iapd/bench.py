@@ -225,24 +225,31 @@ def reference_params(experiment: str, knorm: float) -> StepParams:
     return _preset_steps(experiment, knorm, "reference_steps")
 
 
+def _check_k(k, where: str) -> None:
+    if abs(k) > 2**53:  # a float64 cell holds every integer up to here, and not beyond
+        raise ValueError(f"{where}, column 'k': {k} lies beyond 2**53, "
+                         "where a float64 cell stops holding every integer")
+
+
 def emit_csv(rows: Trace | list[TraceRow], path) -> None:
     """Write one algorithm's trace; floats carry 17 significant digits and NaN is empty.
 
-    A ``Trace`` is written from its cells; a list of ``TraceRow`` gives the
-    same bytes.
+    A list of ``TraceRow`` becomes a ``Trace`` first, so it gives the bytes
+    of the equal trace; rows of two algorithms, or a k beyond 2**53, which
+    a cell cannot hold, raise ValueError.
     """
-    if isinstance(rows, Trace):
-        algorithm, cells = rows.algorithm, map(np.ndarray.tolist, rows.cells)
-    else:
+    if not isinstance(rows, Trace):
         algos = {r.algorithm for r in rows}
         if len(algos) > 1:
             raise ValueError(f"rows mix algorithms: {sorted(algos)}")
-        algorithm, cells = next(iter(algos), ""), map(_row_cells, rows)
+        for lineno, row in enumerate(rows, start=2):
+            _check_k(row.k, f"{path} line {lineno}")
+        rows = Trace(next(iter(algos), ""), list(map(_row_cells, rows)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.writelines(f"{algorithm},{int(k)},"
+        fh.writelines(f"{rows.algorithm},{int(k)},"
                       + ",".join(["" if v != v else f"{v:.17g}" for v in floats]) + "\n"
-                      for k, *floats in cells)
+                      for k, *floats in map(np.ndarray.tolist, rows.cells))
 
 
 def read_csv(path) -> Trace:
@@ -283,9 +290,7 @@ def read_csv(path) -> Trace:
                         raise ValueError(f"{path} line {lineno}, column {column!r}: "
                                          f"{tok!r} is not {kind}") from None
                 k = row[0]
-                if abs(k) > 2**53:
-                    raise ValueError(f"{path} line {lineno}, column 'k': {k} lies beyond 2**53, "
-                                     "where a float64 cell stops holding every integer")
+                _check_k(k, f"{path} line {lineno}")
                 if last_k is not None and k <= last_k:
                     raise ValueError(f"{path} line {lineno}, column 'k': {k} does not "
                                      f"exceed {last_k} on line {lineno - 1}")

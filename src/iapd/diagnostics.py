@@ -27,16 +27,12 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Per-iteration energy terms and distances to the reference point."""
+    """One iterate's energy, its gap at (x*, y*) and the squared distances of y and v to y*."""
 
     k: int
     t_k: float
     t_next: float
     energy: float
-    i1: float
-    i2: float
-    i3: float
-    i4: float
     gap_ref: float
     dual_dist_sq: float
     v_dist_sq: float
@@ -80,16 +76,15 @@ def energy_at(problem: SaddleProblem, params: StepParams, ref: ReferencePoint):
             t_k=t,
             t_next=t_next,
             energy=i1 + i2 + i3 + i4,
-            i1=i1,
-            i2=i2,
-            i3=i3,
-            i4=i4,
             gap_ref=gap,
             dual_dist_sq=float(dy_ref @ dy_ref),
             v_dist_sq=v_dist_sq,
         )
 
     return evaluate
+
+
+_SLACK = 1e-6  # the relative rounding slack of every bound ``certify`` checks
 
 
 def _reference_inflation(accuracy: float, objective_value: float) -> float:
@@ -144,7 +139,6 @@ def certify(
     t1: float,
     mu_g: float,
     beta: float,
-    tol: float = 1e-6,
     inflation: float = 0.0,
 ) -> CertificateSummary:
     """Check the theorem's bounds along a trace of energy reports.
@@ -153,22 +147,21 @@ def certify(
     t_k^2 gap <= E_1, ||y_k - y*||^2 <= 2 E_1 / (mu_g t_k^2),
     ||v_k - y*||^2 <= 2 beta E_1 / t_{k+1}^2 and t_k >= min(1/2, b) (k + 1)
     with b = 2 a t_1 / (a + 4 t_1), a = mu_g beta. Each bound is relaxed by
-    the relative slack ``tol + inflation``; ``inflation`` covers an inexact
-    reference point. A row with t_k = 0 gets no gap or dual bound, and a NaN
-    measurement is never flagged. The reports are a ``Trace``, whose columns
-    are read in place; a field its record type lacks, as ``TraceRow`` lacks
-    t_{k+1} and both distances, is NaN, so only the gap and t-lower bounds
-    are checked. Any other argument raises TypeError. A non-finite constant or
-    ``inflation``, or a ``tol`` outside [0, inf), raises ValueError: a NaN
-    or infinite slack would flag no row at all.
+    the relative slack ``_SLACK + inflation``. ``_SLACK`` (1e-6) is fixed, so
+    the sweep and ``iapd certify``, which has no ``--tol``, check with the
+    same one; ``inflation`` covers an inexact reference point. A row with
+    t_k = 0 gets no gap or dual bound, and a NaN measurement is never
+    flagged. The reports are a ``Trace``, whose columns are read in place;
+    a field its record type lacks, as ``TraceRow`` lacks t_{k+1} and both
+    distances, is NaN, so only the gap and t-lower bounds are checked. Any
+    other argument raises TypeError. A non-finite constant or ``inflation``
+    raises ValueError: a NaN or infinite slack would flag no row at all.
     """
     constants = {"e1": e1, "t1": t1, "mu_g": mu_g, "beta": beta, "inflation": inflation}
     for name, value in constants.items():
         if not math.isfinite(value):
             raise ValueError(f"certify needs a finite {name}, got {value}")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"certify needs a tol in [0, inf), got {tol}")
-    slack = 1.0 + tol + inflation
+    slack = 1.0 + _SLACK + inflation
     a = mu_g * beta
     b = 2.0 * a * t1 / (a + 4.0 * t1) if a > 0 else 0.0
     t_factor = min(0.5, b)

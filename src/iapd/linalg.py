@@ -353,7 +353,7 @@ def read_matrix_market(path) -> LinearMap:
     - after it, a line whose first non-blank character is ``%`` is a
       comment, and comment and blank lines may stand anywhere;
     - the size line is ``m n nnz`` (coordinate) or ``m n`` (array), each
-      field an index as below;
+      field an index as below, with m, n >= 1 and m n and m + 1 below 2**63;
     - a coordinate entry is one line ``i j value`` with 1 <= i <= m and
       1 <= j <= n; array values come in column-major order, and every
       data line holds the same number of values;
@@ -415,7 +415,9 @@ def read_matrix_market(path) -> LinearMap:
         dims = [number(int, tok) for tok in size]
     except ValueError:
         raise fail(f"non-integer size field in {lines[idx]!r}", idx + 1) from None
-    if dims[0] < 1 or dims[1] < 1 or (fmt == "coordinate" and dims[2] < 0):
+    # int64 must hold m n, which bounds the row-major cell keys, and m + 1, the row pointer's length
+    if (dims[0] < 1 or dims[1] < 1 or (fmt == "coordinate" and dims[2] < 0)
+            or max(dims[0] * dims[1], dims[0] + 1) >= 2**63):
         raise fail("invalid dimensions", idx + 1)
     m, n = dims[0], dims[1]
     idx += 1
@@ -473,10 +475,10 @@ def read_matrix_market(path) -> LinearMap:
         ii, jj, vv = parsed["i"], parsed["j"], parsed["v"]
         if not np.all((1 <= ii) & (ii <= m) & (1 <= jj) & (jj <= n) & np.isfinite(vv)):
             locate_fault()
-        try:
-            return LinearMap(_csr_from_triples(ii - 1, jj - 1, vv, (m, n)))
-        except ValueError:  # finite entries at one (i, j) add up past the largest double
-            raise fail("duplicate entries sum to a non-finite value") from None
+        csr = _csr_from_triples(ii - 1, jj - 1, vv, (m, n))
+        if not np.isfinite(csr.data).all():  # finite entries at one (i, j) add up past it
+            raise fail("duplicate entries sum to a non-finite value")
+        return LinearMap(csr)
 
     values = parsed.ravel()
     if not np.isfinite(values).all():

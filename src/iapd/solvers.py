@@ -150,11 +150,12 @@ class Trace(Sequence):
     """The records of one solve, read-only, as float64 cells: one row of ``cells`` per record.
 
     ``record`` is a dataclass of an optional ``algorithm``, an int ``k`` and
-    floats: ``TraceRow``, or the benchmark's ``diagnostics.EnergyReport``.
-    ``cells`` (flat or as rows, in field order) is viewed without a copy.
-    Indexing and iteration rebuild records, every NaN cell as ``math.nan``,
-    so records rebuilt from identical cells compare equal; a slice is a
-    trace, and a trace equals any sequence of equal records.
+    floats: ``TraceRow``, or the benchmark's ``diagnostics.EnergyReport``
+    (an iterate's energy, gap and dual distances). ``cells`` (flat or as
+    rows, in field order) is viewed without a copy. Indexing and iteration
+    rebuild records, every NaN cell as ``math.nan``, so records rebuilt from
+    identical cells compare equal; a slice is a trace. A trace defines no
+    equality of its own: compare ``list(trace)`` or its cells.
     """
 
     def __init__(self, algorithm: str, cells=(), record=TraceRow):
@@ -184,11 +185,6 @@ class Trace(Sequence):
 
     def __iter__(self):
         return map(self._rebuild, self.cells.tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, str):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def init_iapd_state(problem: SaddleProblem, params: StepParams) -> IapdState:

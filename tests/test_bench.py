@@ -249,14 +249,26 @@ def test_emit_csv_header_only(tmp_path):
     path = tmp_path / "e.csv"
     emit_csv([], path)
     assert path.read_text() == CSV_HEADER + "\n"
-    assert read_csv(path) == []
+    assert list(read_csv(path)) == []
 
 
 def test_emit_csv_rejects_mixed_algorithms(tmp_path):
     rows = sample_rows()
     rows[1].algorithm = "pda"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rows mix algorithms"):
         emit_csv(rows, tmp_path / "m.csv")
+
+
+def test_emit_csv_refuses_a_row_k_that_a_cell_cannot_hold(tmp_path):
+    path = tmp_path / "k.csv"
+    rows = [TraceRow("fista", k, 1.0, 0.5) for k in (1, 2**53 + 1)]
+    with pytest.raises(ValueError) as err:
+        emit_csv(rows, path)
+    assert str(err.value) == (f"{path} line 3, column 'k': {2**53 + 1} lies beyond 2**53, "
+                              "where a float64 cell stops holding every integer")
+    assert not path.exists()
+    emit_csv(rows[:1] + [TraceRow("fista", 2**53, 1.0, 0.5)], path)
+    assert [r.k for r in read_csv(path)] == [1, 2**53]
 
 
 def test_read_csv_rejects_bad_header(tmp_path):
@@ -314,8 +326,7 @@ def test_a_trace_round_trips_through_its_csv_bit_for_bit(cells):
     assert np.array_equal(np.isnan(back.cells), nan)
     assert back.cells[~nan].tobytes() == cells[~nan].tobytes()
     assert [r.k for r in back] == [int(k) for k in cells[:, 0]]
-    same = Trace("apda", cells.copy())
-    assert list(same) == list(trace) and same == trace and back == trace
+    assert list(Trace("apda", cells.copy())) == list(trace) == list(back)
 
 
 @settings(max_examples=60, deadline=None)

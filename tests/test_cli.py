@@ -46,6 +46,8 @@ def test_repeated_algorithm_is_usage_error(tmp_path, capsys):
     (["l1ls", "--lambda", "nan"], "lambda must be finite"),
     (["l1ls", "--lambda", "inf"], "lambda must be finite"),
     (["l1ls", "--density", "2"], "density must lie in (0, 1]"),
+    (["l1ls", "--algos", ""], "algorithm set must be nonempty"),
+    (["l1ls", "--algos", " , "], "algorithm set must be nonempty"),
 ])
 def test_rejected_flag_value_is_usage_error(flags, message, tmp_path, capsys):
     out = tmp_path / "out"
@@ -121,6 +123,37 @@ def test_solve_rejects_mismatched_rhs(tmp_path, capsys):
                 "--rhs", str(tmp_path / "b.mtx")])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_solve_rejects_an_rhs_of_more_than_one_column(tmp_path, capsys):
+    write_matrix_market(LinearMap(np.eye(3)), tmp_path / "K.mtx")
+    write_matrix_market(LinearMap(np.ones((3, 2))), tmp_path / "b.mtx")
+    code = run(["solve", "--matrix", str(tmp_path / "K.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: rhs must be a column vector, got shape (3, 2)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("err, message", [
+    pytest.param(MemoryError("Unable to allocate 22.4 GiB for an array with shape "
+                             "(3000000001,) and data type int64"),
+                 "Unable to allocate 22.4 GiB for an array with shape (3000000001,) and data "
+                 "type int64", id="numpy"),
+    pytest.param(MemoryError(), "MemoryError", id="bare"),
+])
+def test_solve_on_a_matrix_too_large_to_allocate_is_runtime_error(err, message, tmp_path,
+                                                                   capsys, monkeypatch):
+    """As a read of the size line 3000000000 3000000000 1 fails; no such array is allocated."""
+    def read(path):
+        raise err
+
+    monkeypatch.setattr("iapd.cli.read_matrix_market", read)
+    code = run(["solve", "--matrix", str(tmp_path / "K.mtx"), "--rhs", str(tmp_path / "b.mtx"),
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
@@ -250,8 +283,10 @@ def test_certify_flags_corrupted_trace(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "0"])
 def test_certify_rejects_a_tolerance_that_passes_every_row(tol, tmp_path, capsys):
+    """certify checks with the sweep's fixed slack: any --tol, one that would pass
+    every row included, is an unrecognized argument."""
     out = tmp_path / "out"
     assert run(["bench", "l1ls", *BENCH_SMALL, "--algos", "iapd-op1",
                 "--out", str(out)]) == 0
@@ -270,7 +305,7 @@ def test_certify_rejects_a_tolerance_that_passes_every_row(tol, tmp_path, capsys
     with pytest.raises(SystemExit) as err:
         run([*argv, "--tol", tol])
     assert err.value.code == 2
-    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_certify_flags_zero_t_as_t_lower_violation(tmp_path, capsys):

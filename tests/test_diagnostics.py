@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iapd.bench import ExperimentConfig, generate_l1ls, read_csv, run_benchmark
 from iapd.diagnostics import (
+    _SLACK,
     EnergyReport,
     InsufficientDataError,
     _reference_inflation,
@@ -73,7 +74,6 @@ def test_initial_energy_matches_closed_form():
         rep = energy_at(inst.problem, params, fake_ref(x, y))(state)
         closed = energy_initial_closed_form(inst.problem, params, state, x, y)
         assert rep.energy == pytest.approx(closed, rel=1e-12, abs=1e-12)
-        assert rep.i4 == 0.0  # v_1 = v_0 makes the cross term vanish
 
 
 def test_initial_energy_at_own_iterate_is_zero():
@@ -154,37 +154,36 @@ def test_certify_and_slope_read_only_a_trace():
 
 @pytest.mark.parametrize("constant, value", [
     ("e1", math.nan), ("e1", math.inf), ("t1", math.inf), ("mu_g", math.nan),
-    ("beta", math.inf), ("inflation", math.nan), ("tol", math.nan), ("tol", math.inf),
-    ("tol", -1e-6),
+    ("beta", math.inf), ("inflation", math.nan),
 ])
 def test_certify_rejects_a_constant_that_passes_every_row(constant, value):
     # No run has such a constant, and a NaN one would pass a row of any size unflagged.
-    kw = dict(e1=1.0, t1=1.0, mu_g=1.0, beta=1.0, tol=1e-6, inflation=0.0)
+    kw = dict(e1=1.0, t1=1.0, mu_g=1.0, beta=1.0, inflation=0.0)
     kw[constant] = value
     with pytest.raises(ValueError, match=f"certify needs a .*{constant}"):
         certify(trace_of([report(gap_ref=1e300)]), **kw)
 
 
 def report(k=1, t_k=1.0, t_next=1.0, gap_ref=0.0, dual_dist_sq=0.0, v_dist_sq=0.0):
-    return EnergyReport(k=k, t_k=t_k, t_next=t_next, energy=0.0, i1=0.0, i2=0.0, i3=0.0,
-                        i4=0.0, gap_ref=gap_ref, dual_dist_sq=dual_dist_sq, v_dist_sq=v_dist_sq)
+    return EnergyReport(k=k, t_k=t_k, t_next=t_next, energy=0.0, gap_ref=gap_ref,
+                        dual_dist_sq=dual_dist_sq, v_dist_sq=v_dist_sq)
 
 
 @pytest.mark.parametrize("field", ["gap_ref", "dual_dist_sq", "v_dist_sq"])
 def test_certify_bounds_are_exact_at_their_slack(field):
     """Each bound of the theorem, times the slack, passes; the next float above it fails."""
-    e1, t1, mu_g, beta, tol, inflation = 3.7, 1.9, 0.6, 1.3, 1e-6, 0.01
+    e1, t1, mu_g, beta, inflation = 3.7, 1.9, 0.6, 1.3, 0.01
     t_k, t_next = 2.9, 3.4
     bound = {
         "gap_ref": e1 / (t_k * t_k),
         "dual_dist_sq": 2.0 * e1 / (mu_g * t_k * t_k),
         "v_dist_sq": 2.0 * beta * e1 / (t_next * t_next),
     }[field]
-    at_bound = bound * (1.0 + tol + inflation)
+    at_bound = bound * (1.0 + _SLACK + inflation)
     counts = []
     for value in (at_bound, np.nextafter(at_bound, math.inf)):
         cert = certify(trace_of([report(t_k=t_k, t_next=t_next, **{field: value})]),
-                       e1, t1, mu_g, beta, tol=tol, inflation=inflation)
+                       e1, t1, mu_g, beta, inflation=inflation)
         counts.append((cert.gap_violations, cert.dual_violations, cert.v_violations,
                        cert.t_lower_violations))
     flagged = {"gap_ref": (1, 0, 0, 0), "dual_dist_sq": (0, 1, 0, 0), "v_dist_sq": (0, 0, 1, 0)}
@@ -296,12 +295,12 @@ def test_slope_insufficient_data():
 def test_energy_trace_empty_and_anchoring():
     inst, params = small_setup()
     assert energy_trace(inst.problem, params, [], fake_ref(np.zeros(30), np.zeros(20))) == []
-    # Anchored at its own energy, the first row is inside its gap bound:
+    # Anchored at its own energy, the first row is inside its gap bound with no slack:
     # E_1 = t_1^2 gap + two nonnegative terms, and the cross term is zero at k = 1.
     inst, params, _, reports = run_reports(iters=50)
     first = reports[0]
-    assert first.i4 == 0.0 and first.i2 >= 0.0 and first.i3 >= 0.0
-    assert certify_run(inst.problem, params, [first], tol=0.0).gap_violations == 0
+    assert first.t_k * first.t_k * first.gap_ref <= first.energy
+    assert certify_run(inst.problem, params, [first]).gap_violations == 0
 
 
 def test_energy_row_takes_two_products(monkeypatch):
@@ -333,8 +332,8 @@ def oracle_energy(problem, params, ref, state):
     i3 = (t_next * t_next) * float(dv @ dv) / (2.0 * beta)
     i4 = -t * float(problem.K.apply(du) @ dvv) + (
         (t * t - beta * problem.g2.lipschitz) * float(dvv @ dvv) / (2.0 * beta))
-    return EnergyReport(state.k, t, t_next, i1 + i2 + i3 + i4, i1, i2, i3, i4, gap,
-                        float(dy @ dy), float(dv @ dv))
+    return EnergyReport(state.k, t, t_next, i1 + i2 + i3 + i4, gap, float(dy @ dy),
+                        float(dv @ dv))
 
 
 def bits(value):

@@ -49,6 +49,18 @@ def test_rejects_nonfinite_matrix():
         LinearMap(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    pytest.param(np.ones(3), r"expected a 2-D matrix, got shape \(3,\)", id="1-D"),
+    pytest.param(np.ones((2, 2, 2)), r"expected a 2-D matrix, got shape \(2, 2, 2\)", id="3-D"),
+    pytest.param(np.ones((0, 3)), "matrix dimensions must be >= 1", id="no-rows"),
+    pytest.param(np.ones((3, 0)), "matrix dimensions must be >= 1", id="no-columns"),
+    pytest.param(sp.csr_array((0, 3)), "matrix dimensions must be >= 1", id="sparse-no-rows"),
+])
+def test_rejects_a_matrix_that_is_not_m_by_n(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        LinearMap(matrix)
+
+
 def test_sparse_apply_matches_dense_reconstruction():
     rng = np.random.default_rng(3)
     dense = np.where(rng.random((50, 30)) < 0.2, rng.standard_normal((50, 30)), 0.0)
@@ -695,6 +707,23 @@ def test_a_coordinate_read_sums_duplicates_in_file_order(tmp_path_factory, case)
                  id="underscore-size"),
     pytest.param(MM_ARRAY + "\u0662 1\n1.0\n2.0\n", 2, "non-integer size field in '\u0662 1'",
                  id="arabic-indic-size"),
+    pytest.param("", 1, "empty file", id="empty-file"),
+    pytest.param(MM_COORD + "% a comment\n\n", 3, "missing size line", id="no-size-line"),
+    pytest.param(MM_COORD + "2 2\n", 2, "size line must have 3 fields", id="coordinate-size"),
+    pytest.param(MM_ARRAY + "2 2 4\n", 2, "size line must have 2 fields", id="array-size"),
+    pytest.param(MM_COORD + "0 2 0\n", 2, "invalid dimensions", id="zero-rows"),
+    pytest.param(MM_ARRAY + "2 0\n", 2, "invalid dimensions", id="zero-columns"),
+    pytest.param(MM_COORD + "2 2 -1\n", 2, "invalid dimensions", id="negative-nnz"),
+    # m n or m + 1 past int64: numpy cannot size the row pointer, the cell keys overflow,
+    # or no vector of n entries can be built
+    pytest.param(MM_COORD + "9223372036854775807 2 1\n1 1 1.0\n", 2, "invalid dimensions",
+                 id="rows-at-int64-max"),
+    pytest.param(MM_COORD + "3 4611686018427387904 2\n3 1 5.0\n1 2 7.0\n", 2,
+                 "invalid dimensions", id="cell-key-overflow"),
+    pytest.param(MM_COORD + "2 9223372036854775807 1\n1 1 1.0\n", 2, "invalid dimensions",
+                 id="columns-at-int64-max"),
+    pytest.param(MM_COORD + "9223372036854775807 1 1\n1 1 1.0\n", 2, "invalid dimensions",
+                 id="row-pointer-overflow"),
 ])
 def test_mm_fault_names_file_and_first_faulty_line(body, line, message, tmp_path):
     """Each fault is named with its file and line, the earliest when there are several.

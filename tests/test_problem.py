@@ -140,6 +140,12 @@ def test_validate_params_rejects_smooth_violation():
     )
     with pytest.raises(ValueError, match=r"need alpha < 1/L_f2 \(got 0\.2 vs 0\.1\)"):
         validate_params(p, StepParams(alpha=0.2, beta=0.01))
+    p = SaddleProblem(
+        f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic([0.0]),
+        g2=TenLipschitz(), K=LinearMap(np.eye(1)),
+    )
+    with pytest.raises(ValueError, match=r"need beta < t1\^2/L_g2 \(got 1 vs 0\.1\)"):
+        validate_params(p, StepParams(alpha=0.01, beta=1.0, t1=1.0))
 
 
 def test_validate_params_rejects_nonpositive_and_bad_t1():
@@ -514,6 +520,25 @@ def test_reference_gap_takes_one_product_per_call(monkeypatch):
     # an infeasible x is +inf before its product is taken
     assert gap_at(np.array([-1.0, 0.0, 0.0]), np.ones(4)) == np.inf
     assert len(calls) == 10
+
+
+def test_polish_gives_none_where_the_gram_matrix_is_singular(monkeypatch):
+    """Two equal columns in the support make the normal equations singular."""
+    problem = SaddleProblem(f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic(np.ones(2)),
+                            g2=ZeroSmooth(), K=LinearMap(np.array([[1.0, 1.0], [2.0, 2.0]])))
+    raised = []
+    original = np.linalg.solve
+
+    def solve(*args):
+        try:
+            return original(*args)
+        except np.linalg.LinAlgError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert _support_polish(problem)(np.array([1.0, 1.0])) is None
+    assert len(raised) == 1
 
 
 def tenths_reference(problem, effort, params, objective):

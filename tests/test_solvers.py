@@ -321,6 +321,9 @@ def test_apda_converges_and_validates():
 
     with pytest.raises(ValueError):
         solve_apda(problem, 2.0 / knorm, 2.0 / knorm, SolverOptions(max_iters=1))
+    for tau0, sigma0 in ((0.0, 0.5), (0.5, -1.0)):
+        with pytest.raises(ValueError, match="tau0 and sigma0 must be positive"):
+            solve_apda(problem, tau0, sigma0, SolverOptions(max_iters=1))
 
 
 def test_pda_counts_a_non_finite_dual_iterate_as_divergence():
@@ -352,7 +355,7 @@ def test_nan_dual_prox_diverges_though_x_stays_finite(solve):
                             g2=ZeroSmooth(), K=LinearMap(sp.csr_array((2, 3))))
     with pytest.raises(DivergenceError) as err:
         solve(problem, 1.0, 1.0, SolverOptions(max_iters=5))
-    assert err.value.iteration == 1 and err.value.rows == []
+    assert err.value.iteration == 1 and list(err.value.rows) == []
 
 
 def test_determinism_bitwise():
@@ -465,6 +468,16 @@ def test_gap_stop_keeps_the_stopping_row(name, after, gap_instance):
 
 
 NO_REF = ReferencePoint(None, None, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(max_iters=0), "max_iters must be >= 1"),
+    (dict(observer_stride=0), "observer_stride must be >= 1"),
+    (dict(option="option3"), "unknown option 'option3'"),
+])
+def test_solver_options_refuse_a_value_no_solve_can_run(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SolverOptions(**{"max_iters": 10, **fields})
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -755,10 +768,11 @@ def test_a_trace_is_a_read_only_sequence_of_rebuilt_rows(gap_instance):
     assert isinstance(trace, Trace) and trace.algorithm == "iapd-op1"
     assert len(trace) == 4 and [r.k for r in rows] == [4, 7, 10, 13]
     assert all(type(r) is TraceRow and type(r.k) is int for r in rows)
-    assert trace[-1] == rows[-1] and trace[1:3] == rows[1:3] and isinstance(trace[1:3], Trace)
+    assert trace[-1] == rows[-1] and isinstance(trace[1:3], Trace)
+    assert list(trace[1:3]) == rows[1:3]
     # NaN cells come back as the shared math.nan, so rebuilt rows compare equal
-    assert rows[0].gap_ref is math.nan and trace == rows and rows == trace and trace != rows[:3]
-    assert trace == Trace("iapd-op1", trace.cells.copy())
+    assert rows[0].gap_ref is math.nan and list(trace) == rows
+    assert list(Trace("iapd-op1", trace.cells.copy())) == rows
     assert trace.columns == ("k", "t_k", "objective", "gap_ref", "dx", "dy", "energy", "elapsed_s")
     objective = trace.column("objective")
     assert objective.tolist() == [r.objective for r in rows]
