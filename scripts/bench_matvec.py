@@ -9,7 +9,10 @@ and interquartile range of one pair, in microseconds, on K as
 mod 64 (of the CSR values, for a sparse K). For a dense K it also times
 the pair on copies of the same K whose data start 0, 16 and 48 bytes past
 a 64-byte boundary, with x and y at 0 or 8 bytes past one
-(``pair_us_k<K offset>_v<vector offset>``).
+(``pair_us_k<K offset>_v<vector offset>``). For a sparse K it also times
+the pair with the adjoint of the earlier release, scipy's scatter kernel
+``csc_matvec`` over K's own CSR arrays in place of the gather over K^T's
+(``pair_us_scatter``), after checking that both adjoints give the same bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import copy
 import sys
 import time
+from functools import partial
 
 from runfile import CASES, instance, open_runs, save_run, spread  # first: sets up the rest
 
@@ -51,6 +55,14 @@ def measure(case: str) -> dict:
     x, y = rng.standard_normal(K.cols), rng.standard_normal(K.rows)
     data = K._mat.data if K.is_sparse else K._mat
     layouts = {"pair_us": (K, x, y)}
+    if K.is_sparse:
+        from scipy.sparse import _sparsetools
+
+        scatter = copy.copy(K)
+        scatter._backward = partial(_sparsetools.csc_matvec, K.cols, K.rows, *K._mat[:3])
+        if scatter.apply_adjoint(y).tobytes() != K.apply_adjoint(y).tobytes():
+            raise AssertionError(f"{case}: the scatter and gather adjoints differ")
+        layouts["pair_us_scatter"] = (scatter, x, y)
     for k_offset in () if K.is_sparse else (0, 16, 48):
         # The copy replaces the map's array and transposed view directly, so that
         # no checkout's hand-over rule copies it to another offset.

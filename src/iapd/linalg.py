@@ -91,7 +91,7 @@ def _csr_from_triples(rows, cols, vals, shape) -> _CSR:
 
 @cache
 def _matvec_kernels():
-    """scipy's compiled ``csr_matvec`` and ``csc_matvec``, without the scipy.sparse package.
+    """scipy's compiled ``csr_matvec`` and ``csr_tocsc``, without the scipy.sparse package.
 
     The package's import chain (scipy._lib._util, array_api_compat) costs
     about 15 MB of resident memory and 0.14 s; the extension beside its
@@ -110,7 +110,7 @@ def _matvec_kernels():
         # package; unregistered, a later import of scipy.sparse loads it again
         # and binds it as the package's attribute.
         sys.modules.pop(name, None)
-    return module.csr_matvec, module.csc_matvec
+    return module.csr_matvec, module.csr_tocsc
 
 
 def _aligned_empty(m: int, n: int) -> np.ndarray:
@@ -141,14 +141,22 @@ class LinearMap:
     200x400 K x plus K^T y pair takes 17-18 us with K there and 26-28 us
     with K 16 or 48 bytes past one, whatever the alignment of x and y
     (``scripts/bench_matvec.py``). A dense map multiplies by the array and
-    by its transposed view, built once here. A CSR map calls scipy's
-    compiled kernels on its own arrays: ``csr_matvec`` for K x, and
-    ``csc_matvec`` for K^T y, reading the same arrays as the CSC storage
-    of K^T. The products are byte for byte those of ``mat @ x`` and
-    ``mat.T @ y`` for scipy's CSR array of the same arrays. The kernels are
-    loaded from their extension module alone (``_matvec_kernels``), and a
-    scipy sparse input is recognized without importing scipy.sparse. ``to_dense``, ``triples`` and ``columns`` read the
-    CSR arrays with numpy. The operator-norm estimate is computed once by
+    by its transposed view, built once here. A CSR map also holds K^T's
+    CSR arrays (K's CSC storage), a read-only copy built once here by
+    scipy's compiled ``csr_tocsc``: 12 bytes per stored entry with int32
+    indices (16 with int64), plus an (n + 1)-long pointer. It calls scipy's
+    compiled ``csr_matvec`` on its own arrays for K x and on the copy for
+    K^T y, a row-wise gather: the kernel alone takes about 5 us where
+    scipy's scatter ``csc_matvec`` over K's arrays takes about 6.6
+    (nnls-sparse's 400x200 K of 7970 entries). The products are byte for byte
+    those of ``mat @ x`` and ``mat.T @ y`` for scipy's CSR array of the
+    same arrays, except that a NaN of K^T y may carry the other sign bit
+    where a sum meets two NaNs (y's own and one made by inf * 0 or
+    inf - inf), as the two kernels order the operands of an addition
+    oppositely. The kernels are loaded from their extension module alone
+    (``_matvec_kernels``), and a scipy sparse input is recognized without
+    importing scipy.sparse. ``to_dense``, ``triples`` and ``columns`` read
+    K's CSR arrays with numpy. The operator-norm estimate is computed once by
     deterministic Lanczos and cached.
     """
 
@@ -186,17 +194,26 @@ class LinearMap:
             arr.flags.writeable = False
         self._mat = mat
         if self._sparse:
-            # scipy's compiled CSR and CSC matrix-vector kernels. A product
-            # ``mat @ x`` of a CSR or CSC array and a 1-D float64 x ends in exactly
-            # ``<format>_matvec(m, n, indptr, indices, data, x, np.zeros(m))``, in
+            # scipy's compiled CSR matrix-vector kernel. A product ``mat @ x`` of a
+            # CSR array and a 1-D float64 x ends in exactly
+            # ``csr_matvec(m, n, indptr, indices, data, x, np.zeros(m))``, in
             # scipy.sparse._compressed._cs_matrix._matmul_vector; calling the
             # kernel directly skips the ~4 us of Python dispatch in front of it.
-            csr_matvec, csc_matvec = _matvec_kernels()
-
-            # Each kernel is bound to the shape it reads and the CSR arrays
-            # (K's CSR storage, which is K^T's CSC storage).
-            self._forward = partial(csr_matvec, mat.shape[0], mat.shape[1], *stored)
-            self._backward = partial(csc_matvec, mat.shape[1], mat.shape[0], *stored)
+            csr_matvec, csr_tocsc = _matvec_kernels()
+            m, n = mat.shape
+            # K^T's CSR arrays (K's CSC storage), built once by scipy's stable
+            # counting sort: each column keeps its entries in row order, duplicates
+            # included, so the gather over them adds the terms that scipy's scatter
+            # ``csc_matvec`` over K's arrays (``mat.T @ y``) adds, in its order, from 0.0.
+            nnz = int(mat.indptr[-1])
+            adj = _CSR(np.empty(n + 1, mat.indices.dtype), np.empty(nnz, mat.indices.dtype),
+                       np.empty(nnz), (n, m))
+            csr_tocsc(m, n, *stored, *adj[:3])
+            for arr in adj[:3]:
+                arr.flags.writeable = False
+            self._forward = partial(csr_matvec, m, n, *stored)
+            self._backward = partial(csr_matvec, n, m, *adj[:3])
+            self._adj = adj
         else:
             self._adj = mat.T
         self._cached_norm: float | None = None
@@ -353,7 +370,8 @@ def read_matrix_market(path) -> LinearMap:
     - after it, a line whose first non-blank character is ``%`` is a
       comment, and comment and blank lines may stand anywhere;
     - the size line is ``m n nnz`` (coordinate) or ``m n`` (array), each
-      field an index as below, with m, n >= 1 and m n and m + 1 below 2**63;
+      field an index as below, with m, n >= 1 and m n and 8 (max(m, n) + 1)
+      below 2**63;
     - a coordinate entry is one line ``i j value`` with 1 <= i <= m and
       1 <= j <= n; array values come in column-major order, and every
       data line holds the same number of values;
@@ -415,9 +433,10 @@ def read_matrix_market(path) -> LinearMap:
         dims = [number(int, tok) for tok in size]
     except ValueError:
         raise fail(f"non-integer size field in {lines[idx]!r}", idx + 1) from None
-    # int64 must hold m n, which bounds the row-major cell keys, and m + 1, the row pointer's length
+    # int64 must hold m n, which bounds the row-major cell keys, and the bytes of
+    # a CSR map's (m + 1)-long row pointer and (n + 1)-long column pointer
     if (dims[0] < 1 or dims[1] < 1 or (fmt == "coordinate" and dims[2] < 0)
-            or max(dims[0] * dims[1], dims[0] + 1) >= 2**63):
+            or max(dims[0] * dims[1], 8 * (max(dims[0], dims[1]) + 1)) >= 2**63):
         raise fail("invalid dimensions", idx + 1)
     m, n = dims[0], dims[1]
     idx += 1

@@ -309,7 +309,10 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     iteration and at the iterate where the gap stop fires. A row's
     ``elapsed_s`` is solver time: the clock is paused while the objective
     and the observer run. A state whose x or y is not finite
-    raises DivergenceError naming its k, with the trace so far as ``rows``.
+    raises DivergenceError naming its k, with the trace so far as ``rows``;
+    each vector is tested by one dot product, v.v, and entry by entry only
+    when v.v is not finite, which flags the same iterates as testing every
+    entry.
     A gap stop without an objective raises ValueError.
     The observer's ``TraceRow`` is stored as cells when it returns, and
     without an observer none is built. A truthy return from the observer
@@ -324,10 +327,18 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     clock = time.monotonic_ns
     paused = 0  # ns spent in the objective and the observer; integers keep elapsed_s monotone
     start = clock()
+
+    def finite(v) -> bool:
+        # A finite v.v means every entry is finite (an inf or NaN entry makes the
+        # sum of squares inf or NaN); only when it is not, as for a finite v whose
+        # squares overflow, is every entry tested. np.vdot, unlike ndarray.dot,
+        # does not warn when the sum overflows.
+        return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+
     for i, state in zip(range(1, opts.max_iters + 1), states):
         # iapd's y = ((t - 1) y_prev + v) / t is non-finite whenever v is, so
         # checking x and y flags exactly the iterates a check of v would.
-        if not (np.isfinite(state.x).all() and (state.y is None or np.isfinite(state.y).all())):
+        if not (finite(state.x) and (state.y is None or finite(state.y))):
             err = DivergenceError(f"non-finite iterate at iteration {state.k}", state.k)
             err.rows = Trace(name, cells)
             raise err

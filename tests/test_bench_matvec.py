@@ -35,7 +35,22 @@ def test_a_dense_case_times_the_built_map_and_every_layout(bench_matvec):
         assert row[f"{name}_median"] > 0 and row[f"{name}_iqr"] >= 0
 
 
-def test_a_sparse_case_times_the_built_map_only(bench_matvec):
+def test_a_sparse_case_times_the_built_map_and_the_scatter_adjoint(bench_matvec):
     row = bench_matvec.measure("sparse")
     assert row["sparse"] and row["pair_us_median"] > 0
+    assert row["pair_us_scatter_median"] > 0 and row["pair_us_scatter_iqr"] >= 0
     assert not any(key.startswith("pair_us_k") for key in row)
+
+
+def test_a_sparse_case_refuses_adjoints_that_differ(bench_matvec, monkeypatch):
+    from scipy.sparse import _sparsetools
+
+    scatter = _sparsetools.csc_matvec
+
+    def off_by_one(*args):
+        scatter(*args)
+        args[-1][0] += 1.0
+
+    monkeypatch.setattr(_sparsetools, "csc_matvec", off_by_one)
+    with pytest.raises(AssertionError, match="sparse: the scatter and gather adjoints differ"):
+        bench_matvec.measure("sparse")

@@ -156,6 +156,20 @@ def test_solve_on_a_matrix_too_large_to_allocate_is_runtime_error(err, message, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("size", ["9223372036854775806 1 1", "1 9223372036854775806 1"])
+def test_solve_on_a_size_line_too_large_to_allocate_names_the_file(size, tmp_path, capsys):
+    """numpy refuses an (m + 1)- or (n + 1)-long pointer of int64 as "array is too big";
+    the reader refuses the size line first, naming the file and the line."""
+    matrix = tmp_path / "K.mtx"
+    matrix.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n")
+    write_matrix_market(LinearMap(np.ones((1, 1))), tmp_path / "b.mtx")
+    code = run(["solve", "--matrix", str(matrix), "--rhs", str(tmp_path / "b.mtx"),
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {matrix}: invalid dimensions (line 2)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_solve_missing_file_is_runtime_error(tmp_path, capsys):
     code = run(["solve", "--matrix", str(tmp_path / "missing.mtx"),
                 "--rhs", str(tmp_path / "missing2.mtx")])

@@ -715,7 +715,8 @@ def test_a_coordinate_read_sums_duplicates_in_file_order(tmp_path_factory, case)
     pytest.param(MM_ARRAY + "2 0\n", 2, "invalid dimensions", id="zero-columns"),
     pytest.param(MM_COORD + "2 2 -1\n", 2, "invalid dimensions", id="negative-nnz"),
     # m n or m + 1 past int64: numpy cannot size the row pointer, the cell keys overflow,
-    # or no vector of n entries can be built
+    # or no vector of n entries can be built; or a row or column pointer of 8 (m + 1)
+    # or 8 (n + 1) bytes past int64, which numpy refuses as "array is too big"
     pytest.param(MM_COORD + "9223372036854775807 2 1\n1 1 1.0\n", 2, "invalid dimensions",
                  id="rows-at-int64-max"),
     pytest.param(MM_COORD + "3 4611686018427387904 2\n3 1 5.0\n1 2 7.0\n", 2,
@@ -724,6 +725,12 @@ def test_a_coordinate_read_sums_duplicates_in_file_order(tmp_path_factory, case)
                  id="columns-at-int64-max"),
     pytest.param(MM_COORD + "9223372036854775807 1 1\n1 1 1.0\n", 2, "invalid dimensions",
                  id="row-pointer-overflow"),
+    pytest.param(MM_COORD + "9223372036854775806 1 1\n1 1 1.0\n", 2, "invalid dimensions",
+                 id="row-pointer-bytes"),
+    pytest.param(MM_COORD + "1 9223372036854775806 1\n1 1 1.0\n", 2, "invalid dimensions",
+                 id="column-pointer-bytes"),
+    pytest.param(MM_COORD + "1152921504606846975 1 1\n1 1 1.0\n", 2, "invalid dimensions",
+                 id="row-pointer-at-2**63-bytes"),
 ])
 def test_mm_fault_names_file_and_first_faulty_line(body, line, message, tmp_path):
     """Each fault is named with its file and line, the earliest when there are several.
@@ -809,8 +816,11 @@ def raw_csr_and_vectors(draw):
     """A CSR array built from raw arrays, and the vectors to multiply it by.
 
     Rows and columns may be empty, nnz may be 0, a row may hold the same
-    column twice or its columns out of order, and the index arrays are int32
-    or int64. Each vector is float64, a strided float64 view, or float32.
+    column twice or its columns out of order, the data may hold explicit
+    +0.0 and -0.0, and the index arrays are int32 or int64. Each vector is
+    float64, a strided float64 view, or float32, and may hold +-0.0, +-inf
+    and NaN, so that products of inf and 0 and sums of opposite infinities
+    make NaN.
     """
     m, n = draw(st.integers(1, 25)), draw(st.integers(1, 25))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -820,11 +830,17 @@ def raw_csr_and_vectors(draw):
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(index_dtype)
     indices = rng.integers(0, n, size=int(indptr[-1])).astype(index_dtype)
     data = rng.standard_normal(indices.size)
+    zeros = rng.random(indices.size) < draw(st.sampled_from([0.0, 0.3]))
+    data[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
     mat = sp.csr_array((data, indices, indptr), shape=(m, n))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    special_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
 
     def vector(size):
         kind = draw(st.sampled_from(["float64", "strided", "float32"]))
         v = rng.standard_normal(2 * size)
+        hit = rng.random(2 * size) < special_share
+        v[hit] = rng.choice(specials, size=int(hit.sum()))
         return {"float64": v[:size], "strided": v[::2], "float32": v[:size].astype(np.float32)}[kind]
 
     return mat, vector(n), vector(m)
@@ -839,7 +855,16 @@ def test_sparse_products_are_the_scipy_products(case):
     ref = mat.copy()
     ref.sort_indices()
     assert K.apply(x).tobytes() == np.asarray(ref @ x).tobytes()
-    assert K.apply_adjoint(y).tobytes() == np.asarray(ref.T @ y).tobytes()
+    # The map's gather over K^T's arrays adds the terms that scipy's scatter over K's
+    # arrays adds, in the same order, but the kernels put the operands of each addition
+    # in opposite order. So where two NaNs meet, y's NaN (sign bit clear) and one made
+    # by inf * 0 or inf - inf (sign bit set), the output NaN may carry the other sign
+    # bit; every other output, and every output for a y without NaN, is scipy's.
+    got, want = K.apply_adjoint(y), np.asarray(ref.T @ y)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+    if not np.isnan(y).any():
+        assert got.tobytes() == want.tobytes()
     assert K.apply(x).dtype == K.apply_adjoint(y).dtype == np.float64
     with pytest.raises(DimensionMismatchError):
         K.apply(np.zeros(mat.shape[1] + 1))
@@ -937,14 +962,17 @@ def test_map_owns_its_arrays(kind, m, n, seed):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < 0.6)
     A, scribble = _caller_input(kind, dense)
-    caller_indices = A.indices.copy() if kind == "csr-unsorted" else None
-    K = LinearMap(A)
     sparse = kind in ("csr-unsorted", "coo")
+    if sparse:
+        given = (A.indptr, A.indices, A.data) if kind == "csr-unsorted" else (*A.coords, A.data)
+        caller_arrays = [arr.copy() for arr in given]
+    K = LinearMap(A)
     want = LinearMap(sp.csr_array(dense) if sparse else dense.copy())
 
-    if caller_indices is not None:
-        assert np.array_equal(A.indices, caller_indices)
-    stored = (K._mat.indptr, K._mat.indices, K._mat.data) if sparse else (K._mat,)
+    if sparse:  # neither the sort nor the transposed copy writes to the caller's arrays
+        assert all(arr.tobytes() == old.tobytes() for arr, old in zip(given, caller_arrays))
+    # a CSR map also stores K^T's CSR arrays, built from its own
+    stored = (*K._mat[:3], *K._adj[:3]) if sparse else (K._mat,)
     assert not any(arr.flags.writeable for arr in stored)
     if kind == "handed-over":
         assert np.shares_memory(K._mat, A)

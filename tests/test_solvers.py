@@ -38,6 +38,8 @@ from iapd.solvers import (
     solve_iapd,
     solve_pda,
     solve_tseng,
+    _drive,
+    _Iterate,
 )
 
 from helpers import ZeroProx, start_at
@@ -339,6 +341,67 @@ def test_pda_counts_a_non_finite_dual_iterate_as_divergence():
     assert str(err.value) == "non-finite iterate at iteration 264"
     assert [row.k for row in err.value.rows] == list(range(1, 264))
     assert len(ys) == 263 and all(np.isfinite(y).all() for y in ys)
+
+
+@st.composite
+def iterates_with_faults(draw):
+    """States of a fake stepper, and whether each one is finite by an entry-wise test.
+
+    Each x (and y, unless the method is primal-only) is ordinary, holds +-inf or NaN
+    at random positions, or is finite with entries up to 1e308, so that its sum of
+    squares overflows. x_prev and y_prev sit a standard normal step away, so that no
+    recorded distance overflows.
+    """
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    primal_only = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector(size):
+        kind = draw(st.sampled_from(["ordinary", "ordinary", "non-finite", "overflowing"]))
+        v = rng.standard_normal(size)
+        if kind == "overflowing":
+            v = rng.uniform(-1.0, 1.0, size) * 1e308
+            v[rng.integers(size)] = draw(st.sampled_from([1e308, -1e308, 1.5e154]))
+        elif kind == "non-finite":
+            hit = rng.random(size) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+            hit[rng.integers(size)] = True
+            v[hit] = rng.choice([np.inf, -np.inf, np.nan], size=int(hit.sum()))
+        return v
+
+    states = []
+    for k in range(2, draw(st.integers(2, 10)) + 2):
+        x = vector(n)
+        y = None if primal_only else vector(m)
+        states.append(_Iterate(k, x, x - rng.standard_normal(n), y,
+                               None if y is None else y - rng.standard_normal(m), float(k)))
+    finite = [bool(np.isfinite(s.x).all() and (s.y is None or np.isfinite(s.y).all()))
+              for s in states]
+    return states, finite
+
+
+@settings(max_examples=150, deadline=None)
+@given(iterates_with_faults(), st.integers(1, 3))
+def test_the_divergence_test_flags_exactly_the_entrywise_non_finite_iterates(case, stride):
+    """The driver's one-dot test against an entry-wise np.isfinite reference: the same
+    first k and message, the trace of the iterates before it, no warning, and no
+    divergence for finite vectors whose sum of squares overflows."""
+    states, finite = case
+    opts = SolverOptions(max_iters=len(states), observer_stride=stride)
+    with warnings.catch_warnings(action="error"):
+        if all(finite):
+            state, _ = _drive("fake", opts, iter(states), None, None)
+            assert state is states[-1]
+            return
+        with pytest.raises(DivergenceError) as err:
+            _drive("fake", opts, iter(states), None, None)
+        bad = finite.index(False)
+        k = states[bad].k
+        assert err.value.iteration == k and str(err.value) == f"non-finite iterate at iteration {k}"
+        before = [] if bad == 0 else list(
+            _drive("fake", replace(opts, max_iters=bad), iter(states[:bad]), None, None)[1])
+    rows = list(err.value.rows)
+    # the driver records every stride-th row; the prefix run also records its last one
+    assert without_clock(rows) == without_clock([r for r in before if (r.k - 1) % stride == 0])
 
 
 class NanDual(ShiftedQuadratic):
