@@ -2,7 +2,8 @@
 
     python scripts/bench_gapstop.py --label NAME [--baseline LABEL] [--out BENCH_gapstop.json]
 
-Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+Run from anywhere; importing ``runfile`` sets up the imports and the BLAS
+threads, and ``runfile.run`` parses the flags, prints one line per case and
 records the run. Each case is one of ``runfile.CASES`` at seed 101 with the
 preset steps, its reference (``runfile.reference``), its tolerance (times
 max(1, |f*|)) and its iteration cap. For each case and solver
@@ -19,11 +20,11 @@ the objective gap at the stop by a direct product.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import replace
+from functools import partial
 
-from runfile import (CASES, CountedMap, instance, open_runs, reference,  # first: sets up the rest
-                     save_run, spread)
+from runfile import (CASES, CountedMap, instance, reference, run,  # first: sets up the rest
+                     spread, timed)
 
 import numpy as np
 from iapd import bench
@@ -58,13 +59,12 @@ def measure(inst, params, ref, opts, repeats: int, solver: str = "iapd") -> dict
     counted = CountedMap(inst.problem.K)
     x, iterations = solve(replace(inst, problem=replace(inst.problem, K=counted)), params, opts,
                           solver)
-    cpu_times = []
-    for _ in range(repeats):
-        start = time.process_time()
-        _, timed = solve(inst, params, opts, solver)
-        cpu_times.append(time.process_time() - start)
-        if timed != iterations:
-            raise RuntimeError(f"{inst.name}: a repeat took {timed} iterations, not {iterations}")
+
+    def repeat():
+        if (k := solve(inst, params, opts, solver)[1]) != iterations:
+            raise RuntimeError(f"{inst.name}: a repeat took {k} iterations, not {iterations}")
+
+    _, cpu_times, _ = timed(repeat for _ in range(repeats))
     return {
         "iterations": iterations,
         "products_per_iteration": (counted.apply_calls + counted.adjoint_calls) / iterations,
@@ -75,9 +75,9 @@ def measure(inst, params, ref, opts, repeats: int, solver: str = "iapd") -> dict
     }
 
 
-def main() -> int:
-    args, runs, _ = open_runs(__doc__, "BENCH_gapstop.json")
-    cases = {}
+def cases():
+    """(name, measure) of each workload and solver; a workload's instance and reference are
+    built when its first case is reached."""
     for name, repeats in REPEATS.items():
         case = CASES[name]
         inst = instance(name)
@@ -86,14 +86,12 @@ def main() -> int:
         tol = case.tol * max(1.0, abs(ref.objective_value))
         for label, (solver, option) in SOLVERS.items():
             opts = SolverOptions(max_iters=case.cap, option=option, gap_tol=tol, reference=ref)
-            key = f"{name}/{label}"
-            cases[key] = row = measure(inst, params, ref, opts, repeats, solver)
-            print(f"{key}: {row['iterations']} iterations, "
-                  f"{row['products_per_iteration']:.3f} products per iteration, "
-                  f"CPU {row['solve_cpu_s_median']:.4f} s (IQR {row['solve_cpu_s_iqr']:.4f} s), "
-                  f"gap at stop {row['gap_at_stop']:.3g} (tol {tol:.3g})")
-    save_run(args, runs, "scripts/bench_gapstop.py", cases)
-    return 0
+            yield f"{name}/{label}", partial(measure, inst, params, ref, opts, repeats, solver)
+
+
+def main() -> int:
+    return run(__doc__, "BENCH_gapstop.json", "scripts/bench_gapstop.py", cases(),
+               show=("iterations", "products_per_iteration", "gap_at_stop", "tol"))
 
 
 if __name__ == "__main__":

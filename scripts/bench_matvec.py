@@ -2,7 +2,8 @@
 
     python scripts/bench_matvec.py --label NAME [--baseline LABEL] [--out BENCH_matvec.json]
 
-Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+Run from anywhere; importing ``runfile`` sets up the imports and the BLAS
+threads, and ``runfile.run`` parses the flags, prints one line per case and
 records the run. For each of ``runfile.CASES`` the run records the median
 and interquartile range of one pair, in microseconds, on K as
 ``runfile.instance`` builds it (``pair_us``) and the address of K's data
@@ -22,7 +23,7 @@ import sys
 import time
 from functools import partial
 
-from runfile import CASES, instance, open_runs, save_run, spread  # first: sets up the rest
+from runfile import CASES, instance, run, spread  # first: sets up the rest
 
 import numpy as np
 
@@ -83,13 +84,9 @@ def measure(case: str) -> dict:
 
 
 def main() -> int:
-    args, runs, _ = open_runs(__doc__, "BENCH_matvec.json")
-    cases = {case: measure(case) for case in CASES}
-    save_run(args, runs, "scripts/bench_matvec.py", cases, seed=SEED, repeats=REPEATS, pairs=PAIRS)
-    for name, row in cases.items():
-        print(f"{name}: K at {row['k_address_mod_64']} mod 64, pair {row['pair_us_median']:.1f} us "
-              f"(IQR {row['pair_us_iqr']:.1f} us)")
-    return 0
+    return run(__doc__, "BENCH_matvec.json", "scripts/bench_matvec.py",
+               [(case, partial(measure, case)) for case in CASES], show=("k_address_mod_64",),
+               seed=SEED, repeats=REPEATS, pairs=PAIRS)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
     python scripts/bench_norm.py --label NAME [--baseline LABEL] [--out BENCH_norm.json]
 
-Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+Run from anywhere; importing ``runfile`` sets up the imports and the BLAS
+threads, and ``runfile.run`` parses the flags, prints one line per case and
 records the run. For each of ``runfile.CASES`` the run records the products
 one ``norm()`` makes (its ``apply`` and ``apply_adjoint`` calls, counted
 through ``runfile.CountedMap``; one of each is one product with K^T K or
@@ -13,11 +14,10 @@ singular value from ``np.linalg.svd``.
 
 from __future__ import annotations
 
-import gc
 import sys
-import time
+from functools import partial
 
-from runfile import CountedMap, instance, open_runs, save_run, spread  # first: sets up the rest
+from runfile import CountedMap, instance, run, spread, timed  # first: sets up the rest
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,13 +36,7 @@ def measure(case: str, repeats: int) -> dict:
     def fresh() -> LinearMap:
         return LinearMap(sp.csr_array(dense) if K.is_sparse else dense)
 
-    times = []
-    for _ in range(repeats):
-        mapping = fresh()
-        gc.collect()
-        start = time.perf_counter()
-        estimate = mapping.norm()
-        times.append(time.perf_counter() - start)
+    times, _, estimate = timed((fresh().norm for _ in range(repeats)), collect=True)
     sigma = float(np.linalg.svd(dense, compute_uv=False)[0])
     counted = CountedMap(fresh())
     counted.norm()
@@ -60,14 +54,9 @@ def measure(case: str, repeats: int) -> dict:
 
 
 def main() -> int:
-    args, runs, _ = open_runs(__doc__, "BENCH_norm.json")
-    cases = {case: measure(case, repeats) for case, repeats in REPEATS.items()}
-    save_run(args, runs, "scripts/bench_norm.py", cases, seed=SEED)
-    for name, row in cases.items():
-        print(f"{name}: {row['apply_calls']} Gram products, "
-              f"norm {row['norm_s_median'] * 1e3:.2f} ms (IQR {row['norm_s_iqr'] * 1e3:.2f} ms), "
-              f"rel. error {row['rel_error_vs_svd']:.1e}")
-    return 0
+    return run(__doc__, "BENCH_norm.json", "scripts/bench_norm.py",
+               [(case, partial(measure, case, repeats)) for case, repeats in REPEATS.items()],
+               show=("apply_calls", "rel_error_vs_svd"), seed=SEED)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
     python scripts/bench_reference.py --label NAME [--baseline LABEL] [--out BENCH_reference.json]
 
-Run from anywhere; ``runfile`` sets up the imports and the BLAS threads and
+Run from anywhere; importing ``runfile`` sets up the imports and the BLAS
+threads, and ``runfile.run`` parses the flags, prints one line per case and
 records the run. Each case is one of ``runfile.CASES`` at a seed, solved
 by ``runfile.reference``: the reference row's steps and the sweep's
 reference effort. For each case the run records the iapd iterations behind
@@ -17,30 +18,20 @@ for bit the same.
 
 from __future__ import annotations
 
-import hashlib
 import sys
-import time
+from functools import partial
 
-from runfile import (CASES, instance, open_runs, reference, save_run,  # first: sets up the rest
-                     spread)
+from runfile import (CASES, instance, reference, run, sha256,  # first: sets up the rest
+                     spread, timed)
 
 # case: (seeds, timed calls)
 SEEDS = {"l1ls-desk": ((101, 7), 7), "nnls-sparse": ((101, 11), 7), "l1ls-large": ((101, 7), 5)}
 
 
-def digest(array) -> str:
-    return hashlib.sha256(array.tobytes()).hexdigest()
-
-
 def measure(case: str, seed: int, repeats: int) -> dict:
     inst = instance(case, seed)
     inst.problem.K.norm()  # cached before the clock starts, as the sweep's reference finds it
-    times, cpu_times = [], []
-    for _ in range(repeats):
-        start, cpu_start = time.perf_counter(), time.process_time()
-        ref = reference(case, inst)
-        times.append(time.perf_counter() - start)
-        cpu_times.append(time.process_time() - cpu_start)
+    times, cpu_times, ref = timed(partial(reference, case, inst) for _ in range(repeats))
     return {
         "shape": list(inst.problem.K.shape),
         "effort": CASES[case].effort,
@@ -51,8 +42,8 @@ def measure(case: str, seed: int, repeats: int) -> dict:
         "certified": ref.certified,
         "accuracy": ref.accuracy,
         "objective": ref.objective_value,
-        "x_star_sha256": digest(ref.x_star),
-        "y_star_sha256": digest(ref.y_star),
+        "x_star_sha256": sha256(ref.x_star),
+        "y_star_sha256": sha256(ref.y_star),
     }
 
 
@@ -65,23 +56,11 @@ def against(row: dict, base: dict) -> dict:
 
 
 def main() -> int:
-    args, runs, base = open_runs(__doc__, "BENCH_reference.json")
-    cases = {}
-    for name, (seeds, repeats) in SEEDS.items():
-        for seed in seeds:
-            key = f"{name}/seed{seed}"
-            cases[key] = row = measure(name, seed, repeats)
-            if base is not None and key in base:
-                row.update(against(row, base[key]))
-            print(f"{key}: {row['iterations']} iterations, "
-                  f"{row['reference_s_median']:.3f} s (IQR {row['reference_s_iqr']:.3f} s), "
-                  f"CPU {row['reference_cpu_s_median']:.3f} s "
-                  f"(IQR {row['reference_cpu_s_iqr']:.3f} s), "
-                  f"{'certified' if row['certified'] else 'uncertified'} "
-                  f"accuracy {row['accuracy']:.2e}")
-
-    save_run(args, runs, "scripts/bench_reference.py", cases)
-    return 0
+    return run(__doc__, "BENCH_reference.json", "scripts/bench_reference.py",
+               [(f"{name}/seed{seed}", partial(measure, name, seed, repeats))
+                for name, (seeds, repeats) in SEEDS.items() for seed in seeds],
+               against, show=("iterations", "certified", "accuracy", "objective_move",
+                              "same_x_star_y_star"))
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ at the peak RSS of their parent.
 
 ``CASES`` holds perfbench's three workloads; ``instance`` builds one,
 ``reference`` solves its reference and ``CountedMap`` counts its products.
+``run`` is a timer's whole ``main``, ``timed`` times a sequence of calls and
+``sha256`` digests arrays.
 
 Every run is stored under ``runs[NAME]`` of its output file with its git
 ``revision``, a ``source_sha256`` of the code it ran, its ``baseline`` label,
@@ -16,12 +18,14 @@ the ``environment``, the script's own fields and its ``cases``.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
+import time
 from collections import namedtuple
 from pathlib import Path
 
@@ -92,6 +96,30 @@ def blas_threads() -> dict:
     return {var: os.environ[var] for var in THREAD_VARS}
 
 
+def sha256(*arrays) -> str:
+    """SHA-256 of the bytes of ``arrays``, one after another."""
+    import hashlib  # here, not at the top: it loads OpenSSL, about 4 MB of peak RSS
+
+    return hashlib.sha256(b"".join(array.tobytes() for array in arrays)).hexdigest()
+
+
+def timed(calls, collect: bool = False):
+    """Time each zero-argument call of ``calls``: (wall samples, CPU samples, last result).
+
+    A call is pulled from ``calls``, and with ``collect`` ``gc.collect()`` run,
+    before the clocks start. CPU time is the process's.
+    """
+    walls, cpus, result = [], [], None
+    for call in calls:
+        if collect:
+            gc.collect()
+        start, cpu_start = time.perf_counter(), time.process_time()
+        result = call()
+        walls.append(time.perf_counter() - start)
+        cpus.append(time.process_time() - cpu_start)
+    return walls, cpus, result
+
+
 def revision() -> str | None:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
@@ -106,7 +134,7 @@ def source_sha256(script: str) -> str:
 
     Two uncommitted trees that both read ``<rev>-dirty`` differ here.
     """
-    import hashlib  # here, not at the top: it loads OpenSSL, about 4 MB of peak RSS
+    import hashlib  # see sha256
 
     paths = {*(ROOT / "src").rglob("*.py"), ROOT / script, ROOT / "scripts" / "runfile.py"}
     sha = hashlib.sha256()
@@ -179,3 +207,29 @@ def save_run(args, runs: dict, script: str, cases: dict, **fields) -> None:
         "cases": cases,
     }
     args.out.write_text(json.dumps(runs, indent=2) + "\n")
+
+
+def _figure(value) -> str:
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def run(doc: str, out: str, script: str, cases, against=None, show=(), **fields) -> int:
+    """A timer's ``main``: parse the flags (``open_runs``), measure and save ``cases``; 0.
+
+    ``cases`` yields (name, measure) pairs, measured in that order. A case the
+    ``--baseline`` run also holds gets the keys of ``against(row, base_row)``.
+    Each case prints a line of its ``<m>_median`` (IQR ``<m>_iqr``) spreads and
+    the ``show`` keys its row holds. ``save_run`` stores the rows with ``fields``.
+    """
+    args, runs, base = open_runs(doc, out)
+    rows = {}
+    for name, measure in cases:
+        rows[name] = row = measure()
+        if against and base and name in base:
+            row.update(against(row, base[name]))
+        spreads = [key.removesuffix("_median") for key in row if key.endswith("_median")]
+        shown = [f"{m} {row[m + '_median']:.4g} (IQR {row[m + '_iqr']:.2g})" for m in spreads]
+        shown += [f"{key} {_figure(row[key])}" for key in show if key in row]
+        print(f"{name}:", ", ".join(shown))
+    save_run(args, runs, script, rows, **fields)
+    return 0

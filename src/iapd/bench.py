@@ -336,8 +336,9 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
     partial trace) plus summary.txt and run_meta.json into cfg.out_dir,
     and removes the CSV of any other algorithm left there by an
     earlier run. The directory is created only once the sweep is done, so a
-    run that fails before it writes nothing. Returns status 3 if any
-    selected algorithm was skipped or diverged.
+    run that fails before it writes nothing. A reference solve that diverges
+    raises RuntimeError naming its iteration, effort and steps. Returns
+    status 3 if any selected algorithm was skipped or diverged.
     """
     if instance is None:
         instance = _FAMILIES[cfg.experiment].generate(cfg)
@@ -346,7 +347,12 @@ def run_benchmark(cfg: ExperimentConfig, instance: GeneratedInstance | None = No
 
     iapd_params, ref_params = _step_params(cfg, knorm)
     effort = cfg.reference_effort if cfg.reference_effort is not None else 10 * cfg.iters
-    ref = compute_reference(problem, effort, params=ref_params, objective=instance.objective)
+    try:
+        ref = compute_reference(problem, effort, params=ref_params, objective=instance.objective)
+    except solvers.DivergenceError as err:
+        steps = f"alpha={ref_params.alpha!r} beta={ref_params.beta!r} t1={ref_params.t1!r}"
+        raise RuntimeError(f"the reference solve diverged at iteration {err.iteration} "
+                           f"(effort {effort}, reference steps: {steps})") from err
 
     opts = SolverOptions(max_iters=cfg.iters, observer_stride=cfg.observer_stride)
     results: dict[str, AlgorithmResult] = {}

@@ -295,9 +295,12 @@ def iapd_step(
 
 
 def _dist(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||_2 of 1-D vectors: np.linalg.norm's own sqrt(d.dot(d)), minus its overhead."""
+    """||a - b||_2 of 1-D vectors: np.linalg.norm's own sqrt(d.d), minus its overhead.
+
+    A sum of squares that overflows gives inf; np.vdot, unlike ndarray.dot, does not warn.
+    """
     d = a - b
-    return math.sqrt(d.dot(d))
+    return math.sqrt(np.vdot(d, d))
 
 
 def _drive(name: str, opts: SolverOptions, states, observer, objective):

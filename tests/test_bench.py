@@ -586,6 +586,23 @@ def test_run_benchmark_partial_on_infeasible_override(tmp_path):
         run_benchmark(cfg)
 
 
+def test_run_benchmark_names_a_diverging_reference_solve(tmp_path):
+    """A reference solve that diverges is named with its iteration, effort and steps,
+    not reported as a bare divergence past the sweep's --iters; no run directory is made."""
+    inst = generate_l1ls(20, 30, 0.1, seed=5)
+    inst = replace(inst, problem=replace(inst.problem, f1=PoisonedProx(inst.problem.f1, 90)))
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(experiment="l1ls", m=20, n=30, seed=5, iters=60, out_dir=out)
+    steps = reference_params("l1ls", inst.problem.K.norm())
+    with pytest.raises(RuntimeError) as err:
+        run_benchmark(cfg, instance=inst)
+    # the 90th prox call makes iterate 91: iapd's first step makes iterate 2
+    assert str(err.value) == (
+        f"the reference solve diverged at iteration 91 (effort 600, reference steps: "
+        f"alpha={steps.alpha!r} beta={steps.beta!r} t1={steps.t1!r})")
+    assert not out.exists()
+
+
 def test_run_benchmark_keeps_partial_trace_of_diverged_algorithm(tmp_path, monkeypatch):
     cfg = dict(experiment="l1ls", m=20, n=30, seed=5, iters=60,
                algorithms=("pda", "fista"), reference_effort=1000)

@@ -1,10 +1,12 @@
 """scripts/runfile.py: the runs file and set-up shared by the scripts/bench_*.py timers."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,6 +138,67 @@ def test_ratios_are_written_only_for_the_medians_both_runs_share(runfile, tree, 
                      "fresh": {"t_median": 1.0}}
 
 
+def test_timed_pulls_each_call_and_collects_before_the_clocks_start(runfile, monkeypatch):
+    log, ticks = [], iter(range(100))
+
+    def clock(name):
+        def read():
+            log.append(name)
+            return next(ticks)
+        return read
+
+    monkeypatch.setattr(runfile, "time", SimpleNamespace(perf_counter=clock("wall"),
+                                                         process_time=clock("cpu")))
+    monkeypatch.setattr(runfile, "gc", SimpleNamespace(collect=lambda: log.append("gc")))
+
+    def calls():
+        for i in range(3):
+            log.append("pull")
+            yield lambda i=i: log.append("call") or i
+
+    for collect in (False, True):
+        log.clear()
+        walls, cpus, last = runfile.timed(calls(), collect=collect)
+        one = ["pull", *(["gc"] if collect else []), "wall", "cpu", "call", "wall", "cpu"]
+        assert log == one * 3
+        # each clock is read twice a call, two ticks apart
+        assert (walls, cpus, last) == ([2, 2, 2], [2, 2, 2], 2)
+
+
+def test_sha256_digests_the_bytes_of_its_arrays_in_turn(runfile):
+    a, b = np.arange(3.0), np.arange(4, dtype=np.int64)
+    assert runfile.sha256(a, b) == hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest()
+    assert runfile.sha256(a) == hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def test_run_measures_in_order_compares_prints_and_saves(runfile, tree, tmp_path, monkeypatch,
+                                                         capsys):
+    out = tmp_path / "BENCH_x.json"
+    record(runfile, out, "old", {"a": {"t_median": 2.0, "t_iqr": 0.5}})
+    measured = []
+
+    def case(name, median):
+        def measure():
+            measured.append(name)
+            return {"t_median": median, "t_iqr": 0.25, "n": 3}
+        return name, measure
+
+    monkeypatch.setattr(sys, "argv", ["bench_x.py", "--label", "new", "--baseline", "old",
+                                      "--out", str(out)])
+    cases = [case("b", 1.0), case("a", 3.0)]
+    assert runfile.run("Doc.", "unused.json", "scripts/bench_x.py", cases,
+                       lambda row, base: {"moved": row["t_median"] - base["t_median"]},
+                       show=("n", "moved", "absent"), seed=5) == 0
+    assert measured == ["b", "a"]
+    run = json.loads(out.read_text())["runs"]["new"]
+    assert run["seed"] == 5 and list(run["cases"]) == ["b", "a"]
+    assert run["cases"] == {
+        "b": {"t_median": 1.0, "t_iqr": 0.25, "n": 3},
+        "a": {"t_median": 3.0, "t_iqr": 0.25, "n": 3, "moved": 1.0, "t_median_ratio": 1.5}}
+    assert capsys.readouterr().out.splitlines() == ["b: t 1 (IQR 0.25), n 3",
+                                                    "a: t 3 (IQR 0.25), n 3, moved 1"]
+
+
 def test_spread_names_the_median_and_the_interquartile_range(runfile):
     assert runfile.spread("t", [1.0, 2.0, 3.0, 4.0, 5.0]) == {"t_median": 3.0, "t_iqr": 3.0}
 
@@ -178,18 +241,32 @@ def test_the_counted_map_counts_the_products_of_a_norm(runfile):
 TIMERS = sorted(path.name for path in SCRIPTS.glob("bench_*.py"))
 
 
+def stub_builders(module, monkeypatch, calls: list) -> None:
+    """Each builder or measurement ``module`` has records its call in ``calls``; ``instance``
+    returns a tiny l1ls instance, ``reference`` a stand-in reference, the others nothing."""
+    values = {"instance": generate_l1ls(6, 9, 0.1, 1),
+              "reference": SimpleNamespace(objective_value=1.0)}
+    for name in ("instance", "reference", "write_matrix_market", "measure", "run_once"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs:
+                                calls.append(name) or values.get(name))
+
+
 @pytest.mark.parametrize("timer", TIMERS)
 def test_every_timer_takes_baseline_and_checks_it_before_measuring(runfile, timer, tmp_path,
                                                                    monkeypatch, capsys):
     out = tmp_path / "BENCH_x.json"
     out.write_text(json.dumps({"runs": {"old": {"cases": {}}}}))
     module = __import__(timer.removesuffix(".py"))
+    calls = []
+    stub_builders(module, monkeypatch, calls)
     monkeypatch.setattr(sys, "argv", [timer, "--label", "new", "--baseline", "nope",
                                       "--out", str(out)])
     with pytest.raises(SystemExit) as err:
         module.main()
-    assert err.value.code == 2
+    assert err.value.code == 2 and calls == []
     assert f"{out} has no run 'nope'" in capsys.readouterr().err
+    assert json.loads(out.read_text()) == {"runs": {"old": {"cases": {}}}}
 
 
 @pytest.mark.parametrize("timer", TIMERS)
@@ -227,3 +304,49 @@ def test_a_baseline_without_a_case_leaves_that_case_uncompared(timer, kept, drop
     cases = json.loads(out.read_text())["runs"]["new"]["cases"]
     assert all(key in cases[kept] for key in compared)
     assert cases[dropped] == ROW
+
+
+WORKLOADS = ("l1ls-desk", "nnls-sparse", "l1ls-large")
+# Each timer that runs through ``runfile.run``, and its case names in measuring order.
+RUN_TIMERS = {
+    "bench_gapstop": [f"{w}/{s}" for w in WORKLOADS for s in ("option1", "option2", "fista",
+                                                              "tseng")],
+    "bench_matvec": list(WORKLOADS),
+    "bench_mmread": ["nnls-sparse/K", "nnls-sparse/b", "coordinate-4000x2000", "array-1000x1000"],
+    "bench_norm": list(WORKLOADS),
+    "bench_reference": [f"{w}/seed{s}" for w, seeds in zip(WORKLOADS, ((101, 7), (101, 11),
+                                                                       (101, 7))) for s in seeds],
+}
+
+
+def test_the_run_timers_are_every_timer_but_footprint_and_presets():
+    assert sorted(RUN_TIMERS) == [t.removesuffix(".py") for t in TIMERS
+                                  if t not in ("bench_footprint.py", "bench_presets.py")]
+
+
+@pytest.mark.parametrize("timer", sorted(RUN_TIMERS))
+def test_a_run_timers_main_is_one_run_call(timer):
+    tree = ast.parse((SCRIPTS / f"{timer}.py").read_text())
+    main, = [node for node in tree.body if getattr(node, "name", None) == "main"]
+    (statement,) = main.body
+    assert isinstance(statement, ast.Return) and statement.value.func.id == "run"
+
+
+@pytest.mark.parametrize("timer", sorted(RUN_TIMERS))
+def test_a_run_timer_stores_the_rows_measure_returns_in_its_order(timer, tmp_path, monkeypatch,
+                                                                  capsys):
+    module = import_script(timer, monkeypatch)
+    stub_builders(module, monkeypatch, [])
+    returned = []
+
+    def measure(*args, **kwargs):
+        returned.append({"t_median": float(len(returned)), "t_iqr": 0.0})
+        return returned[-1]
+
+    monkeypatch.setattr(module, "measure", measure)
+    out = tmp_path / "BENCH_x.json"
+    monkeypatch.setattr(sys, "argv", [timer, "--label", "new", "--out", str(out)])
+    assert module.main() == 0
+    cases = json.loads(out.read_text())["runs"]["new"]["cases"]
+    assert list(cases.items()) == list(zip(RUN_TIMERS[timer], returned, strict=True))
+    assert [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()] == list(cases)

@@ -38,6 +38,7 @@ from iapd.solvers import (
     solve_iapd,
     solve_pda,
     solve_tseng,
+    _dist,
     _drive,
     _Iterate,
 )
@@ -402,6 +403,11 @@ def test_the_divergence_test_flags_exactly_the_entrywise_non_finite_iterates(cas
     rows = list(err.value.rows)
     # the driver records every stride-th row; the prefix run also records its last one
     assert without_clock(rows) == without_clock([r for r in before if (r.k - 1) % stride == 0])
+
+
+def test_a_distance_whose_squares_overflow_is_inf_without_a_warning():
+    with warnings.catch_warnings(action="error"):
+        assert _dist(np.array([1e200, 0.0]), np.zeros(2)) == math.inf
 
 
 class NanDual(ShiftedQuadratic):
