@@ -26,6 +26,10 @@ The run also stores a tolerance ladder for l1ls option 1: on each of
 max(1, |f*|)) on the held-out l1ls-desk seeds and on l1ls-large at seeds 7
 and 101, capped at ``LADDER_CAP``. It shows what a row gains at perfbench's
 tolerances and what it may lose at tighter ones.
+
+``count`` gives every count, the grid's and the ladder's, from one
+gap-stopped solve per option, row and instance, read off the trace's
+objective column.
 """
 
 from __future__ import annotations
@@ -71,60 +75,48 @@ def add_totals(per_seed: dict) -> None:
     per_seed["total"] = None if None in values else sum(values)
 
 
-def grid(case: str, instances: dict, rows=ROWS, cap: int | None = None) -> dict:
-    """Iterations to the case's tolerance for each row and option on ``instances`` (seed: instance).
+def count(case: str, instances: dict, rows, tols, cap: int, options=OPTIONS) -> dict:
+    """Iterations to each of ``tols`` (times max(1, |f*|)) for each option and row on
+    ``instances`` (seed: instance), capped at ``cap``.
 
-    ``cap`` defaults to the case's cap.
-    Returns {option: {row key: {seed: iterations or None, "total": sum or None}}}.
-    An instance whose reference does not certify raises RuntimeError.
+    Returns {option: {row key: {tol key: {seed: iterations or None, "total": sum or None}}}}.
+    An instance whose reference does not certify raises RuntimeError. One
+    solve per option, row and instance, stopped at the tightest tolerance,
+    gives every count: its trace has a row at every iteration, whose
+    objective is the value a gap stop tests, so the first row within a
+    tolerance is where a solve stopped at that tolerance would stop.
     """
-    cap = CASES[case].cap if cap is None else cap
-    counts = {option: {row_key(row): {} for row in rows} for option in OPTIONS}
-    for seed, inst in instances.items():
-        problem = inst.problem
-        knorm = problem.K.norm()
-        ref = certified_reference(case, inst)
-        tol = CASES[case].tol * max(1.0, abs(ref.objective_value))
-        for row in rows:
-            steps = _coupled_steps(knorm, *row)
-            for option in OPTIONS:
-                opts = SolverOptions(max_iters=cap, option=option, gap_tol=tol, reference=ref)
-                state, _ = solve_iapd(problem, steps, opts, objective=inst.objective)
-                reached = inst.objective(state.x) - ref.objective_value <= tol
-                counts[option][row_key(row)][str(seed)] = state.k - 1 if reached else None
-    for per_row in counts.values():
-        for per_seed in per_row.values():
-            add_totals(per_seed)
-    return counts
-
-
-def ladder(case: str, instances: dict, rows=LADDER_ROWS, tols=LADDER_TOLS,
-           cap: int = LADDER_CAP) -> dict:
-    """Option 1's iterations to each of ``tols`` for each row on ``instances`` (seed: instance).
-
-    Returns {row key: {tol key: {seed: iterations or None, "total": sum or None}}}.
-    One solve per row and instance, stopped at the tightest tolerance, gives
-    every count: its trace has a row at every iteration, whose objective is
-    the value a gap stop tests, so the first row within a tolerance is where
-    a solve stopped at that tolerance would stop.
-    """
-    counts = {row_key(row): {f"{tol:g}": {} for tol in tols} for row in rows}
+    counts = {option: {row_key(row): {f"{tol:g}": {} for tol in tols} for row in rows}
+              for option in options}
     for seed, inst in instances.items():
         knorm = inst.problem.K.norm()
         ref = certified_reference(case, inst)
         scale = max(1.0, abs(ref.objective_value))
         for row in rows:
-            opts = SolverOptions(max_iters=cap, gap_tol=min(tols) * scale, reference=ref)
-            _, trace = solve_iapd(inst.problem, _coupled_steps(knorm, *row), opts,
-                                  objective=inst.objective)
-            for tol in tols:
-                k = next((r.k for r in trace if r.objective - ref.objective_value <= tol * scale),
-                         None)
-                counts[row_key(row)][f"{tol:g}"][str(seed)] = None if k is None else k - 1
-    for per_tol in counts.values():
-        for per_seed in per_tol.values():
-            add_totals(per_seed)
+            steps = _coupled_steps(knorm, *row)
+            for option in options:
+                opts = SolverOptions(max_iters=cap, option=option, gap_tol=min(tols) * scale,
+                                     reference=ref)
+                _, trace = solve_iapd(inst.problem, steps, opts, objective=inst.objective)
+                for tol in tols:
+                    k = next((r.k for r in trace
+                              if r.objective - ref.objective_value <= tol * scale), None)
+                    counts[option][row_key(row)][f"{tol:g}"][str(seed)] = (
+                        None if k is None else k - 1)
+    for per_row in counts.values():
+        for per_tol in per_row.values():
+            for per_seed in per_tol.values():
+                add_totals(per_seed)
     return counts
+
+
+def grid(case: str, instances: dict, rows=ROWS, cap: int | None = None) -> dict:
+    """``count`` at the case's tolerance and, by default, its cap, without the tolerance level:
+    {option: {row key: {seed: iterations or None, "total": sum or None}}}."""
+    tol = CASES[case].tol
+    counts = count(case, instances, rows, (tol,), CASES[case].cap if cap is None else cap)
+    return {option: {key: per_tol[f"{tol:g}"] for key, per_tol in per_row.items()}
+            for option, per_row in counts.items()}
 
 
 def fewest(per_row: dict) -> str | None:
@@ -156,7 +148,8 @@ def main() -> int:
                   f"({training[option][preset]['total']}, held out "
                   f"{held_out[option][preset]['total']})")
     for name, seeds in LADDER_SEEDS.items():
-        counts = ladder(name, {s: instance(name, s) for s in seeds})
+        counts = count(name, {s: instance(name, s) for s in seeds}, LADDER_ROWS, LADDER_TOLS,
+                       LADDER_CAP, options=("option1",))["option1"]
         cases[f"l1ls/option1/ladder/{name}"] = counts
         for key, per_tol in counts.items():
             print(f"l1ls/option1 ladder {name} {key}: "

@@ -410,14 +410,12 @@ def _run_algorithm(
         solve = partial(solvers.solve_apda, problem, tau0, sigma0, opts)
         gap_at = _reference_gap(problem, ref.x_star, ref.y_star)
         params = {"tau0": tau0, "sigma0": sigma0, "gamma": problem.mu_g}
-    elif name in ("fista", "tseng"):
+    else:  # fista or tseng; ExperimentConfig refuses any other name
         f2 = LeastSquares(problem.K, instance.b)
         alpha = 1.0 / knorm**2
         apg = solvers.solve_fista if name == "fista" else solvers.solve_tseng
         solve = partial(apg, problem.f1, f2, alpha, opts, x0=np.zeros(problem.primal_dim))
         params = {"alpha": alpha}
-    else:
-        raise ValueError(f"unknown algorithm {name!r}")
 
     def observer(row: TraceRow, state):
         # Its own K x, not the one an iapd state carries: the certificate must

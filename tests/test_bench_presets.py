@@ -46,7 +46,8 @@ def test_the_training_seeds_avoid_perfbench_batches(bench_presets):
 def test_the_ladder_counts_what_a_solve_stopped_at_each_tolerance_takes(bench_presets):
     inst = generate_l1ls(20, 30, 0.1, seed=3)
     tols = (1e-3, 1e-6)
-    counts = bench_presets.ladder("l1ls-desk", {3: inst}, rows=((10.0, 1.5),), tols=tols, cap=5000)
+    counts = bench_presets.count("l1ls-desk", {3: inst}, ((10.0, 1.5),), tols, 5000,
+                                 options=("option1",))["option1"]
     ref = bench_presets.certified_reference("l1ls-desk", inst)
     steps = _coupled_steps(inst.problem.K.norm(), 10.0, 1.5)
     for tol in tols:

@@ -641,8 +641,12 @@ def test_triples_without_duplicates_build_scipys_map(case, data):
     ii, jj, vv = K.triples()
     assert (ii.tolist(), jj.tolist(), vv.tobytes()) == (coo.row.tolist(), coo.col.tolist(),
                                                         coo.data.tobytes())
-    index = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    index = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=2 * n))
+    alias = index[0] - n if index[0] >= 0 else index[0] + n  # the same column as index[0]
+    index = np.array(index + [alias])
     assert K.columns(index).tobytes() == ref[:, index].toarray().tobytes()
+    with pytest.raises(IndexError):
+        K.columns(np.array([n]))
 
 
 def _interleaved_sum():
@@ -866,6 +870,11 @@ def test_sparse_products_are_the_scipy_products(case):
     if not np.isnan(y).any():
         assert got.tobytes() == want.tobytes()
     assert K.apply(x).dtype == K.apply_adjoint(y).dtype == np.float64
+    # duplicates add up from zero in stored row order, as scipy's toarray adds them
+    assert K.to_dense().tobytes() == ref.toarray().tobytes()
+    n = mat.shape[1]
+    index = np.random.default_rng(n).integers(-n, n, size=n + 1)
+    assert K.columns(index).tobytes() == ref[:, index].toarray().tobytes()
     with pytest.raises(DimensionMismatchError):
         K.apply(np.zeros(mat.shape[1] + 1))
     with pytest.raises(DimensionMismatchError):
