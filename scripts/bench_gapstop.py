@@ -14,7 +14,10 @@ perfbench's FISTA solve) the run solves to that tolerance with
 K per iteration (counted on a separate solve, through ``runfile.CountedMap``,
 so the count costs the timed solves nothing), the median
 and interquartile range of the solve's CPU time over repeated calls, and
-the objective gap at the stop by a direct product.
+the objective gap at the stop by a direct product. Each workload also
+times its bare iteration (``<workload>/bare``), perfbench's throughput
+call: ``solve_iapd`` with option 1 for ``BARE_ITERS`` iterations, no
+objective and no observer, so that every iteration records a row.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from iapd.solvers import SolverOptions, solve_fista, solve_iapd, solve_tseng
 
 # case: timed calls
 REPEATS = {"l1ls-desk": 101, "nnls-sparse": 101, "l1ls-large": 15}
+
+BARE_ITERS = 500  # iterations of one bare solve
 
 # case key suffix: (solver, option); the option matters to iapd only
 SOLVERS = {"option1": ("iapd", "option1"), "option2": ("iapd", "option2"),
@@ -75,6 +80,13 @@ def measure(inst, params, ref, opts, repeats: int, solver: str = "iapd") -> dict
     }
 
 
+def measure_bare(inst, params, repeats: int) -> dict:
+    """CPU time of the bare ``solve_iapd``: option 1, ``BARE_ITERS`` iterations, no objective."""
+    opts = SolverOptions(max_iters=BARE_ITERS)
+    _, cpu_times, _ = timed(partial(solve_iapd, inst.problem, params, opts) for _ in range(repeats))
+    return {"iterations": BARE_ITERS, "solve_calls": repeats, **spread("solve_cpu_s", cpu_times)}
+
+
 def cases():
     """(name, measure) of each workload and solver; a workload's instance and reference are
     built when its first case is reached."""
@@ -87,6 +99,7 @@ def cases():
         for label, (solver, option) in SOLVERS.items():
             opts = SolverOptions(max_iters=case.cap, option=option, gap_tol=tol, reference=ref)
             yield f"{name}/{label}", partial(measure, inst, params, ref, opts, repeats, solver)
+        yield f"{name}/bare", partial(measure_bare, inst, params, repeats)
 
 
 def main() -> int:

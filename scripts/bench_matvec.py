@@ -26,6 +26,7 @@ from functools import partial
 from runfile import CASES, instance, run, spread  # first: sets up the rest
 
 import numpy as np
+from iapd.linalg import _into_zeros
 
 SEED = 101
 REPEATS = 15  # timed batches per layout, interleaved across layouts
@@ -60,16 +61,17 @@ def measure(case: str) -> dict:
         from scipy.sparse import _sparsetools
 
         scatter = copy.copy(K)
-        scatter._backward = partial(_sparsetools.csc_matvec, K.cols, K.rows, *K._mat[:3])
+        scatter._backward = _into_zeros(K.cols, partial(_sparsetools.csc_matvec, K.cols, K.rows,
+                                                        *K._mat[:3]))
         if scatter.apply_adjoint(y).tobytes() != K.apply_adjoint(y).tobytes():
             raise AssertionError(f"{case}: the scatter and gather adjoints differ")
         layouts["pair_us_scatter"] = (scatter, x, y)
     for k_offset in () if K.is_sparse else (0, 16, 48):
-        # The copy replaces the map's array and transposed view directly, so that
-        # no checkout's hand-over rule copies it to another offset.
+        # The copy replaces the map's array and its two products directly,
+        # so that no checkout's hand-over rule copies it to another offset.
         moved = copy.copy(K)
         moved._mat = at_offset(K._mat, k_offset)
-        moved._adj = moved._mat.T
+        moved._forward, moved._backward = moved._mat.__matmul__, moved._mat.T.__matmul__
         for v_offset in (0, 8):
             layouts[f"pair_us_k{k_offset}_v{v_offset}"] = (moved, at_offset(x, v_offset),
                                                            at_offset(y, v_offset))

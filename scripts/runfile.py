@@ -157,13 +157,16 @@ def open_runs(doc: str, out: str, argv=None):
     Returns (args, runs, base): ``runs`` is the content of ``--out`` ({} when
     it does not exist) and ``base`` the ``cases`` of the ``--baseline`` run,
     None without the flag. A ``--baseline`` the file does not hold, or holds
-    without ``cases``, is a usage error.
+    without ``cases``, is a usage error, and so is a missing ``ENVINFO``,
+    which ``save_run`` loads only after the measurement.
     """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--baseline", help="label of an earlier run to compare against")
     parser.add_argument("--out", type=Path, default=Path(out))
     args = parser.parse_args(argv)
+    if not ENVINFO.is_file():
+        parser.error(f"{ENVINFO} is missing; the run could not record its environment")
     runs = json.loads(args.out.read_text()) if args.out.exists() else {}
     base = None
     if args.baseline:

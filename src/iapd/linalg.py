@@ -112,6 +112,17 @@ def _matvec_kernels():
     return module.csr_matvec, module.csr_tocsc
 
 
+def _into_zeros(size: int, kernel):
+    """The product ``v -> out``: ``kernel(v, out)`` adds into a fresh ``out = np.zeros(size)``."""
+
+    def product(v):
+        out = np.zeros(size)
+        kernel(v, out)
+        return out
+
+    return product
+
+
 def _aligned_empty(m: int, n: int) -> np.ndarray:
     """An uninitialized C-contiguous float64 (m, n) array whose data starts on a 64-byte
     boundary: a view into a buffer (its ``base``) 64 bytes longer than the array."""
@@ -139,8 +150,11 @@ class LinearMap:
     array, whose data start on a 64-byte boundary: with one BLAS thread a
     200x400 K x plus K^T y pair takes 17-18 us with K there and 26-28 us
     with K 16 or 48 bytes past one, whatever the alignment of x and y
-    (``scripts/bench_matvec.py``). A dense map multiplies by the array and
-    by its transposed view, built once here. A CSR map also holds K^T's
+    (``scripts/bench_matvec.py``). ``apply`` and ``apply_adjoint`` convert
+    and check their vector against shapes stored here, then call the one
+    product of their direction, also bound here: a dense map's are the
+    array's matmul and its transposed view's, a CSR map's fill fresh zeros
+    by a compiled kernel (``_into_zeros``). A CSR map also holds K^T's
     CSR arrays (K's CSC storage), a read-only copy built once here by
     scipy's compiled ``csr_tocsc``: 12 bytes per stored entry with int32
     indices (16 with int64), plus an (n + 1)-long pointer. It calls scipy's
@@ -210,11 +224,12 @@ class LinearMap:
             csr_tocsc(m, n, *stored, *adj[:3])
             for arr in adj[:3]:
                 arr.flags.writeable = False
-            self._forward = partial(csr_matvec, m, n, *stored)
-            self._backward = partial(csr_matvec, n, m, *adj[:3])
+            self._forward = _into_zeros(m, partial(csr_matvec, m, n, *stored))
+            self._backward = _into_zeros(n, partial(csr_matvec, n, m, *adj[:3]))
             self._adj = adj
         else:
-            self._adj = mat.T
+            self._forward, self._backward = mat.__matmul__, mat.T.__matmul__
+        self._x_shape, self._y_shape = (mat.shape[1],), (mat.shape[0],)
         self._cached_norm: float | None = None
 
     # -- basic queries -----------------------------------------------------
@@ -276,28 +291,20 @@ class LinearMap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Forward product K x."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.cols,):
+        if x.shape != self._x_shape:
             raise DimensionMismatchError(
                 f"apply expects length {self.cols}, got shape {x.shape}"
             )
-        if self._sparse:
-            out = np.zeros(self.rows)
-            self._forward(x, out)
-            return out
-        return np.asarray(self._mat @ x)
+        return self._forward(x)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Transpose product K^T y."""
         y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.rows,):
+        if y.shape != self._y_shape:
             raise DimensionMismatchError(
                 f"apply_adjoint expects length {self.rows}, got shape {y.shape}"
             )
-        if self._sparse:
-            out = np.zeros(self.cols)
-            self._backward(y, out)
-            return out
-        return np.asarray(self._adj @ y)
+        return self._backward(y)
 
     # -- norm estimation ---------------------------------------------------
 

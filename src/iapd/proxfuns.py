@@ -51,7 +51,7 @@ class L1Norm(ProxFunction):
             raise ValueError(f"l1 weight must be finite and nonnegative, got {self.weight}")
 
     def value(self, x) -> float:
-        return self.weight * float(np.abs(x).sum())
+        return self.weight * float(np.add.reduce(np.abs(x), None))  # ndarray.sum's reduction
 
     def prox(self, step, z):
         """Soft thresholding of a 1-D vector z (a 0-d z is not supported)."""
@@ -69,7 +69,7 @@ class NonnegIndicator(ProxFunction):
     """Indicator of the nonnegative orthant; prox is the projection."""
 
     def value(self, x) -> float:
-        if np.asarray(x).min() < 0:
+        if np.minimum.reduce(x, None) < 0:  # ndarray.min's reduction
             return np.inf
         return 0.0
 

@@ -3,6 +3,9 @@
 Every solver is a stepper (a generator yielding one state per iteration
 with ``k, x, x_prev, y, y_prev, t, kx``) run by the one driver ``_drive``, which
 owns the divergence check, the stride, the gap stop, the clock and the rows.
+Each stepper yields, as the next state's ``x_prev`` and ``y_prev``, the very
+x and y objects of the state before, so a recorded row's distances double
+as the divergence test of its x and y.
 The objective is invoked as ``objective(x, kx)``, where ``kx`` is K x when
 the stepper carries it and None otherwise: iapd carries it whenever it is
 given an objective, FISTA and Tseng when they are given one and their f2 is
@@ -278,29 +281,9 @@ def iapd_step(
     y_next += v_next
     y_next /= t_next
 
-    a = problem.mu_g * beta
-    return IapdState(
-        x=x_next,
-        x_prev=state.x,
-        y=y_next,
-        y_prev=state.y,
-        u=u_next,
-        v=v_next,
-        v_prev=state.v,
-        t=t_next,
-        t_next=next_t(t_next, a),
-        k=state.k + 1,
-        kx=kx_next,
-    )
-
-
-def _dist(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||_2 of 1-D vectors: np.linalg.norm's own sqrt(d.d), minus its overhead.
-
-    A sum of squares that overflows gives inf; np.vdot, unlike ndarray.dot, does not warn.
-    """
-    d = a - b
-    return math.sqrt(np.vdot(d, d))
+    # x, x_prev, y, y_prev, u, v, v_prev, t, t_next, k, kx; a = mu_g beta
+    return IapdState(x_next, state.x, y_next, state.y, u_next, v_next, state.v, t_next,
+                     next_t(t_next, problem.g1.strong_convexity * beta), state.k + 1, kx_next)
 
 
 def _drive(name: str, opts: SolverOptions, states, observer, objective):
@@ -311,52 +294,83 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     needs it. A row is due at every multiple of the stride, at the last
     iteration and at the iterate where the gap stop fires. A row's
     ``elapsed_s`` is solver time: the clock is paused while the objective
-    and the observer run. A state whose x or y is not finite
-    raises DivergenceError naming its k, with the trace so far as ``rows``;
-    each vector is tested by one dot product, v.v, and entry by entry only
-    when v.v is not finite, which flags the same iterates as testing every
-    entry.
+    and the observer run. A row's ``dx`` is sqrt(d.d), d = x - x_prev, and
+    ``dy`` the same for y.
+    A state whose x or y is not finite raises DivergenceError naming its k,
+    with the trace so far as ``rows``; the test flags exactly the iterates
+    that testing every entry flags. On a recorded row whose x_prev is the x
+    that passed the test one iteration earlier, and so is finite, the row's
+    distance is the test: a finite d.d proves x finite. Elsewhere x is
+    tested by one dot product, x.x. Either way every entry is tested only
+    when the sum is not finite, and y is tested as x is. No dot product
+    warns when its sum overflows, but x - x_prev draws numpy's overflow
+    warning when an entry of x differs from x_prev's by more than the
+    largest double: for a finite x, whose row takes that distance anyway,
+    and on a recorded row also for a non-finite x, which then still raises.
     A gap stop without an objective raises ValueError.
     The observer's ``TraceRow`` is stored as cells when it returns, and
     without an observer none is built. A truthy return from the observer
     ends the run after its row is stored.
     """
+    max_iters, stride, gap_tol = opts.max_iters, opts.observer_stride, opts.gap_tol
     f_ref = None
-    if opts.gap_tol is not None:
+    if gap_tol is not None:
         if objective is None:
             raise ValueError("the gap stop needs an objective")
         f_ref = opts.reference.objective_value
     cells = array("d")  # k .. elapsed_s of each row; the Trace views it once the run ends
     clock = time.monotonic_ns
     paused = 0  # ns spent in the objective and the observer; integers keep elapsed_s monotone
-    start = clock()
+    vdot, isfinite, sqrt, nan = np.vdot, math.isfinite, math.sqrt, math.nan
 
     def finite(v) -> bool:
         # A finite v.v means every entry is finite (an inf or NaN entry makes the
         # sum of squares inf or NaN); only when it is not, as for a finite v whose
-        # squares overflow, is every entry tested. np.vdot, unlike ndarray.dot,
-        # does not warn when the sum overflows.
-        return math.isfinite(np.vdot(v, v)) or bool(np.isfinite(v).all())
+        # squares overflow, is every entry tested.
+        return isfinite(vdot(v, v)) or bool(np.isfinite(v).all())
 
-    for i, state in zip(range(1, opts.max_iters + 1), states):
+    def distance(v, prev, checked, record):
+        # None when v is not finite; else ||v - prev|| on a recorded row, nan elsewhere.
+        # When prev is ``checked``, the v that passed one iteration earlier, it is
+        # finite, so d = v - prev is non-finite exactly where v is (an inf or NaN
+        # minus a finite entry sets no floating-point flag) and a finite d.d proves
+        # v finite.
+        if record and prev is checked:
+            d = v - prev
+            s = vdot(d, d)
+            return sqrt(s) if isfinite(s) or finite(v) else None
+        if not finite(v):
+            return None
+        return distance(v, prev, prev, True) if record else nan  # v is finite: the distance
+
+    x_ok = y_ok = None  # the x and y that passed the test one iteration earlier
+    start = clock()
+    for i, state in zip(range(1, max_iters + 1), states):
+        x, y = state.x, state.y
+        record = i % stride == 0 or i == max_iters
         # iapd's y = ((t - 1) y_prev + v) / t is non-finite whenever v is, so
         # checking x and y flags exactly the iterates a check of v would.
-        if not (finite(state.x) and (state.y is None or finite(state.y))):
+        dx = distance(x, state.x_prev, x_ok, record)
+        dy = nan if y is None or dx is None else distance(y, state.y_prev, y_ok, record)
+        if dx is None or dy is None:
             err = DivergenceError(f"non-finite iterate at iteration {state.k}", state.k)
             err.rows = Trace(name, cells)
             raise err
-        record = i % opts.observer_stride == 0 or i == opts.max_iters
-        value = math.nan
+        x_ok, y_ok = x, y
+        value = nan
         if objective is not None and (record or f_ref is not None):
             pause = clock()
-            value = float(objective(state.x, state.kx))
+            value = float(objective(x, state.kx))
             paused += clock() - pause
-        stop = f_ref is not None and value - f_ref <= opts.gap_tol
-        if record or stop:
+        stop = f_ref is not None and value - f_ref <= gap_tol
+        if stop and not record:  # a gap stop between recorded rows
+            record = True
+            dx = distance(x, state.x_prev, state.x_prev, True)
+            dy = nan if y is None else distance(y, state.y_prev, state.y_prev, True)
+        if record:
             # the cells of TraceRow(name, k, t_k, objective, gap_ref, dx, dy, energy, elapsed_s)
-            row_cells = (state.k, state.t, value, math.nan, _dist(state.x, state.x_prev),
-                         math.nan if state.y is None else _dist(state.y, state.y_prev),
-                         math.nan, (clock() - start - paused) / 1e9)
+            row_cells = (state.k, state.t, value, nan, dx, dy, nan,
+                         (clock() - start - paused) / 1e9)
             if observer is not None:
                 pause = clock()
                 row = TraceRow(name, *row_cells)
@@ -388,9 +402,9 @@ def solve_iapd(
     validate_params(problem, params)
     name = "iapd-op1" if opts.option == "option1" else "iapd-op2"
 
-    def states(state):
+    def states(state, option=opts.option):
         while True:
-            state = iapd_step(problem, params, state, opts.option)
+            state = iapd_step(problem, params, state, option)
             yield state
 
     state = init_iapd_state(problem, params)

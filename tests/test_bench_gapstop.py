@@ -45,3 +45,20 @@ def test_a_gap_stopped_baseline_iteration_takes_two_products_and_one_at_the_stop
     assert row["products_per_iteration"] == (2 * k + 1) / k
     assert row["gap_at_stop"] <= tol
     assert row["solve_calls"] == 3 and row["solve_cpu_s_iqr"] >= 0.0
+
+
+def test_a_bare_case_times_perfbench_s_throughput_call(bench_gapstop, tiny_case, monkeypatch):
+    inst, params, _, _ = tiny_case
+    monkeypatch.setattr(bench_gapstop, "BARE_ITERS", 7)
+    calls = []
+    solve = bench_gapstop.solve_iapd
+
+    def spy(problem, params, opts, **kwargs):
+        calls.append((opts, kwargs))
+        return solve(problem, params, opts, **kwargs)
+
+    monkeypatch.setattr(bench_gapstop, "solve_iapd", spy)
+    row = bench_gapstop.measure_bare(inst, params, repeats=3)
+    assert row["iterations"] == 7 and row["solve_calls"] == 3
+    assert row["solve_cpu_s_median"] > 0 and row["solve_cpu_s_iqr"] >= 0.0
+    assert calls == [(SolverOptions(max_iters=7), {})] * 3

@@ -83,6 +83,20 @@ def test_a_baseline_without_cases_names_the_missing_key(runfile, tmp_path, capsy
             in capsys.readouterr().err)
 
 
+def test_a_missing_envinfo_is_a_usage_error_before_any_case_runs(runfile, tmp_path, monkeypatch,
+                                                                   capsys):
+    missing = tmp_path / "perfbench" / "envinfo.py"
+    monkeypatch.setattr(runfile, "ENVINFO", missing)
+    out = tmp_path / "BENCH_x.json"
+    monkeypatch.setattr(sys, "argv", ["bench_x.py", "--label", "new", "--out", str(out)])
+    measured = []
+    with pytest.raises(SystemExit) as err:
+        runfile.run("Doc.", "unused.json", "scripts/bench_x.py",
+                    [("c", lambda: measured.append("c") or {})])
+    assert err.value.code == 2 and measured == [] and not out.exists()
+    assert f"{missing} is missing" in capsys.readouterr().err
+
+
 def test_importing_the_helper_loads_no_numpy():
     code = "import sys, runfile; print('numpy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], cwd=SCRIPTS, capture_output=True,
@@ -310,7 +324,7 @@ WORKLOADS = ("l1ls-desk", "nnls-sparse", "l1ls-large")
 # Each timer that runs through ``runfile.run``, and its case names in measuring order.
 RUN_TIMERS = {
     "bench_gapstop": [f"{w}/{s}" for w in WORKLOADS for s in ("option1", "option2", "fista",
-                                                              "tseng")],
+                                                              "tseng", "bare")],
     "bench_matvec": list(WORKLOADS),
     "bench_mmread": ["nnls-sparse/K", "nnls-sparse/b", "coordinate-4000x2000", "array-1000x1000"],
     "bench_norm": list(WORKLOADS),
@@ -344,6 +358,8 @@ def test_a_run_timer_stores_the_rows_measure_returns_in_its_order(timer, tmp_pat
         return returned[-1]
 
     monkeypatch.setattr(module, "measure", measure)
+    if hasattr(module, "measure_bare"):
+        monkeypatch.setattr(module, "measure_bare", measure)
     out = tmp_path / "BENCH_x.json"
     monkeypatch.setattr(sys, "argv", [timer, "--label", "new", "--out", str(out)])
     assert module.main() == 0

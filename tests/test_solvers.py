@@ -38,7 +38,6 @@ from iapd.solvers import (
     solve_iapd,
     solve_pda,
     solve_tseng,
-    _dist,
     _drive,
     _Iterate,
 )
@@ -350,19 +349,25 @@ def iterates_with_faults(draw):
 
     Each x (and y, unless the method is primal-only) is ordinary, holds +-inf or NaN
     at random positions, or is finite with entries up to 1e308, so that its sum of
-    squares overflows. x_prev and y_prev sit a standard normal step away, so that no
-    recorded distance overflows.
+    squares overflows. x and y fault independently, so either may be the only one.
+    Unchained, x_prev and y_prev sit a standard normal step away, so that no
+    recorded distance overflows. Chained, as a stepper's states are, each x_prev
+    and y_prev is the previous state's x and y object (the first state's a fresh
+    standard normal vector), and an overflowing vector's entries stay within 8e307,
+    so that no difference of two of them overflows; the warning that such a
+    difference draws has a test of its own.
     """
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    primal_only = draw(st.booleans())
+    primal_only, chained = draw(st.booleans()), draw(st.booleans())
+    top = 8e307 if chained else 1e308
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def vector(size):
         kind = draw(st.sampled_from(["ordinary", "ordinary", "non-finite", "overflowing"]))
         v = rng.standard_normal(size)
         if kind == "overflowing":
-            v = rng.uniform(-1.0, 1.0, size) * 1e308
-            v[rng.integers(size)] = draw(st.sampled_from([1e308, -1e308, 1.5e154]))
+            v = rng.uniform(-1.0, 1.0, size) * top
+            v[rng.integers(size)] = draw(st.sampled_from([top, -top, 1.5e154]))
         elif kind == "non-finite":
             hit = rng.random(size) < draw(st.sampled_from([0.0, 0.3, 1.0]))
             hit[rng.integers(size)] = True
@@ -370,11 +375,17 @@ def iterates_with_faults(draw):
         return v
 
     states = []
+    if chained:  # the first state's previous iterate
+        x_prev, y_prev = rng.standard_normal(n), None if primal_only else rng.standard_normal(m)
     for k in range(2, draw(st.integers(2, 10)) + 2):
         x = vector(n)
         y = None if primal_only else vector(m)
-        states.append(_Iterate(k, x, x - rng.standard_normal(n), y,
-                               None if y is None else y - rng.standard_normal(m), float(k)))
+        if not chained:
+            x_prev = x - rng.standard_normal(n)
+            y_prev = None if y is None else y - rng.standard_normal(m)
+        states.append(_Iterate(k, x, x_prev, y, y_prev, float(k)))
+        if chained:
+            x_prev, y_prev = x, y
     finite = [bool(np.isfinite(s.x).all() and (s.y is None or np.isfinite(s.y).all()))
               for s in states]
     return states, finite
@@ -385,13 +396,22 @@ def iterates_with_faults(draw):
 def test_the_divergence_test_flags_exactly_the_entrywise_non_finite_iterates(case, stride):
     """The driver's one-dot test against an entry-wise np.isfinite reference: the same
     first k and message, the trace of the iterates before it, no warning, and no
-    divergence for finite vectors whose sum of squares overflows."""
+    divergence for finite vectors whose sum of squares overflows. Each row's
+    distances are sqrt(d.d) of d = x - x_prev and of d = y - y_prev."""
     states, finite = case
     opts = SolverOptions(max_iters=len(states), observer_stride=stride)
+    by_k = {state.k: state for state in states}
+
+    def distance(v, prev):
+        return math.nan if v is None else math.sqrt(np.vdot(v - prev, v - prev))
+
     with warnings.catch_warnings(action="error"):
         if all(finite):
-            state, _ = _drive("fake", opts, iter(states), None, None)
+            state, rows = _drive("fake", opts, iter(states), None, None)
             assert state is states[-1]
+            expected = [(distance(s.x, s.x_prev), distance(s.y, s.y_prev))
+                        for s in (by_k[row.k] for row in rows)]
+            assert rows.cells[:, 4:6].tobytes() == np.array(expected).reshape(-1, 2).tobytes()
             return
         with pytest.raises(DivergenceError) as err:
             _drive("fake", opts, iter(states), None, None)
@@ -406,8 +426,30 @@ def test_the_divergence_test_flags_exactly_the_entrywise_non_finite_iterates(cas
 
 
 def test_a_distance_whose_squares_overflow_is_inf_without_a_warning():
+    """Both where the distance is the divergence test (x_prev is the x checked one
+    iteration earlier: k = 3, whose x.x is finite, and k = 4) and after a one-dot test
+    (x_prev is another object: k = 2 and 5)."""
+    far = np.array([1e200, 0.0])
+    start = np.zeros(2)
+    states = [_Iterate(2, far, np.zeros(2), None, None, 2.0),
+              _Iterate(3, start, far, None, None, 3.0),
+              _Iterate(4, far.copy(), start, None, None, 4.0),
+              _Iterate(5, far.copy(), np.zeros(2), None, None, 5.0)]
     with warnings.catch_warnings(action="error"):
-        assert _dist(np.array([1e200, 0.0]), np.zeros(2)) == math.inf
+        _, rows = _drive("fake", SolverOptions(max_iters=4), iter(states), None, None)
+    assert rows.column("dx").tolist() == [math.inf] * 4
+
+
+def test_a_diverging_iterate_far_from_the_last_draws_the_overflow_warning():
+    """The one warning of the divergence test: a non-finite x whose finite entry differs
+    from x_prev's by more than the largest double overflows in x - x_prev."""
+    start = np.array([1e308, 0.0])
+    states = [_Iterate(2, start, np.zeros(2), None, None, 2.0),
+              _Iterate(3, np.array([-1e308, np.inf]), start, None, None, 3.0)]
+    with pytest.warns(RuntimeWarning, match="overflow encountered in subtract"):
+        with pytest.raises(DivergenceError) as err:
+            _drive("fake", SolverOptions(max_iters=2), iter(states), None, None)
+    assert err.value.iteration == 3 and len(err.value.rows) == 1
 
 
 class NanDual(ShiftedQuadratic):
@@ -500,6 +542,19 @@ def first_new_minimum(gaps, after, skip_stride=None):
         if gaps[i - 1] < min(gaps[: i - 1]):
             return i
     raise AssertionError("no new minimum in the trace")
+
+
+@pytest.mark.parametrize("name", ALL_SOLVERS)
+def test_every_stepper_yields_the_checked_x_as_its_next_x_prev(name, gap_instance):
+    """So that every recorded row past the first takes the divergence test from its distances."""
+    inst, _ = gap_instance
+    states = []
+    solve_one(name, inst, SolverOptions(max_iters=5), inst.objective,
+              observer=lambda row, state: states.append(state))
+    assert len(states) == 5
+    for before, after in zip(states, states[1:]):
+        assert after.x_prev is before.x
+        assert after.y_prev is before.y if name not in ("fista", "tseng") else after.y is None
 
 
 @pytest.mark.parametrize("name", ALL_SOLVERS)
