@@ -8,7 +8,8 @@ at the peak RSS of their parent.
 ``CASES`` holds perfbench's three workloads; ``instance`` builds one,
 ``reference`` solves its reference and ``CountedMap`` counts its products.
 ``run`` is a timer's whole ``main``, ``timed`` times a sequence of calls and
-``sha256`` digests arrays.
+``sha256`` digests arrays. ``load_tree`` loads another checkout's package
+beside this one, and ``ab`` times two calls against each other in one process.
 
 Every run is stored under ``runs[NAME]`` of its output file with its git
 ``revision``, a ``source_sha256`` of the code it ran, its ``baseline`` label,
@@ -118,6 +119,46 @@ def timed(calls, collect: bool = False):
         walls.append(time.perf_counter() - start)
         cpus.append(time.process_time() - cpu_start)
     return walls, cpus, result
+
+
+def ab(call_a, call_b, rounds: int) -> dict:
+    """Time two zero-argument calls against each other for ``rounds`` rounds, in one process.
+
+    Each round times both calls by process CPU time (``timed``, collecting
+    before each), ``call_a`` first in even rounds and ``call_b`` first in odd
+    ones. Returns ``ratio_median`` and ``ratio_iqr`` of the per-round ratio
+    b / a, and ``a_wins`` and ``b_wins``, the rounds each call took less time in.
+    """
+    if rounds < 2:
+        raise ValueError(f"ab needs at least 2 rounds, got {rounds}")
+    ratios = []
+    for i in range(rounds):
+        _, cpus, _ = timed((call_a, call_b) if i % 2 == 0 else (call_b, call_a), collect=True)
+        a, b = cpus if i % 2 == 0 else cpus[::-1]
+        ratios.append(b / a)
+    return {**spread("ratio", ratios), "a_wins": sum(r > 1.0 for r in ratios),
+            "b_wins": sum(r < 1.0 for r in ratios)}
+
+
+def load_tree(root, name: str):
+    """The package ``<root>/src/iapd``, loaded as the package ``name`` beside ``iapd``.
+
+    ``iapd`` imports its own modules relatively, so another checkout's tree
+    loads unedited, and its submodules import as ``<name>.<module>``. A root
+    without ``src/iapd/__init__.py`` and a ``name`` already imported raise
+    ValueError.
+    """
+    init = Path(root) / "src" / "iapd" / "__init__.py"
+    if not init.is_file():
+        raise ValueError(f"{root} has no src/iapd/__init__.py")
+    if name in sys.modules:
+        raise ValueError(f"a module {name!r} is already imported")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package  # before it runs, for its relative imports
+    spec.loader.exec_module(package)
+    return package
 
 
 def revision() -> str | None:

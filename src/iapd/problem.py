@@ -40,6 +40,8 @@ class SaddleProblem:
             raise ValueError("g1 must be strongly convex (modulus > 0)")
         if isinstance(self.g1, ShiftedQuadratic) and self.g1.shift.shape != (self.K.rows,):
             raise ValueError("g1 shift length must match the row count of K")
+        if isinstance(self.g1, ShiftedQuadratic) and not np.isfinite(self.g1.shift).all():
+            raise ValueError("g1 shift contains non-finite entries")
 
     @property
     def primal_dim(self) -> int:

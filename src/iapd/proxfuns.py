@@ -132,6 +132,8 @@ class LeastSquares(SmoothFunction):
             raise DimensionMismatchError(
                 f"data length {self.data.shape} does not match {mapping.rows} rows"
             )
+        if not np.isfinite(self.data).all():
+            raise ValueError("least-squares data contains non-finite entries")
         self.lipschitz = mapping.norm() ** 2
 
     def value(self, x) -> float:

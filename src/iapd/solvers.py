@@ -3,9 +3,8 @@
 Every solver is a stepper (a generator yielding one state per iteration
 with ``k, x, x_prev, y, y_prev, t, kx``) run by the one driver ``_drive``, which
 owns the divergence check, the stride, the gap stop, the clock and the rows.
-Each stepper yields, as the next state's ``x_prev`` and ``y_prev``, the very
-x and y objects of the state before, so a recorded row's distances double
-as the divergence test of its x and y.
+Each iterate's distance to the one before is its divergence test: a finite
+||x - x_prev|| proves x finite.
 The objective is invoked as ``objective(x, kx)``, where ``kx`` is K x when
 the stepper carries it and None otherwise: iapd carries it whenever it is
 given an objective, FISTA and Tseng when they are given one and their f2 is
@@ -294,20 +293,15 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     needs it. A row is due at every multiple of the stride, at the last
     iteration and at the iterate where the gap stop fires. A row's
     ``elapsed_s`` is solver time: the clock is paused while the objective
-    and the observer run. A row's ``dx`` is sqrt(d.d), d = x - x_prev, and
-    ``dy`` the same for y.
-    A state whose x or y is not finite raises DivergenceError naming its k,
-    with the trace so far as ``rows``; the test flags exactly the iterates
-    that testing every entry flags. On a recorded row whose x_prev is the x
-    that passed the test one iteration earlier, and so is finite, the row's
-    distance is the test: a finite d.d proves x finite. Elsewhere x is
-    tested by one dot product, x.x. Either way every entry is tested only
-    when the sum is not finite, and y is tested as x is. No dot product
-    warns when its sum overflows, but x - x_prev draws numpy's overflow
-    warning when an entry of x differs from x_prev's by more than the
-    largest double: for a finite x, whose row takes that distance anyway,
-    and on a recorded row also for a non-finite x, which then still raises.
-    A gap stop without an objective raises ValueError.
+    and the observer run.
+    The divergence test is the distance, taken every iteration: ``dx`` =
+    sqrt(d.d) with d = x - x_prev, and ``dy`` the same for y. An inf or NaN
+    entry of x is inf or NaN in d, so a finite d.d proves x finite; every
+    entry is tested only when it is not. A non-finite x or y raises
+    DivergenceError naming its k, with the trace so far as ``rows``. The dot
+    product never warns, but x - x_prev draws numpy's overflow warning when
+    an entry of x lies more than the largest double from x_prev's, on a
+    recorded row or not. A gap stop without an objective raises ValueError.
     The observer's ``TraceRow`` is stored as cells when it returns, and
     without an observer none is built. A truthy return from the observer
     ends the run after its row is stored.
@@ -323,51 +317,31 @@ def _drive(name: str, opts: SolverOptions, states, observer, objective):
     paused = 0  # ns spent in the objective and the observer; integers keep elapsed_s monotone
     vdot, isfinite, sqrt, nan = np.vdot, math.isfinite, math.sqrt, math.nan
 
-    def finite(v) -> bool:
-        # A finite v.v means every entry is finite (an inf or NaN entry makes the
-        # sum of squares inf or NaN); only when it is not, as for a finite v whose
-        # squares overflow, is every entry tested.
-        return isfinite(vdot(v, v)) or bool(np.isfinite(v).all())
+    def distance(v, prev):
+        # ||v - prev||, or None when v is not finite
+        d = v - prev
+        s = vdot(d, d)
+        return sqrt(s) if isfinite(s) or np.isfinite(v).all() else None
 
-    def distance(v, prev, checked, record):
-        # None when v is not finite; else ||v - prev|| on a recorded row, nan elsewhere.
-        # When prev is ``checked``, the v that passed one iteration earlier, it is
-        # finite, so d = v - prev is non-finite exactly where v is (an inf or NaN
-        # minus a finite entry sets no floating-point flag) and a finite d.d proves
-        # v finite.
-        if record and prev is checked:
-            d = v - prev
-            s = vdot(d, d)
-            return sqrt(s) if isfinite(s) or finite(v) else None
-        if not finite(v):
-            return None
-        return distance(v, prev, prev, True) if record else nan  # v is finite: the distance
-
-    x_ok = y_ok = None  # the x and y that passed the test one iteration earlier
     start = clock()
     for i, state in zip(range(1, max_iters + 1), states):
         x, y = state.x, state.y
         record = i % stride == 0 or i == max_iters
         # iapd's y = ((t - 1) y_prev + v) / t is non-finite whenever v is, so
         # checking x and y flags exactly the iterates a check of v would.
-        dx = distance(x, state.x_prev, x_ok, record)
-        dy = nan if y is None or dx is None else distance(y, state.y_prev, y_ok, record)
+        dx = distance(x, state.x_prev)
+        dy = nan if y is None or dx is None else distance(y, state.y_prev)
         if dx is None or dy is None:
             err = DivergenceError(f"non-finite iterate at iteration {state.k}", state.k)
             err.rows = Trace(name, cells)
             raise err
-        x_ok, y_ok = x, y
         value = nan
         if objective is not None and (record or f_ref is not None):
             pause = clock()
             value = float(objective(x, state.kx))
             paused += clock() - pause
         stop = f_ref is not None and value - f_ref <= gap_tol
-        if stop and not record:  # a gap stop between recorded rows
-            record = True
-            dx = distance(x, state.x_prev, state.x_prev, True)
-            dy = nan if y is None else distance(y, state.y_prev, state.y_prev, True)
-        if record:
+        if record or stop:  # a gap stop between multiples of the stride keeps its row
             # the cells of TraceRow(name, k, t_k, objective, gap_ref, dx, dy, energy, elapsed_s)
             row_cells = (state.k, state.t, value, nan, dx, dy, nan,
                          (clock() - start - paused) / 1e9)
@@ -517,6 +491,9 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, option):
         raise ValueError("f2 must have a positive Lipschitz constant")
     if alpha > 1.0 / f2.lipschitz:
         raise ValueError(f"alpha must be <= 1/L = {1.0 / f2.lipschitz:.6g}")
+    x0 = np.array(x0, dtype=np.float64)
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 contains non-finite entries")
     carry = objective is not None and isinstance(f2, LeastSquares)
 
     def look_ahead(xbar):
@@ -547,7 +524,7 @@ def _solve_apg(f1, f2, alpha, opts, observer, x0, t1, objective, option):
             yield _Iterate(k, x, x_prev, None, None, t, kx)
 
     name = "fista" if option == "option1" else "tseng"
-    last, rows = _drive(name, opts, states(np.array(x0, dtype=np.float64)), observer, objective)
+    last, rows = _drive(name, opts, states(x0), observer, objective)
     return last.x, rows
 
 

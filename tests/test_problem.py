@@ -70,6 +70,16 @@ def test_shift_length_must_match_rows():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_g1_shift_is_refused_before_any_iteration(bad):
+    """Not reported later as a divergence of the solve."""
+    with pytest.raises(ValueError, match="^g1 shift contains non-finite entries$"):
+        SaddleProblem(
+            f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic([1.0, bad]),
+            g2=ZeroSmooth(), K=LinearMap(np.eye(2)),
+        )
+
+
 def test_dims_and_mu():
     p = SaddleProblem(
         f1=L1Norm(0.1), f2=ZeroSmooth(), g1=ShiftedQuadratic(np.zeros(3)),

@@ -205,6 +205,12 @@ def test_least_squares_dimension_check():
         LeastSquares(LinearMap(np.eye(3)), np.zeros(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_least_squares_refuses_non_finite_data(bad):
+    with pytest.raises(ValueError, match="^least-squares data contains non-finite entries$"):
+        LeastSquares(LinearMap(np.eye(3)), np.array([0.0, bad, 1.0]))
+
+
 # -- in-place kernels against the textbook forms -----------------------------
 
 # The two prox maps below are the plain one-temporary-per-operation forms the

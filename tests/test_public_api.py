@@ -80,11 +80,20 @@ def test_only_the_driver_builds_trace_rows():
 def test_only_the_driver_checks_for_divergence():
     """``_drive`` is the one builder of a DivergenceError in the package, and the
     only code in ``solvers.py`` that tests an iterate for finiteness
-    (``SolverOptions`` tests its ``gap_tol``); the steppers only step."""
+    (``SolverOptions`` tests its ``gap_tol``, ``_solve_apg`` its ``x0`` outside
+    the stepper it defines); the steppers only step."""
     builders = {(path.name, owner) for path in sorted(SRC.glob("*.py"))
                 for owner in _callers(path, "DivergenceError")}
     assert builders == {("solvers.py", "_drive")}
-    assert _callers(SRC / "solvers.py", "isfinite") == {"SolverOptions", "_drive"}
+    solvers_py = SRC / "solvers.py"
+    assert _callers(solvers_py, "isfinite") == {"SolverOptions", "_solve_apg", "_drive"}
+    apg = next(node for node in ast.parse(solvers_py.read_text(encoding="utf-8")).body
+               if getattr(node, "name", None) == "_solve_apg")
+    nested = [node for node in ast.walk(apg)
+              if isinstance(node, ast.FunctionDef) and node is not apg]
+    assert {node.name for node in nested} >= {"states"}
+    assert [node.name for node in nested for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", getattr(call.func, "id", None)) == "isfinite"] == []
 
 
 def test_the_sweep_hands_no_solver_an_objective():

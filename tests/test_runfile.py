@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -250,6 +251,64 @@ def test_the_counted_map_counts_the_products_of_a_norm(runfile):
     counted = runfile.CountedMap(cached)
     assert counted.norm() == cached.norm()
     assert (counted.apply_calls, counted.adjoint_calls) == (0, 0)
+
+
+def test_ab_alternates_which_call_goes_first_and_reports_b_over_a(runfile, monkeypatch):
+    now, log = [0.0], []
+    monkeypatch.setattr(runfile, "time", SimpleNamespace(perf_counter=lambda: now[0],
+                                                         process_time=lambda: now[0]))
+    monkeypatch.setattr(runfile, "gc", SimpleNamespace(collect=lambda: log.append("gc")))
+    b_costs = iter([1.0, 3.0, 0.5, 2.0, 1.0])  # a costs 1 every round
+
+    def call(name, cost):
+        def run():
+            log.append(name)
+            now[0] += cost()
+        return run
+
+    result = runfile.ab(call("a", lambda: 1.0), call("b", lambda: next(b_costs)), 5)
+    assert [entry for entry in log if entry != "gc"] == list("abbaabbaab")
+    assert log.count("gc") == 10
+    assert result == {**runfile.spread("ratio", [1.0, 3.0, 0.5, 2.0, 1.0]),
+                      "a_wins": 2, "b_wins": 1}
+    with pytest.raises(ValueError, match="at least 2 rounds"):
+        runfile.ab(call("a", lambda: 1.0), call("b", lambda: 1.0), 1)
+
+
+@pytest.fixture
+def second_name():
+    """A package name for ``load_tree``, unloaded with its submodules afterwards."""
+    name = "iapd_second_copy"
+    yield name
+    for key in [key for key in sys.modules if key == name or key.startswith(name + ".")]:
+        del sys.modules[key]
+
+
+def test_an_a_a_load_of_this_checkout_runs_apart_and_gives_the_same_bytes(runfile, second_name):
+    import iapd
+
+    copy = runfile.load_tree(runfile.ROOT, second_name)
+    assert Path(copy.__file__).resolve() == Path(iapd.__file__).resolve()
+    outputs = []
+    for package in (iapd, copy):
+        bench, solvers = (importlib.import_module(f"{package.__name__}.{module}")
+                          for module in ("bench", "solvers"))
+        inst = bench.generate_l1ls(8, 12, 0.1, 3)
+        params = bench.preset_params("l1ls", inst.problem.K.norm())
+        state, trace = solvers.solve_iapd(inst.problem, params, solvers.SolverOptions(max_iters=50),
+                                          objective=inst.objective)
+        outputs.append(state.x.tobytes() + state.y.tobytes() + trace.cells[:, :-1].tobytes())
+    assert copy.solvers is not iapd.solvers and copy.solvers.__name__ == f"{second_name}.solvers"
+    assert outputs[0] == outputs[1]
+
+
+def test_load_tree_refuses_a_root_without_the_package_and_a_name_in_use(runfile, tmp_path,
+                                                                        second_name):
+    with pytest.raises(ValueError, match="has no src/iapd/__init__.py"):
+        runfile.load_tree(tmp_path, second_name)
+    assert second_name not in sys.modules
+    with pytest.raises(ValueError, match="'iapd' is already imported"):
+        runfile.load_tree(runfile.ROOT, "iapd")
 
 
 TIMERS = sorted(path.name for path in SCRIPTS.glob("bench_*.py"))

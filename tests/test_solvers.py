@@ -281,6 +281,17 @@ def test_fista_rejects_bad_inputs():
                     x0=np.zeros(1))
 
 
+@pytest.mark.parametrize("solve", [solve_fista, solve_tseng])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_x0_is_refused_before_any_iteration(solve, bad):
+    """Not reported as a divergence at iteration 1, and with no warning first."""
+    f2 = LeastSquares(LinearMap(np.eye(2)), np.ones(2))
+    with warnings.catch_warnings(action="error"):
+        with pytest.raises(ValueError, match="^x0 contains non-finite entries$"):
+            solve(ZeroProx(), f2, 0.5, SolverOptions(max_iters=3), x0=np.array([0.0, bad]),
+                  objective=lambda x, kx=None: 0.0)
+
+
 def test_pda_requires_full_prox():
     problem = SaddleProblem(
         f1=L1Norm(0.1), f2=Quad(), g1=ShiftedQuadratic([0.0]),
@@ -350,16 +361,19 @@ def iterates_with_faults(draw):
     Each x (and y, unless the method is primal-only) is ordinary, holds +-inf or NaN
     at random positions, or is finite with entries up to 1e308, so that its sum of
     squares overflows. x and y fault independently, so either may be the only one.
-    Unchained, x_prev and y_prev sit a standard normal step away, so that no
-    recorded distance overflows. Chained, as a stepper's states are, each x_prev
-    and y_prev is the previous state's x and y object (the first state's a fresh
-    standard normal vector), and an overflowing vector's entries stay within 8e307,
-    so that no difference of two of them overflows; the warning that such a
-    difference draws has a test of its own.
+    x_prev and y_prev are of one of three kinds:
+    - chained, as a stepper's states are: the previous state's x and y objects (the
+      first state's a fresh standard normal vector). An overflowing vector's entries
+      stay within 8e307, so that no difference of two of them overflows; the warning
+      that such a difference draws has a test of its own;
+    - fresh: a standard normal vector of their own, finite whatever x holds;
+    - shadowing: x minus a standard normal step, so that they carry x's own inf and
+      NaN entries, as no stepper's do.
     """
     n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    primal_only, chained = draw(st.booleans()), draw(st.booleans())
-    top = 8e307 if chained else 1e308
+    primal_only = draw(st.booleans())
+    prev_kind = draw(st.sampled_from(["chained", "fresh", "shadowing"]))
+    top = 8e307 if prev_kind == "chained" else 1e308
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def vector(size):
@@ -375,16 +389,17 @@ def iterates_with_faults(draw):
         return v
 
     states = []
-    if chained:  # the first state's previous iterate
-        x_prev, y_prev = rng.standard_normal(n), None if primal_only else rng.standard_normal(m)
+    x_prev, y_prev = rng.standard_normal(n), None if primal_only else rng.standard_normal(m)
     for k in range(2, draw(st.integers(2, 10)) + 2):
         x = vector(n)
         y = None if primal_only else vector(m)
-        if not chained:
+        if prev_kind == "fresh":
+            x_prev, y_prev = rng.standard_normal(n), None if y is None else rng.standard_normal(m)
+        elif prev_kind == "shadowing":
             x_prev = x - rng.standard_normal(n)
             y_prev = None if y is None else y - rng.standard_normal(m)
         states.append(_Iterate(k, x, x_prev, y, y_prev, float(k)))
-        if chained:
+        if prev_kind == "chained":
             x_prev, y_prev = x, y
     finite = [bool(np.isfinite(s.x).all() and (s.y is None or np.isfinite(s.y).all()))
               for s in states]
@@ -394,18 +409,25 @@ def iterates_with_faults(draw):
 @settings(max_examples=150, deadline=None)
 @given(iterates_with_faults(), st.integers(1, 3))
 def test_the_divergence_test_flags_exactly_the_entrywise_non_finite_iterates(case, stride):
-    """The driver's one-dot test against an entry-wise np.isfinite reference: the same
-    first k and message, the trace of the iterates before it, no warning, and no
-    divergence for finite vectors whose sum of squares overflows. Each row's
-    distances are sqrt(d.d) of d = x - x_prev and of d = y - y_prev."""
+    """The driver's distance test against an entry-wise np.isfinite reference: the same
+    first k and message, the trace of the iterates before it, and no divergence for
+    finite vectors whose sum of squares overflows. Each row's distances are sqrt(d.d)
+    of d = x - x_prev and of d = y - y_prev. No warning is drawn while every x_prev and
+    y_prev is finite, as a stepper's are; one that shadows x's own inf may draw numpy's
+    invalid-value warning from inf - inf, and no other."""
     states, finite = case
     opts = SolverOptions(max_iters=len(states), observer_stride=stride)
     by_k = {state.k: state for state in states}
+    prev_finite = all(np.isfinite(s.x_prev).all()
+                      and (s.y_prev is None or np.isfinite(s.y_prev).all()) for s in states)
 
     def distance(v, prev):
         return math.nan if v is None else math.sqrt(np.vdot(v - prev, v - prev))
 
     with warnings.catch_warnings(action="error"):
+        if not prev_finite:
+            warnings.filterwarnings("ignore", "invalid value encountered in subtract",
+                                    RuntimeWarning)
         if all(finite):
             state, rows = _drive("fake", opts, iter(states), None, None)
             assert state is states[-1]
@@ -426,9 +448,8 @@ def test_the_divergence_test_flags_exactly_the_entrywise_non_finite_iterates(cas
 
 
 def test_a_distance_whose_squares_overflow_is_inf_without_a_warning():
-    """Both where the distance is the divergence test (x_prev is the x checked one
-    iteration earlier: k = 3, whose x.x is finite, and k = 4) and after a one-dot test
-    (x_prev is another object: k = 2 and 5)."""
+    """Whether x_prev is the x of the iteration before (k = 3 and 4) or another object
+    (k = 2 and 5), and whether x.x overflows (k = 2, 4 and 5) or not (k = 3)."""
     far = np.array([1e200, 0.0])
     start = np.zeros(2)
     states = [_Iterate(2, far, np.zeros(2), None, None, 2.0),
@@ -546,7 +567,8 @@ def first_new_minimum(gaps, after, skip_stride=None):
 
 @pytest.mark.parametrize("name", ALL_SOLVERS)
 def test_every_stepper_yields_the_checked_x_as_its_next_x_prev(name, gap_instance):
-    """So that every recorded row past the first takes the divergence test from its distances."""
+    """So that a row's dx and dy, which the divergence test takes, are its distances to the
+    iterate before."""
     inst, _ = gap_instance
     states = []
     solve_one(name, inst, SolverOptions(max_iters=5), inst.objective,
